@@ -434,10 +434,10 @@ def _rss_probe_main(mode):
 
 
 def bench_fault_overhead(num_requests=5000, gen_tokens=64):
-    """The resilience contract, priced: the plain loop versus the fault
-    engine with a benign spec (nothing fires inside the makespan — the
-    delegation itself is the cost, and the trace must stay byte-identical
-    to the plain run), versus real chaos (a mid-run crash plus flaky
+    """The resilience contract, priced: the plain loop versus the loop
+    with fault handling armed by a benign spec (nothing fires inside the
+    makespan — the per-record fault bookkeeping itself is the cost, and
+    the trace must stay byte-identical to the plain run), versus real chaos (a mid-run crash plus flaky
     verdicts and client retries, where coalesced must stay byte-identical
     to the step-by-step reference).  ``--check`` bounds the benign
     overhead and requires both identities."""
@@ -701,10 +701,10 @@ def main(argv=None):
                 f"serving_kv_spill_100k took {kv_spill['seconds']:.1f}s; "
                 "the memory-model bar is 15 seconds for 100k requests"
             )
-        # The benign fault engine is the plain loop plus delegation: it
-        # must stay byte-identical (checked above) and close on wall
-        # clock — a widening gap means the faults=None promise is being
-        # paid for even when nothing fires.
+        # A benign spec arms the loop's fault handling with nothing to
+        # do: it must stay byte-identical (checked above) and close on
+        # wall clock — a widening gap means the fault bookkeeping costs
+        # more than it should even when nothing fires.
         fault = results["fault_overhead_5k_64"]
         if fault["fault_overhead"] >= 3.0:
             raise SystemExit(

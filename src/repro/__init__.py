@@ -64,11 +64,11 @@ SLO-burn-rate alert rules evaluated as windows close, a
 :func:`critical_path` pass attributes where the tail latency and the
 makespan actually went, a :class:`MetricsRegistry` absorbs a finished
 report into a Prometheus-text :class:`MetricsSnapshot`, and a
-:class:`PhaseProfiler` times the loops' own wall-clock phases.
+:class:`PhaseProfiler` times the loop's own wall-clock phases.
 Attaching any of them never changes a trace CSV, a report, or a
 makespan — the disabled path costs zero per-event work.
 
-:mod:`repro.faults` turns both event loops into chaos rigs without
+:mod:`repro.faults` turns the event loop into a chaos rig without
 losing determinism: a :class:`FaultSpec` injects seeded crash / recover
 windows, transient slowdowns and flaky per-attempt failures as FAULT
 events on the simulated clock, a :class:`RetryPolicy` plus per-request
@@ -78,7 +78,8 @@ health-aware routing (``get_router("failover")``, or
 replicas.  Reports grow a :class:`FaultReport` — availability,
 time-to-recover, shed / timed-out / failed / retried counts — and a
 fixed seed replays the whole outage byte for byte.  With
-``faults=None`` the plain loops run untouched.
+``faults=None`` (and no retry policy or deadline) the loop's fault
+handling never runs.
 """
 
 from repro.api import (

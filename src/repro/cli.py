@@ -63,6 +63,17 @@ _SCHEDULERS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts and sizes: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_model_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "model",
@@ -623,8 +634,6 @@ def _serve_command(args: argparse.Namespace) -> int:
                 "--stream-trace streams one simulation's trace; it cannot "
                 "follow a capacity search"
             )
-    if args.parallel < 1:
-        raise SystemExit("--parallel must be at least 1")
     if args.parallel != 1 and not args.find_max_qps:
         raise SystemExit("--parallel parallelizes --find-max-qps probes")
     slo = _serving_slo(args)
@@ -776,8 +785,6 @@ def _fleet_command(args: argparse.Namespace) -> int:
                 "--stream-trace streams one simulation's trace; it cannot "
                 "follow a sizing search"
             )
-    if args.parallel < 1:
-        raise SystemExit("--parallel must be at least 1")
     if args.parallel != 1 and args.size_for_qps is None:
         raise SystemExit("--parallel parallelizes --size-for-qps probes")
     slo = _serving_slo(args)
@@ -927,20 +934,22 @@ def build_parser() -> argparse.ArgumentParser:
     decode = subparsers.add_parser("decode", help="decode-speed report for one model")
     _add_model_argument(decode)
     decode.add_argument("--config", default="L", help="S, M or L (default L)")
-    decode.add_argument("--seq-len", type=int, default=1000, help="cached context length")
+    decode.add_argument(
+        "--seq-len", type=_positive_int, default=1000, help="cached context length"
+    )
     decode.set_defaults(handler=_decode_command)
 
     compare = subparsers.add_parser("compare", help="compare against the paper's baselines")
     _add_model_argument(compare)
-    compare.add_argument("--seq-len", type=int, default=1000)
+    compare.add_argument("--seq-len", type=_positive_int, default=1000)
     compare.set_defaults(handler=_compare_command)
 
     sweep = subparsers.add_parser("sweep", help="chips-per-channel scalability sweep")
     _add_model_argument(sweep)
     sweep.add_argument("--config", default="S")
-    sweep.add_argument("--seq-len", type=int, default=1000)
+    sweep.add_argument("--seq-len", type=_positive_int, default=1000)
     sweep.add_argument(
-        "--chips", type=int, nargs="+", default=[1, 2, 4, 8, 16, 32],
+        "--chips", type=_positive_int, nargs="+", default=[1, 2, 4, 8, 16, 32],
         help="chips-per-channel values to sweep",
     )
     sweep.set_defaults(handler=_sweep_command)
@@ -953,20 +962,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid.add_argument(
         "--backends", nargs="+", default=None, metavar="NAME",
+        type=str.lower, choices=list_backends(),
         help=f"registered backends (default: all — {', '.join(list_backends())})",
     )
     grid.add_argument(
         "--configs", nargs="+", default=["L"], metavar="CFG",
         help="hardware configuration keys for backends that accept them (default L)",
     )
-    grid.add_argument("--seq-lens", type=int, nargs="+", default=[1000])
-    grid.add_argument("--batch-sizes", type=int, nargs="+", default=[1])
-    grid.add_argument("--gen-tokens", type=int, nargs="+", default=[1])
+    grid.add_argument("--seq-lens", type=_positive_int, nargs="+", default=[1000])
+    grid.add_argument("--batch-sizes", type=_positive_int, nargs="+", default=[1])
+    grid.add_argument("--gen-tokens", type=_positive_int, nargs="+", default=[1])
     grid.add_argument("--csv", default=None, metavar="PATH", help="also write CSV here")
     grid.add_argument(
         "--markdown", action="store_true", help="print a markdown table instead"
     )
-    grid.add_argument("--workers", type=int, default=None, help="thread-pool width")
+    grid.add_argument(
+        "--workers", type=_positive_int, default=None, help="thread-pool width"
+    )
     grid.add_argument(
         "--show-cache-stats", action="store_true",
         help="print the shared ExperimentRunner's profile-cache counters "
@@ -991,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_serving_arguments(fleet)
     fleet.add_argument(
-        "--num-devices", type=int, default=None,
+        "--num-devices", type=_positive_int, default=None,
         help="replica count for a homogeneous fleet (default 2; "
              "incompatible with --size-for-qps, which searches the count)",
     )
@@ -1000,11 +1012,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="routing policy (default jsq)",
     )
     fleet.add_argument(
-        "--tp", type=int, default=1,
+        "--tp", type=_positive_int, default=1,
         help="tensor-parallel degree of every replica (default 1)",
     )
     fleet.add_argument(
-        "--pp", type=int, default=1,
+        "--pp", type=_positive_int, default=1,
         help="pipeline-parallel degree of every replica (default 1)",
     )
     fleet.add_argument(
@@ -1017,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search the smallest replica count sustaining this rate under the SLO",
     )
     fleet.add_argument(
-        "--max-replicas", type=int, default=64,
+        "--max-replicas", type=_positive_int, default=64,
         help="replica-search ceiling for --size-for-qps (default 64)",
     )
     fleet.set_defaults(handler=_fleet_command)
@@ -1029,13 +1041,16 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
     ``serve`` and ``fleet``."""
     _add_model_argument(parser)
     parser.add_argument(
-        "--backend", default="cambricon",
-        help=f"registered backend (default cambricon; {', '.join(list_backends())})",
+        "--backend", default="cambricon", type=str.lower, choices=list_backends(),
+        help="registered backend (default cambricon)",
     )
     parser.add_argument("--config", default="L", help="hardware config key (default L)")
-    parser.add_argument("--seq-len", type=int, default=1000, help="prompt length")
     parser.add_argument(
-        "--gen-tokens", type=int, default=16, help="tokens generated per request"
+        "--seq-len", type=_positive_int, default=1000, help="prompt length"
+    )
+    parser.add_argument(
+        "--gen-tokens", type=_positive_int, default=16,
+        help="tokens generated per request",
     )
     parser.add_argument(
         "--workload", choices=("poisson", "constant", "onoff", "trace"),
@@ -1046,7 +1061,7 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         help="mean arrival rate (burst rate for onoff; default 1.0)",
     )
     parser.add_argument(
-        "--num-requests", type=int, default=None,
+        "--num-requests", type=_positive_int, default=None,
         help="arrivals to simulate (default 100; trace: the whole trace)",
     )
     parser.add_argument("--seed", type=int, default=0, help="workload RNG seed")
@@ -1070,7 +1085,7 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         help="request scheduler (default fcfs)",
     )
     parser.add_argument(
-        "--max-batch", type=int, default=8,
+        "--max-batch", type=_positive_int, default=8,
         help="batch slots for static/continuous scheduling (default 8)",
     )
     parser.add_argument(
@@ -1166,7 +1181,7 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
              "makespan chains)",
     )
     parser.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
+        "--parallel", type=_positive_int, default=1, metavar="N",
         help="speculative probe threads for --find-max-qps/--size-for-qps "
              "(capped at the CPU count; the probe trail and the result are "
              "identical to the serial search)",

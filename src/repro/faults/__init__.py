@@ -25,16 +25,12 @@ Three layers compose:
   (availability, time-to-recover, shed/timed-out/failed/retry counts).
 
 Entry points: pass ``faults=``/``retry=``/``deadline_s=`` straight to
-:func:`repro.serving.simulate` or :func:`repro.fleet.simulate_fleet` —
-they delegate to the fault-aware engine in :mod:`repro.faults.engine`;
-with all three unset the plain loops run untouched.
+:func:`repro.serving.simulate` or :func:`repro.fleet.simulate_fleet`.
+Either arms the event loop's fault handling (:mod:`repro.faults.engine`);
+with all three unset the loop runs as if this package did not exist.
 """
 
-from repro.faults.engine import (
-    FaultGate,
-    simulate_fleet_with_faults,
-    simulate_with_faults,
-)
+from repro.faults.engine import FaultGate
 from repro.faults.report import FaultReport
 from repro.faults.spec import (
     CRASH,
@@ -58,6 +54,4 @@ __all__ = [
     "FaultReport",
     "FaultSpec",
     "RetryPolicy",
-    "simulate_with_faults",
-    "simulate_fleet_with_faults",
 ]

@@ -1,26 +1,24 @@
-"""The fault-aware event loop shared by the serving and fleet shapes.
+"""Fault handling for the simulator's event loop.
 
-This module is the execution core of :mod:`repro.faults`: one event loop
-that runs both the single-device shape (:func:`simulate_with_faults`,
-returning a :class:`repro.serving.metrics.ServingReport`) and the fleet
-shape (:func:`simulate_fleet_with_faults`, returning a
-:class:`repro.fleet.report.FleetReport`).  The plain loops in
-:mod:`repro.serving.simulator` and :mod:`repro.fleet.simulator` delegate
-here when (and only when) a fault spec, retry policy, or deadline is
-given, so the fault-free paths are untouched — their trace CSVs stay
-byte-identical to the pre-fault goldens by construction.
+The event loop in :mod:`repro.fleet.simulator` (which
+:func:`repro.serving.simulate` runs over a single device) arms a
+:class:`_FaultRun` when any of ``faults``/``retry``/``deadline_s`` is
+given, and calls its handlers at the points where a fault-aware run
+differs from a plain one.  With all three unset none of this module
+runs.
 
-The loop generalizes the fleet event loop with a third event kind,
-:data:`repro.serving.events.FAULT`, carrying per-device fault
-transitions (crash / recover / slowdown open / slowdown close) drawn
-lazily from a :class:`repro.faults.FaultInjector`.  The total event
-order is the documented :mod:`repro.serving.events` contract:
-completions due at an instant stamp before a simultaneous fault applies
-(an occupancy ending at the crash instant still counts), faults apply
-before arrivals route (an arrival at the crash instant already sees the
-device down), and arrivals are delivered before idle devices plan.
-Client retries and hedge timers re-enter through the arrival stage via
-a dedicated retry heap, with source arrivals first at equal timestamps.
+A fault-aware run adds two event sources to the loop: per-device fault
+transitions (crash / recover / slowdown open / slowdown close), drawn
+lazily from a :class:`repro.faults.FaultInjector` and scheduled on the
+shared heap as :data:`repro.serving.events.FAULT` events, and a retry
+heap of client retries and hedge timers.  The total event order is the
+documented :mod:`repro.serving.events` contract: completions due at an
+instant stamp before a simultaneous fault applies (an occupancy ending
+at the crash instant still counts), faults apply before arrivals route
+(an arrival at the crash instant already sees the device down), and
+arrivals are delivered before idle devices plan.  Retries and hedge
+timers re-enter through the arrival stage, with source arrivals first
+at equal timestamps.
 
 Determinism under coalescing
 ----------------------------
@@ -46,29 +44,22 @@ pays a fresh re-prefill (and re-spill) wherever it lands — and re-routes
 the survivors immediately at the crash instant against the live device
 states.  Health-aware policies (``get_router("failover")``, or any
 router built with ``exclude_unhealthy=True``) steer them around the
-dead replica; recovery re-admits it.
+dead replica; recovery re-admits it.  On a single device the survivors
+re-queue where they were and wait out the recovery.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional
 
-from repro.fleet.device import Device
-from repro.fleet.report import FLEET_TRACE_CSV_FIELDS, FleetReport
-from repro.fleet.router import JoinShortestQueueRouter, Router
 from repro.obs.recorder import record_request_phases
-from repro.serving.events import COMPLETION, FAULT, EventQueue
-from repro.serving.metrics import (
-    ServingReport,
-    SLOSpec,
-    StreamedMetrics,
-    TRACE_CSV_FIELDS,
-    metric_sample,
-    trace_values,
-)
-from repro.serving.request import RequestRecord, ServingRequest
-from repro.serving.stream import TraceSink, TraceStreamer
+from repro.serving.events import FAULT
+from repro.serving.request import RequestRecord
+
+# Kept importable from here: simbench's layer tracer wraps
+# ``metric_sample`` by module path, here and in repro.fleet.simulator.
+from repro.serving.metrics import metric_sample  # noqa: F401
 
 from repro.faults.report import FaultReport
 from repro.faults.spec import (
@@ -77,17 +68,15 @@ from repro.faults.spec import (
     SLOW_END,
     SLOW_START,
     FaultInjector,
-    FaultSpec,
-    RetryPolicy,
 )
 
-__all__ = ["FaultGate", "simulate_with_faults", "simulate_fleet_with_faults"]
+__all__ = ["FaultGate"]
 
 #: Retry-heap actions: a scheduled client retry, and a hedge timer.
 _RETRY = 0
 _HEDGE = 1
 
-#: Consecutive clock advances driven purely by fault events (no request
+#: Consecutive loop passes driven purely by fault events (no request
 #: progress) before the loop declares itself wedged.  Random fault
 #: schedules are infinite, so a run that can no longer make progress
 #: would otherwise spin through crash/recover cycles forever.
@@ -139,66 +128,70 @@ class FaultGate:
         self.drop = None
 
 
-class _SoloRouter(Router):
-    """Trivial single-device router backing the serving shape."""
-
-    name = "solo"
-
-    def route(
-        self, record: RequestRecord, devices: Sequence[Device], now: float
-    ) -> int:
-        return 0
+def _stamp_attempt(record: RequestRecord, now: float) -> None:
+    """Count one dispatch of ``record`` at simulated time ``now``."""
+    record.attempts += 1
+    if record.attempt_s is None:
+        record.attempt_s = []
+    record.attempt_s.append(now)
 
 
-class _Engine:
-    """One fault-aware run over a routed device list.
+class _FaultRun:
+    """One fault-aware run's state, and the handlers the event loop calls.
 
-    Both public wrappers build the device list and the source, then
-    drive this class; ``fleet_shape`` only controls trace columns,
-    recorder track names and how the close-out assembles reports — the
-    event loop itself is identical.
+    The loop owns the clock, the heap, routing of source arrivals and
+    planning; this object owns everything only a fault-aware run has:
+    the per-device gates and fault cursors, the retry heap, hedge
+    pairings, terminal outcomes, and the :class:`FaultReport`.  It
+    shares the loop's ``assignments`` list and ``touched`` set, and
+    finishes resolved records through the loop's ``streamer`` or
+    per-device ``device_fold`` (with the ``live`` early-exit map).
     """
 
     def __init__(
         self,
-        source,
-        devices: List[Device],
-        router: Router,
+        devices,
+        router,
+        queue,
         *,
-        fleet_shape: bool,
-        faults: Optional[FaultSpec],
-        retry: Optional[RetryPolicy],
+        faults,
+        retry,
         deadline_s: Optional[float],
-        slo: Optional[SLOSpec],
-        max_steps: Optional[int],
+        slo,
         fail_fast: bool,
-        trace_sink: Optional[TraceSink],
         keep_records: bool,
-        recorder,
-        profiler,
+        rec,
+        tag_device: bool,
+        streamer,
+        device_fold,
+        live: Optional[dict],
+        assignments: List[int],
+        touched: set,
     ) -> None:
-        self.source = source
         self.devices = devices
         self.router = router
-        self.fleet_shape = fleet_shape
         self.retry = retry
         self.deadline_s = deadline_s
         self.slo = slo
-        self.max_steps = max_steps
         self.fail_fast = fail_fast
         self.keep_records = keep_records
+        self.rec = rec
+        #: Tag request-phase spans with the device index (fleet reports).
+        self.tag_device = tag_device
+        self.streamer = streamer
+        self.device_fold = device_fold
+        self.live = live
+        self.assignments = assignments
+        self.touched = touched
+        self.track_work = router.needs_work_estimates
         self.injector = (
             FaultInjector(faults, len(devices)) if faults is not None else None
         )
         self.report = FaultReport(num_devices=len(devices))
-        self.queue = EventQueue()
-        self.now = 0.0
-        self.num_events = 0
+        #: Resolved requests that missed the SLO (the ``fail_fast`` tally).
         self.missed = 0
-        self.early_exit = False
         #: Primaries delivered but not yet terminally resolved.
         self.open_requests = 0
-        self.assignments: List[int] = []
         #: id(record) -> index into ``assignments`` (overwritten before
         #: every read at delivery time, so id reuse cannot corrupt it).
         self.arrival_pos: dict = {}
@@ -211,10 +204,13 @@ class _Engine:
         #: Retry/hedge-timer heap of (time, seq, action, record).
         self.retry_heap: list = []
         self.retry_seq = 0
-        self.touched = set(range(len(devices)))
+        #: (time, device) fault transitions to schedule once the loop has
+        #: applied every fault due at the current instant.
+        self.rearm: list = []
+        #: Consecutive loop passes in which no request moved (the wedge
+        #: guard in :meth:`next_time`).
+        self.idle_passes = 0
         self.down_since: List[Optional[float]] = [None] * len(devices)
-        self.track_work = router.needs_work_estimates
-        self.total = source.total
         # Dynamically-scheduled deliveries (flaky retries, crash re-queues)
         # are not in the planning horizon the way source arrivals are, so
         # free-slot coalescing could extend an occupancy past an admission
@@ -238,29 +234,6 @@ class _Engine:
             self._min_retry_delay = (
                 retry.backoff_s * shortest * (1.0 - retry.jitter)
             )
-        self._fault_head: Optional[float] = None
-
-        # -- observability (mirrors the plain loops) --------------------------
-        rec = recorder if recorder is not None and recorder.enabled else None
-        self.rec = rec
-        self.device_tracks: List[str] = []
-        if rec is not None:
-            if fleet_shape:
-                router.recorder = rec
-            for index, device in enumerate(devices):
-                track = f"device{index}" if fleet_shape else device.scheduler.track
-                self.device_tracks.append(track)
-                device.scheduler.recorder = rec
-                device.scheduler.track = track
-                memory_model = device.memory
-                if memory_model is not None:
-                    memory_model.recorder = rec
-                    if fleet_shape:
-                        memory_model.track = f"memory{index}"
-        self.prof_add = profiler.add if profiler is not None else None
-        self.prof_clock = profiler.clock if profiler is not None else None
-
-        # -- per-device fault gates -------------------------------------------
         self.gates: List[FaultGate] = []
         self.cursors = []
         for index, device in enumerate(devices):
@@ -274,71 +247,9 @@ class _Engine:
             self.cursors.append(cursor)
             if cursor is not None and cursor.head_time is not None:
                 gate.boundary_s = cursor.head_time
-                self.queue.push(cursor.head_time, FAULT, index)
-            device.track_work = self.track_work
-            if not keep_records:
-                device.keep_records = False
-                from repro.serving.simulator import _QueueDepthStats
-
-                device.queue_stats = _QueueDepthStats()
+                queue.push(cursor.head_time, FAULT, index)
+        self._fault_head: Optional[float] = None
         self._refresh_fault_head()
-
-        # -- streaming / metrics (mirrors the plain loops) --------------------
-        self.fleet_metrics: Optional[StreamedMetrics] = None
-        self.device_metrics: Optional[List[StreamedMetrics]] = None
-        self.streamer: Optional[TraceStreamer] = None
-        self.live: Optional[dict] = None
-        slo_met = 0 if slo is not None else None
-        if not keep_records:
-            self.device_metrics = [StreamedMetrics(slo_met=slo_met) for _ in devices]
-            if fleet_shape:
-                self.fleet_metrics = StreamedMetrics(slo_met=slo_met)
-            else:
-                self.fleet_metrics = self.device_metrics[0]
-        if trace_sink is not None:
-            if fleet_shape:
-                assignments = self.assignments
-
-                def row_of(record, index):
-                    values = trace_values(record, slo)
-                    cell = assignments[index] if index < len(assignments) else ""
-                    return [values[0], cell] + values[1:]
-
-                header = FLEET_TRACE_CSV_FIELDS
-            else:
-
-                def row_of(record, index):
-                    return trace_values(record, slo)
-
-                header = TRACE_CSV_FIELDS
-            observers = []
-            if self.fleet_metrics is not None:
-                if fleet_shape:
-                    fleet_metrics = self.fleet_metrics
-                    device_metrics = self.device_metrics
-                    assignments = self.assignments
-
-                    def observe(record, index):
-                        sample = metric_sample(record, slo)
-                        fleet_metrics.add_sample(sample)
-                        if index < len(assignments):
-                            device_metrics[assignments[index]].add_sample(sample)
-
-                else:
-                    metrics = self.fleet_metrics
-
-                    def observe(record, index):
-                        metrics.add(record, slo)
-
-                observers.append(observe)
-            self.streamer = TraceStreamer(trace_sink, header, row_of, observers)
-        elif self.fleet_metrics is not None and fail_fast:
-            self.live = {}
-        self.device_fold = (
-            [metrics.fold for metrics in self.device_metrics]
-            if self.streamer is None and self.device_metrics is not None
-            else None
-        )
 
     # -- gate callbacks -------------------------------------------------------
     def _make_callbacks(self, index: int):
@@ -396,6 +307,10 @@ class _Engine:
             if self.live is not None:
                 self.live.pop(id(record), None)
 
+    def _record_phases(self, record: RequestRecord, index: int) -> None:
+        extra = {"device": index} if self.tag_device else None
+        record_request_phases(self.rec, "requests", record, extra)
+
     def _cancel_sibling_hedge(self, record: RequestRecord) -> None:
         """A primary resolved: cancel its in-flight hedge attempt, if any."""
         sibling = self.hedge_attempt.pop(id(record), None)
@@ -411,12 +326,21 @@ class _Engine:
             self.touched.add(dev)
 
     # -- dispatch -------------------------------------------------------------
+    def arrived(self, record: RequestRecord, index: int, now: float) -> None:
+        """A source arrival the loop just routed to device ``index`` and
+        appended to ``assignments``: track it, and arm its hedge timer."""
+        _stamp_attempt(record, now)
+        self.open_requests += 1
+        self.owner[id(record)] = index
+        self.arrival_pos[id(record)] = len(self.assignments) - 1
+        retry = self.retry
+        if retry is not None and retry.hedge_after_s is not None:
+            self._push_retry(record.arrival_s + retry.hedge_after_s, _HEDGE, record)
+
     def _dispatch(self, record: RequestRecord, now: float) -> int:
-        """Route ``record`` and enqueue it on the chosen device."""
-        record.attempts += 1
-        if record.attempt_s is None:
-            record.attempt_s = []
-        record.attempt_s.append(now)
+        """Route a retry, hedge or crash re-queue and enqueue it (the same
+        steps the loop inlines for source arrivals)."""
+        _stamp_attempt(record, now)
         devices = self.devices
         index = self.router.route(record, devices, now)
         if not 0 <= index < len(devices):
@@ -439,8 +363,15 @@ class _Engine:
         self.touched.add(index)
         return index
 
+    def _redispatch(self, record: RequestRecord, now: float) -> None:
+        """Dispatch a primary again and move its trace row's device cell."""
+        index = self._dispatch(record, now)
+        pos = self.arrival_pos.get(id(record))
+        if pos is not None:
+            self.assignments[pos] = index
+
     @staticmethod
-    def _forget_device_record(device: Device, record: RequestRecord) -> None:
+    def _forget_device_record(device, record: RequestRecord) -> None:
         """Identity-based removal from ``device.records`` (a record that
         left this device mid-flight belongs to the device that resolves
         it; dataclass equality would match the wrong twin)."""
@@ -454,27 +385,62 @@ class _Engine:
         self.retry_seq += 1
         heapq.heappush(self.retry_heap, (time_s, self.retry_seq, action, record))
 
-    # -- completion handling --------------------------------------------------
-    def _complete(self, index: int, time_s: float) -> bool:
-        """Handle a COMPLETION event; returns False for stale entries."""
-        device = self.devices[index]
-        occupancy = device._occupancy
-        if occupancy is None or device.busy_until != time_s:
-            # A crash aborted this occupancy after its completion was
-            # scheduled; the entry is stale.
-            return False
-        device.busy_until = None
-        device._occupancy = None
-        for record in occupancy.completed:
-            self._member_done(index, device, record, time_s)
-        self.router.on_completed(index, device)
-        self.touched.add(index)
-        return True
+    def deliver(self, now: float) -> bool:
+        """Dispatch the retries and hedge timers due by ``now`` (after the
+        loop delivered the source arrivals); True if anything moved."""
+        retry_heap = self.retry_heap
+        moved = False
+        while retry_heap and retry_heap[0][0] <= now:
+            _, _, action, record = heapq.heappop(retry_heap)
+            if action == _RETRY:
+                if (
+                    record.outcome is None
+                    and record.finish_s is None
+                    and not record.cancelled
+                ):
+                    record.retries += 1
+                    self.report.retries += 1
+                    if self.rec is not None:
+                        self.rec.instant(
+                            "faults",
+                            "retry",
+                            now,
+                            {
+                                "request_id": record.request_id,
+                                "attempt": record.attempts + 1,
+                            },
+                        )
+                    self._redispatch(record, now)
+                    moved = True
+            else:  # _HEDGE timer
+                primary = record
+                if (
+                    primary.outcome is None
+                    and primary.finish_s is None
+                    and not primary.cancelled
+                    and primary.first_token_s is None
+                    and id(primary) not in self.hedge_attempt
+                ):
+                    attempt = RequestRecord(primary.source, hedge=True)
+                    self.hedge_primary[id(attempt)] = primary
+                    self.hedge_attempt[id(primary)] = attempt
+                    self.report.hedges += 1
+                    if self.rec is not None:
+                        self.rec.instant(
+                            "faults",
+                            "hedge",
+                            now,
+                            {"request_id": primary.request_id},
+                        )
+                    self._dispatch(attempt, now)
+                    moved = True
+        return moved
 
-    def _member_done(
-        self, index: int, device: Device, record: RequestRecord, time_s: float
+    # -- completion handling --------------------------------------------------
+    def member_done(
+        self, index: int, device, record: RequestRecord, time_s: float
     ) -> None:
-        """Resolve one batch member of a finished occupancy."""
+        """Resolve one batch member of an occupancy that just ended."""
         device.outstanding -= 1
         if self.track_work:
             device.outstanding_work_s -= device.job_seconds(record)
@@ -526,8 +492,7 @@ class _Engine:
                     {"request_id": record.request_id},
                 )
         if rec is not None:
-            extra = {"device": index} if self.fleet_shape else None
-            record_request_phases(rec, "requests", record, extra)
+            self._record_phases(record, index)
         self._cancel_sibling_hedge(record)
         self._finish_terminal(record, index)
 
@@ -576,13 +541,16 @@ class _Engine:
                 time_s,
                 {"request_id": primary.request_id, "device": index},
             )
-            extra = {"device": index} if self.fleet_shape else None
-            record_request_phases(rec, "requests", primary, extra)
+            self._record_phases(primary, index)
         self._finish_terminal(primary, index)
 
     # -- fault handling -------------------------------------------------------
-    def _fault(self, index: int, time_s: float) -> bool:
-        """Apply the device's next fault transition; True if requests moved."""
+    def fault(self, index: int, time_s: float) -> bool:
+        """Apply the device's next fault transition; True if requests moved.
+
+        The device's following transition lands on :attr:`rearm`, for the
+        loop to schedule after every fault due now has applied.
+        """
         cursor = self.cursors[index]
         event = cursor.pop()
         gate = self.gates[index]
@@ -631,11 +599,11 @@ class _Engine:
         head = cursor.head_time
         gate.boundary_s = head
         if head is not None:
-            self.queue.push(head, FAULT, index)
+            self.rearm.append((head, index))
         self._refresh_fault_head()
         return progressed
 
-    def _abort_device(self, index: int, device: Device, time_s: float) -> bool:
+    def _abort_device(self, index: int, device, time_s: float) -> bool:
         """Crash support: abort the in-flight occupancy, evict and
         re-route everything the device owed work to."""
         lost: List[RequestRecord] = []
@@ -682,91 +650,10 @@ class _Engine:
         self.router.on_completed(index, device)
         for record in requeue:
             # Re-route at the crash instant against live health state.
-            new_index = self._dispatch(record, time_s)
-            pos = self.arrival_pos.get(id(record))
-            if pos is not None:
-                self.assignments[pos] = new_index
+            self._redispatch(record, time_s)
         return bool(requeue)
 
-    # -- delivery -------------------------------------------------------------
-    def _deliver(self) -> bool:
-        """Route arrivals and due retries/hedges; True if anything moved."""
-        source = self.source
-        retry_heap = self.retry_heap
-        now = self.now
-        moved = False
-        while True:
-            due = source.head_time
-            if due is not None and due <= now:
-                # Source arrivals first at equal timestamps.
-                record = source.pop()
-                self.open_requests += 1
-                index = self._dispatch(record, now)
-                self.assignments.append(index)
-                self.arrival_pos[id(record)] = len(self.assignments) - 1
-                if self.streamer is not None:
-                    self.streamer.register(record)
-                elif self.live is not None:
-                    self.live[id(record)] = (record, index)
-                retry = self.retry
-                if retry is not None and retry.hedge_after_s is not None:
-                    self._push_retry(
-                        record.arrival_s + retry.hedge_after_s, _HEDGE, record
-                    )
-                moved = True
-                continue
-            if retry_heap and retry_heap[0][0] <= now:
-                _, _, action, record = heapq.heappop(retry_heap)
-                if action == _RETRY:
-                    if (
-                        record.outcome is None
-                        and record.finish_s is None
-                        and not record.cancelled
-                    ):
-                        record.retries += 1
-                        self.report.retries += 1
-                        if self.rec is not None:
-                            self.rec.instant(
-                                "faults",
-                                "retry",
-                                now,
-                                {
-                                    "request_id": record.request_id,
-                                    "attempt": record.attempts + 1,
-                                },
-                            )
-                        index = self._dispatch(record, now)
-                        pos = self.arrival_pos.get(id(record))
-                        if pos is not None:
-                            self.assignments[pos] = index
-                        moved = True
-                else:  # _HEDGE timer
-                    primary = record
-                    if (
-                        primary.outcome is None
-                        and primary.finish_s is None
-                        and not primary.cancelled
-                        and primary.first_token_s is None
-                        and id(primary) not in self.hedge_attempt
-                    ):
-                        attempt = RequestRecord(primary.source, hedge=True)
-                        self.hedge_primary[id(attempt)] = primary
-                        self.hedge_attempt[id(primary)] = attempt
-                        self.report.hedges += 1
-                        if self.rec is not None:
-                            self.rec.instant(
-                                "faults",
-                                "hedge",
-                                now,
-                                {"request_id": primary.request_id},
-                            )
-                        self._dispatch(attempt, now)
-                        moved = True
-                continue
-            break
-        return moved
-
-    # -- planning -------------------------------------------------------------
+    # -- planning and the clock ---------------------------------------------
     def _refresh_fault_head(self) -> None:
         """Re-derive the earliest pending fault instant across all devices."""
         head: Optional[float] = None
@@ -778,419 +665,56 @@ class _Engine:
                 head = time_s
         self._fault_head = head
 
-    def _plan(self, horizon: Optional[float]) -> bool:
-        """Plan every touched, idle, up device in index order."""
-        touched = self.touched
-        devices = self.devices
-        queue = self.queue
-        now = self.now
-        rec = self.rec
-        planned = False
-        order = touched if len(touched) == 1 else sorted(touched)
-        for index in order:
-            device = devices[index]
-            if not device.up or device.busy_until is not None:
-                continue
-            scheduler = device.scheduler
-            if horizon is None and not scheduler.pending:
-                continue
-            occupancy = scheduler.next_occupancy(
-                now, device.cost, horizon=horizon, max_steps=self.max_steps
-            )
-            gate = self.gates[index]
-            if gate.removed:
-                gate.removed = 0
-                self.router.on_completed(index, device)
-            stats = device.queue_stats
-            if stats is not None:
-                stats.add(now, scheduler.waiting)
-            else:
-                device.queue_depth.append((now, scheduler.waiting))
-            if occupancy is None:
-                continue
-            seconds = occupancy.seconds
-            if seconds < 0:
-                raise ValueError("occupancy duration must be non-negative")
-            end = occupancy.end_s
-            if end is None:
-                end = now + seconds
-            device.busy_until = end
-            device.busy_s += seconds
-            device._occupancy = occupancy
-            queue.push(end, COMPLETION, index)
-            planned = True
-            if rec is not None:
-                rec.span(
-                    self.device_tracks[index],
-                    occupancy.kind,
-                    now,
-                    end,
-                    {
-                        "steps": occupancy.steps,
-                        "completed": len(occupancy.completed),
-                    },
-                )
-        touched.clear()
-        return planned
-
-    # -- the loop -------------------------------------------------------------
-    def run(self) -> None:
-        source = self.source
-        queue = self.queue
+    def horizon(self, horizon: Optional[float], now: float) -> Optional[float]:
+        """The planning horizon: the next source arrival capped by the next
+        retry delivery, the next fault on any device, and the shortest
+        possible flaky-retry backoff (see ``__init__``)."""
         retry_heap = self.retry_heap
-        fail_fast = self.fail_fast
-        slo = self.slo
-        total = self.total
-        prof_add = self.prof_add
-        prof_clock = self.prof_clock
-        idle_faults = 0
-        try:
-            while True:
-                self.num_events += 1
-                now = self.now
-                progressed = False
-                # 1. Completions due now stamp first, then simultaneous
-                # fault transitions apply (the events-contract order;
-                # pop_due yields the batch already sorted).
-                due = queue.pop_due(now)
-                if due:
-                    if prof_add is not None:
-                        t0 = prof_clock()
-                    for time_, kind, index, _ in due:
-                        if kind == COMPLETION:
-                            if self._complete(index, time_):
-                                progressed = True
-                        else:
-                            if self._fault(index, time_):
-                                progressed = True
-                    if prof_add is not None:
-                        prof_add("fold", prof_clock() - t0)
-                    if (
-                        fail_fast
-                        and self.missed
-                        and (total - self.missed) / total < slo.min_attainment
-                    ):
-                        self.early_exit = True
-                        break
-                # 2. Deliver and route arrivals, retries and hedge timers.
-                if prof_add is not None:
-                    t0 = prof_clock()
-                if self._deliver():
-                    progressed = True
-                if prof_add is not None:
-                    prof_add("dispatch", prof_clock() - t0)
-                # 3. Touched idle devices plan.  The horizon handed to the
-                # schedulers is the next arrival-like instant — a retry
-                # delivery opens admission exactly like a source arrival.
-                # Dynamic deliveries the heap cannot know yet are covered
-                # by the fault-head and minimum-backoff caps (see
-                # __init__): a crash re-queue lands no sooner than the
-                # next fault anywhere, a flaky retry no sooner than the
-                # shortest backoff after this planning instant.
-                horizon = source.head_time
-                if retry_heap:
-                    rhead = retry_heap[0][0]
-                    if horizon is None or rhead < horizon:
-                        horizon = rhead
-                fault_head = self._fault_head
-                if fault_head is not None and (
-                    horizon is None or fault_head < horizon
-                ):
-                    horizon = fault_head
-                min_delay = self._min_retry_delay
-                if min_delay is not None:
-                    cap = now + min_delay
-                    if horizon is None or cap < horizon:
-                        horizon = cap
-                if self.touched:
-                    if prof_add is not None:
-                        t0 = prof_clock()
-                    if self._plan(horizon):
-                        progressed = True
-                    if prof_add is not None:
-                        prof_add("planning", prof_clock() - t0)
-                if (
-                    fail_fast
-                    and self.missed
-                    and (total - self.missed) / total < slo.min_attainment
-                ):
-                    self.early_exit = True
-                    break
-                # 4. Advance to the next event, or stop.  Fault schedules
-                # can be infinite, so the loop ends when every delivered
-                # request resolved and the stream is dry — not when the
-                # event heap does.
-                if self.open_requests == 0 and source.head_time is None:
-                    break
-                next_time = queue.peek_time()
-                head = source.head_time
-                if head is not None and (next_time is None or head < next_time):
-                    next_time = head
-                if retry_heap:
-                    rhead = retry_heap[0][0]
-                    if next_time is None or rhead < next_time:
-                        next_time = rhead
-                if next_time is None:
-                    stuck = sum(
-                        device.scheduler.pending for device in self.devices
-                    )
-                    raise RuntimeError(
-                        f"fault engine: {stuck} pending requests "
-                        f"({self.open_requests} open) but no event is "
-                        "scheduled to make progress"
-                    )
-                if progressed:
-                    idle_faults = 0
-                else:
-                    idle_faults += 1
-                    if idle_faults > _MAX_IDLE_FAULTS:
-                        raise RuntimeError(
-                            "fault engine: fault events keep advancing the "
-                            f"clock but no request progressed in "
-                            f"{_MAX_IDLE_FAULTS} consecutive events"
-                        )
-                self.now = next_time
+        if retry_heap:
+            rhead = retry_heap[0][0]
+            if horizon is None or rhead < horizon:
+                horizon = rhead
+        fault_head = self._fault_head
+        if fault_head is not None and (horizon is None or fault_head < horizon):
+            horizon = fault_head
+        min_delay = self._min_retry_delay
+        if min_delay is not None:
+            cap = now + min_delay
+            if horizon is None or cap < horizon:
+                horizon = cap
+        return horizon
 
-            self._close()
-        finally:
-            if self.streamer is not None:
-                self.streamer.release()
+    def next_time(self, next_time: Optional[float], progressed: bool) -> float:
+        """The next event instant given the heap/source minimum, merging
+        the retry heap; raises when the run can no longer progress."""
+        retry_heap = self.retry_heap
+        if retry_heap:
+            rhead = retry_heap[0][0]
+            if next_time is None or rhead < next_time:
+                next_time = rhead
+        if next_time is None:
+            stuck = sum(device.scheduler.pending for device in self.devices)
+            raise RuntimeError(
+                f"fault engine: {stuck} pending requests "
+                f"({self.open_requests} open) but no event is "
+                "scheduled to make progress"
+            )
+        if progressed:
+            self.idle_passes = 0
+        else:
+            self.idle_passes += 1
+            if self.idle_passes > _MAX_IDLE_FAULTS:
+                raise RuntimeError(
+                    "fault engine: fault events keep advancing the "
+                    f"clock but no request progressed in "
+                    f"{_MAX_IDLE_FAULTS} consecutive events"
+                )
+        return next_time
 
-    # -- close-out ------------------------------------------------------------
-    def _close(self) -> None:
-        now = self.now
-        source = self.source
-        first_payload = source.first_request
-        for device in self.devices:
-            device.finalize(now)
-            if device.backend_name is None:
-                device.backend_name = device.cost.profile(first_payload).backend_name
-        # A crash still open at the end of the run contributes downtime
-        # truncated at the makespan, but no recovery sample.
+    def close(self, now: float) -> None:
+        """Stamp the makespan; a crash still open at the end contributes
+        downtime truncated at the makespan, but no recovery sample."""
         for since in self.down_since:
             if since is not None:
                 self.report.downtime_s += now - since
-        report = self.report
-        report.makespan_s = now
-        if self.streamer is not None:
-            self.streamer.close(tail=source.tail())
-        elif self.fleet_metrics is not None:
-            if self.live:
-                for record, index in self.live.values():
-                    self.device_fold[index](record, self.slo)
-            if self.fleet_shape:
-                for part in self.device_metrics:
-                    self.fleet_metrics.merge_from(part)
-            for record in source.tail():
-                self.fleet_metrics.fold(record, self.slo)
-
-
-def _engine_kwargs(
-    faults, retry, deadline_s, slo, max_steps, fail_fast
-) -> None:
-    """Shared validation of the fault-aware keyword surface."""
-    if faults is not None and not isinstance(faults, FaultSpec):
-        raise TypeError(f"faults must be a FaultSpec, got {type(faults).__name__}")
-    if retry is not None and not isinstance(retry, RetryPolicy):
-        raise TypeError(f"retry must be a RetryPolicy, got {type(retry).__name__}")
-    if deadline_s is not None and deadline_s <= 0:
-        raise ValueError(f"deadline_s must be positive, got {deadline_s}")
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be at least 1 when given")
-    if fail_fast and slo is None:
-        raise ValueError("fail_fast needs an SLOSpec to judge misses against")
-
-
-def simulate_with_faults(
-    requests: Iterable[ServingRequest],
-    backend,
-    scheduler=None,
-    *,
-    faults: Optional[FaultSpec] = None,
-    retry: Optional[RetryPolicy] = None,
-    deadline_s: Optional[float] = None,
-    slo: Optional[SLOSpec] = None,
-    runner=None,
-    max_steps: Optional[int] = None,
-    fail_fast: bool = False,
-    trace_sink: Optional[TraceSink] = None,
-    keep_records: bool = True,
-    recorder=None,
-    profiler=None,
-) -> ServingReport:
-    """:func:`repro.serving.simulator.simulate` under fault injection.
-
-    Accepts the plain loop's full surface plus the resilience knobs; the
-    plain loop delegates here whenever any of ``faults``/``retry``/
-    ``deadline_s`` is given.  Single-device crash semantics are the
-    fleet's with nowhere to fail over to: evicted requests re-queue on
-    the same device and wait out the recovery.
-    """
-    from repro.serving.scheduler import FCFSScheduler
-    from repro.serving.simulator import BackendCostModel, _arrival_source
-
-    _engine_kwargs(faults, retry, deadline_s, slo, max_steps, fail_fast)
-    scheduler = scheduler if scheduler is not None else FCFSScheduler()
-    if scheduler.pending:
-        raise ValueError(
-            "scheduler already has pending requests; use a fresh one per run"
-        )
-    cost = (
-        backend
-        if isinstance(backend, BackendCostModel)
-        else BackendCostModel(backend, runner=runner)
-    )
-    source = _arrival_source(requests, keep_records)
-    if source.peek() is None:
-        raise ValueError("cannot simulate an empty request stream")
-    if fail_fast and source.total is None:
-        raise ValueError(
-            "fail_fast needs the total request count; pass a list instead of "
-            "a lazy stream (or keep_records=True to materialize it)"
-        )
-    backend_name = cost.profile(source.first_request).backend_name
-    device = Device(backend, scheduler, cost=cost)
-    device.backend_name = backend_name
-    engine = _Engine(
-        source,
-        [device],
-        _SoloRouter(),
-        fleet_shape=False,
-        faults=faults,
-        retry=retry,
-        deadline_s=deadline_s,
-        slo=slo,
-        max_steps=max_steps,
-        fail_fast=fail_fast,
-        trace_sink=trace_sink,
-        keep_records=keep_records,
-        recorder=recorder,
-        profiler=profiler,
-    )
-    engine.run()
-    alerts = engine.rec.finalize_run(engine.now) if engine.rec is not None else None
-    metrics = engine.fleet_metrics
-    if metrics is not None:
-        metrics.queue_depth_area = device.queue_stats.area
-        metrics.max_queue_depth = device.queue_stats.max_depth
-    memory = device.memory
-    return ServingReport(
-        backend_name=backend_name,
-        scheduler_name=scheduler.name,
-        records=source.records if keep_records else [],
-        makespan_s=engine.now,
-        busy_s=device.busy_s,
-        queue_depth=device.queue_depth,
-        slo=slo,
-        num_events=engine.num_events,
-        early_exit=engine.early_exit,
-        streamed=metrics,
-        memory=memory.report() if memory is not None else None,
-        event_queue=engine.queue.stats(),
-        alerts=alerts,
-        faults=engine.report,
-    )
-
-
-def simulate_fleet_with_faults(
-    requests: Iterable[ServingRequest],
-    devices: Sequence[Device],
-    router: Optional[Router] = None,
-    *,
-    faults: Optional[FaultSpec] = None,
-    retry: Optional[RetryPolicy] = None,
-    deadline_s: Optional[float] = None,
-    slo: Optional[SLOSpec] = None,
-    max_steps: Optional[int] = None,
-    fail_fast: bool = False,
-    trace_sink: Optional[TraceSink] = None,
-    keep_records: bool = True,
-    recorder=None,
-    profiler=None,
-) -> FleetReport:
-    """:func:`repro.fleet.simulator.simulate_fleet` under fault injection.
-
-    The fleet loop delegates here whenever any of ``faults``/``retry``/
-    ``deadline_s`` is given.  Crashed replicas abort and re-route their
-    work at the crash instant; pair with ``get_router("failover")`` (or
-    any router built with ``exclude_unhealthy=True``) to steer new
-    arrivals around them until recovery.
-    """
-    from repro.serving.simulator import _arrival_source
-
-    _engine_kwargs(faults, retry, deadline_s, slo, max_steps, fail_fast)
-    router = router if router is not None else JoinShortestQueueRouter()
-    if getattr(router, "used", False):
-        raise ValueError(
-            "router already drove a simulation; use a fresh one "
-            "(routers may carry state across route() calls)"
-        )
-    devices = list(devices)
-    if not devices:
-        raise ValueError("cannot simulate an empty fleet")
-    for device in devices:
-        if device.records or not device.idle:
-            raise ValueError("devices already carry state; build a fresh fleet")
-    source = _arrival_source(requests, keep_records)
-    if source.peek() is None:
-        raise ValueError("cannot simulate an empty request stream")
-    if fail_fast and source.total is None:
-        raise ValueError(
-            "fail_fast needs the total request count; pass a list instead of "
-            "a lazy stream (or keep_records=True to materialize it)"
-        )
-    router.used = True
-    router.attach(devices)
-    engine = _Engine(
-        source,
-        devices,
-        router,
-        fleet_shape=True,
-        faults=faults,
-        retry=retry,
-        deadline_s=deadline_s,
-        slo=slo,
-        max_steps=max_steps,
-        fail_fast=fail_fast,
-        trace_sink=trace_sink,
-        keep_records=keep_records,
-        recorder=recorder,
-        profiler=profiler,
-    )
-    engine.run()
-    alerts = engine.rec.finalize_run(engine.now) if engine.rec is not None else None
-    device_reports = []
-    for index, device in enumerate(devices):
-        streamed = None
-        if engine.device_metrics is not None:
-            streamed = engine.device_metrics[index]
-            streamed.queue_depth_area = device.queue_stats.area
-            streamed.max_queue_depth = device.queue_stats.max_depth
-        memory = device.memory
-        device_reports.append(
-            ServingReport(
-                backend_name=device.backend_name,
-                scheduler_name=device.scheduler.name,
-                records=device.records,
-                makespan_s=engine.now,
-                busy_s=device.busy_s,
-                queue_depth=device.queue_depth,
-                slo=slo,
-                streamed=streamed,
-                memory=memory.report() if memory is not None else None,
-            )
-        )
-    return FleetReport(
-        router_name=router.name,
-        device_reports=device_reports,
-        records=source.records if keep_records else [],
-        assignments=engine.assignments,
-        makespan_s=engine.now,
-        slo=slo,
-        num_events=engine.num_events,
-        early_exit=engine.early_exit,
-        streamed=engine.fleet_metrics if engine.fleet_metrics is not None else None,
-        event_queue=engine.queue.stats(),
-        alerts=alerts,
-        faults=engine.report,
-    )
+        self.report.makespan_s = now

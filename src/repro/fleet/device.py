@@ -1,13 +1,11 @@
 """One fleet replica: a backend-priced device with its own scheduler.
 
-A :class:`Device` bundles what :func:`repro.serving.simulator.simulate`
-keeps in local variables — a scheduler, a
+A :class:`Device` bundles a scheduler, a
 :class:`repro.serving.simulator.BackendCostModel`, the busy/idle state and
-the per-device timeline (busy seconds, queue-depth samples) — so the fleet
-event loop can interleave many of them on one clock.  Its planning and
-sampling semantics mirror the single-device loop exactly, which is what
-makes a 1-replica, unsharded fleet reproduce ``simulate()`` record for
-record.
+the per-device timeline (busy seconds, queue-depth samples), so the event
+loop in :mod:`repro.fleet.simulator` can interleave many of them on one
+clock.  The loop drives devices directly; :func:`repro.serving.simulate`
+runs it over a single device.
 """
 
 from __future__ import annotations
@@ -17,10 +15,35 @@ from typing import List, Optional, Tuple, Union
 from repro.api.backend import Backend
 from repro.api.runner import ExperimentRunner
 from repro.fleet.sharding import ShardedBackend, ShardingSpec
-from repro.obs.recorder import record_request_phases
 from repro.serving.request import RequestRecord
 from repro.serving.scheduler import FCFSScheduler, Occupancy, Scheduler
 from repro.serving.simulator import BackendCostModel
+
+
+class _QueueDepthStats:
+    """Streaming replacement for a device's (time, depth) sample list.
+
+    Accumulates exactly the aggregates the report derives from the list —
+    the time-weighted area (for the mean) and the maximum — so a
+    ``keep_records=False`` run reports identical queue statistics while
+    holding O(1) sample state.
+    """
+
+    __slots__ = ("area", "max_depth", "_last_t", "_last_depth")
+
+    def __init__(self) -> None:
+        self.area = 0.0
+        self.max_depth = 0
+        self._last_t: Optional[float] = None
+        self._last_depth = 0
+
+    def add(self, now: float, depth: int) -> None:
+        if self._last_t is not None:
+            self.area += self._last_depth * (now - self._last_t)
+        self._last_t = now
+        self._last_depth = depth
+        if depth > self.max_depth:
+            self.max_depth = depth
 
 
 class Device:
@@ -37,8 +60,6 @@ class Device:
         "_occupancy",
         "outstanding",
         "outstanding_work_s",
-        "keep_records",
-        "track_work",
         "queue_stats",
         "up",
         "gate",
@@ -76,7 +97,7 @@ class Device:
             self.cost = BackendCostModel(backend, runner=runner)
             self.cost._fleet_sharding = spec
         #: Display name of the backend, resolved on the first profile (the
-        #: fleet loop resolves idle devices against the stream's first
+        #: event loop resolves idle devices against the stream's first
         #: payload before reporting).
         self.backend_name: Optional[str] = None
 
@@ -88,27 +109,20 @@ class Device:
         self._occupancy: Optional[Occupancy] = None
         #: Requests assigned but not finished (the router's queue signal).
         self.outstanding = 0
-        #: Estimated seconds of solo work assigned but not finished.
+        #: Estimated seconds of solo work assigned but not finished (kept
+        #: only for routers whose ``needs_work_estimates`` is set).
         self.outstanding_work_s = 0.0
-        #: When False (a ``keep_records=False`` fleet run) arrivals are not
-        #: retained in :attr:`records` — the fleet loop streams them out.
-        self.keep_records = True
-        #: When False the loop's router never reads
-        #: :attr:`outstanding_work_s`, so enqueue/complete skip the
-        #: per-record cost lookups that feed it (set per run by
-        #: ``simulate_fleet`` from ``Router.needs_work_estimates``).
-        self.track_work = True
-        #: Streaming replacement for :attr:`queue_depth` (set by
-        #: ``keep_records=False`` fleet runs).
-        self.queue_stats = None
+        #: Streaming replacement for :attr:`queue_depth` (a
+        #: :class:`_QueueDepthStats`, set by ``keep_records=False`` runs).
+        self.queue_stats: Optional[_QueueDepthStats] = None
 
         # -- health state (fault-injected runs only) --------------------------
         #: False while a crash window is open.  Plain runs never clear it,
         #: so health-aware routing guards are no-ops without faults.
         self.up = True
         #: The per-device :class:`repro.faults.engine.FaultGate` attached
-        #: by the fault-aware event loop (None on plain runs); routers read
-        #: it for the "slowed" health signal.
+        #: when a run arms fault handling (None on plain runs); routers
+        #: read it for the "slowed" health signal.
         self.gate = None
 
     # -- routing signals -----------------------------------------------------
@@ -136,81 +150,9 @@ class Device:
         memory = self.memory
         return 0 if memory is None else memory.pool.free_bytes
 
-    # -- event-loop interface ------------------------------------------------
-    def enqueue(self, record: RequestRecord, now: float) -> None:
-        """An arrival routed here joins this device's waiting queue."""
-        if self.backend_name is None:
-            # Resolve the display name (and fail fast on an OOM payload) on
-            # the first request, exactly like the single-device loop.
-            self.backend_name = self.cost.profile(record.request).backend_name
-        if self.keep_records:
-            self.records.append(record)
-        self.outstanding += 1
-        if self.track_work:
-            self.outstanding_work_s += self.job_seconds(record)
-        self.scheduler.enqueue(record, now)
-
-    def maybe_start(
-        self,
-        now: float,
-        horizon: Optional[float] = None,
-        max_steps: Optional[int] = None,
-    ) -> None:
-        """Plan the next occupancy if idle; sample the queue after planning.
-
-        ``horizon``/``max_steps`` pass straight to the scheduler so a
-        replica fast-forwards exactly like the single-device loop.
-        """
-        if not self.idle:
-            return
-        scheduler = self.scheduler
-        occupancy = scheduler.next_occupancy(
-            now, self.cost, horizon=horizon, max_steps=max_steps
-        )
-        if self.queue_stats is not None:
-            self.queue_stats.add(now, scheduler.waiting)
-        else:
-            self.queue_depth.append((now, scheduler.waiting))
-        if occupancy is None:
-            return
-        if occupancy.seconds < 0:
-            raise ValueError("occupancy duration must be non-negative")
-        self.busy_until = occupancy.end_time(now)
-        self.busy_s += occupancy.seconds
-        self._occupancy = occupancy
-        # Mirror the fleet loop's inlined recording, so a directly-driven
-        # device (tests, notebooks) traces identically to a fleet run.
-        recorder = scheduler.recorder
-        if recorder is not None:
-            recorder.span(
-                scheduler.track,
-                occupancy.kind,
-                now,
-                self.busy_until,
-                {
-                    "steps": occupancy.steps,
-                    "completed": len(occupancy.completed),
-                },
-            )
-
-    def complete(self, now: float) -> List[RequestRecord]:
-        """Finish the in-flight occupancy: stamp and release its records."""
-        completed = self._occupancy.completed
-        recorder = self.scheduler.recorder
-        for record in completed:
-            record.finish_s = now
-            if recorder is not None:
-                record_request_phases(recorder, "requests", record)
-            self.outstanding -= 1
-            if self.track_work:
-                self.outstanding_work_s -= self.job_seconds(record)
-        self.busy_until = None
-        self._occupancy = None
-        return completed
-
     def finalize(self, makespan_s: float) -> None:
-        """Append the closing queue-depth sample (mirrors the single loop,
-        including its skip of a sample the last event already stamped)."""
+        """Append the closing queue-depth sample, skipping one the last
+        planning attempt already stamped."""
         sample = (makespan_s, self.scheduler.waiting)
         if self.queue_stats is not None:
             # Duplicate or zero-width samples leave the streamed area/max

@@ -70,7 +70,7 @@ class Router:
     """
 
     name = "router"
-    #: Set by :func:`repro.fleet.simulator.simulate_fleet` on first use.
+    #: Set by the event loop (:mod:`repro.fleet.simulator`) on first use.
     used = False
     #: When True, crashed replicas (``Device.up`` False) are routed
     #: around whenever at least one replica is still up.  Class default
@@ -339,7 +339,7 @@ class FailoverRouter(Router):
     breaking ties inside a rank.  Ejection and re-admission are
     immediate and free: health is read straight off ``Device.up`` and
     the device's attached fault gate at every decision, and the
-    fault-aware event loop applies crash/recover transitions *before*
+    event loop applies crash/recover transitions *before*
     same-instant arrivals route (the :mod:`repro.serving.events`
     contract), so an arrival at the crash instant already steers around
     the dead replica.  With every replica down the policy degrades to

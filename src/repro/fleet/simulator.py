@@ -1,21 +1,26 @@
-"""The fleet event loop: many devices, one deterministic clock.
+"""The event loop: many devices, one deterministic clock.
 
-:func:`simulate_fleet` generalizes :func:`repro.serving.simulator.simulate`
-from one device to N.  The global clock advances over three kinds of
-events — request arrivals (routed to a device the moment they happen),
-per-device occupancy completions, and the planning opportunities both
-create — and every device replays exactly the semantics of the
-single-device loop on its own slice of the timeline:
+:func:`simulate_fleet` replays an arrival stream across a list of
+devices; :func:`repro.serving.simulate` runs the same loop over a single
+device.  The global clock advances over request arrivals (routed to a
+device the moment they happen), per-device occupancy completions, and
+the planning opportunities both create:
 
 * completions due at the current time are stamped *before* new arrivals
-  are delivered, and arrivals are delivered *before* idle devices plan,
-  mirroring the single-device iteration order;
+  are delivered, and arrivals are delivered *before* idle devices plan;
 * a device samples its queue depth at every planning attempt (and once at
-  the end), so a 1-replica fleet reproduces ``simulate()``'s report —
-  records, busy seconds and queue-depth samples — exactly;
+  the end), so a 1-replica fleet reports exactly what ``simulate()``
+  reports — records, busy seconds and queue-depth samples;
 * routing happens at arrival time against the live device states, and
   every policy is deterministic, so a fixed workload seed fixes the device
   assignment (and the trace CSV) byte for byte.
+
+Fault injection rides the same loop: ``faults``, ``retry`` or
+``deadline_s`` arm a :mod:`repro.faults.engine` handler object that adds
+two event sources — per-device fault transitions on the heap and a retry
+heap merged into the arrival stage — plus crash, retry, hedge and
+outcome handling.  Unarmed runs never touch it: the hot path below is
+the plain loop, with one identity check at each hand-off point.
 
 All devices may share one :class:`repro.api.runner.ExperimentRunner`:
 a 16-device, 10k-request simulation still costs a handful of backend
@@ -34,17 +39,19 @@ runs in seconds holding O(in-flight) record state.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence
 
-from repro.api.backend import Backend
-from repro.api.runner import ExperimentRunner
-from repro.fleet.device import Device
+from repro.api.runner import BackendLike, ExperimentRunner
+from repro.faults.engine import _FaultRun
+from repro.faults.spec import FaultSpec, RetryPolicy
+from repro.fleet.device import Device, _QueueDepthStats
 from repro.fleet.report import FLEET_TRACE_CSV_FIELDS, FleetReport
 from repro.fleet.router import JoinShortestQueueRouter, Router
 from repro.fleet.sharding import ShardingSpec
 from repro.obs.recorder import record_request_phases
-from repro.serving.events import COMPLETION, EventQueue
+from repro.serving.events import COMPLETION, FAULT, EventQueue
 from repro.serving.metrics import (
+    TRACE_CSV_FIELDS,
     ServingReport,
     SLOSpec,
     StreamedMetrics,
@@ -52,11 +59,9 @@ from repro.serving.metrics import (
     trace_values,
 )
 from repro.serving.request import ServingRequest
-from repro.serving.scheduler import FCFSScheduler, Scheduler
-from repro.serving.simulator import _arrival_source, _QueueDepthStats
+from repro.serving.scheduler import FCFSScheduler
+from repro.serving.simulator import _ArrivalSource
 from repro.serving.stream import TraceSink, TraceStreamer
-
-BackendLike = Union[str, Backend]
 
 
 def build_fleet(
@@ -144,37 +149,17 @@ def simulate_fleet(
     ``memory0..N``); ``profiler`` times the loop's dispatch/planning/fold
     phases on the wall clock.  Neither changes a single simulated float.
 
-    Resilience: any of ``faults`` (a :class:`repro.faults.FaultSpec`),
-    ``retry`` (a :class:`repro.faults.RetryPolicy`) or ``deadline_s``
-    (per-request deadline, seconds) hands the run to the fault-aware
-    event loop (:func:`repro.faults.engine.simulate_fleet_with_faults`),
-    which accepts this function's full surface.  With all three at their
-    None defaults this loop runs untouched — fault-free traces stay
-    byte-identical to earlier versions by construction.
+    Resilience: ``faults`` (a :class:`repro.faults.FaultSpec`), ``retry``
+    (a :class:`repro.faults.RetryPolicy`) and ``deadline_s`` (per-request
+    deadline, seconds) arm the loop's fault handling and put a
+    :class:`repro.faults.FaultReport` on the report.  Crashed replicas
+    abort and re-route their work at the crash instant; pair with
+    ``get_router("failover")`` (or any router built with
+    ``exclude_unhealthy=True``) to steer new arrivals around them until
+    recovery.  With all three at their None defaults none of it runs.
     """
-    if faults is not None or retry is not None or deadline_s is not None:
-        from repro.faults.engine import simulate_fleet_with_faults
-
-        return simulate_fleet_with_faults(
-            requests,
-            devices,
-            router,
-            faults=faults,
-            retry=retry,
-            deadline_s=deadline_s,
-            slo=slo,
-            max_steps=max_steps,
-            fail_fast=fail_fast,
-            trace_sink=trace_sink,
-            keep_records=keep_records,
-            recorder=recorder,
-            profiler=profiler,
-        )
+    _check_options(slo, max_steps, fail_fast, faults, retry, deadline_s)
     router = router if router is not None else JoinShortestQueueRouter()
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be at least 1 when given")
-    if fail_fast and slo is None:
-        raise ValueError("fail_fast needs an SLOSpec to judge misses against")
     if getattr(router, "used", False):
         raise ValueError(
             "router already drove a simulation; use a fresh one "
@@ -186,47 +171,95 @@ def simulate_fleet(
     for device in devices:
         if device.records or not device.idle:
             raise ValueError("devices already carry state; build a fresh fleet")
+    source = _ArrivalSource(requests, keep_records, fail_fast)
+    return _run(
+        source,
+        devices,
+        router,
+        fleet_shape=True,
+        slo=slo,
+        max_steps=max_steps,
+        fail_fast=fail_fast,
+        trace_sink=trace_sink,
+        keep_records=keep_records,
+        recorder=recorder,
+        profiler=profiler,
+        faults=faults,
+        retry=retry,
+        deadline_s=deadline_s,
+    )
 
-    source = _arrival_source(requests, keep_records)
-    if source.peek() is None:
-        raise ValueError("cannot simulate an empty request stream")
-    total = source.total
-    if fail_fast and total is None:
-        raise ValueError(
-            "fail_fast needs the total request count; pass a list instead of "
-            "a lazy stream (or keep_records=True to materialize it)"
-        )
-    first_payload = source.first_request
 
+def _check_options(slo, max_steps, fail_fast, faults, retry, deadline_s) -> None:
+    """Validate the run options :func:`simulate_fleet` and
+    :func:`repro.serving.simulate` share."""
+    if faults is not None and not isinstance(faults, FaultSpec):
+        raise TypeError(f"faults must be a FaultSpec, got {type(faults).__name__}")
+    if retry is not None and not isinstance(retry, RetryPolicy):
+        raise TypeError(f"retry must be a RetryPolicy, got {type(retry).__name__}")
+    if deadline_s is not None and deadline_s <= 0:
+        raise ValueError(f"deadline_s must be positive, got {deadline_s}")
+    if max_steps is not None and max_steps < 1:
+        raise ValueError("max_steps must be at least 1 when given")
+    if fail_fast and slo is None:
+        raise ValueError("fail_fast needs an SLOSpec to judge misses against")
+
+
+def _run(
+    source: _ArrivalSource,
+    devices: List[Device],
+    router: Router,
+    *,
+    fleet_shape: bool,
+    slo: Optional[SLOSpec],
+    max_steps: Optional[int],
+    fail_fast: bool,
+    trace_sink: Optional[TraceSink],
+    keep_records: bool,
+    recorder,
+    profiler,
+    faults,
+    retry,
+    deadline_s: Optional[float],
+) -> FleetReport:
+    """The event loop over validated inputs.
+
+    ``fleet_shape`` False is the single-device report shape of
+    :func:`repro.serving.simulate`: a trace CSV without the device
+    column, one set of streamed reservoirs, the scheduler's own recorder
+    track, and no routing instants or device tags on the recorder.
+    """
     # Every input validated: only now does the router get claimed, so a
     # rejected call never poisons a router that routed nothing.
     router.used = True
     router.attach(devices)
-    # Normalize the observability hooks once (see ``simulate``): with a
-    # disabled recorder ``rec`` stays None and the hot loop pays only
-    # identity checks.  Attached recorders get per-replica track names so
-    # the Perfetto export renders one lane per device/memory model.
+    # Normalize the observability hooks once: with a disabled recorder
+    # (None or NullRecorder) ``rec`` stays None and the hot loop pays only
+    # identity checks.  Attached recorders on a fleet get per-replica
+    # track names, so the Perfetto export renders one lane per
+    # device/memory model.
     rec = recorder if recorder is not None and recorder.enabled else None
     device_tracks: List[str] = []
     if rec is not None:
-        router.recorder = rec
+        if fleet_shape:
+            router.recorder = rec
         for index, device in enumerate(devices):
-            track = f"device{index}"
-            device_tracks.append(track)
-            device.scheduler.recorder = rec
-            device.scheduler.track = track
+            scheduler = device.scheduler
+            if fleet_shape:
+                scheduler.track = f"device{index}"
+            device_tracks.append(scheduler.track)
+            scheduler.recorder = rec
             memory_model = device.memory
             if memory_model is not None:
                 memory_model.recorder = rec
-                memory_model.track = f"memory{index}"
+                if fleet_shape:
+                    memory_model.track = f"memory{index}"
     # The profiler supplies its own clock — this module imports no time
     # source, matching the serving package's no-wall-clock rule.
     prof_add = profiler.add if profiler is not None else None
     prof_clock = profiler.clock if profiler is not None else None
-    for device in devices:
-        device.track_work = router.needs_work_estimates
-        if not keep_records:
-            device.keep_records = False
+    if not keep_records:
+        for device in devices:
             device.queue_stats = _QueueDepthStats()
 
     # Arrivals are delivered in stream order, so appending each routed
@@ -242,16 +275,26 @@ def simulate_fleet(
     # device's index.
     live: Optional[dict] = None
     if not keep_records:
-        fleet_metrics = StreamedMetrics(slo_met=0 if slo is not None else None)
-        device_metrics = [
-            StreamedMetrics(slo_met=0 if slo is not None else None) for _ in devices
-        ]
+        slo_met = 0 if slo is not None else None
+        device_metrics = [StreamedMetrics(slo_met=slo_met) for _ in devices]
+        # A single-device report carries its device's reservoirs.
+        fleet_metrics = (
+            StreamedMetrics(slo_met=slo_met) if fleet_shape else device_metrics[0]
+        )
     if trace_sink is not None:
+        if fleet_shape:
+            header = FLEET_TRACE_CSV_FIELDS
 
-        def row_of(record, index):
-            values = trace_values(record, slo)
-            device_cell = assignments[index] if index < len(assignments) else ""
-            return [values[0], device_cell] + values[1:]
+            def row_of(record, index):
+                values = trace_values(record, slo)
+                device_cell = assignments[index] if index < len(assignments) else ""
+                return [values[0], device_cell] + values[1:]
+
+        else:
+            header = TRACE_CSV_FIELDS
+
+            def row_of(record, index):
+                return trace_values(record, slo)
 
         observers = []
         if fleet_metrics is not None:
@@ -259,13 +302,11 @@ def simulate_fleet(
             def observe(record, index):
                 sample = metric_sample(record, slo)
                 fleet_metrics.add_sample(sample)
-                if index < len(assignments):
+                if fleet_shape and index < len(assignments):
                     device_metrics[assignments[index]].add_sample(sample)
 
             observers.append(observe)
-        streamer = TraceStreamer(
-            trace_sink, FLEET_TRACE_CSV_FIELDS, row_of, observers
-        )
+        streamer = TraceStreamer(trace_sink, header, row_of, observers)
     elif fleet_metrics is not None and fail_fast:
         live = {}
     #: Bound per-device fold methods for the metrics-only fast path (no
@@ -277,10 +318,39 @@ def simulate_fleet(
     )
 
     queue = EventQueue()
+    # Devices whose state changed this event and therefore need a planning
+    # attempt; everyone plans at t=0.
+    touched = set(range(len(devices)))
+    # Fault handling, armed only when asked for.  It schedules the
+    # devices' first fault transitions before the loop takes the heap.
+    fault_run: Optional[_FaultRun] = None
+    if faults is not None or retry is not None or deadline_s is not None:
+        fault_run = _FaultRun(
+            devices,
+            router,
+            queue,
+            faults=faults,
+            retry=retry,
+            deadline_s=deadline_s,
+            slo=slo,
+            fail_fast=fail_fast,
+            keep_records=keep_records,
+            rec=rec,
+            tag_device=fleet_shape,
+            streamer=streamer,
+            device_fold=device_fold,
+            live=live,
+            assignments=assignments,
+            touched=touched,
+        )
+
     now = 0.0
     num_events = 0
     missed = 0
     early_exit = False
+    total = source.total
+    #: Whether this pass moved a request (fault-aware runs: the wedge guard).
+    progressed = False
     num_devices = len(devices)
     # Hot-loop locals: the body below runs a couple of million times on a
     # 1M-request day, so every repeated attribute lookup is hoisted once.
@@ -299,40 +369,50 @@ def simulate_fleet(
     # loop drives the heap directly) and written back with it below.
     pops = queue._pops
     heap_max_depth = queue._max_depth
-    #: Whether the router reads per-device work estimates (mirrors the
-    #: ``device.track_work`` flags set above) and the per-device scheduler
-    #: enqueue hooks, hoisted for the arrival path.
+    #: Whether the router reads per-device work estimates, and the
+    #: per-device scheduler enqueue hooks, hoisted for the arrival path.
     track_work = router.needs_work_estimates
     enqueues = [device.scheduler.enqueue for device in devices]
-    # Devices whose state changed this event and therefore need a planning
-    # attempt; everyone plans at t=0 (the linear loop's first iteration).
-    touched = set(range(num_devices))
     try:
         while True:
             num_events += 1
-            # 1. Stamp completions due now.  The heap yields simultaneous
-            # completions in device-index order — the linear scan's
-            # tie-break (see repro.serving.events).
+            # 1. Stamp completions due now, then apply simultaneous fault
+            # transitions: the heap yields completions before faults, each
+            # in device-index order (see repro.serving.events).
             if heap and heap[0][0] <= now:
                 if prof_add is not None:
                     t0 = prof_clock()
                 while heap and heap[0][0] <= now:
-                    index = heap_pop(heap)[2]
+                    event = heap_pop(heap)
                     pops += 1
+                    index = event[2]
                     device = devices[index]
-                    # ``Device.complete`` inlined (same statements, same
-                    # order): most completions are prefills with nothing
-                    # to stamp, so the empty-list guard skips the loop.
+                    if fault_run is not None:
+                        if event[1] == FAULT:
+                            if fault_run.fault(index, now):
+                                progressed = True
+                            continue
+                        if device._occupancy is None or device.busy_until != event[0]:
+                            continue  # a crash aborted this occupancy
+                        progressed = True
                     completed = device._occupancy.completed
                     device.busy_until = None
                     device._occupancy = None
-                    if completed:
+                    if fault_run is not None:
+                        for record in completed:
+                            fault_run.member_done(index, device, record, now)
+                    elif completed:
+                        # Most completions are prefills with nothing to
+                        # stamp, so the empty-list guard skips the loop.
                         device.outstanding -= len(completed)
                         for record in completed:
                             record.finish_s = now
                             if rec is not None:
                                 record_request_phases(
-                                    rec, "requests", record, {"device": index}
+                                    rec,
+                                    "requests",
+                                    record,
+                                    {"device": index} if fleet_shape else None,
                                 )
                             if track_work:
                                 device.outstanding_work_s -= device.job_seconds(
@@ -351,19 +431,28 @@ def simulate_fleet(
                                     del live[id(record)]
                     on_completed(index, device)
                     touched.add(index)
+                if fault_run is not None:
+                    # Each applied fault queued its device's next one; they
+                    # join the heap only now, so a transition due at this
+                    # same instant waits for the next pass.
+                    for when, index in fault_run.rearm:
+                        seq += 1
+                        heap_push(heap, (when, FAULT, index, seq))
+                        if len(heap) > heap_max_depth:
+                            heap_max_depth = len(heap)
+                    fault_run.rearm.clear()
                 if prof_add is not None:
                     prof_add("fold", prof_clock() - t0)
                 # Attainment can no longer reach the threshold even if
                 # everything still in flight meets the SLO: the probe is
                 # decided, stop here.
-                if (
-                    fail_fast
-                    and missed
-                    and (total - missed) / total < slo.min_attainment
-                ):
-                    early_exit = True
-                    break
-            # 2. Deliver and route arrivals due now.
+                if fail_fast:
+                    if fault_run is not None:
+                        missed = fault_run.missed
+                    if missed and (total - missed) / total < slo.min_attainment:
+                        early_exit = True
+                        break
+            # 2. Deliver and route arrivals due now, then due retries.
             if prof_add is not None:
                 t0 = prof_clock()
             while True:
@@ -378,11 +467,10 @@ def simulate_fleet(
                         f"of a {num_devices}-device fleet"
                     )
                 assignments.append(index)
-                # ``Device.enqueue`` inlined (same statements, same order);
-                # the keep_records/track_work flags are run-wide, so the
-                # loop tests the hoisted locals instead of device attrs.
                 device = devices[index]
                 if device.backend_name is None:
+                    # Resolve the display name (and fail fast on an OOM
+                    # payload) on the device's first request.
                     device.backend_name = device.cost.profile(
                         record.source.request
                     ).backend_name
@@ -397,6 +485,11 @@ def simulate_fleet(
                 elif live is not None:
                     live[id(record)] = (record, index)
                 touched.add(index)
+                if fault_run is not None:
+                    fault_run.arrived(record, index, now)
+                    progressed = True
+            if fault_run is not None and fault_run.deliver(now):
+                progressed = True
             if prof_add is not None:
                 prof_add("dispatch", prof_clock() - t0)
             # 3. Touched idle devices plan (sampling their queue depth as
@@ -405,29 +498,35 @@ def simulate_fleet(
             # so planning could only repeat the previous answer — skipping
             # it drops only redundant same-depth queue samples, which
             # leaves every derived queue statistic unchanged.  The horizon
-            # handed to each scheduler is the next undelivered arrival,
-            # exactly as in the single-device loop; a device with nothing
-            # pending and no arrivals left skips the attempt (the
-            # single-device loop's exit condition, which keeps a 1-replica
-            # fleet's sample stream identical to ``simulate()``'s).
+            # handed to each scheduler is the next undelivered arrival; a
+            # device with nothing pending and no arrivals left skips the
+            # attempt.  Fault-aware runs cap the horizon further, at the
+            # next retry delivery, the next fault anywhere and the
+            # shortest retry backoff (see repro.faults.engine).
             horizon = source.head_time
+            if fault_run is not None:
+                horizon = fault_run.horizon(horizon, now)
             if touched:
                 if prof_add is not None:
                     t0 = prof_clock()
                 # A single touched device (the common case: one arrival or
-                # one completion) needs no sort.  The body below is
-                # ``Device.maybe_start`` inlined — same statements, same
-                # order — minus the call layers this loop pays millions of
-                # times on a 1M-request day.
+                # one completion) needs no sort.
                 order = touched if len(touched) == 1 else sorted(touched)
                 for index in order:
                     device = devices[index]
-                    if device.busy_until is None:
+                    if device.busy_until is None and device.up:
                         scheduler = device.scheduler
                         if horizon is not None or scheduler.pending:
                             occupancy = scheduler.next_occupancy(
                                 now, device.cost, horizon=horizon, max_steps=max_steps
                             )
+                            if fault_run is not None:
+                                # Queue drops (shed, cancelled) since the
+                                # router last looked: resync its index.
+                                gate = device.gate
+                                if gate.removed:
+                                    gate.removed = 0
+                                    on_completed(index, device)
                             stats = device.queue_stats
                             if stats is not None:
                                 stats.add(now, scheduler.waiting)
@@ -449,6 +548,7 @@ def simulate_fleet(
                                 heap_push(heap, (end, COMPLETION, index, seq))
                                 if len(heap) > heap_max_depth:
                                     heap_max_depth = len(heap)
+                                progressed = True
                                 if rec is not None:
                                     rec.span(
                                         device_tracks[index],
@@ -466,22 +566,41 @@ def simulate_fleet(
                 if prof_add is not None:
                     prof_add("planning", prof_clock() - t0)
             # 4. Advance to the next event, or stop.
-            if heap:
-                next_completion = heap[0][0]
-                if horizon is None or next_completion <= horizon:
-                    now = next_completion
+            if fault_run is None:
+                if heap:
+                    next_completion = heap[0][0]
+                    if horizon is None or next_completion <= horizon:
+                        now = next_completion
+                    else:
+                        now = horizon
                 else:
+                    if horizon is None:
+                        stuck = sum(device.scheduler.pending for device in devices)
+                        if stuck:
+                            raise RuntimeError(
+                                f"schedulers report {stuck} pending requests "
+                                "but planned no work"
+                            )
+                        break
                     now = horizon
             else:
-                if horizon is None:
-                    stuck = sum(device.scheduler.pending for device in devices)
-                    if stuck:
-                        raise RuntimeError(
-                            f"fleet schedulers report {stuck} pending requests "
-                            "but planned no work"
-                        )
+                # Shedding while planning can resolve requests too.
+                if fail_fast:
+                    missed = fault_run.missed
+                    if missed and (total - missed) / total < slo.min_attainment:
+                        early_exit = True
+                        break
+                # Fault schedules can be infinite, so a fault-aware run
+                # ends when every delivered request resolved and the
+                # stream is dry — not when the heap does.
+                head = source.head_time
+                if fault_run.open_requests == 0 and head is None:
                     break
-                now = horizon
+                next_time = heap[0][0] if heap else None
+                if head is not None and (next_time is None or head < next_time):
+                    next_time = head
+                now = fault_run.next_time(next_time, progressed)
+                progressed = False
 
         queue._seq = seq
         queue._pops = pops
@@ -491,9 +610,12 @@ def simulate_fleet(
             if device.backend_name is None:
                 # A replica that received no traffic still resolves its
                 # display name against the stream's first payload
-                # (memoized, and the same fail-fast OOM check the
-                # single-device loop applies).
-                device.backend_name = device.cost.profile(first_payload).backend_name
+                # (memoized, and the same fail-fast OOM check).
+                device.backend_name = device.cost.profile(
+                    source.first_request
+                ).backend_name
+        if fault_run is not None:
+            fault_run.close(now)
         if streamer is not None:
             streamer.close(tail=source.tail())
         elif fleet_metrics is not None:
@@ -506,17 +628,18 @@ def simulate_fleet(
             if live:
                 for record, index in live.values():
                     device_fold[index](record, slo)
-            for part in device_metrics:
-                fleet_metrics.merge_from(part)
+            if fleet_shape:
+                for part in device_metrics:
+                    fleet_metrics.merge_from(part)
             for record in source.tail():
                 fleet_metrics.fold(record, slo)
     finally:
         if streamer is not None:
             streamer.release()
 
-    # Same contract as the single-device loop: a time-resolved recorder
-    # closes its windows on the fleet makespan and may return an AlertLog
-    # for the report; nothing it does can touch the trace or the clock.
+    # A time-resolved recorder closes its windows on the makespan and may
+    # return an AlertLog for the report; nothing it does can touch the
+    # trace or the clock.
     alerts = rec.finalize_run(now) if rec is not None else None
 
     device_reports = []
@@ -552,4 +675,5 @@ def simulate_fleet(
         streamed=fleet_metrics,
         event_queue=queue.stats(),
         alerts=alerts,
+        faults=fault_run.report if fault_run is not None else None,
     )

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.recorder import DECODE, PREFILL, QUEUE, SpanRecorder
 
-#: The track both event loops emit request phase spans on.
+#: The track the event loop emits request phase spans on.
 _PHASE_TRACK = "requests"
 
 

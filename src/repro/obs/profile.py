@@ -23,8 +23,8 @@ from typing import Dict, Iterator, List, Tuple
 class PhaseProfiler:
     """Accumulates wall-clock seconds per named phase.
 
-    The event loops call :meth:`add` with pre-measured durations (they
-    hoist ``perf_counter`` into a local and time phases inline);
+    The event loop calls :meth:`add` with pre-measured durations (it
+    hoists ``perf_counter`` into a local and times phases inline);
     :meth:`time` wraps the same bookkeeping as a context manager for
     coarser call sites.
     """

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.alerts import AlertLog, evaluate_alerts
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.recorder import DECODE, QUEUE, Recorder
+from repro.serving.metrics import percentile_of_sorted
 
 #: Column order of :meth:`TimelineCollector.to_csv`; one row per window.
 #: Cells without a defined value (no SLO attached, no memory model, an
@@ -82,24 +83,9 @@ TIMELINE_CSV_FIELDS = [
 ]
 
 #: The track :func:`repro.obs.recorder.record_request_phases` is called
-#: with by both event loops; spans here are request phases, spans on any
+#: with by the event loop; spans here are request phases, spans on any
 #: other track are device occupancies.
 _PHASE_TRACK = "requests"
-
-
-def _percentile_of_sorted(ordered: Sequence[float], q: float) -> Optional[float]:
-    """Linear-interpolated percentile, matching ``ServingReport``'s
-    (:func:`repro.serving.metrics.percentile_of_sorted` — re-implemented
-    here because ``repro.serving`` imports this package)."""
-    if not ordered:
-        return None
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (q / 100.0) * (len(ordered) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = position - lower
-    return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
 
 
 class _Window:
@@ -359,7 +345,7 @@ class TimelineCollector(Recorder):
             ):
                 ordered = sorted(values)
                 for q in (50, 95, 99):
-                    row[f"{metric}_p{q}_s"] = _percentile_of_sorted(ordered, q)
+                    row[f"{metric}_p{q}_s"] = percentile_of_sorted(ordered, q)
             if self._saw_memory:
                 peak = dram_level
                 if window is not None and window.dram_peak is not None:

@@ -1,17 +1,16 @@
-"""The heap-driven event core shared by the serving and fleet loops.
+"""The heap-driven event core of the simulator's event loop.
 
-Both :func:`repro.serving.simulator.simulate` and
-:func:`repro.fleet.simulator.simulate_fleet` advance a virtual clock over
-the same two primitive events — device-occupancy completions and request
-arrivals — followed by the planning opportunities they create, and the
-fault-aware loop (:mod:`repro.faults.engine`) adds a third: per-device
-fault transitions (crash/recover/slowdown).  The :class:`EventQueue` is
-the shared priority queue those loops pop from: a ``heapq`` of
-``(time, kind, index, seq)`` entries, so finding the next event costs
-O(log n) pushes/pops instead of an O(devices) scan per iteration.
-Arrivals stay outside the heap (workload generators emit them already
-sorted; the loops merge the stream head against
-:meth:`EventQueue.peek_time`), so in practice the heap holds the
+The event loop (:mod:`repro.fleet.simulator`, which
+:func:`repro.serving.simulator.simulate` runs over a single device)
+advances a virtual clock over device-occupancy completions and request
+arrivals, followed by the planning opportunities they create; runs with
+fault handling armed (:mod:`repro.faults.engine`) add per-device fault
+transitions (crash/recover/slowdown).  The :class:`EventQueue` is the
+priority queue the loop pops from: a ``heapq`` of ``(time, kind, index,
+seq)`` entries, so finding the next event costs O(log n) pushes/pops
+instead of an O(devices) scan per iteration.  Arrivals stay outside the
+heap (workload generators emit them already sorted; the loop merges the
+stream head against the heap's head), so in practice the heap holds the
 in-flight occupancy completions — at most one per busy device — plus, on
 fault-injected runs, at most one upcoming fault transition per device.
 
@@ -19,8 +18,8 @@ The event-ordering contract
 ---------------------------
 
 Determinism — byte-identical trace CSVs under a fixed seed, coalesced or
-not — rests on a total order over simultaneous events, and the entry
-tuples encode exactly the order the linear-scan loops used:
+not — rests on a total order over simultaneous events, which the entry
+tuples encode:
 
 1. ``time``: virtual seconds; earlier events first.
 2. ``kind``: at equal times, :data:`COMPLETION` (0) sorts before
@@ -30,10 +29,9 @@ tuples encode exactly the order the linear-scan loops used:
    crash instant still counts — its tokens were produced), faults apply
    before new arrivals are routed (an arrival at the crash instant
    already sees the device down, so health-aware routing steers around
-   it), and arrivals are delivered before idle devices plan — the
-   single-device iteration order, generalized.
+   it), and arrivals are delivered before idle devices plan.
 3. ``index``: at equal (time, kind), the smaller device index wins —
-   the fleet loop's "device order is the tie-break" rule.
+   the loop's "device order is the tie-break" rule.
 4. ``seq``: a monotonic push counter, making the sort total (and stable
    for repeated pushes of the same (time, kind, index)) without ever
    comparing payloads.
@@ -41,7 +39,9 @@ tuples encode exactly the order the linear-scan loops used:
 Consumers must preserve the contract when batching: popping everything
 due at one instant via :meth:`pop_due` yields the entries already in this
 order, and planning passes run over the touched-device set in ascending
-index order.  Client retries re-enter through the *arrival* stage (a
+index order.  A fault transition scheduled while the faults due at an
+instant apply joins the heap only after they all have, so one due at
+that same instant waits for the next loop pass.  Client retries re-enter through the *arrival* stage (a
 retry heap merged against the workload stream, source arrivals first at
 equal timestamps), so a retry landing on an existing event time slots
 into the same total order as any other arrival.
@@ -114,7 +114,7 @@ class EventQueue:
 
     # -- debug counters ------------------------------------------------------
     # The heap's lifetime totals are pure functions of the event sequence,
-    # so they are deterministic and safe to surface on reports.  The fleet
+    # so they are deterministic and safe to surface on reports.  The event
     # loop, which drives the heap through hoisted locals, maintains the
     # same counters locally and writes them back here before reporting.
     @property

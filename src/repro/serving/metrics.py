@@ -86,7 +86,7 @@ class StreamedMetrics:
     """Exact metric reservoirs for runs that drop their records.
 
     When ``simulate(..., keep_records=False)`` streams records out instead
-    of keeping them, it feeds each record through :meth:`add` at the
+    of keeping them, it folds each record into the reservoirs at the
     moment the record leaves the loop.  The reservoirs hold the same
     stamped float values the in-memory properties would have derived from
     the record list — nothing is approximated or binned — so percentiles,
@@ -113,26 +113,16 @@ class StreamedMetrics:
     queue_depth_area: float = 0.0
     max_queue_depth: int = 0
 
-    def add(self, record: RequestRecord, slo: Optional[SLOSpec]) -> None:
-        """Fold one (possibly partially-stamped) record into the reservoirs.
-
-        The stamp conditions mirror the :class:`ServingReport` metric
-        properties exactly, so partially-stamped records from an
-        ``early_exit`` run contribute to precisely the same metrics.
-        """
-        self.add_sample(metric_sample(record, slo))
-
     def add_sample(
         self,
         sample: "Tuple[Optional[float], Optional[float], Optional[float], Optional[float], int, Optional[bool]]",
     ) -> None:
         """Fold one precomputed :func:`metric_sample` into the reservoirs.
 
-        The fleet loop derives each record's values once and feeds the
-        same tuple to both the fleet-wide and the per-device reservoirs —
-        half the property arithmetic of calling :meth:`add` twice, with
-        bit-identical results (the sample carries the exact floats the
-        record properties compute).
+        The event loop derives each record's values once and feeds the
+        same tuple to both the fleet-wide and the per-device reservoirs,
+        with bit-identical results (the sample carries the exact floats
+        the record properties compute).
         """
         queue_wait, ttft, tpot, e2e, tokens, met = sample
         self.num_requests += 1
@@ -153,8 +143,11 @@ class StreamedMetrics:
                 self.slo_met += 1
 
     def fold(self, record: RequestRecord, slo: Optional["SLOSpec"]) -> None:
-        """:meth:`add`, fused: derive and fold in one pass, no sample tuple.
+        """Fold one (possibly partially-stamped) record into the reservoirs.
 
+        The stamp conditions mirror the :class:`ServingReport` metric
+        properties exactly, so partially-stamped records from an
+        ``early_exit`` run contribute to precisely the same metrics.
         This is the per-record hot path of metrics-only (no trace sink)
         streaming runs; the arithmetic is the same expressions as
         :func:`metric_sample`, so the reservoirs are bit-identical.
@@ -226,7 +219,7 @@ def metric_sample(
     Computes every derived metric the record's properties (and
     :meth:`SLOSpec.met_by`) would — each exactly once, with the identical
     float expressions, so folding the sample into a
-    :class:`StreamedMetrics` matches :meth:`StreamedMetrics.add` bit for
+    :class:`StreamedMetrics` matches :meth:`StreamedMetrics.fold` bit for
     bit.  ``None`` marks a stamp the record never received; ``met`` is
     ``None`` when the run carried no SLO.
     """

@@ -77,8 +77,8 @@ class RequestRecord:
     #: appears in reports or traces (its stamps are copied to the primary
     #: record if it wins).
     hedge: bool = False
-    #: Marked by the fault engine when the record should be silently
-    #: dropped from a waiting queue (hedge resolved elsewhere).
+    #: Marked by the loop's fault handling when the record should be
+    #: silently dropped from a waiting queue (hedge resolved elsewhere).
     cancelled: bool = False
 
     # -- delegation ----------------------------------------------------------

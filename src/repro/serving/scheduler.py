@@ -62,8 +62,8 @@ runs stay byte-identical with the model enabled too.  ``memory=None``
 Faults
 ------
 
-The fault-aware event loop (:mod:`repro.faults.engine`) attaches a
-per-device ``FaultGate`` to :attr:`Scheduler.faults` before a run.  The
+A fault-aware run (:mod:`repro.faults.engine`) attaches a per-device
+``FaultGate`` to :attr:`Scheduler.faults` before the loop starts.  The
 gate adds three behaviours, all inert when the attribute is None (the
 class default, so plain runs pay a single identity check):
 
@@ -161,9 +161,8 @@ class Scheduler:
     #: fleet loop renames it per replica (``device0``, ``device1``, ...).
     track = "device"
     #: Per-run fault gate (:class:`repro.faults.engine.FaultGate`),
-    #: attached by the fault-aware event loop; None (the class default)
-    #: keeps every fault consultation on the plain loops a single
-    #: identity check.
+    #: attached by fault-aware runs; None (the class default) keeps
+    #: every fault consultation on plain runs a single identity check.
     faults = None
 
     def __init__(self) -> None:

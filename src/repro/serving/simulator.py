@@ -1,18 +1,17 @@
-"""The discrete-event serving loop and the backend cost oracle.
+"""Single-device serving and the backend cost oracle.
 
-The simulator advances a virtual clock over two kinds of events —
-request arrivals and device-occupancy completions — with the scheduler
-deciding what the device does next.  Time comes exclusively from the
-workload's arrival stamps and the backend's analytical latencies; nothing
-here reads the wall clock, so a run is a pure function of
-``(requests, scheduler, backend)`` and is exactly reproducible.
-
-Completions are popped from the shared heap event core
-(:mod:`repro.serving.events`, where the total event order behind the
-byte-identical-trace guarantee is documented), and ``trace_sink`` /
-``keep_records=False`` stream each request's trace row out as soon as it
-is fully stamped while exact metric reservoirs accumulate, so a
-million-request run holds O(in-flight batch) record state.
+:func:`simulate` replays an arrival stream on one device: it runs the
+fleet event loop (:mod:`repro.fleet.simulator`) over a one-device fleet
+and reports it as a single device.  The loop advances a virtual clock
+over request arrivals and device-occupancy completions, with the
+scheduler deciding what the device does next.  Time comes exclusively
+from the workload's arrival stamps and the backend's analytical
+latencies; nothing here reads the wall clock, so a run is a pure
+function of ``(requests, scheduler, backend)`` and is exactly
+reproducible.  ``trace_sink``/``keep_records=False`` stream each
+request's trace row out as soon as it is fully stamped while exact
+metric reservoirs accumulate, so a million-request run holds
+O(in-flight batch) record state.
 
 The :class:`BackendCostModel` turns any registered
 :class:`repro.api.backend.Backend` into the device model: it profiles
@@ -38,38 +37,28 @@ Coalescing schedulers accumulate the interval's end one step-duration at
 a time (never as one ``k * step`` product), so the clock visits exactly
 the same floats as the step-by-step loop and the per-request trace CSV is
 byte-identical between ``max_steps=None`` (coalesced, the default) and
-``max_steps=1`` (uncoalesced) runs.  Queue-depth sampling stays
-per-event-boundary: every per-request stamp (and hence every CSV cell and
-SLO metric) is exact, while the (time, depth) sample stream is simply
-resolved at occupancy granularity — arrivals that queue behind a full
-batch are enqueued when the clock reaches the interval's end, which is
-also the first moment the uncoalesced loop could have *acted* on them.
+``max_steps=1`` (uncoalesced) runs.  Queue depth is sampled at planning
+attempts: every per-request stamp (and hence every CSV cell and SLO
+metric) is exact, while the (time, depth) sample stream is simply
+resolved at occupancy granularity — arrivals that queue behind a busy
+device are first sampled when the interval ends, which is also the first
+moment the uncoalesced loop could have *acted* on them.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.api.backend import Backend
 from repro.api.request import InferenceRequest
 from repro.api.result import RunResult
-from repro.api.runner import ExperimentRunner
-from repro.obs.recorder import record_request_phases
-from repro.serving.events import COMPLETION, EventQueue
-from repro.serving.metrics import (
-    ServingReport,
-    SLOSpec,
-    StreamedMetrics,
-    TRACE_CSV_FIELDS,
-    metric_sample,
-    trace_values,
-)
+from repro.api.runner import BackendLike, ExperimentRunner
+from repro.serving.metrics import ServingReport, SLOSpec
 from repro.serving.request import RequestRecord, ServingRequest
 from repro.serving.scheduler import FCFSScheduler, Scheduler
-from repro.serving.stream import TraceSink, TraceStreamer
-
-BackendLike = Union[str, Backend]
+from repro.serving.stream import TraceSink
 
 #: Cache-miss sentinel distinguishing "absent" from a legitimate 0.0 latency.
 _MISSING = object()
@@ -238,129 +227,69 @@ def _ordered_requests(requests: Iterable[ServingRequest]) -> List[ServingRequest
     return sorted(requests)
 
 
-def _ordered_records(requests: Iterable[ServingRequest]) -> List[RequestRecord]:
-    """Records in arrival order (see :func:`_ordered_requests`)."""
-    return [RequestRecord(request) for request in _ordered_requests(requests)]
+class _ArrivalSource:
+    """Arrival cursor over one run's request stream, of any stream type.
 
+    ``keep_records=True`` builds every :class:`RequestRecord` up front
+    (the report returns them); otherwise each record is built on
+    delivery, so dropped records stay transient.  Lists and tuples are
+    sorted (or scanned, when already in order) and know their
+    :attr:`total`; any other iterable is consumed lazily with a
+    one-request lookahead — it must arrive pre-sorted, and its total is
+    unknown, which is why ``fail_fast`` (whose attainment arithmetic
+    needs the total) rejects it.
 
-class _RecordSource:
-    """Arrival cursor over pre-built records (the keep-records path).
-
-    All cursors expose ``head_time`` — the next undelivered arrival's
-    time, or None — as a plain attribute kept current by ``pop``, so the
-    event loops read it without a method call (it is consulted several
-    times per event).
+    ``head_time`` — the next undelivered arrival's time, or None — is a
+    plain attribute kept current by :meth:`pop`, so the event loop reads
+    it without a method call (it is consulted several times per event).
+    ``first_request`` is captured at construction and stays readable
+    after a lazy stream has drained.
     """
 
-    __slots__ = ("records", "_i", "head_time")
+    __slots__ = (
+        "records",
+        "total",
+        "first_request",
+        "head_time",
+        "_items",
+        "_head",
+        "_built",
+    )
 
-    def __init__(self, records: List[RequestRecord]):
-        self.records = records
-        self._i = 0
-        self.head_time: Optional[float] = (
-            records[0].arrival_s if records else None
-        )
-
-    @property
-    def total(self) -> Optional[int]:
-        return len(self.records)
-
-    @property
-    def first_request(self) -> InferenceRequest:
-        return self.records[0].request
-
-    def peek(self) -> Optional[float]:
-        return self.head_time
-
-    def pop(self) -> RequestRecord:
-        records = self.records
-        i = self._i
-        record = records[i]
-        i += 1
-        self._i = i
-        self.head_time = records[i].arrival_s if i < len(records) else None
-        return record
-
-    def tail(self) -> Iterator[RequestRecord]:
-        """Records never delivered to the scheduler (early exit)."""
-        return iter(self.records[self._i :])
-
-
-class _LazyListSource:
-    """Arrival cursor over sorted requests, building each
-    :class:`RequestRecord` on delivery so dropped records stay transient
-    (the ``keep_records=False`` path over a materialized stream)."""
-
-    __slots__ = ("requests", "_i", "head_time")
-
-    def __init__(self, requests: List[ServingRequest]):
-        self.requests = requests
-        self._i = 0
-        self.head_time: Optional[float] = (
-            requests[0].arrival_s if requests else None
-        )
-
-    @property
-    def total(self) -> Optional[int]:
-        return len(self.requests)
-
-    @property
-    def first_request(self) -> InferenceRequest:
-        return self.requests[0].request
-
-    def peek(self) -> Optional[float]:
-        return self.head_time
-
-    def pop(self) -> RequestRecord:
-        requests = self.requests
-        i = self._i
-        record = RequestRecord(requests[i])
-        i += 1
-        self._i = i
-        self.head_time = requests[i].arrival_s if i < len(requests) else None
-        return record
-
-    def tail(self) -> Iterator[RequestRecord]:
-        return (RequestRecord(request) for request in self.requests[self._i :])
-
-
-class _LazyIterSource:
-    """Arrival cursor over a lazily-consumed request stream.
-
-    Holds a one-request lookahead, so an O(batch)-memory run never
-    materializes the arrival list either (pair with a generator workload).
-    The stream must already be sorted — out-of-order arrivals raise — and
-    its total size is unknown, which is why ``fail_fast`` (whose attainment
-    arithmetic needs the total) rejects lazy streams.
-    """
-
-    __slots__ = ("_iter", "_head", "head_time")
-
-    total: Optional[int] = None
-
-    def __init__(self, requests: Iterable[ServingRequest]):
-        self._iter = iter(requests)
-        self._head: Optional[ServingRequest] = next(self._iter, None)
-        self.head_time: Optional[float] = (
-            self._head.arrival_s if self._head is not None else None
-        )
-
-    @property
-    def first_request(self) -> InferenceRequest:
-        return self._head.request
-
-    def peek(self) -> Optional[float]:
-        return self.head_time
+    def __init__(
+        self, requests: Iterable[ServingRequest], keep_records: bool, fail_fast: bool
+    ):
+        self.records: Optional[List[RequestRecord]] = None
+        self.total: Optional[int] = None
+        self._built: Optional[Iterator[RequestRecord]] = None
+        if keep_records or isinstance(requests, (list, tuple)):
+            requests = _ordered_requests(requests)
+            self.total = len(requests)
+            if keep_records:
+                self.records = [RequestRecord(request) for request in requests]
+                self._built = iter(self.records)
+        self._items: Iterator[ServingRequest] = iter(requests)
+        self._head: Optional[ServingRequest] = next(self._items, None)
+        if self._head is None:
+            raise ValueError("cannot simulate an empty request stream")
+        if fail_fast and self.total is None:
+            raise ValueError(
+                "fail_fast needs the total request count; pass a list instead of "
+                "a lazy stream (or keep_records=True to materialize it)"
+            )
+        self.head_time: Optional[float] = self._head.arrival_s
+        self.first_request: InferenceRequest = self._head.request
 
     def pop(self) -> RequestRecord:
         head = self._head
-        self._head = nxt = next(self._iter, None)
+        self._head = nxt = next(self._items, None)
         if nxt is None:
             self.head_time = None
         else:
             self.head_time = when = nxt.arrival_s
             # Explicit (arrival, id) comparison: the dataclass `<` builds
-            # two tuples per call, and this runs once per request.
+            # two tuples per call, and this runs once per request.  Sorted
+            # lists pass trivially; a lazy stream is checked here.
             if when < head.arrival_s or (
                 when == head.arrival_s and nxt.request_id < head.request_id
             ):
@@ -369,45 +298,16 @@ class _LazyIterSource:
                     f"(saw {when:g}s after {head.arrival_s:g}s); "
                     "pass a list to let the simulator sort it"
                 )
-        return RequestRecord(head)
+        built = self._built
+        return RequestRecord(head) if built is None else next(built)
 
     def tail(self) -> Iterator[RequestRecord]:
-        return (RequestRecord(request) for request in self._iter)
-
-
-def _arrival_source(requests, keep_records: bool):
-    """Pick the cursor matching the stream type and retention mode."""
-    if keep_records:
-        return _RecordSource(_ordered_records(requests))
-    if isinstance(requests, (list, tuple)):
-        return _LazyListSource(_ordered_requests(list(requests)))
-    return _LazyIterSource(requests)
-
-
-class _QueueDepthStats:
-    """Streaming replacement for the (time, depth) sample list.
-
-    Accumulates exactly the aggregates the report derives from the list —
-    the time-weighted area (for the mean) and the maximum — so a
-    ``keep_records=False`` run reports identical queue statistics while
-    holding O(1) sample state.
-    """
-
-    __slots__ = ("area", "max_depth", "_last_t", "_last_depth")
-
-    def __init__(self) -> None:
-        self.area = 0.0
-        self.max_depth = 0
-        self._last_t: Optional[float] = None
-        self._last_depth = 0
-
-    def add(self, now: float, depth: int) -> None:
-        if self._last_t is not None:
-            self.area += self._last_depth * (now - self._last_t)
-        self._last_t = now
-        self._last_depth = depth
-        if depth > self.max_depth:
-            self.max_depth = depth
+        """Records never delivered to a device (early exit)."""
+        if self._built is not None:
+            return self._built
+        head = self._head
+        undelivered = self._items if head is None else chain((head,), self._items)
+        return (RequestRecord(request) for request in undelivered)
 
 
 def simulate(
@@ -432,12 +332,18 @@ def simulate(
     Semantics:
 
     * arrivals are delivered to the scheduler the moment the simulated
-      clock reaches them (at event boundaries — the device is
-      non-preemptive, so an occupancy in flight finishes first);
+      clock reaches them; the device is non-preemptive, so an arrival
+      during an occupancy waits for the occupancy to end before it can
+      be planned;
     * when the scheduler has nothing to run, the clock jumps straight to
       the next arrival (idle time costs nothing to simulate);
-    * the queue depth is sampled at every event boundary, giving the
+    * the queue depth is sampled at every planning attempt, giving the
       exact step function of waiting requests over time.
+
+    The run is the fleet event loop (:mod:`repro.fleet.simulator`) over
+    a single :class:`repro.fleet.device.Device` behind a round-robin
+    router, reported as one device: a plain trace CSV without a device
+    column, the scheduler's own recorder track, no routing instants.
 
     ``scheduler`` defaults to a fresh :class:`FCFSScheduler`.  ``backend``
     may be a pre-built :class:`BackendCostModel` to share latency caches
@@ -479,240 +385,51 @@ def simulate(
     the determinism guarantee (it changes nothing but how fast the loop
     runs).
 
-    Resilience: any of ``faults`` (a :class:`repro.faults.FaultSpec`),
-    ``retry`` (a :class:`repro.faults.RetryPolicy`) or ``deadline_s``
-    (per-request deadline, seconds) hands the run to the fault-aware
-    event loop (:func:`repro.faults.engine.simulate_with_faults`), which
-    accepts this function's full surface.  With all three at their None
-    defaults this loop runs untouched — fault-free traces stay
-    byte-identical to earlier versions by construction.
+    Resilience: ``faults`` (a :class:`repro.faults.FaultSpec`), ``retry``
+    (a :class:`repro.faults.RetryPolicy`) and ``deadline_s`` (per-request
+    deadline, seconds) arm the loop's fault handling and put a
+    :class:`repro.faults.FaultReport` on the report.  A crash re-queues
+    the device's work on the same device, where it waits out the
+    recovery.  With all three at their None defaults none of it runs.
     """
-    if faults is not None or retry is not None or deadline_s is not None:
-        from repro.faults.engine import simulate_with_faults
+    # The loop lives in repro.fleet, which imports this module.
+    from repro.fleet.device import Device
+    from repro.fleet.router import RoundRobinRouter
+    from repro.fleet.simulator import _check_options, _run
 
-        return simulate_with_faults(
-            requests,
-            backend,
-            scheduler,
-            faults=faults,
-            retry=retry,
-            deadline_s=deadline_s,
-            slo=slo,
-            runner=runner,
-            max_steps=max_steps,
-            fail_fast=fail_fast,
-            trace_sink=trace_sink,
-            keep_records=keep_records,
-            recorder=recorder,
-            profiler=profiler,
-        )
+    _check_options(slo, max_steps, fail_fast, faults, retry, deadline_s)
     scheduler = scheduler if scheduler is not None else FCFSScheduler()
-    if scheduler.pending:
-        raise ValueError("scheduler already has pending requests; use a fresh one")
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be at least 1 when given")
-    if fail_fast and slo is None:
-        raise ValueError("fail_fast needs an SLOSpec to judge misses against")
     if isinstance(backend, BackendCostModel):
         cost = backend
     else:
         cost = BackendCostModel(backend, runner=runner)
-
-    source = _arrival_source(requests, keep_records)
-    if source.peek() is None:
-        raise ValueError("cannot simulate an empty request stream")
-    total = source.total
-    if fail_fast and total is None:
-        raise ValueError(
-            "fail_fast needs the total request count; pass a list instead of "
-            "a lazy stream (or keep_records=True to materialize it)"
-        )
+    # The device rejects a scheduler that already has pending requests.
+    device = Device(backend, scheduler, cost=cost)
+    source = _ArrivalSource(requests, keep_records, fail_fast)
     # Resolve the display name (and fail fast on an OOM payload) up front.
-    backend_name = cost.profile(source.first_request).backend_name
-
-    metrics: Optional[StreamedMetrics] = None
-    queue_stats: Optional[_QueueDepthStats] = None
-    streamer: Optional[TraceStreamer] = None
-    # Registered-but-unfinished records, tracked only when an early exit
-    # could leave some behind (metrics must still count them); with no
-    # sink the reorder buffer is pure overhead, so metrics-only runs feed
-    # the reservoirs directly at finish time instead.
-    live: Optional[dict] = None
-    if not keep_records:
-        metrics = StreamedMetrics(slo_met=0 if slo is not None else None)
-        queue_stats = _QueueDepthStats()
-    if trace_sink is not None:
-        observers = ()
-        if metrics is not None:
-            observers = (
-                lambda record, index: metrics.add_sample(metric_sample(record, slo)),
-            )
-        streamer = TraceStreamer(
-            trace_sink,
-            TRACE_CSV_FIELDS,
-            lambda record, index: trace_values(record, slo),
-            observers,
-        )
-    elif metrics is not None and fail_fast:
-        live = {}
-
-    # Normalize the observability hooks once: a disabled recorder (None
-    # or NullRecorder) leaves ``rec`` None, so every emission site in the
-    # loop below is a single predictable identity check.
-    rec = recorder if recorder is not None and recorder.enabled else None
-    if rec is not None:
-        scheduler.recorder = rec
-        memory_model = getattr(scheduler, "memory", None)
-        if memory_model is not None:
-            memory_model.recorder = rec
-    # The profiler supplies its own clock: this module never imports one
-    # (the no-wall-clock guard test keeps it honest).
-    prof_add = profiler.add if profiler is not None else None
-    prof_clock = profiler.clock if profiler is not None else None
-
-    queue = EventQueue()
-    now = 0.0
-    busy = 0.0
-    num_events = 0
-    missed = 0
-    early_exit = False
-    queue_depth: List[Tuple[float, int]] = []
-    try:
-        # ``head_time`` is the sources' attribute form of ``peek()`` — the
-        # loop consults it several times per event, so it reads the
-        # attribute directly.
-        while source.head_time is not None or scheduler.pending:
-            num_events += 1
-            if prof_add is not None:
-                t0 = prof_clock()
-            while True:
-                due = source.head_time
-                if due is None or due > now:
-                    break
-                record = source.pop()
-                scheduler.enqueue(record, now)
-                if streamer is not None:
-                    streamer.register(record)
-                elif live is not None:
-                    live[id(record)] = record
-            horizon = source.head_time
-            if prof_add is not None:
-                t1 = prof_clock()
-                prof_add("dispatch", t1 - t0)
-            occupancy = scheduler.next_occupancy(
-                now, cost, horizon=horizon, max_steps=max_steps
-            )
-            if prof_add is not None:
-                prof_add("planning", prof_clock() - t1)
-            # Sample *after* planning, so a request just placed on the device
-            # no longer counts as waiting during the occupancy it started.
-            if queue_stats is not None:
-                queue_stats.add(now, scheduler.waiting)
-            else:
-                queue_depth.append((now, scheduler.waiting))
-            if occupancy is None:
-                if horizon is None:
-                    if scheduler.pending:
-                        raise RuntimeError(
-                            f"scheduler {scheduler.name!r} reports "
-                            f"{scheduler.pending} pending requests but "
-                            "planned no work"
-                        )
-                    break
-                now = horizon
-                continue
-            if occupancy.seconds < 0:
-                raise ValueError("occupancy duration must be non-negative")
-            # The single device carries one occupancy at a time, so the
-            # heap holds at most one completion — but routing it through
-            # the shared EventQueue keeps both loops on one event core
-            # (and on the exact same floats: the popped time is the pushed
-            # `occupancy.end_time(now)`, untouched).
-            queue.push(occupancy.end_time(now), COMPLETION)
-            busy += occupancy.seconds
-            if rec is None:
-                now = queue.pop()[0]
-            else:
-                # The span reads the same floats the loop computes anyway
-                # (push/pop are untouched), so recording cannot perturb
-                # the clock.
-                start = now
-                now = queue.pop()[0]
-                rec.span(
-                    scheduler.track,
-                    occupancy.kind,
-                    start,
-                    now,
-                    {
-                        "steps": occupancy.steps,
-                        "completed": len(occupancy.completed),
-                    },
-                )
-            if prof_add is not None:
-                t0 = prof_clock()
-            for record in occupancy.completed:
-                record.finish_s = now
-                if rec is not None:
-                    record_request_phases(rec, "requests", record)
-                if fail_fast and not slo.met_by(record):
-                    missed += 1
-                if streamer is not None:
-                    streamer.finish(record)
-                elif metrics is not None:
-                    metrics.fold(record, slo)
-                    if live is not None:
-                        del live[id(record)]
-            if prof_add is not None:
-                prof_add("fold", prof_clock() - t0)
-            # Even if every not-yet-judged request met the SLO, attainment
-            # could not reach the threshold: stop burning events on a probe
-            # that is already decided (the report still reports the failure).
-            if fail_fast and missed and (total - missed) / total < slo.min_attainment:
-                early_exit = True
-                break
-        sample = (now, scheduler.waiting)
-        if queue_stats is not None:
-            queue_stats.add(*sample)
-        elif not queue_depth or queue_depth[-1] != sample:
-            queue_depth.append(sample)
-        if streamer is not None:
-            streamer.close(tail=source.tail())
-        elif metrics is not None:
-            # No sink, so no reorder buffer ran: count whatever an early
-            # exit left unfinished or undelivered, exactly as the
-            # streamer's close() would have.
-            if live:
-                for record in live.values():
-                    metrics.fold(record, slo)
-            for record in source.tail():
-                metrics.fold(record, slo)
-    finally:
-        if streamer is not None:
-            streamer.release()
-
-    if metrics is not None:
-        metrics.queue_depth_area = queue_stats.area
-        metrics.max_queue_depth = queue_stats.max_depth
-
-    # A time-resolved recorder (TimelineCollector) closes its windows on
-    # the final clock here and may hand back an AlertLog to surface; the
-    # plain SpanRecorder returns None.  Either way the report's trace
-    # CSV, makespan and counters are already fixed — finalize only reads.
-    alerts = rec.finalize_run(now) if rec is not None else None
-
-    memory = getattr(scheduler, "memory", None)
-    return ServingReport(
-        backend_name=backend_name,
-        scheduler_name=scheduler.name,
-        records=source.records if keep_records else [],
-        makespan_s=now,
-        busy_s=busy,
-        queue_depth=queue_depth,
+    device.backend_name = cost.profile(source.first_request).backend_name
+    fleet = _run(
+        source,
+        [device],
+        RoundRobinRouter(),
+        fleet_shape=False,
         slo=slo,
-        num_events=num_events,
-        early_exit=early_exit,
-        streamed=metrics,
-        memory=memory.report() if memory is not None else None,
-        event_queue=queue.stats(),
-        alerts=alerts,
+        max_steps=max_steps,
+        fail_fast=fail_fast,
+        trace_sink=trace_sink,
+        keep_records=keep_records,
+        recorder=recorder,
+        profiler=profiler,
+        faults=faults,
+        retry=retry,
+        deadline_s=deadline_s,
+    )
+    return replace(
+        fleet.device_reports[0],
+        records=fleet.records,
+        num_events=fleet.num_events,
+        early_exit=fleet.early_exit,
+        event_queue=fleet.event_queue,
+        alerts=fleet.alerts,
+        faults=fleet.faults,
     )

@@ -49,7 +49,7 @@ def open_trace_sink(sink: TraceSink) -> Tuple[IO[str], bool]:
 
 
 class TraceStreamer:
-    """Order-preserving record emitter shared by both event loops.
+    """Order-preserving record emitter behind every streamed trace.
 
     ``register`` is called once per record in arrival order (assigning the
     record its trace-row index); ``finish`` when the record's last stamp

@@ -1,10 +1,14 @@
 """Tests for the fleet event loop: parity, merging and determinism."""
 
+import csv
+import io
+
 import pytest
 
 from serving_toys import ToyBackend
 
 from repro.api import InferenceRequest
+from repro.faults import FaultSpec, RetryPolicy
 from repro.fleet import (
     JoinShortestQueueRouter,
     RoundRobinRouter,
@@ -63,6 +67,39 @@ def test_one_replica_unsharded_fleet_reproduces_simulate_exactly(scheduler_facto
     assert fleet.makespan_s == single.makespan_s
     assert fleet.percentiles("e2e") == single.percentiles("e2e")
     assert fleet.slo_attainment() == single.slo_attainment()
+
+    # Under chaos too: the fault suite's crash + slowdown + flaky spec,
+    # client retries and a deadline.  A retried record is re-appended to
+    # its device's list, so the device CSV reorders; the fleet CSV keeps
+    # arrival order and, minus its device column, must match.
+    chaos = dict(
+        faults=FaultSpec(
+            crash_windows=((0, 4.0, 3.0),),
+            slow_windows=((0, 12.0, 6.0, 2.5),),
+            flaky_prob=0.05,
+            seed=7,
+        ),
+        retry=RetryPolicy(max_attempts=3, backoff_s=0.5),
+        deadline_s=20.0,
+    )
+    single = simulate(arrivals, ToyBackend(), scheduler_factory(), slo=slo, **chaos)
+    fleet = simulate_fleet(
+        arrivals,
+        build_fleet([ToyBackend()], scheduler_factory=scheduler_factory),
+        RoundRobinRouter(),
+        slo=slo,
+        **chaos,
+    )
+    fleet_rows = [
+        row[:1] + row[2:] for row in csv.reader(io.StringIO(fleet.to_csv()))
+    ]
+    assert fleet_rows == list(csv.reader(io.StringIO(single.to_csv())))
+    device = fleet.device_reports[0]
+    assert fleet.makespan_s == single.makespan_s
+    assert device.busy_s == single.busy_s
+    assert device.queue_depth == single.queue_depth
+    assert fleet.faults == single.faults
+    assert single.faults.crashes == 1 and single.faults.retries > 0
 
 
 def test_one_replica_real_backend_single_request_matches_closed_form():

@@ -101,11 +101,6 @@ def test_serve_find_max_qps_rejects_non_poisson_workloads():
               "--find-max-qps"])
 
 
-def test_serve_rejects_zero_num_requests():
-    with pytest.raises(ValueError, match="num_requests"):
-        main(["serve", "opt-6.7b", "--num-requests", "0"])
-
-
 def test_find_max_qps_show_probes_prints_the_trail(capsys):
     assert main(
         ["serve", "opt-6.7b", "--config", "S", "--gen-tokens", "4",

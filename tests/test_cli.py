@@ -79,9 +79,35 @@ def test_grid_command_markdown_output(capsys):
     assert "| backend |" in output
 
 
-def test_grid_rejects_unknown_backend():
-    with pytest.raises(KeyError):
-        main(["grid", "llama2-7b", "--backends", "no-such-system"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["serve", "llama2-7b", "--seq-len", "0"], "--seq-len"),
+        (["serve", "llama2-7b", "--backend", "nosuch"], "--backend"),
+        (["serve", "llama2-7b", "--num-requests", "0"], "--num-requests"),
+        (["serve", "llama2-7b", "--max-batch", "0"], "--max-batch"),
+        (["fleet", "llama2-7b", "--gen-tokens", "-1"], "--gen-tokens"),
+        (["fleet", "llama2-7b", "--num-devices", "0"], "--num-devices"),
+        (["decode", "llama2-7b", "--seq-len", "0"], "--seq-len"),
+        (["grid", "llama2-7b", "--backends", "no-such-system"], "--backends"),
+    ],
+    ids=[
+        "serve-seq-len",
+        "serve-backend",
+        "serve-num-requests",
+        "serve-max-batch",
+        "fleet-gen-tokens",
+        "fleet-num-devices",
+        "decode-seq-len",
+        "grid-backends",
+    ],
+)
+def test_bad_flag_values_exit_2_naming_the_flag(argv, flag, capsys):
+    """Invalid values are argparse errors (exit 2), not tracebacks."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_unknown_model_rejected():
