@@ -8,6 +8,7 @@ measures the resulting task accuracy.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
@@ -105,8 +106,11 @@ class ErrorInjectionStudy:
             raise ValueError("error_rate must be non-negative")
         accuracies_plain = []
         accuracies_ecc = []
+        # A CRC, not ``hash()``: str hashes are salted per process, which
+        # would make the injected bit flips change from run to run.
+        rate_offset = zlib.crc32(f"{error_rate:.3e}".encode()) % 997
         for trial in range(self.trials):
-            trial_seed = self.seed + 1000 * trial + hash(f"{error_rate:.3e}") % 997
+            trial_seed = self.seed + 1000 * trial + rate_offset
             corrupted_pages = []
             corrected_pages = []
             for page_index, page in enumerate(self._pages):

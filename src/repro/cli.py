@@ -12,12 +12,17 @@ Installed as ``python -m repro``; every subcommand drives the unified
   scheduler -> backend) with SLO percentiles, goodput and capacity search,
 * ``fleet``   — multi-device fleet simulation (routing, sharding, mixed
   backends) and ``size_fleet`` capacity planning (``--size-for-qps``).
+
+``serve`` and ``fleet`` share one setup step (:func:`_serving_setup`) and
+one output step (:func:`_serving_output`); each keeps only its own search
+or simulation call, title and rows.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional
+from functools import partial
+from typing import List, NamedTuple, Optional
 
 from repro.api import (
     CambriconBackend,
@@ -26,6 +31,7 @@ from repro.api import (
     list_backends,
 )
 from repro.core import get_config
+from repro.faults import FaultSpec, RetryPolicy
 from repro.fleet import (
     ROUTERS,
     ShardingSpec,
@@ -35,7 +41,17 @@ from repro.fleet import (
     size_fleet,
 )
 from repro.llm.models import list_models
-from repro.reporting import print_table
+from repro.memory import MemorySpec
+from repro.obs import (
+    SpanRecorder,
+    TeeRecorder,
+    TimelineCollector,
+    burn_rate_pack,
+    critical_path,
+    fleet_snapshot,
+    serving_snapshot,
+)
+from repro.reporting import format_markdown_table, print_table
 from repro.serving import (
     BackendCostModel,
     ConstantRateWorkload,
@@ -162,6 +178,18 @@ def _sweep_command(args: argparse.Namespace) -> int:
     return 0
 
 
+def _show(args: argparse.Namespace, title: str, headers, rows, first=False) -> None:
+    """Print one table: titled text, or a bare markdown table under
+    ``--markdown``, set off by a blank line (as a text table's title line
+    is) unless it is the ``first`` thing the command prints."""
+    if not args.markdown:
+        print_table(title, headers, rows)
+        return
+    if not first:
+        print()
+    print(format_markdown_table(headers, rows))
+
+
 def _grid_command(args: argparse.Namespace) -> int:
     runner = ExperimentRunner(max_workers=args.workers)
     results = runner.run_grid(
@@ -172,11 +200,7 @@ def _grid_command(args: argparse.Namespace) -> int:
         batch_sizes=args.batch_sizes,
         gen_tokens=args.gen_tokens,
     )
-    headers, rows = results.to_rows()
-    if args.markdown:
-        print(results.to_markdown())
-    else:
-        print_table("Experiment grid", headers, rows)
+    _show(args, "Experiment grid", *results.to_rows(), first=True)
     if args.csv is not None:
         results.to_csv(args.csv)
         print(f"\nWrote {len(results)} rows to {args.csv}")
@@ -191,13 +215,7 @@ def _grid_command(args: argparse.Namespace) -> int:
             ["profile entries", stats["size"]],
             ["in flight", stats["in_flight"]],
         ]
-        if args.markdown:
-            from repro.reporting import format_markdown_table
-
-            print()
-            print(format_markdown_table(["counter", "value"], rows))
-        else:
-            print_table("Cache stats", ["counter", "value"], rows)
+        _show(args, "Cache stats", ["counter", "value"], rows)
     return 0
 
 
@@ -212,7 +230,7 @@ def _serving_slo(args: argparse.Namespace) -> Optional[SLOSpec]:
     )
 
 
-def _serving_memory(args: argparse.Namespace):
+def _serving_memory(args: argparse.Namespace) -> Optional[MemorySpec]:
     """The per-device :class:`repro.memory.MemorySpec` the flags ask for.
 
     ``--dram-gb`` / ``--flash`` carve a KV memory model out of the
@@ -231,8 +249,6 @@ def _serving_memory(args: argparse.Namespace):
         raise SystemExit("--dram-gb must be positive")
     if args.flash_gb is not None and args.flash_gb < 0:
         raise SystemExit("--flash must be non-negative")
-    from repro.memory import MemorySpec
-
     overrides = {}
     if args.dram_gb is not None:
         overrides["dram_bytes"] = int(args.dram_gb * (1 << 30))
@@ -241,32 +257,55 @@ def _serving_memory(args: argparse.Namespace):
     return MemorySpec.from_config(get_config(args.config), **overrides)
 
 
-def _parse_faults(spec: Optional[str]):
-    """``--faults`` key=value entries as a :class:`repro.faults.FaultSpec`.
+def _window(*arities: int):
+    """A parser for ``DEV:START:DUR[:FACTOR]`` windows of ``arities`` parts."""
 
-    Comma-separated ``key=value`` pairs; ``crash-window=DEV:START:DUR``
-    and ``slow-window=DEV:START:DUR[:FACTOR]`` may repeat to stack
-    explicit windows.  Example::
+    def parse(value: str) -> tuple:
+        parts = value.split(":")
+        if len(parts) not in arities:
+            raise ValueError(value)
+        return (int(parts[0]),) + tuple(float(part) for part in parts[1:])
+
+    return parse
+
+
+#: ``--faults`` keys: the :class:`repro.faults.FaultSpec` field each sets,
+#: its value parser, and whether it may repeat (stacking windows).  The
+#: unknown-key error lists the keys in this order.
+_FAULT_KEYS = {
+    "crash-mtbf": ("crash_mtbf_s", float, False),
+    "flaky": ("flaky_prob", float, False),
+    "mttr": ("crash_mttr_s", float, False),
+    "seed": ("seed", int, False),
+    "slow-duration": ("slow_duration_s", float, False),
+    "slow-factor": ("slow_factor", float, False),
+    "slow-mtbf": ("slow_mtbf_s", float, False),
+    "crash-window": ("crash_windows", _window(3), True),
+    "slow-window": ("slow_windows", _window(3, 4), True),
+}
+#: ``--retry`` keys and their :class:`repro.faults.RetryPolicy` fields.
+_RETRY_KEYS = {
+    "attempts": ("max_attempts", int, False),
+    "backoff": ("backoff_s", float, False),
+    "hedge-after": ("hedge_after_s", float, False),
+    "jitter": ("jitter", float, False),
+    "multiplier": ("multiplier", float, False),
+    "seed": ("seed", int, False),
+}
+
+
+def _parse_spec(flag: str, spec: str, keys: dict, build):
+    """``flag``'s comma-separated ``key=value`` entries as ``build(**fields)``.
+
+    ``keys`` maps each key to ``(field, parser, repeats)``; a repeating
+    key collects its values into a tuple in entry order.  Keys are
+    case-insensitive and blank entries are skipped.  Examples::
 
         --faults crash-mtbf=300,mttr=20,flaky=0.01,seed=7
         --faults crash-window=1:30:10,slow-window=0:60:30:2.5
+        --retry attempts=3,backoff=0.5,multiplier=2,jitter=0.1
     """
-    if spec is None:
-        return None
-    from repro.faults import FaultSpec
-
-    scalar = {
-        "seed": ("seed", int),
-        "crash-mtbf": ("crash_mtbf_s", float),
-        "mttr": ("crash_mttr_s", float),
-        "slow-mtbf": ("slow_mtbf_s", float),
-        "slow-duration": ("slow_duration_s", float),
-        "slow-factor": ("slow_factor", float),
-        "flaky": ("flaky_prob", float),
-    }
-    kwargs: dict = {}
-    crash_windows: List[tuple] = []
-    slow_windows: List[tuple] = []
+    fields: dict = {}
     for entry in spec.split(","):
         entry = entry.strip()
         if not entry:
@@ -274,84 +313,21 @@ def _parse_faults(spec: Optional[str]):
         key, equals, value = entry.partition("=")
         key = key.strip().lower()
         if not equals:
-            raise SystemExit(f"--faults: expected key=value, got {entry!r}")
-        try:
-            if key == "crash-window":
-                device, start, duration = value.split(":")
-                crash_windows.append((int(device), float(start), float(duration)))
-            elif key == "slow-window":
-                parts = value.split(":")
-                if len(parts) not in (3, 4):
-                    raise ValueError(value)
-                slow_windows.append(
-                    (int(parts[0]),) + tuple(float(part) for part in parts[1:])
-                )
-            elif key in scalar:
-                field, cast = scalar[key]
-                kwargs[field] = cast(value)
-            else:
-                raise SystemExit(
-                    f"--faults: unknown key {key!r}; known: "
-                    f"{', '.join(sorted(scalar))}, crash-window, slow-window"
-                )
-        except (TypeError, ValueError):
-            raise SystemExit(f"--faults: bad value in {entry!r}")
-    if crash_windows:
-        kwargs["crash_windows"] = tuple(crash_windows)
-    if slow_windows:
-        kwargs["slow_windows"] = tuple(slow_windows)
-    try:
-        faults = FaultSpec(**kwargs)
-    except ValueError as exc:
-        raise SystemExit(f"--faults: {exc}")
-    if not faults.any_faults:
-        raise SystemExit(
-            "--faults: the spec injects nothing; give it an MTBF, a window "
-            "or a flaky probability"
-        )
-    return faults
-
-
-def _parse_retry(spec: Optional[str]):
-    """``--retry`` key=value entries as a :class:`repro.faults.RetryPolicy`.
-
-    Example: ``--retry attempts=3,backoff=0.5,multiplier=2,jitter=0.1``;
-    ``hedge-after=S`` arms a hedged second attempt for slow requests.
-    """
-    if spec is None:
-        return None
-    from repro.faults import RetryPolicy
-
-    scalar = {
-        "attempts": ("max_attempts", int),
-        "backoff": ("backoff_s", float),
-        "multiplier": ("multiplier", float),
-        "jitter": ("jitter", float),
-        "seed": ("seed", int),
-        "hedge-after": ("hedge_after_s", float),
-    }
-    kwargs: dict = {}
-    for entry in spec.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        key, equals, value = entry.partition("=")
-        key = key.strip().lower()
-        if not equals:
-            raise SystemExit(f"--retry: expected key=value, got {entry!r}")
-        if key not in scalar:
+            raise SystemExit(f"{flag}: expected key=value, got {entry!r}")
+        if key not in keys:
             raise SystemExit(
-                f"--retry: unknown key {key!r}; known: {', '.join(sorted(scalar))}"
+                f"{flag}: unknown key {key!r}; known: {', '.join(keys)}"
             )
-        field, cast = scalar[key]
+        field, parse, repeats = keys[key]
         try:
-            kwargs[field] = cast(value)
+            parsed = parse(value)
         except (TypeError, ValueError):
-            raise SystemExit(f"--retry: bad value in {entry!r}")
+            raise SystemExit(f"{flag}: bad value in {entry!r}")
+        fields[field] = (fields.get(field, ()) + (parsed,)) if repeats else parsed
     try:
-        return RetryPolicy(**kwargs)
+        return build(**fields)
     except ValueError as exc:
-        raise SystemExit(f"--retry: {exc}")
+        raise SystemExit(f"{flag}: {exc}")
 
 
 def _resilience_kwargs(args: argparse.Namespace, searching: bool) -> dict:
@@ -361,138 +337,62 @@ def _resilience_kwargs(args: argparse.Namespace, searching: bool) -> dict:
     SLO question, so the chaos flags are rejected there rather than
     silently chaos-testing every probe.
     """
-    if (
-        args.faults is None
-        and args.retry is None
-        and args.deadline_s is None
+    if searching and (
+        args.faults is not None or args.retry is not None or args.deadline_s is not None
     ):
-        return {}
-    if searching:
         raise SystemExit(
             "--faults/--retry/--deadline-s chaos-test one simulation; they "
             "cannot follow a capacity/sizing search"
         )
     if args.deadline_s is not None and args.deadline_s <= 0:
         raise SystemExit("--deadline-s must be positive")
-    return {
-        "faults": _parse_faults(args.faults),
-        "retry": _parse_retry(args.retry),
-        "deadline_s": args.deadline_s,
-    }
+    faults = retry = None
+    if args.faults is not None:
+        faults = _parse_spec("--faults", args.faults, _FAULT_KEYS, FaultSpec)
+        if not faults.any_faults:
+            raise SystemExit(
+                "--faults: the spec injects nothing; give it an MTBF, a window "
+                "or a flaky probability"
+            )
+    if args.retry is not None:
+        retry = _parse_spec("--retry", args.retry, _RETRY_KEYS, RetryPolicy)
+    return {"faults": faults, "retry": retry, "deadline_s": args.deadline_s}
 
 
-def _validate_trace_flags(args: argparse.Namespace) -> None:
-    """Reject trace flags that would be silently dropped.
-
-    Called at the top of both command handlers so the capacity/sizing
-    branches (which never build a workload) validate them too.
-    """
-    if args.trace is not None and args.bundled_trace is not None:
-        raise SystemExit("pass either --trace or --bundled-trace, not both")
-    if args.workload != "trace" and (
-        args.trace is not None or args.bundled_trace is not None
-    ):
-        raise SystemExit(
-            f"--trace/--bundled-trace replay a recorded trace; they do nothing "
-            f"for a {args.workload!r} workload (use --workload trace)"
-        )
-
-
-def _serving_workload(args: argparse.Namespace, payload: InferenceRequest):
-    _validate_trace_flags(args)
+def _workload_arrivals(args: argparse.Namespace, payload: InferenceRequest):
+    """The arrivals the workload flags describe: ``--num-requests`` of
+    them (default 100; a replayed trace defaults to the whole trace)."""
+    if args.workload == "trace":
+        if args.trace is not None:
+            workload = TraceWorkload.from_csv(args.trace)
+        elif args.bundled_trace is not None:
+            try:
+                workload = load_bundled_trace(args.bundled_trace)
+            except KeyError as exc:
+                raise SystemExit(f"--bundled-trace: {exc.args[0]}")
+        else:
+            raise SystemExit(
+                "--workload trace requires --trace PATH or --bundled-trace NAME"
+            )
+        return workload.generate(args.num_requests)
     if args.workload == "poisson":
-        return PoissonWorkload(args.qps, payload, seed=args.seed)
-    if args.workload == "constant":
-        return ConstantRateWorkload(args.qps, payload, seed=args.seed)
-    if args.workload == "onoff":
-        return OnOffWorkload(
+        workload = PoissonWorkload(args.qps, payload, seed=args.seed)
+    elif args.workload == "constant":
+        workload = ConstantRateWorkload(args.qps, payload, seed=args.seed)
+    else:
+        workload = OnOffWorkload(
             args.qps,
             payload,
             on_seconds=args.on_seconds,
             off_seconds=args.off_seconds,
             seed=args.seed,
         )
-    if args.trace is not None:
-        return TraceWorkload.from_csv(args.trace)
-    if args.bundled_trace is not None:
-        try:
-            return load_bundled_trace(args.bundled_trace)
-        except KeyError as exc:
-            raise SystemExit(f"--bundled-trace: {exc.args[0]}")
-    raise SystemExit("--workload trace requires --trace PATH or --bundled-trace NAME")
-
-
-def _workload_arrivals(args: argparse.Namespace, payload: InferenceRequest):
-    workload = _serving_workload(args, payload)
-    if args.workload == "trace":
-        # Default to replaying the whole trace; --num-requests truncates.
-        return workload.generate(args.num_requests)
     return workload.generate(100 if args.num_requests is None else args.num_requests)
 
 
-def _print_probe_trail(args: argparse.Namespace, headers, rows) -> None:
-    """The audit trail of a capacity/sizing search, one row per probe."""
-    if args.markdown:
-        from repro.reporting import format_markdown_table
-
-        print()
-        print(format_markdown_table(headers, rows))
-    else:
-        print_table("Probe trail", headers, rows)
-
-
-def _emit_report(
-    args: argparse.Namespace,
-    title: str,
-    headers,
-    rows,
-    report,
-    probe_rows=None,
-    extra_tables=(),
-) -> int:
-    """Render a report (plus optional extra tables and probe trail) and
-    write the trace CSV — the shared epilogue of ``serve`` and ``fleet``."""
-    if args.markdown:
-        from repro.reporting import format_markdown_table
-
-        print(format_markdown_table(headers, rows))
-        for _, extra_headers, extra_rows in extra_tables:
-            print()
-            print(format_markdown_table(extra_headers, extra_rows))
-    else:
-        print_table(title, headers, rows)
-        for extra_title, extra_headers, extra_rows in extra_tables:
-            print_table(extra_title, extra_headers, extra_rows)
-    if probe_rows is not None:
-        _print_probe_trail(args, *probe_rows)
-    if args.csv is not None:
-        report.to_csv(args.csv)
-        print(f"\nWrote {len(report.records)} request records to {args.csv}")
-    return 0
-
-
-def _emit_observability(args: argparse.Namespace, recorder, snapshot_fn) -> None:
-    """Write ``--trace-out`` / ``--metrics-out`` artifacts, if asked for.
-
-    ``snapshot_fn`` is a thunk building the :class:`repro.obs.MetricsSnapshot`
-    (deferred so runs without ``--metrics-out`` never pay for one).
-    """
-    if recorder is not None:
-        recorder.to_perfetto(args.trace_out)
-        print(
-            f"\nWrote {len(recorder.events)} trace events "
-            f"(Perfetto JSON) to {args.trace_out}"
-        )
-    if args.metrics_out is not None:
-        snapshot = snapshot_fn()
-        snapshot.to_prometheus(args.metrics_out)
-        print(
-            f"Wrote {len(snapshot.samples)} metric samples "
-            f"(Prometheus text) to {args.metrics_out}"
-        )
-
-
-def _serving_observers(args: argparse.Namespace, searching: bool):
+def _serving_observers(
+    args: argparse.Namespace, slo: Optional[SLOSpec], searching: bool
+):
     """Build the run's observers: ``(recorder, span_recorder, timeline)``.
 
     ``recorder`` is what the simulation gets (a single observer, a
@@ -512,15 +412,9 @@ def _serving_observers(args: argparse.Namespace, searching: bool):
             "--trace-out/--attribution/--timeline-out/--alerts observe one "
             "simulation; they cannot follow a capacity/sizing search"
         )
-    span_recorder = timeline = None
-    if wants_spans:
-        from repro.obs import SpanRecorder
-
-        span_recorder = SpanRecorder()
+    span_recorder = SpanRecorder() if wants_spans else None
+    timeline = None
     if wants_timeline:
-        from repro.obs import TimelineCollector, burn_rate_pack
-
-        slo = _serving_slo(args)
         rules = ()
         if args.alerts:
             if slo is None:
@@ -533,57 +427,90 @@ def _serving_observers(args: argparse.Namespace, searching: bool):
             window_s=args.timeline_window, slo=slo, rules=rules
         )
     if span_recorder is not None and timeline is not None:
-        from repro.obs import TeeRecorder
-
         return TeeRecorder(span_recorder, timeline), span_recorder, timeline
     # NB: not ``span_recorder or timeline`` — an empty SpanRecorder is falsy.
     single = span_recorder if span_recorder is not None else timeline
     return single, span_recorder, timeline
 
 
-def _emit_timeline(args: argparse.Namespace, timeline, report) -> None:
-    """Write ``--timeline-out`` and print the ``--alerts`` log."""
-    if timeline is None:
-        return
-    if args.timeline_out is not None:
-        timeline.to_csv(args.timeline_out)
-        print(
-            f"Wrote {len(timeline.to_rows())} timeline windows "
-            f"({timeline.window_s:g}s wide) to {args.timeline_out}"
+class _Run(NamedTuple):
+    """What one ``serve``/``fleet`` invocation runs with."""
+
+    payload: InferenceRequest
+    slo: Optional[SLOSpec]
+    #: The per-device KV memory spec, or None.
+    memory: Optional[MemorySpec]
+    runner: ExperimentRunner
+    #: Keyword arguments for ``simulate`` / ``simulate_fleet``.
+    options: dict
+    #: Feeds ``--trace-out`` / ``--attribution``; None unless asked for.
+    span_recorder: Optional[SpanRecorder]
+    #: Feeds ``--timeline-out`` / ``--alerts``; None unless asked for.
+    timeline: Optional[TimelineCollector]
+
+
+def _serving_setup(args: argparse.Namespace, search_flag: str, searching: bool) -> _Run:
+    """The setup step ``serve`` and ``fleet`` share.
+
+    Runs every check on the flags the two commands share, then builds the
+    payload, SLO, memory spec, runner, observers and simulation options.
+    ``search_flag`` names the command's capacity/sizing search flag and
+    ``searching`` says whether it was given.
+    """
+    # Trace flags a run would silently drop (a search builds no workload).
+    if args.trace is not None and args.bundled_trace is not None:
+        raise SystemExit("pass either --trace or --bundled-trace, not both")
+    if args.workload != "trace" and (
+        args.trace is not None or args.bundled_trace is not None
+    ):
+        raise SystemExit(
+            f"--trace/--bundled-trace replay a recorded trace; they do nothing "
+            f"for a {args.workload!r} workload (use --workload trace)"
         )
-    if args.alerts:
-        log = report.alerts
-        headers, rows = log.summary_rows()
-        if not rows:
-            print("\nAlerts: none fired")
-        elif args.markdown:
-            from repro.reporting import format_markdown_table
-
-            print()
-            print(format_markdown_table(headers, rows))
-        else:
-            print_table("Alerts (simulated clock)", headers, rows)
-
-
-def _emit_attribution(args: argparse.Namespace, span_recorder) -> None:
-    """Print the ``--attribution`` critical-path tables."""
-    if not args.attribution:
-        return
-    from repro.obs import critical_path
-
-    analysis = critical_path(span_recorder)
-    tables = [
-        ("Critical-path attribution", analysis.attribution_rows()),
-        ("Makespan chains", analysis.chain_rows()),
-    ]
-    for title, (headers, rows) in tables:
-        if args.markdown:
-            from repro.reporting import format_markdown_table
-
-            print()
-            print(format_markdown_table(headers, rows))
-        else:
-            print_table(title, headers, rows)
+    if args.show_probes and not searching:
+        raise SystemExit(f"--show-probes requires {search_flag}")
+    if args.stream_trace is not None:
+        if args.csv is not None:
+            raise SystemExit("pass either --stream-trace or --csv, not both")
+        if searching:
+            raise SystemExit(
+                "--stream-trace streams one simulation's trace; it cannot "
+                "follow a capacity/sizing search"
+            )
+    if args.parallel != 1 and not searching:
+        raise SystemExit(f"--parallel parallelizes {search_flag} probes")
+    slo = _serving_slo(args)
+    memory = _serving_memory(args)
+    resilience = _resilience_kwargs(args, searching)
+    recorder, span_recorder, timeline = _serving_observers(args, slo, searching)
+    if searching:
+        if slo is None:
+            raise SystemExit(f"{search_flag} needs an SLO (--slo-ttft/tpot/e2e)")
+        if args.workload != "poisson":
+            raise SystemExit(
+                f"{search_flag} probes a Poisson arrival process; "
+                f"it cannot search a {args.workload!r} workload"
+            )
+    return _Run(
+        payload=InferenceRequest(
+            model=args.model,
+            config=args.config,
+            seq_len=args.seq_len,
+            gen_tokens=args.gen_tokens,
+        ),
+        slo=slo,
+        memory=memory,
+        runner=ExperimentRunner(),
+        options=dict(
+            slo=slo,
+            trace_sink=args.stream_trace,
+            keep_records=args.stream_trace is None,
+            recorder=recorder,
+            **resilience,
+        ),
+        span_recorder=span_recorder,
+        timeline=timeline,
+    )
 
 
 def _cache_stats_table(cost_models, runner: ExperimentRunner):
@@ -616,109 +543,122 @@ def _cache_stats_table(cost_models, runner: ExperimentRunner):
     return ("Cache stats", ["counter", "value"], rows)
 
 
-def _serve_command(args: argparse.Namespace) -> int:
-    payload = InferenceRequest(
-        model=args.model,
-        config=args.config,
-        seq_len=args.seq_len,
-        gen_tokens=args.gen_tokens,
-    )
-    _validate_trace_flags(args)
-    if args.show_probes and not args.find_max_qps:
-        raise SystemExit("--show-probes requires --find-max-qps")
-    if args.stream_trace is not None:
-        if args.csv is not None:
-            raise SystemExit("pass either --stream-trace or --csv, not both")
-        if args.find_max_qps:
-            raise SystemExit(
-                "--stream-trace streams one simulation's trace; it cannot "
-                "follow a capacity search"
-            )
-    if args.parallel != 1 and not args.find_max_qps:
-        raise SystemExit("--parallel parallelizes --find-max-qps probes")
-    slo = _serving_slo(args)
-    memory = _serving_memory(args)
-    resilience = _resilience_kwargs(args, searching=args.find_max_qps)
-    scheduler_factory = _SCHEDULERS[args.scheduler]
-    runner = ExperimentRunner()
-    cost = BackendCostModel(args.backend, runner=runner)
-    probe_rows = None
-    recorder, span_recorder, timeline = _serving_observers(
-        args, searching=args.find_max_qps
-    )
+def _serving_output(
+    args: argparse.Namespace,
+    run: _Run,
+    report,
+    title: str,
+    *,
+    cost_models,
+    snapshot,
+    lead_rows=(),
+    tables=(),
+    probes=None,
+) -> int:
+    """The output step ``serve`` and ``fleet`` share.
 
+    Prints the report's summary under ``title`` (after the command's
+    ``lead_rows``), the command's extra ``tables``, the cache counters of
+    ``cost_models`` and the probe trail (``probes``: headers and rows),
+    then writes and announces every output file the flags ask for.
+    ``snapshot`` builds the ``--metrics-out`` metrics snapshot, so runs
+    without the flag never pay for one.
+    """
+    headers, rows = report.summary_rows()
+    _show(args, title, headers, list(lead_rows) + rows, first=True)
+    for table in tables:
+        _show(args, *table)
+    if args.show_cache_stats:
+        _show(args, *_cache_stats_table(cost_models, run.runner))
+    if args.show_probes:
+        _show(args, "Probe trail", *probes)
+    if args.csv is not None:
+        report.to_csv(args.csv)
+        print(f"\nWrote {len(report.records)} request records to {args.csv}")
+    if args.stream_trace is not None:
+        print(f"\nStreamed {report.num_requests} request rows to {args.stream_trace}")
+    if args.trace_out is not None:
+        run.span_recorder.to_perfetto(args.trace_out)
+        print(
+            f"\nWrote {len(run.span_recorder.events)} trace events "
+            f"(Perfetto JSON) to {args.trace_out}"
+        )
+    if args.metrics_out is not None:
+        metrics = snapshot()
+        metrics.to_prometheus(args.metrics_out)
+        print(
+            f"Wrote {len(metrics.samples)} metric samples "
+            f"(Prometheus text) to {args.metrics_out}"
+        )
+    if args.timeline_out is not None:
+        run.timeline.to_csv(args.timeline_out)
+        print(
+            f"Wrote {len(run.timeline.to_rows())} timeline windows "
+            f"({run.timeline.window_s:g}s wide) to {args.timeline_out}"
+        )
+    if args.alerts:
+        alert_headers, alert_rows = report.alerts.summary_rows()
+        if alert_rows:
+            _show(args, "Alerts (simulated clock)", alert_headers, alert_rows)
+        else:
+            print("\nAlerts: none fired")
+    if args.attribution:
+        analysis = critical_path(run.span_recorder)
+        _show(args, "Critical-path attribution", *analysis.attribution_rows())
+        _show(args, "Makespan chains", *analysis.chain_rows())
+    return 0
+
+
+def _serve_command(args: argparse.Namespace) -> int:
+    run = _serving_setup(args, "--find-max-qps", args.find_max_qps)
+    cost = BackendCostModel(args.backend, runner=run.runner)
+    scheduler_factory = partial(_SCHEDULERS[args.scheduler], args, memory=run.memory)
+    lead_rows, probes = [], None
     if args.find_max_qps:
-        if slo is None:
-            raise SystemExit("--find-max-qps needs an SLO (--slo-ttft/tpot/e2e)")
-        if args.workload != "poisson":
-            raise SystemExit(
-                "--find-max-qps bisects the rate of a Poisson arrival process; "
-                f"it cannot search a {args.workload!r} workload"
-            )
         capacity = find_max_qps(
             args.backend,
-            payload,
-            slo,
-            scheduler_factory=lambda: scheduler_factory(args, memory),
+            run.payload,
+            run.slo,
+            scheduler_factory=scheduler_factory,
             num_requests=100 if args.num_requests is None else args.num_requests,
             seed=args.seed,
-            runner=runner,
+            runner=run.runner,
             cost=cost,
             parallel=args.parallel,
         )
         report = capacity.report
-        headers, rows = report.summary_rows()
-        rows = [["max sustainable qps", capacity.max_qps],
-                ["capacity probes", len(capacity.probes)]] + rows
+        lead_rows = [
+            ["max sustainable qps", capacity.max_qps],
+            ["capacity probes", len(capacity.probes)],
+        ]
         title = (
             f"Capacity search — {args.model} on {report.backend_name} "
             f"({report.scheduler_name} scheduler)"
         )
-        if args.show_probes:
-            probe_rows = (
-                ["probe", "rate (qps)", "SLO met"],
-                [
-                    [index + 1, rate, met]
-                    for index, (rate, met) in enumerate(capacity.probes)
-                ],
-            )
-    else:
-        arrivals = _workload_arrivals(args, payload)
-        report = simulate(
-            arrivals,
-            cost,
-            scheduler_factory(args, memory),
-            slo=slo,
-            trace_sink=args.stream_trace,
-            keep_records=args.stream_trace is None,
-            recorder=recorder,
-            **resilience,
+        probes = (
+            ["probe", "rate (qps)", "SLO met"],
+            [
+                [index + 1, rate, met]
+                for index, (rate, met) in enumerate(capacity.probes)
+            ],
         )
-        headers, rows = report.summary_rows()
+    else:
+        arrivals = _workload_arrivals(args, run.payload)
+        report = simulate(arrivals, cost, scheduler_factory(), **run.options)
         title = (
             f"Serving simulation — {len(arrivals)} x {args.model} "
             f"({args.workload} workload, {report.scheduler_name} scheduler)"
         )
-
-    extra_tables = []
-    if args.show_cache_stats:
-        extra_tables.append(_cache_stats_table([cost], runner))
-    code = _emit_report(
-        args, title, headers, rows, report, probe_rows, extra_tables=extra_tables
+    return _serving_output(
+        args,
+        run,
+        report,
+        title,
+        cost_models=[cost],
+        snapshot=lambda: serving_snapshot(report, cost_model=cost),
+        lead_rows=lead_rows,
+        probes=probes,
     )
-    if args.stream_trace is not None:
-        print(f"\nStreamed {report.num_requests} request rows to {args.stream_trace}")
-    def _snapshot():
-        from repro.obs import serving_snapshot
-
-        return serving_snapshot(report, cost_model=cost)
-
-    _emit_observability(
-        args, span_recorder if args.trace_out is not None else None, _snapshot
-    )
-    _emit_timeline(args, timeline, report)
-    _emit_attribution(args, span_recorder)
-    return code
 
 
 def _parse_mix(spec: str) -> List[object]:
@@ -763,82 +703,47 @@ def _parse_mix(spec: str) -> List[object]:
 
 
 def _fleet_command(args: argparse.Namespace) -> int:
-    payload = InferenceRequest(
-        model=args.model,
-        config=args.config,
-        seq_len=args.seq_len,
-        gen_tokens=args.gen_tokens,
-    )
-    _validate_trace_flags(args)
-    if args.show_probes and args.size_for_qps is None:
-        raise SystemExit("--show-probes requires --size-for-qps")
-    if args.size_for_qps is not None and args.num_devices is not None:
+    searching = args.size_for_qps is not None
+    if searching and args.num_devices is not None:
         raise SystemExit(
             "--size-for-qps searches the replica count itself; "
             "it cannot honour --num-devices (cap it with --max-replicas)"
         )
-    if args.stream_trace is not None:
-        if args.csv is not None:
-            raise SystemExit("pass either --stream-trace or --csv, not both")
-        if args.size_for_qps is not None:
-            raise SystemExit(
-                "--stream-trace streams one simulation's trace; it cannot "
-                "follow a sizing search"
-            )
-    if args.parallel != 1 and args.size_for_qps is None:
-        raise SystemExit("--parallel parallelizes --size-for-qps probes")
-    slo = _serving_slo(args)
-    memory = _serving_memory(args)
-    resilience = _resilience_kwargs(args, searching=args.size_for_qps is not None)
-    runner = ExperimentRunner()
+    run = _serving_setup(args, "--size-for-qps", searching)
     sharding = ShardingSpec(tensor_parallel=args.tp, pipeline_parallel=args.pp)
     # Each replica owns the DRAM/flash of all its chips (tp x pp of them);
     # ``size_fleet`` re-derives the scaling itself per sharding candidate.
-    device_memory = None if memory is None else memory.scaled(sharding.num_devices)
-
-    def scheduler_factory(memory=device_memory):
-        return _SCHEDULERS[args.scheduler](args, memory)
-
-    probe_rows = None
-    cost_models: List[object] = []
-    recorder, span_recorder, timeline = _serving_observers(
-        args, searching=args.size_for_qps is not None
+    device_memory = (
+        None if run.memory is None else run.memory.scaled(sharding.num_devices)
     )
-
-    if args.size_for_qps is not None:
-        if slo is None:
-            raise SystemExit("--size-for-qps needs an SLO (--slo-ttft/tpot/e2e)")
+    scheduler_factory = partial(_SCHEDULERS[args.scheduler], args, memory=device_memory)
+    lead_rows, probes = [], None
+    if searching:
         if args.mix is not None:
             raise SystemExit(
                 "--size-for-qps sizes a homogeneous fleet; it cannot search --mix"
             )
-        if args.workload != "poisson":
-            raise SystemExit(
-                "--size-for-qps sizes against a Poisson arrival process; "
-                f"it cannot search a {args.workload!r} workload"
-            )
         cost_cache: dict = {}
         sizing = size_fleet(
             args.backend,
-            payload,
-            slo,
+            run.payload,
+            run.slo,
             args.size_for_qps,
             shardings=[sharding],
             scheduler_factory=scheduler_factory,
             router_factory=lambda: get_router(args.router),
-            memory=memory,
+            memory=run.memory,
             num_requests=100 if args.num_requests is None else args.num_requests,
             seed=args.seed,
             max_replicas=args.max_replicas,
-            runner=runner,
+            runner=run.runner,
             cost_cache=cost_cache,
             parallel=args.parallel,
         )
         cost_models = list(cost_cache.values())
         report = sizing.report
-        headers, rows = report.summary_rows()
         won = sizing.sharding
-        rows = [
+        lead_rows = [
             ["replicas needed", sizing.num_replicas],
             [
                 "sharding (tp x pp)",
@@ -846,25 +751,24 @@ def _fleet_command(args: argparse.Namespace) -> int:
             ],
             ["total chips", sizing.num_chips],
             ["sizing probes", len(sizing.probes)],
-        ] + rows
+        ]
         title = (
             f"Fleet sizing — {args.size_for_qps:g} qps of {args.model} "
             f"on {args.backend} ({args.router} router)"
         )
-        if args.show_probes:
-            probe_rows = (
-                ["probe", "replicas", "tp", "pp", "SLO met"],
+        probes = (
+            ["probe", "replicas", "tp", "pp", "SLO met"],
+            [
                 [
-                    [
-                        index + 1,
-                        probe.replicas,
-                        probe.sharding.tensor_parallel,
-                        probe.sharding.pipeline_parallel,
-                        probe.met,
-                    ]
-                    for index, probe in enumerate(sizing.probes)
-                ],
-            )
+                    index + 1,
+                    probe.replicas,
+                    probe.sharding.tensor_parallel,
+                    probe.sharding.pipeline_parallel,
+                    probe.met,
+                ]
+                for index, probe in enumerate(sizing.probes)
+            ],
+        )
     else:
         if args.mix is not None:
             backends = _parse_mix(args.mix)
@@ -876,52 +780,26 @@ def _fleet_command(args: argparse.Namespace) -> int:
             backends,
             scheduler_factory=scheduler_factory,
             sharding=sharding,
-            runner=runner,
+            runner=run.runner,
         )
-        arrivals = _workload_arrivals(args, payload)
-        report = simulate_fleet(
-            arrivals,
-            fleet,
-            get_router(args.router),
-            slo=slo,
-            trace_sink=args.stream_trace,
-            keep_records=args.stream_trace is None,
-            recorder=recorder,
-            **resilience,
-        )
+        arrivals = _workload_arrivals(args, run.payload)
+        report = simulate_fleet(arrivals, fleet, get_router(args.router), **run.options)
         cost_models = [device.cost for device in fleet]
-        headers, rows = report.summary_rows()
         title = (
             f"Fleet simulation — {len(arrivals)} x {args.model} on "
             f"{len(fleet)} devices ({args.workload} workload, {args.router} router)"
         )
-
-    device_headers, device_rows = report.per_device_rows()
-    extra_tables = [("Per-device breakdown", device_headers, device_rows)]
-    if args.show_cache_stats:
-        extra_tables.append(_cache_stats_table(cost_models, runner))
-    code = _emit_report(
+    return _serving_output(
         args,
-        title,
-        headers,
-        rows,
+        run,
         report,
-        probe_rows,
-        extra_tables=extra_tables,
+        title,
+        cost_models=cost_models,
+        snapshot=lambda: fleet_snapshot(report, cost_models=cost_models),
+        lead_rows=lead_rows,
+        tables=[("Per-device breakdown",) + report.per_device_rows()],
+        probes=probes,
     )
-    if args.stream_trace is not None:
-        print(f"\nStreamed {report.num_requests} request rows to {args.stream_trace}")
-    def _snapshot():
-        from repro.obs import fleet_snapshot
-
-        return fleet_snapshot(report, cost_models=cost_models)
-
-    _emit_observability(
-        args, span_recorder if args.trace_out is not None else None, _snapshot
-    )
-    _emit_timeline(args, timeline, report)
-    _emit_attribution(args, span_recorder)
-    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

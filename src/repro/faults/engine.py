@@ -10,7 +10,7 @@ runs.
 A fault-aware run adds two event sources to the loop: per-device fault
 transitions (crash / recover / slowdown open / slowdown close), drawn
 lazily from a :class:`repro.faults.FaultInjector` and scheduled on the
-shared heap as :data:`repro.serving.events.FAULT` events, and a retry
+loop's event heap as :data:`repro.serving.events.FAULT` events, and a retry
 heap of client retries and hedge timers.  The total event order is the
 documented :mod:`repro.serving.events` contract: completions due at an
 instant stamp before a simultaneous fault applies (an occupancy ending
@@ -54,7 +54,6 @@ import heapq
 from typing import List, Optional
 
 from repro.obs.recorder import record_request_phases
-from repro.serving.events import FAULT
 from repro.serving.request import RequestRecord
 
 # Kept importable from here: simbench's layer tracer wraps
@@ -152,7 +151,6 @@ class _FaultRun:
         self,
         devices,
         router,
-        queue,
         *,
         faults,
         retry,
@@ -204,8 +202,9 @@ class _FaultRun:
         #: Retry/hedge-timer heap of (time, seq, action, record).
         self.retry_heap: list = []
         self.retry_seq = 0
-        #: (time, device) fault transitions to schedule once the loop has
-        #: applied every fault due at the current instant.
+        #: (time, device) fault transitions for the loop to push onto its
+        #: heap: each device's first one before the first pass, then each
+        #: next one once every fault due at the current instant applied.
         self.rearm: list = []
         #: Consecutive loop passes in which no request moved (the wedge
         #: guard in :meth:`next_time`).
@@ -247,7 +246,7 @@ class _FaultRun:
             self.cursors.append(cursor)
             if cursor is not None and cursor.head_time is not None:
                 gate.boundary_s = cursor.head_time
-                queue.push(cursor.head_time, FAULT, index)
+                self.rearm.append((cursor.head_time, index))
         self._fault_head: Optional[float] = None
         self._refresh_fault_head()
 

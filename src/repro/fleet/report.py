@@ -24,12 +24,31 @@ from repro.serving.metrics import (
     StreamedMetrics,
     TRACE_CSV_FIELDS,
     percentile_triplet,
-    trace_row,
+    trace_values,
 )
 from repro.serving.request import RequestRecord
 
 #: Fleet trace columns: the serving trace plus the routed device.
 FLEET_TRACE_CSV_FIELDS = ["request_id", "device"] + TRACE_CSV_FIELDS[1:]
+
+
+def fleet_trace_values(
+    record: RequestRecord,
+    slo: Optional[SLOSpec],
+    assignments: List[int],
+    index: int,
+) -> List[object]:
+    """Arrival ``index``'s cells in :data:`FLEET_TRACE_CSV_FIELDS` order.
+
+    The serving trace cells of ``record`` with its routed device from
+    ``assignments`` after the request id; the device cell is blank for a
+    request an ``early_exit`` run never routed.  Shared by
+    :meth:`FleetReport.to_csv` and the event loop's streamed fleet trace,
+    so both render a row identically.
+    """
+    values = trace_values(record, slo)
+    device = assignments[index] if index < len(assignments) else ""
+    return [values[0], device] + values[1:]
 
 
 @dataclass
@@ -88,7 +107,9 @@ class FleetReport:
             busy_s=sum(report.busy_s for report in self.device_reports),
             queue_depth=[],
             slo=self.slo,
+            num_events=self.num_events,
             streamed=self.streamed,
+            event_queue=self.event_queue,
         )
 
     @property
@@ -240,16 +261,12 @@ class FleetReport:
                 "trace_sink= to simulate_fleet to stream the trace instead"
             )
         buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer, fieldnames=FLEET_TRACE_CSV_FIELDS, lineterminator="\n"
-        )
-        writer.writeheader()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(FLEET_TRACE_CSV_FIELDS)
         for index, record in enumerate(self.records):
-            row = trace_row(record, self.slo)
-            row["device"] = (
-                self.assignments[index] if index < len(self.assignments) else ""
+            writer.writerow(
+                fleet_trace_values(record, self.slo, self.assignments, index)
             )
-            writer.writerow(row)
         text = buffer.getvalue()
         if path is not None:
             with open(path, "w", newline="") as handle:

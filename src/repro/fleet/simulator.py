@@ -15,25 +15,32 @@ the planning opportunities both create:
   every policy is deterministic, so a fixed workload seed fixes the device
   assignment (and the trace CSV) byte for byte.
 
+The loop owns its event heap outright: a plain ``heapq`` list of
+``(time, kind, index, seq)`` tuples, whose total order
+(:mod:`repro.serving.events`) is what the determinism rests on, plus the
+push/pop/depth counters it reports as ``event_queue``.  Arrivals stay
+outside the heap and merge against its head.
+
 Fault injection rides the same loop: ``faults``, ``retry`` or
 ``deadline_s`` arm a :mod:`repro.faults.engine` handler object that adds
-two event sources — per-device fault transitions on the heap and a retry
-heap merged into the arrival stage — plus crash, retry, hedge and
-outcome handling.  Unarmed runs never touch it: the hot path below is
-the plain loop, with one identity check at each hand-off point.
+two event sources — per-device fault transitions, which it hands to the
+loop's heap through its ``rearm`` list, and a retry heap merged into the
+arrival stage — plus crash, retry, hedge and outcome handling.  Unarmed
+runs never touch it: the hot path below is the plain loop, with one
+identity check at each hand-off point.
 
 All devices may share one :class:`repro.api.runner.ExperimentRunner`:
 a 16-device, 10k-request simulation still costs a handful of backend
 evaluations because every replica of the same backend hits the same
 memoized profiles.
 
-Scale: the loop pops completions from the shared heap event core
-(:mod:`repro.serving.events`, which documents the total event order the
-determinism rests on), re-plans only the devices an event actually
-touched, and — with ``trace_sink``/``keep_records=False`` — streams each
-request's trace row out the moment it is stamped while folding exact
-metric reservoirs per device, so a million-request, hundred-device day
-runs in seconds holding O(in-flight) record state.
+Scale: the loop re-plans only the devices an event actually touched,
+and — with ``trace_sink``/``keep_records=False`` — streams each
+request's trace row out the moment it is stamped (a fleet row through
+:func:`repro.fleet.report.fleet_trace_values`, exactly as
+:meth:`FleetReport.to_csv` renders it) while folding exact metric
+reservoirs per device, so a million-request, hundred-device day runs in
+seconds holding O(in-flight) record state.
 """
 
 from __future__ import annotations
@@ -45,11 +52,11 @@ from repro.api.runner import BackendLike, ExperimentRunner
 from repro.faults.engine import _FaultRun
 from repro.faults.spec import FaultSpec, RetryPolicy
 from repro.fleet.device import Device, _QueueDepthStats
-from repro.fleet.report import FLEET_TRACE_CSV_FIELDS, FleetReport
+from repro.fleet.report import FLEET_TRACE_CSV_FIELDS, FleetReport, fleet_trace_values
 from repro.fleet.router import JoinShortestQueueRouter, Router
 from repro.fleet.sharding import ShardingSpec
 from repro.obs.recorder import record_request_phases
-from repro.serving.events import COMPLETION, FAULT, EventQueue
+from repro.serving.events import COMPLETION, FAULT
 from repro.serving.metrics import (
     TRACE_CSV_FIELDS,
     ServingReport,
@@ -286,9 +293,7 @@ def _run(
             header = FLEET_TRACE_CSV_FIELDS
 
             def row_of(record, index):
-                values = trace_values(record, slo)
-                device_cell = assignments[index] if index < len(assignments) else ""
-                return [values[0], device_cell] + values[1:]
+                return fleet_trace_values(record, slo, assignments, index)
 
         else:
             header = TRACE_CSV_FIELDS
@@ -317,18 +322,20 @@ def _run(
         else None
     )
 
-    queue = EventQueue()
+    # The event heap (see repro.serving.events) and its debug counters:
+    # ``seq`` doubles as the push count.
+    heap: list = []
+    seq = pops = heap_max_depth = 0
     # Devices whose state changed this event and therefore need a planning
     # attempt; everyone plans at t=0.
     touched = set(range(len(devices)))
-    # Fault handling, armed only when asked for.  It schedules the
-    # devices' first fault transitions before the loop takes the heap.
+    # Fault handling, armed only when asked for.  The devices' first fault
+    # transitions join the heap before the first pass.
     fault_run: Optional[_FaultRun] = None
     if faults is not None or retry is not None or deadline_s is not None:
         fault_run = _FaultRun(
             devices,
             router,
-            queue,
             faults=faults,
             retry=retry,
             deadline_s=deadline_s,
@@ -343,6 +350,11 @@ def _run(
             assignments=assignments,
             touched=touched,
         )
+        for when, index in fault_run.rearm:
+            seq += 1
+            heapq.heappush(heap, (when, FAULT, index, seq))
+        fault_run.rearm.clear()
+        heap_max_depth = len(heap)
 
     now = 0.0
     num_events = 0
@@ -353,22 +365,15 @@ def _run(
     progressed = False
     num_devices = len(devices)
     # Hot-loop locals: the body below runs a couple of million times on a
-    # 1M-request day, so every repeated attribute lookup is hoisted once.
-    # The heap and its push counter are owned by this loop directly (the
-    # counter is written back to the queue below), and the source's next
-    # arrival time is read straight off its ``head_time`` attribute —
-    # both shave a method call from paths taken once or more per event.
+    # 1M-request day, so every repeated attribute lookup is hoisted once,
+    # and the source's next arrival time is read straight off its
+    # ``head_time`` attribute — shaving a method call from a path taken
+    # once or more per event.
     source_pop = source.pop
     route = router.route
     on_completed = router.on_completed
-    heap = queue._heap
     heap_push = heapq.heappush
     heap_pop = heapq.heappop
-    seq = queue._seq
-    # Heap debug counters, maintained as locals exactly like ``seq`` (the
-    # loop drives the heap directly) and written back with it below.
-    pops = queue._pops
-    heap_max_depth = queue._max_depth
     #: Whether the router reads per-device work estimates, and the
     #: per-device scheduler enqueue hooks, hoisted for the arrival path.
     track_work = router.needs_work_estimates
@@ -602,9 +607,6 @@ def _run(
                 now = fault_run.next_time(next_time, progressed)
                 progressed = False
 
-        queue._seq = seq
-        queue._pops = pops
-        queue._max_depth = heap_max_depth
         for device in devices:
             device.finalize(now)
             if device.backend_name is None:
@@ -673,7 +675,7 @@ def _run(
         num_events=num_events,
         early_exit=early_exit,
         streamed=fleet_metrics,
-        event_queue=queue.stats(),
+        event_queue={"pushes": seq, "pops": pops, "max_depth": heap_max_depth},
         alerts=alerts,
         faults=fault_run.report if fault_run is not None else None,
     )

@@ -30,7 +30,7 @@ inputs give byte-identical reports on every machine.
 """
 
 from repro.serving.capacity import CapacityResult, find_max_qps
-from repro.serving.events import ARRIVAL, COMPLETION, FAULT, PLANNING, EventQueue
+from repro.serving.events import ARRIVAL, COMPLETION, FAULT, PLANNING
 from repro.serving.metrics import (
     ServingReport,
     SLOSpec,
@@ -82,7 +82,6 @@ __all__ = [
     "percentile",
     "CapacityResult",
     "find_max_qps",
-    "EventQueue",
     "COMPLETION",
     "FAULT",
     "ARRIVAL",

@@ -330,11 +330,10 @@ class ServingReport:
     #: (:class:`repro.memory.MemoryReport`); None when the scheduler ran
     #: without a memory model.
     memory: Optional["MemoryReport"] = None
-    #: Event-heap debug counters (``{"pushes", "pops", "max_depth"}`` from
-    #: :meth:`repro.serving.events.EventQueue.stats`); None when the
-    #: report was built outside the event loop.  Deterministic — a pure
-    #: function of the event sequence — and absorbed by the
-    #: :mod:`repro.obs.metrics` registry.
+    #: Event-heap debug counters (``{"pushes", "pops", "max_depth"}``,
+    #: counted by the event loop); None when the report was built outside
+    #: the event loop.  Deterministic — a pure function of the event
+    #: sequence — and absorbed by the :mod:`repro.obs.metrics` registry.
     event_queue: Optional[Dict[str, int]] = None
     #: :class:`repro.obs.alerts.AlertLog` from an attached
     #: :class:`~repro.obs.timeline.TimelineCollector` with alert rules;
@@ -626,11 +625,6 @@ def trace_values(record: RequestRecord, slo: Optional[SLOSpec]) -> List[object]:
         "" if record.finish_s is None else record.e2e_s,
         "" if slo is None else slo.met_by(record),
     ]
-
-
-def trace_row(record: RequestRecord, slo: Optional[SLOSpec]) -> Dict[str, object]:
-    """:func:`trace_values` keyed by :data:`TRACE_CSV_FIELDS` (dict form)."""
-    return dict(zip(TRACE_CSV_FIELDS, trace_values(record, slo)))
 
 
 def _blank_if_none(value: Optional[float]) -> object:

@@ -1,8 +1,13 @@
 """Tests for the accuracy proxy and the error-injection study."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.accuracy.evaluation import ErrorInjectionStudy
 from repro.accuracy.proxy_model import ProxyLLM
 from repro.accuracy.tasks import SyntheticTask, paper_tasks
@@ -125,3 +130,28 @@ def test_invalid_study_arguments_rejected():
         ErrorInjectionStudy(paper_tasks()["arc"], trials=0)
     with pytest.raises(ValueError):
         ErrorInjectionStudy(paper_tasks()["arc"], trials=1).evaluate_rate(-1e-4)
+
+
+def test_results_do_not_depend_on_the_string_hash_seed():
+    """Trial seeds come from a stable digest, so two interpreters with
+    differently salted ``str`` hashes inject the same bit flips."""
+    script = (
+        "from repro.accuracy.evaluation import ErrorInjectionStudy\n"
+        "from repro.accuracy.tasks import paper_tasks\n"
+        "study = ErrorInjectionStudy(paper_tasks()['hellaswag'], trials=1)\n"
+        "print(study.evaluate_rate(1e-3))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = []
+    for hash_seed in ("0", "8"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        outputs.append(
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        )
+    assert outputs[0] == outputs[1]

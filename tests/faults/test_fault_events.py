@@ -4,19 +4,17 @@
 before fault transitions apply, and fault transitions apply before
 arrivals are routed.  These tests pin the numeric kind values (they are
 the contract — changing them silently would reorder every simultaneous
-event), the heap's tie-break behavior, and the observable consequences:
-an occupancy ending exactly at a crash instant keeps its tokens, while a
-request arriving exactly at a crash instant already sees the device down.
+event) and the observable consequences: an occupancy ending exactly at a
+crash instant keeps its tokens, while a request arriving exactly at a
+crash instant already sees the device down.
 """
-
-import random
 
 from serving_toys import ToyBackend
 
 from repro.api import InferenceRequest
 from repro.faults import FaultSpec
 from repro.serving import FCFSScheduler, ServingRequest, simulate
-from repro.serving.events import ARRIVAL, COMPLETION, FAULT, PLANNING, EventQueue
+from repro.serving.events import ARRIVAL, COMPLETION, FAULT, PLANNING
 
 PAYLOAD = InferenceRequest(model="opt-6.7b", seq_len=128, gen_tokens=2)
 
@@ -25,47 +23,6 @@ PAYLOAD = InferenceRequest(model="opt-6.7b", seq_len=128, gen_tokens=2)
 
 def test_kind_values_are_pinned():
     assert (COMPLETION, FAULT, ARRIVAL, PLANNING) == (0, 1, 2, 3)
-
-
-def test_same_instant_pops_order_completion_fault_arrival_planning():
-    queue = EventQueue()
-    kinds = [PLANNING, ARRIVAL, FAULT, COMPLETION, FAULT, ARRIVAL]
-    rng = random.Random(3)
-    rng.shuffle(kinds)
-    for kind in kinds:
-        queue.push(5.0, kind, 0)
-    popped = [kind for _, kind, _, _ in queue.pop_due(5.0)]
-    assert popped == sorted(kinds)
-    assert popped[0] == COMPLETION and popped[-1] == PLANNING
-
-
-def test_equal_time_and_kind_break_ties_by_device_then_seq():
-    queue = EventQueue()
-    queue.push(1.0, FAULT, 2)
-    queue.push(1.0, FAULT, 0)
-    queue.push(1.0, FAULT, 0)  # same (time, kind, index): push order wins
-    queue.push(1.0, COMPLETION, 3)
-    entries = queue.pop_due(1.0)
-    assert [(kind, index) for _, kind, index, _ in entries] == [
-        (COMPLETION, 3),
-        (FAULT, 0),
-        (FAULT, 0),
-        (FAULT, 2),
-    ]
-    seqs = [seq for _, kind, _, seq in entries if kind == FAULT][:2]
-    assert seqs == sorted(seqs)
-
-
-def test_fault_events_sort_between_completions_and_arrivals_across_times():
-    queue = EventQueue()
-    queue.push(2.0, COMPLETION, 0)
-    queue.push(1.0, ARRIVAL, 0)
-    queue.push(1.0, FAULT, 0)
-    queue.push(1.0, COMPLETION, 1)
-    assert queue.peek_time() == 1.0
-    due = queue.pop_due(1.0)
-    assert [kind for _, kind, _, _ in due] == [COMPLETION, FAULT, ARRIVAL]
-    assert queue.peek_time() == 2.0  # later completion untouched
 
 
 # -- the behavioral consequences ----------------------------------------------
