@@ -17,7 +17,7 @@ batch; KV traffic and attention compute scale with it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.api.request import InferenceRequest
@@ -50,6 +50,14 @@ class CambriconBackend:
     include_prefill:
         Whether to model the prefill phase; the legacy ``decode_report``
         shim disables it because the single-token report discards TTFT.
+
+    An instance memoizes its successful single-token decode reports by
+    (engine config, model, seq_len).  A report does not depend on the
+    batch width, so a serving scheduler that prices one shape at eight
+    widths computes its one or two reports once.  The memo belongs to the
+    instance, dies with it, and is never shared with a
+    :meth:`with_capacity_scale` twin; concurrent callers at worst compute
+    an equal report twice.
     """
 
     config: Optional[CambriconLLMConfig] = None
@@ -62,6 +70,9 @@ class CambriconBackend:
     #: :class:`repro.fleet.sharding.ShardedBackend` rescues an OOM config
     #: by dividing the weight image across its replica's chips.
     capacity_scale: int = 1
+    _reports: Dict[tuple, DecodeReport] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- runner integration --------------------------------------------------
     @property
@@ -140,10 +151,20 @@ class CambriconBackend:
             )
         return InferenceEngine(config)
 
+    def _decode_report(
+        self, engine: InferenceEngine, model, seq_len: int
+    ) -> DecodeReport:
+        key = (engine.config, model, seq_len)
+        report = self._reports.get(key)
+        if report is None:
+            report = engine._decode_report_impl(model, seq_len=seq_len)
+            self._reports[key] = report
+        return report
+
     def run(self, request: InferenceRequest) -> RunResult:
         engine = self._engine_for(request)
         try:
-            first = engine._decode_report_impl(request.model, seq_len=request.seq_len)
+            first = self._decode_report(engine, request.model, request.seq_len)
         except ValueError as exc:
             return RunResult(
                 backend_name=engine.config.name,
@@ -163,9 +184,7 @@ class CambriconBackend:
         batch = request.batch_size
         step_first, parts = self._step_seconds(first, batch)
         if request.gen_tokens > 1 and request.final_seq_len != request.seq_len:
-            last = engine._decode_report_impl(
-                request.model, seq_len=request.final_seq_len
-            )
+            last = self._decode_report(engine, request.model, request.final_seq_len)
             step_last, _ = self._step_seconds(last, batch)
             step_seconds = 0.5 * (step_first + step_last)
         else:

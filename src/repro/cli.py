@@ -90,6 +90,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _config_key(text: str) -> str:
+    """argparse ``type=`` for hardware config keys: validated through
+    :func:`get_config` and returned unchanged."""
+    try:
+        get_config(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
+
+
 def _add_model_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "model",
@@ -811,7 +821,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     decode = subparsers.add_parser("decode", help="decode-speed report for one model")
     _add_model_argument(decode)
-    decode.add_argument("--config", default="L", help="S, M or L (default L)")
+    decode.add_argument(
+        "--config", type=_config_key, default="L", help="S, M or L (default L)"
+    )
     decode.add_argument(
         "--seq-len", type=_positive_int, default=1000, help="cached context length"
     )
@@ -824,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser("sweep", help="chips-per-channel scalability sweep")
     _add_model_argument(sweep)
-    sweep.add_argument("--config", default="S")
+    sweep.add_argument("--config", type=_config_key, default="S")
     sweep.add_argument("--seq-len", type=_positive_int, default=1000)
     sweep.add_argument(
         "--chips", type=_positive_int, nargs="+", default=[1, 2, 4, 8, 16, 32],
@@ -844,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"registered backends (default: all — {', '.join(list_backends())})",
     )
     grid.add_argument(
-        "--configs", nargs="+", default=["L"], metavar="CFG",
+        "--configs", type=_config_key, nargs="+", default=["L"], metavar="CFG",
         help="hardware configuration keys for backends that accept them (default L)",
     )
     grid.add_argument("--seq-lens", type=_positive_int, nargs="+", default=[1000])
@@ -922,7 +934,10 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend", default="cambricon", type=str.lower, choices=list_backends(),
         help="registered backend (default cambricon)",
     )
-    parser.add_argument("--config", default="L", help="hardware config key (default L)")
+    parser.add_argument(
+        "--config", type=_config_key, default="L",
+        help="hardware config key (default L)",
+    )
     parser.add_argument(
         "--seq-len", type=_positive_int, default=1000, help="prompt length"
     )

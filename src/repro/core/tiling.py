@@ -15,12 +15,16 @@ the AM–GM inequality the traffic is minimised at
 
 which for Cambricon-LLM-S (8 channels, 4 cores/channel, 16 KB pages, INT8)
 gives the paper's 256 x 2048 tile.
+
+With ``P`` weight elements per page, the integer tiles whose rows split
+evenly across a channel's cores and whose columns split evenly across the
+channels are exactly ``{(ccorenum * k, channelnum * P / k) : k divides P}``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, sqrt
+from math import ceil, isqrt, sqrt
 from typing import List, Tuple
 
 from repro.flash.geometry import FlashGeometry
@@ -131,25 +135,19 @@ class TilingStrategy:
     def candidate_tiles(self) -> List[TileShape]:
         """Integer tile shapes that exactly pack one page per Compute Core.
 
-        Candidates keep ``height`` a multiple of the per-channel core count
-        (rows split evenly across cores) and ``width`` a multiple of the
-        channel count (columns split evenly across channels).
+        ``(ccorenum * k, channelnum * P / k)`` for each divisor ``k`` of
+        the page's ``P`` elements, in ascending ``k`` (found by trial
+        division up to ``sqrt(P)``).
         """
         ccores = self.geometry.compute_cores_per_channel
         channels = self.geometry.channels
-        total_elements = self.tile_elements
-        candidates = []
-        height = ccores
-        while height * channels <= total_elements:
-            width, remainder = divmod(total_elements, height)
-            if remainder == 0 and width % channels == 0:
-                candidates.append(TileShape(height=height, width=width))
-            height += ccores
-        if not candidates:
-            # Degenerate geometries (e.g. one core, one channel): fall back to
-            # a single page-shaped tile.
-            candidates.append(TileShape(height=1, width=total_elements))
-        return candidates
+        page = self.page_elements
+        low = [k for k in range(1, isqrt(page) + 1) if page % k == 0]
+        high = [page // k for k in reversed(low) if k * k != page]
+        return [
+            TileShape(height=ccores * k, width=channels * (page // k))
+            for k in low + high
+        ]
 
     def optimal_tile(self) -> TileShape:
         """The integer tile with minimal channel traffic (paper's Hreq*, Wreq*).

@@ -52,6 +52,7 @@ from dataclasses import replace
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.api.backend import get_backend
 from repro.api.request import InferenceRequest
 from repro.api.result import RunResult
 from repro.api.runner import BackendLike, ExperimentRunner
@@ -69,7 +70,13 @@ DEFAULT_INTERN_CACHE_SIZE = 4096
 
 
 class BackendCostModel:
-    """Per-phase latency oracle over one backend, memoized across queries."""
+    """Per-phase latency oracle over one backend, memoized across queries.
+
+    A backend given by name becomes one instance at construction, so
+    every profile goes to the same object: a backend that memoizes work
+    across batch widths (the Cambricon decode reports) keeps that memo
+    for this model's lifetime, and it is discarded with it.
+    """
 
     def __init__(
         self,
@@ -80,7 +87,7 @@ class BackendCostModel:
     ):
         if intern_cache_size < 1:
             raise ValueError("intern_cache_size must be at least 1")
-        self._backend = backend
+        self._backend = get_backend(backend) if isinstance(backend, str) else backend
         self._runner = runner if runner is not None else ExperimentRunner()
         #: (request, batch width, field) -> seconds; see :meth:`_latency`.
         self._latency_cache: dict = {}
@@ -105,8 +112,6 @@ class BackendCostModel:
 
     @property
     def backend_name(self) -> str:
-        if isinstance(self._backend, str):
-            return self._backend
         return self._backend.name
 
     def _latency(

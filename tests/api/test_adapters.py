@@ -1,9 +1,12 @@
 """Tests for the built-in backend adapters and request semantics."""
 
+import sys
+
 import pytest
 
 from repro.api import (
     CambriconBackend,
+    ExperimentRunner,
     FlexGenDRAMBackend,
     FlexGenSSDBackend,
     InferenceRequest,
@@ -12,6 +15,8 @@ from repro.api import (
 from repro.baselines import FlexGenDRAM, FlexGenSSD, MLCLLM
 from repro.core import InferenceEngine, cambricon_llm_l, cambricon_llm_s
 from repro.core.metrics import DecodeReport
+from repro.core.tiling import TilingStrategy
+from repro.serving import BackendCostModel
 
 
 # -- request validation -------------------------------------------------------
@@ -208,3 +213,92 @@ def test_integral_validation_names_the_offending_field():
         InferenceRequest(model="opt-6.7b", seq_len=1000.5)
     with pytest.raises(TypeError, match="gen_tokens"):
         InferenceRequest(model="opt-6.7b", gen_tokens=True)
+
+
+# -- the per-instance decode-report memo --------------------------------------
+
+def _exact(result):
+    """Every field of a result, floats rendered exactly."""
+    return repr(vars(result))
+
+
+def test_a_used_backend_prices_like_a_fresh_one():
+    requests = [
+        InferenceRequest(model="llama2-7b", config=config, seq_len=512, gen_tokens=32)
+        for config in ("S", "M", "L")
+    ] + [
+        InferenceRequest(
+            model="llama2-7b", config="S", seq_len=512, gen_tokens=32,
+            weight_bits=4, activation_bits=16,
+        )
+    ]
+    used = CambriconBackend()
+    twin = used.with_capacity_scale(2)
+    for request in requests:
+        used.run(request)
+        twin.run(request.with_overrides(batch_size=4))
+    for request in requests:
+        for batch in (1, 4):
+            request = request.with_overrides(batch_size=batch)
+            assert _exact(used.run(request)) == _exact(CambriconBackend().run(request))
+            assert _exact(twin.run(request)) == _exact(
+                CambriconBackend().with_capacity_scale(2).run(request)
+            )
+    reports = [used.run(request).detail for request in requests]
+    assert [report.config_name for report in reports] == [
+        "Cambricon-LLM-S", "Cambricon-LLM-M", "Cambricon-LLM-L", "Cambricon-LLM-S",
+    ]
+    assert reports[0] != reports[3]  # W8A8 and W4A16 on S are distinct reports
+
+
+def test_a_capacity_twin_never_lends_its_reports_to_the_base():
+    tiny = cambricon_llm_s().with_flash_scale(channels=1, chips_per_channel=1)
+    base = CambriconBackend(config=tiny)
+    twin = base.with_capacity_scale(8)
+    request = InferenceRequest(model="llama2-70b")
+    assert not twin.run(request).out_of_memory
+    assert base.run(request).out_of_memory
+
+
+def test_pricing_a_shape_at_every_batch_width_builds_its_reports_once(monkeypatch):
+    """Two reports (first and last context) of nine tile searches each,
+    whatever the number of batch widths the scheduler prices."""
+    calls = []
+    search = TilingStrategy.candidate_tiles
+
+    def counted(self):
+        calls.append(self)
+        return search(self)
+
+    monkeypatch.setattr(TilingStrategy, "candidate_tiles", counted)
+    cost = BackendCostModel("cambricon")
+    request = InferenceRequest(model="llama2-7b", config="S", seq_len=512, gen_tokens=16)
+    for batch in range(1, 9):
+        cost.ttft(request, batch)
+        cost.decode_step(request, batch)
+    assert len(calls) <= 18
+
+
+def test_threads_sharing_one_backend_match_a_serial_run():
+    requests = [
+        InferenceRequest(
+            model=model, config=config, seq_len=seq_len, gen_tokens=16,
+            batch_size=batch,
+        )
+        for model in ("llama2-7b", "opt-6.7b")
+        for config in ("S", "L")
+        for seq_len in (128, 1024)
+        for batch in range(1, 9)
+    ]
+    assert len(requests) == 64
+    backend = CambriconBackend()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = ExperimentRunner(max_workers=16).run_requests([backend], requests)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = [CambriconBackend().run(request) for request in requests]
+    assert [_exact(result) for result in threaded] == [
+        _exact(result) for result in serial
+    ]

@@ -1,5 +1,6 @@
 """Tests for the hardware-aware tiling strategy (Section V-A)."""
 
+import itertools
 import math
 
 import pytest
@@ -142,3 +143,59 @@ def test_grid_always_covers_the_matrix(rows, cols):
     assert stats.tiles_high * tile.height >= rows
     assert stats.tiles_wide * tile.width >= cols
     assert 0.0 < stats.efficiency <= 1.0
+
+
+def _reference_candidates(strategy):
+    """The exhaustive search: every height in steps of ``ccorenum`` whose
+    width is an integer multiple of ``channelnum``."""
+    ccores = strategy.geometry.compute_cores_per_channel
+    channels = strategy.geometry.channels
+    total_elements = strategy.tile_elements
+    candidates = []
+    height = ccores
+    while height * channels <= total_elements:
+        width, remainder = divmod(total_elements, height)
+        if remainder == 0 and width % channels == 0:
+            candidates.append(TileShape(height=height, width=width))
+        height += ccores
+    return candidates
+
+
+#: (channels, chips per channel, dies per chip, compute cores per die).
+ORACLE_GEOMETRIES = list(
+    itertools.product((1, 2, 3, 8, 32), (1, 2, 8), (1, 2), (1, 2))
+)
+ORACLE_MATRICES = ((1, 1), (100, 7), (4096, 4096), (11008, 4096), (4096, 32000))
+
+
+@pytest.mark.parametrize("weight_bits", [4, 8, 16])
+@pytest.mark.parametrize("page_bytes", [512, 4096, 16384])
+def test_divisor_candidates_match_the_exhaustive_search(
+    page_bytes, weight_bits, monkeypatch
+):
+    """Same shapes in the same order, so every tile choice is unchanged."""
+    for channels, chips, dies, cores in ORACLE_GEOMETRIES:
+        strategy = TilingStrategy(
+            geometry=FlashGeometry(
+                channels=channels,
+                chips_per_channel=chips,
+                dies_per_chip=dies,
+                compute_cores_per_die=cores,
+                page_bytes=page_bytes,
+            ),
+            weight_bits=weight_bits,
+        )
+        geometry = (channels, chips, dies, cores)
+        reference = _reference_candidates(strategy)
+        assert strategy.candidate_tiles() == reference, geometry
+
+        def choices():
+            return strategy.optimal_tile(), [
+                strategy.best_tile_for_matrix(rows, cols)
+                for rows, cols in ORACLE_MATRICES
+            ]
+
+        chosen = choices()
+        with monkeypatch.context() as patch:
+            patch.setattr(TilingStrategy, "candidate_tiles", lambda self: reference)
+            assert chosen == choices(), geometry

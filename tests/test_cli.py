@@ -90,6 +90,11 @@ def test_grid_command_markdown_output(capsys):
         (["fleet", "llama2-7b", "--num-devices", "0"], "--num-devices"),
         (["decode", "llama2-7b", "--seq-len", "0"], "--seq-len"),
         (["grid", "llama2-7b", "--backends", "no-such-system"], "--backends"),
+        (["decode", "llama2-7b", "--config", "X"], "--config"),
+        (["sweep", "llama2-7b", "--config", "X"], "--config"),
+        (["serve", "llama2-7b", "--config", "X"], "--config"),
+        (["fleet", "llama2-7b", "--config", "X"], "--config"),
+        (["grid", "llama2-7b", "--configs", "W"], "--configs"),
     ],
     ids=[
         "serve-seq-len",
@@ -100,6 +105,11 @@ def test_grid_command_markdown_output(capsys):
         "fleet-num-devices",
         "decode-seq-len",
         "grid-backends",
+        "decode-config",
+        "sweep-config",
+        "serve-config",
+        "fleet-config",
+        "grid-configs",
     ],
 )
 def test_bad_flag_values_exit_2_naming_the_flag(argv, flag, capsys):
