@@ -21,6 +21,7 @@ or simulation call, title and rows.
 from __future__ import annotations
 
 import argparse
+import math
 from functools import partial
 from typing import List, NamedTuple, Optional
 
@@ -87,6 +88,43 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """A float that is neither infinite nor NaN: the shared check of the
+    float ``type=`` helpers below."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=`` for rates, durations and SLO bounds: a finite
+    number above 0."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse ``type=`` for durations that may be 0: finite and >= 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse ``type=`` for a share of requests: within (0, 1]."""
+    value = _finite_float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
     return value
 
 
@@ -915,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(overrides --num-devices/--backend)",
     )
     fleet.add_argument(
-        "--size-for-qps", type=float, default=None, metavar="QPS",
+        "--size-for-qps", type=_positive_float, default=None, metavar="QPS",
         help="search the smallest replica count sustaining this rate under the SLO",
     )
     fleet.add_argument(
@@ -950,7 +988,7 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         default="poisson", help="arrival process (default poisson)",
     )
     parser.add_argument(
-        "--qps", type=float, default=1.0,
+        "--qps", type=_positive_float, default=1.0,
         help="mean arrival rate (burst rate for onoff; default 1.0)",
     )
     parser.add_argument(
@@ -959,10 +997,12 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     parser.add_argument(
-        "--on-seconds", type=float, default=1.0, help="onoff: burst window length"
+        "--on-seconds", type=_positive_float, default=1.0,
+        help="onoff: burst window length",
     )
     parser.add_argument(
-        "--off-seconds", type=float, default=1.0, help="onoff: silence window length"
+        "--off-seconds", type=_non_negative_float, default=1.0,
+        help="onoff: silence window length",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -1012,13 +1052,18 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         help="per-request deadline on the simulated clock: queued work past "
              "it is shed, finished work past it counts as timed out",
     )
-    parser.add_argument("--slo-ttft", type=float, default=None, help="TTFT SLO (s)")
     parser.add_argument(
-        "--slo-tpot", type=float, default=None, help="time-per-output-token SLO (s)"
+        "--slo-ttft", type=_positive_float, default=None, help="TTFT SLO (s)"
     )
-    parser.add_argument("--slo-e2e", type=float, default=None, help="end-to-end SLO (s)")
     parser.add_argument(
-        "--slo-attainment", type=float, default=0.95,
+        "--slo-tpot", type=_positive_float, default=None,
+        help="time-per-output-token SLO (s)",
+    )
+    parser.add_argument(
+        "--slo-e2e", type=_positive_float, default=None, help="end-to-end SLO (s)"
+    )
+    parser.add_argument(
+        "--slo-attainment", type=_fraction, default=0.95,
         help="fraction of requests that must meet the SLO (default 0.95)",
     )
     parser.add_argument(
@@ -1057,7 +1102,7 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
              "(never changes the simulation's results)",
     )
     parser.add_argument(
-        "--timeline-window", type=float, default=60.0, metavar="SEC",
+        "--timeline-window", type=_positive_float, default=60.0, metavar="SEC",
         help="window width in simulated seconds for --timeline-out/--alerts "
              "(default 60)",
     )

@@ -29,9 +29,16 @@ is handed the time of its next scheduled fault through the attached
 across it (see :mod:`repro.serving.scheduler`).  The straddling step is
 planned as its own single-step occupancy in coalesced and step-by-step
 runs alike, and planning only ever happens on idle devices — at instants
-both runs share — so crash aborts, slowdown repricing, shedding and
-retries land on identical state either way: ``max_steps=1`` and
-coalesced fault runs produce byte-identical traces.
+both runs share.  A retry, hedge or crash re-queue dispatched to a busy
+device cuts its open decode run at the first step boundary at or after
+the dispatch, exactly as a source arrival does, so crash aborts,
+slowdown repricing, shedding and retries land on identical state either
+way: ``max_steps=1`` and coalesced fault runs produce byte-identical
+traces.  One known gap: behind a *full* batch, a queued request whose
+deadline expired, or a cancelled hedge, leaves the queue at the next
+planning call, which a coalesced run reaches at the next in-batch
+completion and the step-by-step run at the next step boundary; a router
+reading queue lengths in between can then route differently.
 
 Crash semantics
 ---------------
@@ -210,11 +217,12 @@ class _FaultRun:
         #: guard in :meth:`next_time`).
         self.idle_passes = 0
         self.down_since: List[Optional[float]] = [None] * len(devices)
-        # Dynamically-scheduled deliveries (flaky retries, crash re-queues)
-        # are not in the planning horizon the way source arrivals are, so
-        # free-slot coalescing could extend an occupancy past an admission
-        # the step-by-step reference would open.  Two caps restore the
-        # equivalence: no occupancy extends past the next fault event on
+        # Memory-model decode windows stop at the planning horizon rather
+        # than being cut, and dynamically-scheduled deliveries (flaky
+        # retries, crash re-queues) are not in it the way source arrivals
+        # are, so such a window could extend past an admission the
+        # step-by-step reference would open.  Two caps restore the
+        # equivalence: no window extends past the next fault event on
         # ANY device (a crash there can re-queue work onto this one), and
         # with flaky retries armed, none extends more than the minimum
         # possible client backoff past its planning instant (a failure
@@ -612,6 +620,7 @@ class _FaultRun:
             device.busy_s -= device.busy_until - time_s
             device.busy_until = None
             device._occupancy = None
+            device.live_seq = None
             lost = list(occupancy.completed)
         evicted = lost + device.scheduler.evict_all()
         requeue: List[RequestRecord] = []
@@ -665,9 +674,10 @@ class _FaultRun:
         self._fault_head = head
 
     def horizon(self, horizon: Optional[float], now: float) -> Optional[float]:
-        """The planning horizon: the next source arrival capped by the next
-        retry delivery, the next fault on any device, and the shortest
-        possible flaky-retry backoff (see ``__init__``)."""
+        """The planning horizon memory-model decode windows stop at: the
+        next source arrival capped by the next retry delivery, the next
+        fault on any device, and the shortest possible flaky-retry backoff
+        (see ``__init__``)."""
         retry_heap = self.retry_heap
         if retry_heap:
             rhead = retry_heap[0][0]

@@ -58,6 +58,7 @@ class Device:
         "busy_s",
         "queue_depth",
         "_occupancy",
+        "live_seq",
         "outstanding",
         "outstanding_work_s",
         "queue_stats",
@@ -107,6 +108,10 @@ class Device:
         self.busy_s = 0.0
         self.queue_depth: List[Tuple[float, int]] = []
         self._occupancy: Optional[Occupancy] = None
+        #: The ``seq`` of the latest COMPLETION the loop pushed for this
+        #: device (a crash abort clears it): a popped completion with
+        #: another ``seq`` was superseded by a cut or a crash.
+        self.live_seq: Optional[int] = None
         #: Requests assigned but not finished (the router's queue signal).
         self.outstanding = 0
         #: Estimated seconds of solo work assigned but not finished (kept

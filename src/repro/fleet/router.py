@@ -312,6 +312,14 @@ class MemoryHeadroomRouter(Router):
     and ``max_steps=1`` fleets is only guaranteed for this policy when
     no replica carries a memory model (the tested battery) — pass
     ``max_steps=1`` when comparing memory-model traces across runs.
+
+    That booking is also why memory-model decode windows keep the
+    fleet-wide arrival horizon (they stop at the first step boundary
+    reaching the next arrival anywhere) instead of running to the next
+    completion and being cut by a request routed to their device, as
+    slot-count windows are: a window planned longer books more growth,
+    which this policy would read at every arrival before the cut, so
+    routing — and the pinned traces of memory-model runs — would change.
     """
 
     name = "headroom"

@@ -19,7 +19,12 @@ The loop owns its event heap outright: a plain ``heapq`` list of
 ``(time, kind, index, seq)`` tuples, whose total order
 (:mod:`repro.serving.events`) is what the determinism rests on, plus the
 push/pop/depth counters it reports as ``event_queue``.  Arrivals stay
-outside the heap and merge against its head.
+outside the heap and merge against its head.  A device's completion is
+*live* while its ``seq`` is the device's ``live_seq``; a decode run cut
+short (``Scheduler.cut``) or an occupancy a crash aborted leaves a
+superseded completion behind, which is skipped when popped and dropped
+from the head of the heap before the clock advances, so it never costs
+a loop pass.
 
 Fault injection rides the same loop: ``faults``, ``retry`` or
 ``deadline_s`` arm a :mod:`repro.faults.engine` handler object that adds
@@ -34,8 +39,9 @@ a 16-device, 10k-request simulation still costs a handful of backend
 evaluations because every replica of the same backend hits the same
 memoized profiles.
 
-Scale: the loop re-plans only the devices an event actually touched,
-and — with ``trace_sink``/``keep_records=False`` — streams each
+Scale: the loop re-plans only the devices an event actually touched, a
+decode run is split only by a request routed to its own device, and —
+with ``trace_sink``/``keep_records=False`` — streams each
 request's trace row out the moment it is stamped (a fleet row through
 :func:`repro.fleet.report.fleet_trace_values`, exactly as
 :meth:`FleetReport.to_csv` renders it) while folding exact metric
@@ -261,6 +267,20 @@ def _run(
                 memory_model.recorder = rec
                 if fleet_shape:
                     memory_model.track = f"memory{index}"
+
+    def record_run(track: str, occupancy) -> None:
+        """Record an open decode run once its end is final: the
+        scheduler's ``coalesce`` instant, then the occupancy span."""
+        start = occupancy.start_s
+        rec.instant(track, "coalesce", start, occupancy.note)
+        rec.span(
+            track,
+            occupancy.kind,
+            start,
+            occupancy.end_s,
+            {"steps": occupancy.steps, "completed": len(occupancy.completed)},
+        )
+
     # The profiler supplies its own clock — this module imports no time
     # source, matching the serving package's no-wall-clock rule.
     prof_add = profiler.add if profiler is not None else None
@@ -392,15 +412,18 @@ def _run(
                     pops += 1
                     index = event[2]
                     device = devices[index]
+                    if fault_run is not None and event[1] == FAULT:
+                        if fault_run.fault(index, now):
+                            progressed = True
+                        continue
+                    if event[3] != device.live_seq:
+                        continue  # superseded by a cut or a crash abort
                     if fault_run is not None:
-                        if event[1] == FAULT:
-                            if fault_run.fault(index, now):
-                                progressed = True
-                            continue
-                        if device._occupancy is None or device.busy_until != event[0]:
-                            continue  # a crash aborted this occupancy
                         progressed = True
-                    completed = device._occupancy.completed
+                    occupancy = device._occupancy
+                    if rec is not None and occupancy.start_s is not None:
+                        record_run(device_tracks[index], occupancy)
+                    completed = occupancy.completed
                     device.busy_until = None
                     device._occupancy = None
                     if fault_run is not None:
@@ -502,12 +525,18 @@ def _run(
             # attempt: their schedulers saw no arrival and no completion,
             # so planning could only repeat the previous answer — skipping
             # it drops only redundant same-depth queue samples, which
-            # leaves every derived queue statistic unchanged.  The horizon
-            # handed to each scheduler is the next undelivered arrival; a
-            # device with nothing pending and no arrivals left skips the
-            # attempt.  Fault-aware runs cap the horizon further, at the
-            # next retry delivery, the next fault anywhere and the
-            # shortest retry backoff (see repro.faults.engine).
+            # leaves every derived queue statistic unchanged.  A touched
+            # busy device's queue changed, and its scheduler may cut the
+            # in-flight decode run short to admit a request
+            # (Scheduler.cut): the device is then busy until the new end,
+            # gives back the cut tail of its busy time, and its completion
+            # is pushed afresh, superseding the old one.  The horizon
+            # handed to each scheduler (read only by memory-model decode
+            # windows) is the next undelivered arrival; a device with
+            # nothing pending and no arrivals left skips the attempt.
+            # Fault-aware runs cap the horizon further, at the next retry
+            # delivery, the next fault anywhere and the shortest retry
+            # backoff (see repro.faults.engine).
             horizon = source.head_time
             if fault_run is not None:
                 horizon = fault_run.horizon(horizon, now)
@@ -519,7 +548,18 @@ def _run(
                 order = touched if len(touched) == 1 else sorted(touched)
                 for index in order:
                     device = devices[index]
-                    if device.busy_until is None and device.up:
+                    if device.busy_until is not None:
+                        occupancy = device.scheduler.cut(now)
+                        if occupancy is not None:
+                            end = occupancy.end_s
+                            device.busy_s -= device.busy_until - end
+                            device.busy_until = end
+                            seq += 1
+                            device.live_seq = seq
+                            heap_push(heap, (end, COMPLETION, index, seq))
+                            if len(heap) > heap_max_depth:
+                                heap_max_depth = len(heap)
+                    elif device.up:
                         scheduler = device.scheduler
                         if horizon is not None or scheduler.pending:
                             occupancy = scheduler.next_occupancy(
@@ -550,11 +590,12 @@ def _run(
                                 device.busy_s += seconds
                                 device._occupancy = occupancy
                                 seq += 1
+                                device.live_seq = seq
                                 heap_push(heap, (end, COMPLETION, index, seq))
                                 if len(heap) > heap_max_depth:
                                     heap_max_depth = len(heap)
                                 progressed = True
-                                if rec is not None:
+                                if rec is not None and occupancy.start_s is None:
                                     rec.span(
                                         device_tracks[index],
                                         occupancy.kind,
@@ -570,7 +611,15 @@ def _run(
                 touched.clear()
                 if prof_add is not None:
                     prof_add("planning", prof_clock() - t0)
-            # 4. Advance to the next event, or stop.
+            # 4. Advance to the next event, or stop.  Superseded
+            # completions at the head of the heap are dropped first, so
+            # they never cost a pass.
+            while heap:
+                event = heap[0]
+                if event[3] == devices[event[2]].live_seq or event[1] != COMPLETION:
+                    break
+                heap_pop(heap)
+                pops += 1
             if fault_run is None:
                 if heap:
                     next_completion = heap[0][0]
@@ -607,8 +656,17 @@ def _run(
                 now = fault_run.next_time(next_time, progressed)
                 progressed = False
 
-        for device in devices:
+        for index, device in enumerate(devices):
             device.finalize(now)
+            occupancy = device._occupancy
+            if (
+                rec is not None
+                and occupancy is not None
+                and occupancy.start_s is not None
+            ):
+                # A run still in flight when the loop stops: no request
+                # is left to cut it, so its end is final.
+                record_run(device_tracks[index], occupancy)
             if device.backend_name is None:
                 # A replica that received no traffic still resolves its
                 # display name against the stream's first payload

@@ -10,9 +10,10 @@ in a ``heapq`` of ``(time, kind, index, seq)`` tuples, which it owns
 outright along with the push/pop/depth counters it reports.  Arrivals
 stay outside the heap (workload generators emit them already sorted; the
 loop merges the stream head against the heap's head), so the heap holds
-the in-flight occupancy completions — at most one per busy device —
-plus, on fault-injected runs, at most one upcoming fault transition per
-device.
+the in-flight occupancy completions — one live completion per busy
+device, plus the superseded ones a cut or a crash left behind, which the
+loop skips (see :mod:`repro.fleet.simulator`) — and, on fault-injected
+runs, at most one upcoming fault transition per device.
 
 The event-ordering contract
 ---------------------------

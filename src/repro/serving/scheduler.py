@@ -28,19 +28,26 @@ step at the current batch width.
 Fast-forward coalescing
 -----------------------
 
-``next_occupancy`` takes an optional arrival ``horizon`` (the absolute
-time of the next arrival still in flight towards the device) and an
-optional ``max_steps`` cap.  When the batch composition provably cannot
-change before the next interesting boundary — the next in-batch
-completion, or the first step boundary at which a waiting arrival could
-be admitted — the continuous scheduler coalesces ``k`` decode steps into
-a *single* occupancy instead of ``k`` separate events.  The occupancy's
-end time is computed by adding the step duration ``k`` times (never by
-one ``k * step`` multiplication), so every record timestamp is bit-equal
-to the step-by-step loop's and the per-request trace CSV stays
-byte-identical.  ``max_steps=1`` reproduces the uncoalesced loop exactly;
-FCFS and static batching already emit whole-job occupancies, so both
-accept (and ignore) the new arguments.
+The batch composition cannot change before the next in-batch completion,
+so the continuous scheduler coalesces the ``k`` decode steps up to it
+into a *single* occupancy instead of ``k`` separate events, capped by
+the optional ``max_steps`` and by the device's next fault transition.
+The occupancy's end time is computed by adding the step duration ``k``
+times (never by one ``k * step`` multiplication), so every record
+timestamp is bit-equal to the step-by-step loop's and the per-request
+trace CSV stays byte-identical.  ``max_steps=1`` reproduces the
+uncoalesced loop exactly.
+
+A run planned with a free batch slot stays *open*: a request that
+queues on this scheduler while the run is in flight could take that
+slot at any step boundary.  The event loop then calls
+:meth:`Scheduler.cut`, which ends the run at the first step boundary at
+or after the request's arrival (re-walked from the run's start, so the
+new end is bit-equal to the step-by-step clock) and restores the batch
+to that boundary.  A request routed to
+another device never splits the run.  The base scheduler's ``cut`` does
+nothing: FCFS and static batching emit whole-job occupancies, and
+ignore ``max_steps``.
 
 The memory model
 ----------------
@@ -56,7 +63,11 @@ home as explicit ``refill`` occupancies.  Every spill/refill is a new
 interesting boundary: coalescing is additionally capped at the step
 where DRAM would fill (regime A), and a spilling batch plans strictly
 one step per occupancy (regime B), so coalesced and ``max_steps=1``
-runs stay byte-identical with the model enabled too.  ``memory=None``
+runs stay byte-identical with the model enabled too.  The memory path
+books a window's KV growth when it plans the window, so its runs are
+never cut: ``next_occupancy`` hands it an arrival ``horizon`` (the next
+arrival anywhere in the fleet) instead, and while a slot is free a
+window stops at the first step boundary reaching it.  ``memory=None``
 (the default) leaves the slot-count path untouched.
 
 Faults
@@ -124,6 +135,13 @@ class Occupancy:
     #: accumulated from the planning time one step at a time, so the event
     #: loop lands on exactly the same float the step-by-step loop reaches.
     end_s: Optional[float] = None
+    #: The start of an open decode run (one :meth:`Scheduler.cut` may
+    #: still shorten); None otherwise.  The event loop records such a run
+    #: only once its end is final.
+    start_s: Optional[float] = None
+    #: The scheduler's ``coalesce`` instant for an open run on a
+    #: recorder-attached run, emitted by the loop with the run's span.
+    note: Optional[dict] = None
 
     def end_time(self, now: float) -> float:
         """When this occupancy finishes, starting at ``now``."""
@@ -136,9 +154,10 @@ def _cap_reason(
     """Why a coalesced decode occupancy stopped at ``steps``.
 
     Only evaluated on recorder-attached runs (inside the emission guard):
-    ``horizon`` — an admissible arrival's step boundary was reached;
-    ``max_steps`` — the caller's coalescing cap; ``completion`` — the
-    next in-batch completion (the natural boundary).
+    ``horizon`` — an admissible arrival's step boundary was reached (or
+    a fault boundary); ``max_steps`` — the caller's coalescing cap;
+    ``completion`` — the next in-batch completion (the natural boundary).
+    A run :meth:`Scheduler.cut` shortens reports ``horizon`` too.
     """
     if steps < limit:
         return "horizon"
@@ -193,11 +212,24 @@ class Scheduler:
         """Plan the next device occupancy starting at ``now`` (None = idle).
 
         ``horizon`` is the absolute arrival time of the next request still
-        in flight (None when the stream is exhausted); ``max_steps`` caps
-        how many decode steps a coalescing scheduler may fast-forward in
-        one occupancy (None = unlimited, 1 = the uncoalesced loop).
+        in flight (None when the stream is exhausted; only the memory
+        model's decode windows stop at it); ``max_steps`` caps how many
+        decode steps a coalescing scheduler may fast-forward in one
+        occupancy (None = unlimited, 1 = the uncoalesced loop).
         """
         raise NotImplementedError
+
+    def cut(self, now: float) -> Optional[Occupancy]:
+        """Shorten the in-flight occupancy for a request that just queued.
+
+        The event loop calls this at ``now`` for a busy device whose queue
+        changed (a request joined it, or a queued hedge was cancelled).  A
+        scheduler whose in-flight occupancy could admit a waiting request
+        at an earlier boundary than its end returns that occupancy,
+        shortened in place; None leaves it alone.  The base policy plans
+        non-preemptive occupancies only.
+        """
+        return None
 
     # -- fault support -------------------------------------------------------
     def _shed_expired(self, now: float) -> None:
@@ -377,6 +409,9 @@ class ContinuousBatchScheduler(Scheduler):
         #: The cost model the memos mirror; a scheduler reused with a
         #: different model (allowed once it has drained) drops them.
         self._memo_cost = None
+        #: The open decode run :meth:`cut` may shorten, as [occupancy,
+        #: step, the batch list as planned]; None between runs.
+        self._open: Optional[list] = None
 
     @property
     def pending(self) -> int:
@@ -398,6 +433,8 @@ class ContinuousBatchScheduler(Scheduler):
             self._ttft_memo.clear()
             self._step_memo.clear()
             self._memo_cost = cost
+        # The device is idle again, so the previous run is over.
+        self._open = None
         gate = self.faults
         if gate is not None and self._waiting:
             self._shed_expired(now)
@@ -506,16 +543,12 @@ class ContinuousBatchScheduler(Scheduler):
             return self._decode_with_memory(
                 now, step, limit, horizon, max_steps, boundary
             )
-        # With a free slot, a future arrival is admissible at any step
-        # boundary: stop at the first boundary that reaches the horizon
-        # (with a full batch, arrivals can only queue — no cap needed).
-        admission_open = horizon is not None and len(active) < self.max_batch
         # Accumulate the boundaries one step at a time: `end` walks the
         # exact float sequence the uncoalesced loop would produce.
-        steps, end = 1, now + step
+        end = now + step
         if boundary is None:
-            while steps < limit and not (admission_open and end >= horizon):
-                steps += 1
+            steps = limit
+            for _ in range(limit - 1):
                 end += step
         else:
             # A fault transition is an interesting boundary: never extend
@@ -523,12 +556,17 @@ class ContinuousBatchScheduler(Scheduler):
             # (if any) is planned alone — exactly what the step-by-step
             # loop does — so crash aborts and slowdown repricing land on
             # identical occupancies in coalesced and uncoalesced runs.
-            while steps < limit and not (admission_open and end >= horizon):
+            steps = 1
+            while steps < limit:
                 nxt = end + step
                 if nxt > boundary:
                     break
                 steps += 1
                 end = nxt
+        # With a free slot, a request queuing mid-run is admissible at the
+        # next step boundary: the run stays open for cut().
+        batch = len(active)
+        planned = list(active) if steps > 1 and batch < self.max_batch else None
         finished = []
         for entry in active:
             entry[1] -= steps
@@ -543,25 +581,78 @@ class ContinuousBatchScheduler(Scheduler):
                 del payloads[id(request)]
             else:
                 counted[1] -= 1
-        if rec is not None:
-            rec.instant(
-                self.track,
-                "coalesce",
-                now,
-                {
-                    "steps": steps,
-                    "reason": _cap_reason(steps, limit, max_steps),
-                    "batch": len(active) + len(finished),
-                    "completed": len(finished),
-                },
-            )
-        return Occupancy(
+        occupancy = Occupancy(
             DECODE,
             step if steps == 1 else end - now,
             [entry[0] for entry in finished],
             steps=steps,
             end_s=end,
         )
+        if planned is not None:
+            occupancy.start_s = now
+            self._open = [occupancy, step, planned]
+        if rec is not None:
+            note = {
+                "steps": steps,
+                "reason": _cap_reason(steps, limit, max_steps),
+                "batch": batch,
+                "completed": len(finished),
+            }
+            if planned is not None:
+                occupancy.note = note  # emitted once the end is final
+            else:
+                rec.instant(self.track, "coalesce", now, note)
+        return occupancy
+
+    def cut(self, now: float) -> Optional[Occupancy]:
+        """End the open decode run at the first step boundary at or after
+        ``now``, where the step-by-step loop would admit a request that
+        queued at ``now``.
+
+        The boundary is re-walked from the run's start one step at a time,
+        so it is bit-equal to the step-by-step clock.  The batch goes back
+        to its state at that boundary: every
+        member's remaining steps, and the members that were to finish at
+        the planned end rejoin in batch order, with their lanes and
+        payload counts.  Returns the shortened occupancy, or None when
+        there is no open run, nothing is waiting, or ``now`` already lies
+        in the run's last step.
+        """
+        run = self._open
+        if run is None or not self._waiting:
+            return None
+        self._open = None
+        occupancy, step, planned = run
+        start = occupancy.start_s
+        steps, end = 1, start + step
+        while end < now:
+            steps += 1
+            end += step
+        back = occupancy.steps - steps
+        if back <= 0:
+            return None
+        payloads = self._payloads
+        for entry in planned:
+            if entry[1] == 0:
+                request = entry[2]
+                self._lanes += request.batch_size
+                counted = payloads.get(id(request))
+                if counted is None:
+                    payloads[id(request)] = [request, 1]
+                else:
+                    counted[1] += 1
+            entry[1] += back
+        self._active = planned
+        occupancy.completed = []
+        occupancy.steps = steps
+        occupancy.end_s = end
+        occupancy.seconds = step if steps == 1 else end - start
+        note = occupancy.note
+        if note is not None:
+            note["steps"] = steps
+            note["reason"] = "horizon"
+            note["completed"] = 0
+        return occupancy
 
     def evict_all(self) -> List[RequestRecord]:
         """Crash support: drain the active batch, then the waiting queue.
@@ -585,6 +676,7 @@ class ContinuousBatchScheduler(Scheduler):
         active.clear()
         self._lanes = 0
         self._payloads.clear()
+        self._open = None
         return evicted + super().evict_all()
 
     # -- the memory-model path ------------------------------------------------

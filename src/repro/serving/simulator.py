@@ -26,16 +26,22 @@ plain dict lookups that never re-hash an :class:`InferenceRequest`.
 Fast-forward coalescing (the invariant)
 ---------------------------------------
 
-The loop passes the next arrival time (the *horizon*) to the scheduler,
-which may answer with a single occupancy covering ``k`` decode steps
-instead of ``k`` one-step occupancies.  This is an equivalence, not an
+A scheduler may answer a planning call with a single occupancy covering
+``k`` decode steps instead of ``k`` one-step occupancies: the steps up to
+the next in-batch completion.  This is an equivalence, not an
 approximation, because nothing observable can happen strictly inside the
 coalesced interval: the batch composition is frozen until the next
-in-batch completion, and any admission opportunity created by an arrival
-is aligned to a step boundary the scheduler refuses to coalesce past.
-Coalescing schedulers accumulate the interval's end one step-duration at
-a time (never as one ``k * step`` product), so the clock visits exactly
-the same floats as the step-by-step loop and the per-request trace CSV is
+in-batch completion, and a request that queues on the device while a
+batch slot is free *cuts* the interval (``Scheduler.cut``) at the first
+step boundary at or after its arrival — the boundary where the
+step-by-step loop would admit it.  A request routed to another device
+leaves the interval alone.  (The KV memory model's decode windows are
+the exception: they stop at the next arrival anywhere, the *horizon*
+the loop hands the scheduler, instead of being cut.)  Coalescing
+schedulers accumulate the interval's end one step-duration at a time
+(never as one ``k * step`` product), and a cut re-walks it the same way
+from the interval's start, so the clock visits exactly the same floats
+as the step-by-step loop and the per-request trace CSV is
 byte-identical between ``max_steps=None`` (coalesced, the default) and
 ``max_steps=1`` (uncoalesced) runs.  Queue depth is sampled at planning
 attempts: every per-request stamp (and hence every CSV cell and SLO

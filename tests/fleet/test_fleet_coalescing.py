@@ -4,6 +4,11 @@ The fleet event loop coalesces per device against the merged clock; the
 acceptance criterion is the same as for the single-device loop — the
 trace CSV (which also pins the device assignment) must be byte-identical
 between the default run and a ``max_steps=1`` reference.
+
+The 4-replica battery keeps every replica busy, so its decode runs end at
+in-batch completions.  The sparse 16-replica battery below leaves most
+replicas with a free slot, so its runs are cut by the requests routed to
+them (``Scheduler.cut``): it is the one that exercises cuts.
 """
 
 import random
@@ -13,9 +18,12 @@ import pytest
 from serving_toys import ToyBackend
 
 from repro.api import InferenceRequest
+from repro.faults import FaultSpec, RetryPolicy
 from repro.fleet import ROUTERS, build_fleet, get_router, simulate_fleet
+from repro.obs import SpanRecorder
 from repro.serving import (
     ContinuousBatchScheduler,
+    DigestSink,
     FCFSScheduler,
     OnOffWorkload,
     PoissonWorkload,
@@ -92,6 +100,166 @@ def test_fleet_coalescing_collapses_the_event_count():
     coalesced = _run(arrivals, factory, "jsq", max_steps=None)
     assert coalesced.to_csv() == reference.to_csv()
     assert coalesced.num_events * 5 < reference.num_events
+
+
+# -- a sparse fleet: decode runs cut by the requests routed to them ----------
+
+SPARSE_SLO = SLOSpec(ttft_s=2.0, e2e_s=10.0)
+
+#: Chaos without a memory model: a crash, a slowdown and flaky verdicts
+#: inside the busy region, client retries, and a deadline that bites.
+SPARSE_CHAOS = dict(
+    faults=FaultSpec(
+        crash_windows=((0, 30.0, 10.0),),
+        slow_windows=((1, 50.0, 20.0, 2.5),),
+        flaky_prob=0.05,
+        seed=3,
+    ),
+    retry=RetryPolicy(max_attempts=3, backoff_s=0.5),
+    deadline_s=8.0,
+)
+
+
+def _sparse_arrivals():
+    return PoissonWorkload(3.0, _mixed_payload, seed=11).generate(400)
+
+
+def _sparse_run(arrivals, router_name, max_steps, keep_records=True, **options):
+    """16 mostly idle replicas; returns the report and its trace (the CSV,
+    or the digest of the streamed CSV when records are not kept)."""
+    fleet = build_fleet(
+        [ToyBackend(ttft=0.3, step=0.1)] * 16,
+        scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
+    )
+    sink = None if keep_records else DigestSink()
+    options.setdefault("slo", SPARSE_SLO)
+    report = simulate_fleet(
+        arrivals,
+        fleet,
+        get_router(router_name),
+        max_steps=max_steps,
+        trace_sink=sink,
+        keep_records=keep_records,
+        **options,
+    )
+    return report, report.to_csv() if keep_records else sink.hexdigest()
+
+
+@pytest.mark.parametrize("keep_records", [True, False], ids=["records", "digest"])
+@pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
+@pytest.mark.parametrize("router_name", sorted(ROUTERS))
+def test_cut_decode_runs_are_byte_identical_to_step_by_step(
+    router_name, chaos, keep_records
+):
+    arrivals = _sparse_arrivals()
+    options = SPARSE_CHAOS if chaos else {}
+    reference, expected = _sparse_run(
+        arrivals, router_name, 1, keep_records, **options
+    )
+    coalesced, trace = _sparse_run(
+        arrivals, router_name, None, keep_records, **options
+    )
+    assert trace == expected
+    assert coalesced.makespan_s == reference.makespan_s
+    assert coalesced.percentiles("ttft")["p99"] == reference.percentiles("ttft")["p99"]
+    assert coalesced.goodput_rps() == reference.goodput_rps()
+    assert coalesced.faults == reference.faults
+    assert coalesced.num_events * 2 < reference.num_events
+
+
+@pytest.mark.parametrize("fail_fast", [False, True], ids=["whole-run", "early-exit"])
+def test_occupancy_spans_tile_each_device_busy_time(fail_fast):
+    """A cut run is recorded once, with its final end, and a run still in
+    flight when the loop stops is recorded too: a device's spans never
+    overlap and add up to its busy time."""
+    recorder = SpanRecorder()
+    report, _ = _sparse_run(
+        _sparse_arrivals(),
+        "jsq",
+        None,
+        recorder=recorder,
+        slo=SLOSpec(e2e_s=2.0) if fail_fast else SPARSE_SLO,
+        fail_fast=fail_fast,
+    )
+    assert report.early_exit == fail_fast
+    spans = recorder.spans()
+    for index, device in enumerate(report.device_reports):
+        intervals = sorted(
+            (start, start + duration)
+            for _, track, _, start, duration, _ in spans
+            if track == f"device{index}"
+        )
+        for (_, end), (start, _) in zip(intervals, intervals[1:]):
+            assert start >= end - 1e-9
+        total = sum(end - start for start, end in intervals)
+        assert total == pytest.approx(device.busy_s)
+    assert sum(device.busy_s for device in report.device_reports) > 0
+
+
+def test_an_arrival_routed_elsewhere_does_not_split_a_decode_run():
+    """Device 0 decodes 64 tokens while 1-token requests arrive at t=1, 2
+    and 3; JSQ sends each of them to the idle device 1, so device 0's
+    decode stays one occupancy."""
+    from repro.serving import ServingRequest
+
+    arrivals = [ServingRequest(0.0, 0, PAYLOAD.with_overrides(gen_tokens=64))] + [
+        ServingRequest(float(t), t, PAYLOAD.with_overrides(gen_tokens=1))
+        for t in (1, 2, 3)
+    ]
+
+    def run(max_steps, recorder=None):
+        fleet = build_fleet(
+            [ToyBackend(ttft=0.3, step=0.1)] * 2,
+            scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
+        )
+        return simulate_fleet(
+            arrivals, fleet, get_router("jsq"), max_steps=max_steps, recorder=recorder
+        )
+
+    recorder = SpanRecorder()
+    report = run(None, recorder)
+    assert report.assignments == [0, 1, 1, 1]
+    decodes = [
+        span[5]["steps"]
+        for span in recorder.spans("decode")
+        if span[1] == "device0"
+    ]
+    assert decodes == [64]
+    assert report.to_csv() == run(1).to_csv()
+
+
+def test_a_superseded_completion_tied_with_a_live_one_is_skipped():
+    """Devices 0 and 1 start identical 64-token decodes, so both runs end
+    at the same instant; a request cuts device 1's run at t=1.  When the
+    clock reaches that instant, device 0's live completion pops first and
+    device 1's superseded one right after it: the loop must skip it."""
+    from repro.fleet import Router
+    from repro.serving import ServingRequest
+
+    class Scripted(Router):
+        name = "scripted"
+
+        def route(self, record, devices, now):
+            return (0, 1, 1)[record.request_id]
+
+    long = PAYLOAD.with_overrides(gen_tokens=64)
+    arrivals = [
+        ServingRequest(0.0, 0, long),
+        ServingRequest(0.0, 1, long),
+        ServingRequest(1.0, 2, PAYLOAD.with_overrides(gen_tokens=1)),
+    ]
+
+    def run(max_steps):
+        fleet = build_fleet(
+            [ToyBackend(ttft=0.3, step=0.1)] * 2,
+            scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
+        )
+        return simulate_fleet(arrivals, fleet, Scripted(), max_steps=max_steps)
+
+    report = run(None)
+    reference = run(1)
+    assert report.to_csv() == reference.to_csv()
+    assert report.event_queue["pushes"] == report.event_queue["pops"]
 
 
 def test_fleet_fail_fast_aborts_with_the_same_verdict():

@@ -131,23 +131,103 @@ def test_coalesced_occupancy_reports_its_steps():
     assert decode.end_time(1.0) == end
 
 
-def test_decode_stops_at_the_first_boundary_reaching_the_horizon():
-    """With a free slot, coalescing never fast-forwards past an arrival's
-    admission boundary (here: arrival at 1.25 -> stop at the 1.3 boundary)."""
-    scheduler = ContinuousBatchScheduler(max_batch=4)
-    backend = ToyBackend(ttft=1.0, step=0.1)
+def _decoding_scheduler(memory=None):
+    """A continuous scheduler whose lone request (PAYLOAD) has prefilled
+    on [0, 1] and is ready to decode at 0.1 s per step."""
     from repro.serving import BackendCostModel, ServingRequest
     from repro.serving.request import RequestRecord
 
-    cost = BackendCostModel(backend)
+    scheduler = ContinuousBatchScheduler(max_batch=4, memory=memory)
+    cost = BackendCostModel(ToyBackend(ttft=1.0, step=0.1))
     record = RequestRecord(
         ServingRequest(arrival_s=0.0, request_id=0, request=PAYLOAD)
     )
     scheduler.enqueue(record, 0.0)
     scheduler.next_occupancy(0.0, cost)  # prefill
+    return scheduler, cost, record
+
+
+def _step_clock(start, steps):
+    end = start
+    for _ in range(steps):
+        end += 0.1
+    return end
+
+
+def test_decode_stops_at_the_first_boundary_reaching_the_horizon():
+    """With a free slot, coalescing never runs past an arrival's admission
+    boundary (here: arrival at 1.25 -> stop at the 1.3 boundary).  The
+    slot-count path plans the run to its natural end and a request that
+    queues mid-run cuts it there."""
+    from repro.serving import ServingRequest
+    from repro.serving.request import RequestRecord
+
+    scheduler, cost, record = _decoding_scheduler()
+    decode = scheduler.next_occupancy(1.0, cost, horizon=1.25)
+    assert decode.steps == PAYLOAD.gen_tokens  # the horizon is not read
+    assert decode.completed == [record]
+    # No request waiting: nothing to cut for.
+    assert scheduler.cut(1.25) is None
+    arrival = RequestRecord(
+        ServingRequest(arrival_s=1.25, request_id=1, request=PAYLOAD)
+    )
+    scheduler.enqueue(arrival, 1.25)
+    cut = scheduler.cut(1.25)
+    assert cut is decode
+    assert decode.steps == 3  # boundaries 1.1, 1.2, 1.3 >= 1.25
+    assert decode.completed == []
+    assert decode.end_s == _step_clock(1.0, 3)
+    assert decode.seconds == decode.end_s - 1.0
+    # The batch is back at the 1.3 boundary: the arrival is admitted next,
+    # and the first request still owes the remaining steps.
+    assert scheduler.cut(1.26) is None  # a run is cut at most once
+    prefill = scheduler.next_occupancy(decode.end_s, cost)
+    assert prefill.kind == "prefill" and scheduler.active == 2
+    rest = scheduler.next_occupancy(prefill.end_time(decode.end_s), cost)
+    assert rest.steps == PAYLOAD.gen_tokens - 3
+
+
+def test_an_arrival_on_a_step_boundary_cuts_the_run_right_there():
+    """Binary-exact steps put a step boundary at exactly t=1.0: the
+    step-by-step loop finishes that step before the arrival at 1.0 is
+    delivered and admits it at once, so the cut must end the run at 1.0,
+    not at the next boundary."""
+    from repro.serving import ServingRequest
+
+    arrivals = [
+        ServingRequest(0.0, 0, PAYLOAD.with_overrides(gen_tokens=8)),
+        ServingRequest(1.0, 1, PAYLOAD.with_overrides(gen_tokens=2)),
+    ]
+    runs = [
+        simulate(
+            arrivals,
+            ToyBackend(ttft=0.5, step=0.25),
+            ContinuousBatchScheduler(max_batch=4),
+            max_steps=max_steps,
+        )
+        for max_steps in (1, None)
+    ]
+    assert runs[1].records[1].prefill_start_s == 1.0
+    assert runs[1].to_csv() == runs[0].to_csv()
+
+
+def test_memory_decode_still_stops_at_the_horizon():
+    """The memory model books a window's KV growth at planning, so its
+    windows keep the arrival horizon instead of being cut."""
+    from repro.memory import MemorySpec
+    from repro.serving import ServingRequest
+    from repro.serving.request import RequestRecord
+
+    scheduler, cost, record = _decoding_scheduler(memory=MemorySpec())
     decode = scheduler.next_occupancy(1.0, cost, horizon=1.25)
     assert decode.steps == 3  # boundaries 1.1, 1.2, 1.3 >= 1.25
     assert decode.completed == []
+    assert decode.end_s == _step_clock(1.0, 3)
+    scheduler.enqueue(
+        RequestRecord(ServingRequest(arrival_s=1.25, request_id=1, request=PAYLOAD)),
+        1.25,
+    )
+    assert decode.start_s is None and scheduler.cut(1.25) is None
 
 
 def test_occupancy_default_end_time_matches_seconds():

@@ -95,6 +95,25 @@ def test_grid_command_markdown_output(capsys):
         (["serve", "llama2-7b", "--config", "X"], "--config"),
         (["fleet", "llama2-7b", "--config", "X"], "--config"),
         (["grid", "llama2-7b", "--configs", "W"], "--configs"),
+        (["serve", "llama2-7b", "--qps", "0"], "--qps"),
+        (["serve", "llama2-7b", "--qps", "-1"], "--qps"),
+        (["fleet", "llama2-7b", "--qps", "nan"], "--qps"),
+        (["fleet", "llama2-7b", "--size-for-qps", "-1", "--slo-e2e", "60"],
+         "--size-for-qps"),
+        (["serve", "llama2-7b", "--slo-ttft", "0"], "--slo-ttft"),
+        (["serve", "llama2-7b", "--slo-ttft", "-1"], "--slo-ttft"),
+        (["serve", "llama2-7b", "--slo-tpot", "0"], "--slo-tpot"),
+        (["fleet", "llama2-7b", "--slo-tpot", "-1"], "--slo-tpot"),
+        (["fleet", "llama2-7b", "--slo-e2e", "0"], "--slo-e2e"),
+        (["serve", "llama2-7b", "--slo-e2e", "-1"], "--slo-e2e"),
+        (["serve", "llama2-7b", "--slo-e2e", "60", "--slo-attainment", "2"],
+         "--slo-attainment"),
+        (["serve", "llama2-7b", "--slo-e2e", "60", "--alerts",
+          "--timeline-window", "0"], "--timeline-window"),
+        (["serve", "llama2-7b", "--workload", "onoff", "--on-seconds", "0"],
+         "--on-seconds"),
+        (["fleet", "llama2-7b", "--workload", "onoff", "--off-seconds", "-1"],
+         "--off-seconds"),
     ],
     ids=[
         "serve-seq-len",
@@ -110,6 +129,20 @@ def test_grid_command_markdown_output(capsys):
         "serve-config",
         "fleet-config",
         "grid-configs",
+        "serve-qps-zero",
+        "serve-qps-negative",
+        "fleet-qps-nan",
+        "fleet-size-for-qps",
+        "serve-slo-ttft-zero",
+        "serve-slo-ttft-negative",
+        "serve-slo-tpot-zero",
+        "fleet-slo-tpot-negative",
+        "fleet-slo-e2e-zero",
+        "serve-slo-e2e-negative",
+        "serve-slo-attainment",
+        "serve-timeline-window",
+        "serve-on-seconds",
+        "fleet-off-seconds",
     ],
 )
 def test_bad_flag_values_exit_2_naming_the_flag(argv, flag, capsys):
