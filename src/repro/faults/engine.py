@@ -61,11 +61,8 @@ import heapq
 from typing import List, Optional
 
 from repro.obs.recorder import record_request_phases
+from repro.serving.metrics import metric_sample
 from repro.serving.request import RequestRecord
-
-# Kept importable from here: simbench's layer tracer wraps
-# ``metric_sample`` by module path, here and in repro.fleet.simulator.
-from repro.serving.metrics import metric_sample  # noqa: F401
 
 from repro.faults.report import FaultReport
 from repro.faults.spec import (
@@ -149,9 +146,11 @@ class _FaultRun:
     planning; this object owns everything only a fault-aware run has:
     the per-device gates and fault cursors, the retry heap, hedge
     pairings, terminal outcomes, and the :class:`FaultReport`.  It
-    shares the loop's ``assignments`` list and ``touched`` set, and
-    finishes resolved records through the loop's ``streamer`` or
-    per-device ``device_fold`` (with the ``live`` early-exit map).
+    shares the loop's ``assignments`` list and ``touched`` set, and hands
+    every primary that resolves — served, shed, timed out, failed or won
+    by its hedge — to the loop's ``resolve(record, index, sample)``
+    callback, with its :func:`metric_sample` and the device it resolved
+    on, exactly once.
     """
 
     def __init__(
@@ -163,13 +162,10 @@ class _FaultRun:
         retry,
         deadline_s: Optional[float],
         slo,
-        fail_fast: bool,
         keep_records: bool,
         rec,
         tag_device: bool,
-        streamer,
-        device_fold,
-        live: Optional[dict],
+        resolve,
         assignments: List[int],
         touched: set,
     ) -> None:
@@ -178,14 +174,11 @@ class _FaultRun:
         self.retry = retry
         self.deadline_s = deadline_s
         self.slo = slo
-        self.fail_fast = fail_fast
         self.keep_records = keep_records
         self.rec = rec
         #: Tag request-phase spans with the device index (fleet reports).
         self.tag_device = tag_device
-        self.streamer = streamer
-        self.device_fold = device_fold
-        self.live = live
+        self.resolve = resolve
         self.assignments = assignments
         self.touched = touched
         self.track_work = router.needs_work_estimates
@@ -193,8 +186,6 @@ class _FaultRun:
             FaultInjector(faults, len(devices)) if faults is not None else None
         )
         self.report = FaultReport(num_devices=len(devices))
-        #: Resolved requests that missed the SLO (the ``fail_fast`` tally).
-        self.missed = 0
         #: Primaries delivered but not yet terminally resolved.
         self.open_requests = 0
         #: id(record) -> index into ``assignments`` (overwritten before
@@ -303,16 +294,10 @@ class _FaultRun:
 
     # -- terminal resolution --------------------------------------------------
     def _finish_terminal(self, record: RequestRecord, index: int) -> None:
-        """Close out a primary record (success or terminal outcome)."""
+        """Close out a primary record (success or terminal outcome) that
+        resolved on device ``index``."""
         self.open_requests -= 1
-        if self.fail_fast and not self.slo.met_by(record):
-            self.missed += 1
-        if self.streamer is not None:
-            self.streamer.finish(record)
-        elif self.device_fold is not None:
-            self.device_fold[index](record, self.slo)
-            if self.live is not None:
-                self.live.pop(id(record), None)
+        self.resolve(record, index, metric_sample(record, self.slo))
 
     def _record_phases(self, record: RequestRecord, index: int) -> None:
         extra = {"device": index} if self.tag_device else None
@@ -532,8 +517,10 @@ class _FaultRun:
             self.gates[prev].dirty = True
             self.touched.add(prev)
             self._forget_device_record(self.devices[prev], primary)
-            if self.keep_records:
-                self.devices[index].records.append(primary)
+        # The winner's device owns the record now — also when the
+        # primary was waiting out a retry backoff on no device at all.
+        if self.keep_records:
+            self.devices[index].records.append(primary)
         deadline = self.deadline_s
         if deadline is not None and time_s - primary.arrival_s > deadline:
             primary.outcome = "timed_out"

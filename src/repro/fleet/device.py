@@ -2,7 +2,7 @@
 
 A :class:`Device` bundles a scheduler, a
 :class:`repro.serving.simulator.BackendCostModel`, the busy/idle state and
-the per-device timeline (busy seconds, queue-depth samples), so the event
+the per-device timeline (busy seconds, queue-depth statistics), so the event
 loop in :mod:`repro.fleet.simulator` can interleave many of them on one
 clock.  The loop drives devices directly; :func:`repro.serving.simulate`
 runs it over a single device.
@@ -10,7 +10,7 @@ runs it over a single device.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.api.backend import Backend
 from repro.api.runner import ExperimentRunner
@@ -21,12 +21,12 @@ from repro.serving.simulator import BackendCostModel
 
 
 class _QueueDepthStats:
-    """Streaming replacement for a device's (time, depth) sample list.
+    """A device's waiting-queue depth, folded as the loop samples it.
 
-    Accumulates exactly the aggregates the report derives from the list —
-    the time-weighted area (for the mean) and the maximum — so a
-    ``keep_records=False`` run reports identical queue statistics while
-    holding O(1) sample state.
+    Each ``add(now, depth)`` sample holds until the next one, so the
+    samples describe a step function, zero until the first sample; only
+    its time-weighted area (for the mean) and its maximum are kept.  A
+    repeated or zero-width sample adds no area.
     """
 
     __slots__ = ("area", "max_depth", "_last_t", "_last_depth")
@@ -34,12 +34,11 @@ class _QueueDepthStats:
     def __init__(self) -> None:
         self.area = 0.0
         self.max_depth = 0
-        self._last_t: Optional[float] = None
+        self._last_t = 0.0
         self._last_depth = 0
 
     def add(self, now: float, depth: int) -> None:
-        if self._last_t is not None:
-            self.area += self._last_depth * (now - self._last_t)
+        self.area += self._last_depth * (now - self._last_t)
         self._last_t = now
         self._last_depth = depth
         if depth > self.max_depth:
@@ -56,7 +55,6 @@ class Device:
         "records",
         "busy_until",
         "busy_s",
-        "queue_depth",
         "_occupancy",
         "live_seq",
         "outstanding",
@@ -106,7 +104,9 @@ class Device:
         self.records: List[RequestRecord] = []
         self.busy_until: Optional[float] = None
         self.busy_s = 0.0
-        self.queue_depth: List[Tuple[float, int]] = []
+        #: Waiting-queue depth sampled at every planning attempt (and
+        #: once at the end of the run).
+        self.queue_stats = _QueueDepthStats()
         self._occupancy: Optional[Occupancy] = None
         #: The ``seq`` of the latest COMPLETION the loop pushed for this
         #: device (a crash abort clears it): a popped completion with
@@ -117,9 +117,6 @@ class Device:
         #: Estimated seconds of solo work assigned but not finished (kept
         #: only for routers whose ``needs_work_estimates`` is set).
         self.outstanding_work_s = 0.0
-        #: Streaming replacement for :attr:`queue_depth` (a
-        #: :class:`_QueueDepthStats`, set by ``keep_records=False`` runs).
-        self.queue_stats: Optional[_QueueDepthStats] = None
 
         # -- health state (fault-injected runs only) --------------------------
         #: False while a crash window is open.  Plain runs never clear it,
@@ -156,12 +153,5 @@ class Device:
         return 0 if memory is None else memory.pool.free_bytes
 
     def finalize(self, makespan_s: float) -> None:
-        """Append the closing queue-depth sample, skipping one the last
-        planning attempt already stamped."""
-        sample = (makespan_s, self.scheduler.waiting)
-        if self.queue_stats is not None:
-            # Duplicate or zero-width samples leave the streamed area/max
-            # untouched, so no dedup check is needed here.
-            self.queue_stats.add(*sample)
-        elif not self.queue_depth or self.queue_depth[-1] != sample:
-            self.queue_depth.append(sample)
+        """Take the closing queue-depth sample."""
+        self.queue_stats.add(makespan_s, self.scheduler.waiting)

@@ -4,8 +4,9 @@ A :class:`FleetReport` is to :func:`repro.fleet.simulator.simulate_fleet`
 what :class:`repro.serving.metrics.ServingReport` is to the single-device
 loop — and it is built *from* per-device ``ServingReport`` objects, one
 per replica, all sharing the fleet makespan.  Aggregate latency
-percentiles, throughput, goodput and attainment are computed over the
-merged record set; utilization, queue depth and request counts stay
+percentiles, throughput, goodput and attainment are read from the
+fleet-wide reservoirs (the devices' merged, plus any request an early
+exit never routed); utilization, queue depth and request counts stay
 visible per device, along with the imbalance between the busiest and
 idlest replica that routing policies are judged by.
 """
@@ -56,10 +57,12 @@ class FleetReport:
     """Everything one fleet simulation produced."""
 
     router_name: str
-    #: One per replica, each carrying that device's records, busy seconds
-    #: and queue-depth samples; ``makespan_s`` is the fleet makespan on all.
+    #: One per replica, each carrying that device's reservoirs, busy
+    #: seconds and queue-depth statistics (and its records, when kept);
+    #: ``makespan_s`` is the fleet makespan on all.
     device_reports: List[ServingReport]
-    #: Records in global arrival order (the merged timeline).
+    #: Records in global arrival order (the merged timeline); empty unless
+    #: the run kept its records.
     records: List[RequestRecord]
     #: Device index each record was routed to, parallel to ``records``.
     assignments: List[int]
@@ -71,9 +74,8 @@ class FleetReport:
     #: True when a ``fail_fast`` run aborted early because SLO attainment
     #: could no longer reach the threshold (records are partially stamped).
     early_exit: bool = False
-    #: Exact fleet-wide streamed accumulators from a ``keep_records=False``
-    #: run (``records`` is empty then); every merged metric is answered
-    #: from these instead.
+    #: The fleet-wide reservoirs every merged metric reads (folded from
+    #: ``records`` when None, as :class:`ServingReport` does).
     streamed: Optional[StreamedMetrics] = None
     #: Global event-heap debug counters (``{"pushes", "pops",
     #: "max_depth"}``); None when built outside the event loop.
@@ -98,14 +100,13 @@ class FleetReport:
     # -- merged metrics (same derivations as ServingReport) ------------------
     @cached_property
     def _merged(self) -> ServingReport:
-        """The whole fleet viewed as one device (records merged, cached)."""
+        """The whole fleet viewed as one device (cached)."""
         return ServingReport(
             backend_name="fleet",
             scheduler_name=self.router_name,
             records=self.records,
             makespan_s=self.makespan_s,
             busy_s=sum(report.busy_s for report in self.device_reports),
-            queue_depth=[],
             slo=self.slo,
             num_events=self.num_events,
             streamed=self.streamed,
@@ -114,9 +115,7 @@ class FleetReport:
 
     @property
     def num_requests(self) -> int:
-        if self.streamed is not None:
-            return self.streamed.num_requests
-        return len(self.records)
+        return self._merged.num_requests
 
     @property
     def num_completed(self) -> int:
@@ -255,7 +254,7 @@ class FleetReport:
         routed carry a blank device cell (their timing cells are already
         blank), matching the single-device report's complete trace.
         """
-        if self.streamed is not None:
+        if not self.records and self.num_requests:
             raise ValueError(
                 "this report was built with keep_records=False; pass "
                 "trace_sink= to simulate_fleet to stream the trace instead"

@@ -10,7 +10,7 @@ the planning opportunities both create:
   are delivered, and arrivals are delivered *before* idle devices plan;
 * a device samples its queue depth at every planning attempt (and once at
   the end), so a 1-replica fleet reports exactly what ``simulate()``
-  reports — records, busy seconds and queue-depth samples;
+  reports — records, busy seconds and queue-depth statistics;
 * routing happens at arrival time against the live device states, and
   every policy is deterministic, so a fixed workload seed fixes the device
   assignment (and the trace CSV) byte for byte.
@@ -39,14 +39,21 @@ a 16-device, 10k-request simulation still costs a handful of backend
 evaluations because every replica of the same backend hits the same
 memoized profiles.
 
+One aggregate path: every record folds once, when it resolves
+(completion, shed, timeout, failure or hedge win), into the
+:class:`repro.serving.metrics.StreamedMetrics` reservoirs of the device
+it resolved on, and the fleet-wide view is merged from the devices' at
+the end.  Every report reads those reservoirs alone, whatever
+``keep_records`` and ``trace_sink`` say.
+
 Scale: the loop re-plans only the devices an event actually touched, a
 decode run is split only by a request routed to its own device, and —
 with ``trace_sink``/``keep_records=False`` — streams each
 request's trace row out the moment it is stamped (a fleet row through
 :func:`repro.fleet.report.fleet_trace_values`, exactly as
-:meth:`FleetReport.to_csv` renders it) while folding exact metric
-reservoirs per device, so a million-request, hundred-device day runs in
-seconds holding O(in-flight) record state.
+:meth:`FleetReport.to_csv` renders it) and drops the record, so a
+million-request, hundred-device day runs in seconds holding O(in-flight)
+record state.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from typing import Iterable, List, Optional, Sequence
 from repro.api.runner import BackendLike, ExperimentRunner
 from repro.faults.engine import _FaultRun
 from repro.faults.spec import FaultSpec, RetryPolicy
-from repro.fleet.device import Device, _QueueDepthStats
+from repro.fleet.device import Device
 from repro.fleet.report import FLEET_TRACE_CSV_FIELDS, FleetReport, fleet_trace_values
 from repro.fleet.router import JoinShortestQueueRouter, Router
 from repro.fleet.sharding import ShardingSpec
@@ -147,12 +154,14 @@ def simulate_fleet(
     ``trace_sink``/``keep_records`` stream the fleet trace exactly as in
     :func:`repro.serving.simulator.simulate`: rows (including the routed
     device column) are written in arrival order the moment each request is
-    fully stamped, byte-identical to :meth:`FleetReport.to_csv`, and with
-    ``keep_records=False`` the run holds O(in-flight) record state while
-    the report answers every aggregate from exact streamed reservoirs
-    (fleet-wide and per-device).  Lazy (non-list) streams combined with
-    ``keep_records=False`` are consumed incrementally and cannot be used
-    with ``fail_fast``.
+    fully stamped, byte-identical to :meth:`FleetReport.to_csv`.  Every
+    run folds each record into the reservoirs of the device it resolves
+    on, and the fleet-wide and per-device aggregates read those alone;
+    ``keep_records`` only decides whether the records (and ``to_csv``)
+    survive the run, so with ``keep_records=False`` it holds O(in-flight)
+    record state and reports the same aggregates.  Lazy (non-list)
+    streams combined with ``keep_records=False`` are consumed
+    incrementally and cannot be used with ``fail_fast``.
 
     Observability mirrors :func:`repro.serving.simulator.simulate`:
     ``recorder`` receives per-replica occupancy spans (tracks
@@ -239,8 +248,9 @@ def _run(
 
     ``fleet_shape`` False is the single-device report shape of
     :func:`repro.serving.simulate`: a trace CSV without the device
-    column, one set of streamed reservoirs, the scheduler's own recorder
-    track, and no routing instants or device tags on the recorder.
+    column, the device's reservoirs as the whole run's, the scheduler's
+    own recorder track, and no routing instants or device tags on the
+    recorder.
     """
     # Every input validated: only now does the router get claimed, so a
     # rejected call never poisons a router that routed nothing.
@@ -285,29 +295,16 @@ def _run(
     # source, matching the serving package's no-wall-clock rule.
     prof_add = profiler.add if profiler is not None else None
     prof_clock = profiler.clock if profiler is not None else None
-    if not keep_records:
-        for device in devices:
-            device.queue_stats = _QueueDepthStats()
 
     # Arrivals are delivered in stream order, so appending each routed
     # index builds a list parallel to the trace rows.
     assignments: List[int] = []
-    fleet_metrics: Optional[StreamedMetrics] = None
-    device_metrics: Optional[List[StreamedMetrics]] = None
+    # Every record folds once, into the reservoirs of the device it
+    # resolves on; the fleet-wide view is merged from these at close.
+    slo_met = 0 if slo is not None else None
+    device_metrics = [StreamedMetrics(slo_met=slo_met) for _ in devices]
+    folds = [metrics.add_sample for metrics in device_metrics]
     streamer: Optional[TraceStreamer] = None
-    # Routed-but-unfinished records (with their device index), tracked
-    # only when an early exit could leave some behind; metrics-only runs
-    # (no sink) skip the reorder buffer and feed the reservoirs directly
-    # at completion time, attributing each sample by the completing
-    # device's index.
-    live: Optional[dict] = None
-    if not keep_records:
-        slo_met = 0 if slo is not None else None
-        device_metrics = [StreamedMetrics(slo_met=slo_met) for _ in devices]
-        # A single-device report carries its device's reservoirs.
-        fleet_metrics = (
-            StreamedMetrics(slo_met=slo_met) if fleet_shape else device_metrics[0]
-        )
     if trace_sink is not None:
         if fleet_shape:
             header = FLEET_TRACE_CSV_FIELDS
@@ -321,26 +318,25 @@ def _run(
             def row_of(record, index):
                 return trace_values(record, slo)
 
-        observers = []
-        if fleet_metrics is not None:
+        streamer = TraceStreamer(trace_sink, header, row_of)
+    # Delivered records not yet resolved, each with its trace-row
+    # position, kept only when an early exit could leave some behind.
+    live: Optional[dict] = {} if fail_fast else None
+    #: Resolved requests that missed the SLO (the ``fail_fast`` tally).
+    missed = 0
 
-            def observe(record, index):
-                sample = metric_sample(record, slo)
-                fleet_metrics.add_sample(sample)
-                if fleet_shape and index < len(assignments):
-                    device_metrics[assignments[index]].add_sample(sample)
-
-            observers.append(observe)
-        streamer = TraceStreamer(trace_sink, header, row_of, observers)
-    elif fleet_metrics is not None and fail_fast:
-        live = {}
-    #: Bound per-device fold methods for the metrics-only fast path (no
-    #: sink, no reorder buffer): one fold per record, merged at close.
-    device_fold = (
-        [metrics.fold for metrics in device_metrics]
-        if streamer is None and device_metrics is not None
-        else None
-    )
+    def resolve(record, index: int, sample) -> None:
+        """Fold a record that just resolved on device ``index`` (``sample``
+        is its :func:`metric_sample`), tally a ``fail_fast`` miss, and
+        release its trace row."""
+        nonlocal missed
+        folds[index](sample)
+        if fail_fast and not sample[5]:
+            missed += 1
+        if streamer is not None:
+            streamer.finish(record)
+        if live is not None:
+            del live[id(record)]
 
     # The event heap (see repro.serving.events) and its debug counters:
     # ``seq`` doubles as the push count.
@@ -360,13 +356,10 @@ def _run(
             retry=retry,
             deadline_s=deadline_s,
             slo=slo,
-            fail_fast=fail_fast,
             keep_records=keep_records,
             rec=rec,
             tag_device=fleet_shape,
-            streamer=streamer,
-            device_fold=device_fold,
-            live=live,
+            resolve=resolve,
             assignments=assignments,
             touched=touched,
         )
@@ -378,7 +371,6 @@ def _run(
 
     now = 0.0
     num_events = 0
-    missed = 0
     early_exit = False
     total = source.total
     #: Whether this pass moved a request (fault-aware runs: the wedge guard).
@@ -446,17 +438,7 @@ def _run(
                                 device.outstanding_work_s -= device.job_seconds(
                                     record
                                 )
-                            if fail_fast and not slo.met_by(record):
-                                missed += 1
-                            if streamer is not None:
-                                streamer.finish(record)
-                            elif device_fold is not None:
-                                # Fold once, into the completing device's
-                                # reservoirs; the fleet-wide view is merged
-                                # from these at close time.
-                                device_fold[index](record, slo)
-                                if live is not None:
-                                    del live[id(record)]
+                            resolve(record, index, metric_sample(record, slo))
                     on_completed(index, device)
                     touched.add(index)
                 if fault_run is not None:
@@ -475,8 +457,6 @@ def _run(
                 # everything still in flight meets the SLO: the probe is
                 # decided, stop here.
                 if fail_fast:
-                    if fault_run is not None:
-                        missed = fault_run.missed
                     if missed and (total - missed) / total < slo.min_attainment:
                         early_exit = True
                         break
@@ -510,8 +490,8 @@ def _run(
                 enqueues[index](record, now)
                 if streamer is not None:
                     streamer.register(record)
-                elif live is not None:
-                    live[id(record)] = (record, index)
+                if live is not None:
+                    live[id(record)] = (record, len(assignments) - 1)
                 touched.add(index)
                 if fault_run is not None:
                     fault_run.arrived(record, index, now)
@@ -572,11 +552,7 @@ def _run(
                                 if gate.removed:
                                     gate.removed = 0
                                     on_completed(index, device)
-                            stats = device.queue_stats
-                            if stats is not None:
-                                stats.add(now, scheduler.waiting)
-                            else:
-                                device.queue_depth.append((now, scheduler.waiting))
+                            device.queue_stats.add(now, scheduler.waiting)
                             if occupancy is not None:
                                 seconds = occupancy.seconds
                                 if seconds < 0:
@@ -640,7 +616,6 @@ def _run(
             else:
                 # Shedding while planning can resolve requests too.
                 if fail_fast:
-                    missed = fault_run.missed
                     if missed and (total - missed) / total < slo.min_attainment:
                         early_exit = True
                         break
@@ -676,23 +651,23 @@ def _run(
                 ).backend_name
         if fault_run is not None:
             fault_run.close(now)
+        # What an early exit left unresolved folds into the device its
+        # trace row names; what it never delivered has no device, and
+        # folds into the fleet-wide view only.  A single-device report
+        # carries its device's reservoirs.
+        if live:
+            for record, position in live.values():
+                folds[assignments[position]](metric_sample(record, slo))
+        fleet_metrics = device_metrics[0]
+        if fleet_shape:
+            fleet_metrics = StreamedMetrics(slo_met=slo_met)
+            for part in device_metrics:
+                fleet_metrics.merge_from(part)
+        tail = list(source.tail())
+        for record in tail:
+            fleet_metrics.add_sample(metric_sample(record, slo))
         if streamer is not None:
-            streamer.close(tail=source.tail())
-        elif fleet_metrics is not None:
-            # No sink, so no reorder buffer ran: count whatever an early
-            # exit left unfinished (still attributed to its routed device),
-            # then build the fleet-wide reservoirs by merging the
-            # per-device ones — the same value multiset the streamer's
-            # observer accumulates incrementally — plus the undelivered
-            # tail, which has no device (exactly as the observer counts it).
-            if live:
-                for record, index in live.values():
-                    device_fold[index](record, slo)
-            if fleet_shape:
-                for part in device_metrics:
-                    fleet_metrics.merge_from(part)
-            for record in source.tail():
-                fleet_metrics.fold(record, slo)
+            streamer.close(tail=tail)
     finally:
         if streamer is not None:
             streamer.release()
@@ -703,12 +678,9 @@ def _run(
     alerts = rec.finalize_run(now) if rec is not None else None
 
     device_reports = []
-    for index, device in enumerate(devices):
-        streamed = None
-        if device_metrics is not None:
-            streamed = device_metrics[index]
-            streamed.queue_depth_area = device.queue_stats.area
-            streamed.max_queue_depth = device.queue_stats.max_depth
+    for device, streamed in zip(devices, device_metrics):
+        streamed.queue_depth_area = device.queue_stats.area
+        streamed.max_queue_depth = device.queue_stats.max_depth
         memory = device.memory
         device_reports.append(
             ServingReport(
@@ -717,7 +689,6 @@ def _run(
                 records=device.records,
                 makespan_s=now,
                 busy_s=device.busy_s,
-                queue_depth=device.queue_depth,
                 slo=slo,
                 streamed=streamed,
                 memory=memory.report() if memory is not None else None,

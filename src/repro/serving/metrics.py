@@ -3,13 +3,17 @@
 The :class:`ServingReport` is to the serving simulator what
 :class:`repro.api.result.RunResult` is to a single job: the one container
 every consumer (CLI, capacity search, tests, notebooks) reads.  It holds
-the completed per-request records plus the device timeline and derives
-latency percentiles (TTFT, time-per-output-token, end-to-end), queue
-depth over time, utilization, throughput and — against an
-:class:`SLOSpec` — attainment and goodput.
+the device timeline and the folded :class:`StreamedMetrics` reservoirs,
+and derives latency percentiles (TTFT, time-per-output-token,
+end-to-end), queue depth, utilization, throughput and — against an
+:class:`SLOSpec` — attainment and goodput from them alone.
 
-Everything is a pure function of the records, so a report is exactly as
-deterministic as the simulation that produced it: the same seed yields a
+Every aggregate has one path: the event loop folds each record once, the
+moment it resolves, through :func:`metric_sample` (the one derivation of
+a record's floats, which the trace rows and :meth:`SLOSpec.met_by` read
+too), and a report built from a record list folds that list on
+construction.  A report is exactly as deterministic as the simulation
+that produced it: the same seed yields the same reservoirs and a
 byte-identical :meth:`ServingReport.to_csv`.
 """
 
@@ -83,16 +87,13 @@ def percentile_of_sorted(ordered: Sequence[float], q: float) -> Optional[float]:
 
 @dataclass
 class StreamedMetrics:
-    """Exact metric reservoirs for runs that drop their records.
+    """Exact metric reservoirs: what every report's aggregates read.
 
-    When ``simulate(..., keep_records=False)`` streams records out instead
-    of keeping them, it folds each record into the reservoirs at the
-    moment the record leaves the loop.  The reservoirs hold the same
-    stamped float values the in-memory properties would have derived from
-    the record list — nothing is approximated or binned — so percentiles,
-    attainment and goodput computed from a streamed run match the
-    in-memory run bit for bit; only the per-request trace rows are gone
-    (or, with a ``trace_sink``, on disk).
+    Every run folds each record into its device's reservoirs once, the
+    moment the record resolves, whatever ``keep_records`` says; the
+    fleet-wide view is merged from the devices' at the end.  The
+    reservoirs hold the stamped float values themselves — nothing is
+    approximated or binned — in fold order, not arrival order.
     """
 
     #: Attached SLO-met counter; None when the run carried no SLOSpec.
@@ -102,14 +103,14 @@ class StreamedMetrics:
     total_output_tokens: int = 0
     #: The reservoirs are compact C-double arrays: one million samples
     #: cost 8 MB instead of ~32 MB of boxed floats, and ``array('d')``
-    #: stores the exact same IEEE doubles the record properties compute,
-    #: so every percentile still matches the in-memory run bit for bit.
+    #: stores the exact IEEE doubles :func:`metric_sample` computes.
     ttfts: MutableSequence[float] = field(default_factory=lambda: array("d"))
     tpots: MutableSequence[float] = field(default_factory=lambda: array("d"))
     e2es: MutableSequence[float] = field(default_factory=lambda: array("d"))
     queue_waits: MutableSequence[float] = field(default_factory=lambda: array("d"))
-    #: Time-weighted integral of the waiting-queue depth (for the mean)
-    #: and its maximum — the two aggregates the sample list would feed.
+    #: Time-weighted integral of the device's waiting-queue depth (for
+    #: the mean) and its maximum, copied from the device's
+    #: ``_QueueDepthStats`` when the run ends (zero on a fleet-wide view).
     queue_depth_area: float = 0.0
     max_queue_depth: int = 0
 
@@ -117,12 +118,10 @@ class StreamedMetrics:
         self,
         sample: "Tuple[Optional[float], Optional[float], Optional[float], Optional[float], int, Optional[bool]]",
     ) -> None:
-        """Fold one precomputed :func:`metric_sample` into the reservoirs.
+        """Fold one record's :func:`metric_sample` into the reservoirs.
 
-        The event loop derives each record's values once and feeds the
-        same tuple to both the fleet-wide and the per-device reservoirs,
-        with bit-identical results (the sample carries the exact floats
-        the record properties compute).
+        A partially-stamped record (from an ``early_exit`` run) adds only
+        the values it has, and counts as completed only once finished.
         """
         queue_wait, ttft, tpot, e2e, tokens, met = sample
         self.num_requests += 1
@@ -142,59 +141,12 @@ class StreamedMetrics:
             if met:
                 self.slo_met += 1
 
-    def fold(self, record: RequestRecord, slo: Optional["SLOSpec"]) -> None:
-        """Fold one (possibly partially-stamped) record into the reservoirs.
-
-        The stamp conditions mirror the :class:`ServingReport` metric
-        properties exactly, so partially-stamped records from an
-        ``early_exit`` run contribute to precisely the same metrics.
-        This is the per-record hot path of metrics-only (no trace sink)
-        streaming runs; the arithmetic is the same expressions as
-        :func:`metric_sample`, so the reservoirs are bit-identical.
-        """
-        source = record.source
-        arrival = source.arrival_s
-        first = record.first_token_s
-        finish = record.finish_s
-        self.num_requests += 1
-        prefill = record.prefill_start_s
-        if prefill is not None:
-            self.queue_waits.append(prefill - arrival)
-        ttft = None
-        if first is not None:
-            ttft = first - arrival
-            self.ttfts.append(ttft)
-        if finish is not None:
-            e2e = finish - arrival
-            self.e2es.append(e2e)
-            self.num_completed += 1
-            request = source.request
-            self.total_output_tokens += request.total_generated_tokens
-            if first is not None:
-                tpot = (finish - first) / request.gen_tokens
-                self.tpots.append(tpot)
-                if slo is not None:
-                    if record.outcome is None and not (
-                        (slo.ttft_s is not None and ttft > slo.ttft_s)
-                        or (slo.tpot_s is not None and tpot > slo.tpot_s)
-                        or (slo.e2e_s is not None and e2e > slo.e2e_s)
-                    ):
-                        met = self.slo_met
-                        self.slo_met = 1 if met is None else met + 1
-                    elif self.slo_met is None:
-                        self.slo_met = 0
-                return
-        if slo is not None and self.slo_met is None:
-            self.slo_met = 0
-
     def merge_from(self, other: "StreamedMetrics") -> None:
         """Fold another reservoir set into this one (counts add, values
         concatenate).
 
-        The fleet loop folds each record once into its device's
-        reservoirs and builds the fleet-wide view by merging at the end —
-        the multiset of values is identical to folding every record
-        twice, so every percentile/attainment/goodput answer is too.
+        The event loop folds each record once into its device's
+        reservoirs and builds the fleet-wide view by merging at the end.
         Queue-depth aggregates are deliberately not merged: they are
         per-device quantities (the fleet report never sums them).
         """
@@ -216,12 +168,12 @@ def metric_sample(
 ]:
     """One record's ``(queue_wait, ttft, tpot, e2e, tokens, met)`` values.
 
-    Computes every derived metric the record's properties (and
-    :meth:`SLOSpec.met_by`) would — each exactly once, with the identical
-    float expressions, so folding the sample into a
-    :class:`StreamedMetrics` matches :meth:`StreamedMetrics.fold` bit for
-    bit.  ``None`` marks a stamp the record never received; ``met`` is
-    ``None`` when the run carried no SLO.
+    The one derivation of a record's floats: the reservoirs fold it, the
+    trace rows (:func:`trace_values`) render it and :meth:`SLOSpec.met_by`
+    reads its verdict, so a value can never differ between them.  ``None``
+    marks a stamp the record never received (``tpot`` needs both the first
+    token and the finish; ``tokens`` is 0 until finished); ``met`` is
+    ``None`` when no SLO is given.
     """
     source = record.source
     arrival = source.arrival_s
@@ -288,17 +240,7 @@ class SLOSpec:
         ``outcome`` (shed, timed out, or permanently failed), however
         fast its surviving stamps look.
         """
-        if record.outcome is not None:
-            return False
-        if record.first_token_s is None or record.finish_s is None:
-            return False
-        if self.ttft_s is not None and record.ttft_s > self.ttft_s:
-            return False
-        if self.tpot_s is not None and record.tpot_s > self.tpot_s:
-            return False
-        if self.e2e_s is not None and record.e2e_s > self.e2e_s:
-            return False
-        return True
+        return metric_sample(record, self)[5]
 
 
 @dataclass
@@ -307,13 +249,14 @@ class ServingReport:
 
     backend_name: str
     scheduler_name: str
+    #: The per-request records of a ``keep_records=True`` run (empty
+    #: otherwise).  No aggregate reads them: only :meth:`to_csv` and
+    #: judging the run against another :class:`SLOSpec` do.
     records: List[RequestRecord]
     #: Simulated time when the last occupancy ended.
     makespan_s: float
     #: Total device-busy seconds (sum of occupancy durations).
     busy_s: float
-    #: (time, waiting-queue depth) samples at every event boundary.
-    queue_depth: List[Tuple[float, int]]
     slo: Optional[SLOSpec] = None
     #: Event-loop iterations the simulation processed (None when the
     #: report was built outside the event loop); with fast-forward
@@ -322,9 +265,9 @@ class ServingReport:
     #: True when a ``fail_fast`` run aborted early because SLO attainment
     #: could no longer reach the threshold (records are partially stamped).
     early_exit: bool = False
-    #: Metric reservoirs from a ``keep_records=False`` run; when set,
-    #: ``records`` is empty and every metric below reads from here (the
-    #: values are the exact stamps the record list would have carried).
+    #: The folded reservoirs every aggregate below reads: the event
+    #: loop's, or — for a report built from a record list alone — the
+    #: list folded on construction.
     streamed: Optional[StreamedMetrics] = None
     #: Snapshot of the flash-backed KV memory counters
     #: (:class:`repro.memory.MemoryReport`); None when the scheduler ran
@@ -345,87 +288,64 @@ class ServingReport:
     faults: Optional["FaultReport"] = None
 
     def __post_init__(self) -> None:
+        if self.streamed is None:
+            self.streamed = StreamedMetrics(slo_met=None if self.slo is None else 0)
+            for record in self.records:
+                self.streamed.add_sample(metric_sample(record, self.slo))
         #: metric name -> sorted values, so repeated percentile queries
-        #: sort each metric once (records are not expected to mutate
-        #: after the report is built).
+        #: sort each metric once.
         self._sorted_metrics: Dict[str, List[float]] = {}
 
     # -- basic counts --------------------------------------------------------
     @property
     def num_requests(self) -> int:
-        if self.streamed is not None:
-            return self.streamed.num_requests
-        return len(self.records)
+        return self.streamed.num_requests
 
     @property
     def completed_records(self) -> List[RequestRecord]:
-        """Records that ran to their last token (all of them, normally)."""
+        """Kept records that ran to their last token (all, normally)."""
         return [record for record in self.records if record.completed]
 
     @property
     def num_completed(self) -> int:
-        if self.streamed is not None:
-            return self.streamed.num_completed
-        return len(self.completed_records)
+        return self.streamed.num_completed
 
     @property
     def total_output_tokens(self) -> int:
-        if self.streamed is not None:
-            return self.streamed.total_output_tokens
-        return sum(record.output_tokens for record in self.completed_records)
+        return self.streamed.total_output_tokens
 
     # -- latency metrics -----------------------------------------------------
-    # Each list draws only on the lifecycle stamps a record actually has,
-    # so a run where nothing (or not everything) completed still reports:
-    # the percentiles simply cover fewer requests, or are None when empty.
+    # Each list holds a value for every record that has the stamps the
+    # metric needs, in fold order (not arrival order), so a run where
+    # nothing (or not everything) completed still reports: the
+    # percentiles simply cover fewer requests, or are None when empty.
     @property
     def ttfts(self) -> List[float]:
-        if self.streamed is not None:
-            # The streamed reservoir is a compact double array; hand out
-            # the list the record-keeping path would have produced.
-            return list(self.streamed.ttfts)
-        return [
-            record.ttft_s
-            for record in self.records
-            if record.first_token_s is not None
-        ]
+        return list(self.streamed.ttfts)
 
     @property
     def tpots(self) -> List[float]:
-        if self.streamed is not None:
-            return list(self.streamed.tpots)
-        return [
-            record.tpot_s
-            for record in self.records
-            if record.first_token_s is not None and record.finish_s is not None
-        ]
+        return list(self.streamed.tpots)
 
     @property
     def e2es(self) -> List[float]:
-        if self.streamed is not None:
-            return list(self.streamed.e2es)
-        return [record.e2e_s for record in self.completed_records]
+        return list(self.streamed.e2es)
 
     @property
     def queue_waits(self) -> List[float]:
-        if self.streamed is not None:
-            return list(self.streamed.queue_waits)
-        return [
-            record.queue_wait_s
-            for record in self.records
-            if record.prefill_start_s is not None
-        ]
+        return list(self.streamed.queue_waits)
 
     def _sorted_metric(self, metric: str) -> List[float]:
         """One metric's values, sorted once and cached across queries."""
         values = self._sorted_metrics.get(metric)
         if values is None:
+            streamed = self.streamed
             values = sorted(
                 {
-                    "ttft": self.ttfts,
-                    "tpot": self.tpots,
-                    "e2e": self.e2es,
-                    "queue_wait": self.queue_waits,
+                    "ttft": streamed.ttfts,
+                    "tpot": streamed.tpots,
+                    "e2e": streamed.e2es,
+                    "queue_wait": streamed.queue_waits,
                 }[metric]
             )
             self._sorted_metrics[metric] = values
@@ -461,23 +381,14 @@ class ServingReport:
 
     @property
     def max_queue_depth(self) -> int:
-        if self.streamed is not None:
-            return self.streamed.max_queue_depth
-        return max((depth for _, depth in self.queue_depth), default=0)
+        return self.streamed.max_queue_depth
 
     @property
     def mean_queue_depth(self) -> float:
         """Time-weighted mean waiting-queue depth over the makespan."""
-        if self.streamed is not None:
-            if self.makespan_s <= 0:
-                return 0.0
-            return self.streamed.queue_depth_area / self.makespan_s
-        if self.makespan_s <= 0 or len(self.queue_depth) < 2:
-            return float(self.queue_depth[0][1]) if self.queue_depth else 0.0
-        area = 0.0
-        for (t0, depth), (t1, _) in zip(self.queue_depth, self.queue_depth[1:]):
-            area += depth * (t1 - t0)
-        return area / self.makespan_s
+        if self.makespan_s <= 0:
+            return 0.0
+        return self.streamed.queue_depth_area / self.makespan_s
 
     # -- SLO -----------------------------------------------------------------
     def _slo(self, slo: Optional[SLOSpec]) -> SLOSpec:
@@ -486,15 +397,21 @@ class ServingReport:
             raise ValueError("no SLOSpec attached to this report or given")
         return spec
 
+    @property
+    def _dropped_records(self) -> bool:
+        """Whether the run streamed its records away (``keep_records=False``)."""
+        return not self.records and self.num_requests > 0
+
     def _met_count(self, spec: SLOSpec) -> int:
-        """Requests meeting ``spec`` — from records, or the streamed counter."""
-        if self.streamed is not None:
-            if spec != self.slo or self.streamed.slo_met is None:
-                raise ValueError(
-                    "this report streamed its records away; SLO counts exist "
-                    "only for the SLOSpec the simulation ran with"
-                )
+        """Requests meeting ``spec``: the folded counter for the run's own
+        SLO, the kept records re-judged for any other."""
+        if spec == self.slo:
             return self.streamed.slo_met
+        if self._dropped_records:
+            raise ValueError(
+                "this report streamed its records away; SLO counts exist "
+                "only for the SLOSpec the simulation ran with"
+            )
         return sum(1 for record in self.records if spec.met_by(record))
 
     def slo_attainment(self, slo: Optional[SLOSpec] = None) -> float:
@@ -579,7 +496,7 @@ class ServingReport:
 
     def to_csv(self, path: Optional[str] = None) -> str:
         """The per-request trace as CSV; byte-identical under a fixed seed."""
-        if self.streamed is not None:
+        if self._dropped_records:
             raise ValueError(
                 "this report streamed its records away (keep_records=False); "
                 "the per-request trace was written to the run's trace_sink"
@@ -598,16 +515,20 @@ class ServingReport:
 
 def trace_values(record: RequestRecord, slo: Optional[SLOSpec]) -> List[object]:
     """One record's cells in :data:`TRACE_CSV_FIELDS` order; blank cells
-    for unstamped times.
+    for unstamped times and, without an SLO, for the verdict.
 
     Shared by :meth:`ServingReport.to_csv`, the fleet trace export and
     the streaming trace sinks, so every trace CSV in the repo renders a
     record identically (``csv.writer`` formats each value exactly as the
     former ``DictWriter`` did — same ``str()`` float rendering, same
     quoting rules — keeping streamed and post-hoc traces byte-identical).
+    The latency cells are :func:`metric_sample`'s values.
     """
+    queue_wait, ttft, tpot, e2e, _, met = metric_sample(record, slo)
     request = record.request
-    incomplete = record.first_token_s is None or record.finish_s is None
+    prefill = record.prefill_start_s
+    first = record.first_token_s
+    finish = record.finish_s
     return [
         record.request_id,
         record.arrival_s,
@@ -616,19 +537,15 @@ def trace_values(record: RequestRecord, slo: Optional[SLOSpec]) -> List[object]:
         request.seq_len,
         request.gen_tokens,
         request.batch_size,
-        _blank_if_none(record.prefill_start_s),
-        _blank_if_none(record.first_token_s),
-        _blank_if_none(record.finish_s),
-        "" if record.prefill_start_s is None else record.queue_wait_s,
-        "" if record.first_token_s is None else record.ttft_s,
-        "" if incomplete else record.tpot_s,
-        "" if record.finish_s is None else record.e2e_s,
-        "" if slo is None else slo.met_by(record),
+        "" if prefill is None else prefill,
+        "" if first is None else first,
+        "" if finish is None else finish,
+        "" if queue_wait is None else queue_wait,
+        "" if ttft is None else ttft,
+        "" if tpot is None else tpot,
+        "" if e2e is None else e2e,
+        "" if met is None else met,
     ]
-
-
-def _blank_if_none(value: Optional[float]) -> object:
-    return "" if value is None else value
 
 
 def percentile_triplet(values: Dict[str, Optional[float]], scale: float = 1.0) -> str:

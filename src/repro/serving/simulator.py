@@ -9,9 +9,9 @@ from the workload's arrival stamps and the backend's analytical
 latencies; nothing here reads the wall clock, so a run is a pure
 function of ``(requests, scheduler, backend)`` and is exactly
 reproducible.  ``trace_sink``/``keep_records=False`` stream each
-request's trace row out as soon as it is fully stamped while exact
-metric reservoirs accumulate, so a million-request run holds
-O(in-flight batch) record state.
+request's trace row out as soon as it is fully stamped and drop the
+record, so a million-request run holds O(in-flight batch) record state;
+the exact metric reservoirs every report reads accumulate either way.
 
 The :class:`BackendCostModel` turns any registered
 :class:`repro.api.backend.Backend` into the device model: it profiles
@@ -373,16 +373,19 @@ def simulate(
     Streaming output: ``trace_sink`` (a path or a file-like object)
     receives each request's trace-CSV row the moment the request is fully
     stamped — byte-identical to :meth:`ServingReport.to_csv`, rows in
-    arrival order.  ``keep_records=False`` additionally drops each record
-    after streaming it, so a million-request run holds O(in-flight batch)
-    record state: the report then carries empty ``records`` but exact
-    :class:`repro.serving.metrics.StreamedMetrics` reservoirs, and every
-    aggregate metric (percentiles, attainment, goodput, queue depth)
-    matches the in-memory run bit for bit.  With ``keep_records=False`` a
-    non-list ``requests`` iterable is consumed lazily (it must already be
-    sorted), so even the arrival stream never materializes; lazy streams
-    cannot be combined with ``fail_fast`` (its attainment arithmetic
-    needs the total request count up front).
+    arrival order.  Every run folds each record, once, into exact
+    :class:`repro.serving.metrics.StreamedMetrics` reservoirs when it
+    resolves, and every aggregate metric (percentiles, attainment,
+    goodput, queue depth) reads them alone.  ``keep_records`` only
+    decides whether the records (and ``to_csv``) survive the run:
+    ``keep_records=False`` drops each record once it resolved and
+    streamed, so a million-request run holds O(in-flight batch) record
+    state, and the report carries empty ``records`` and the same
+    aggregates.  With ``keep_records=False`` a non-list ``requests``
+    iterable is consumed lazily (it must already be sorted), so even the
+    arrival stream never materializes; lazy streams cannot be combined
+    with ``fail_fast`` (its attainment arithmetic needs the total request
+    count up front).
 
     Observability: ``recorder`` (a :class:`repro.obs.Recorder`) receives
     sim-time spans and instants — one span per device occupancy, one

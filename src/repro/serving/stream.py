@@ -25,16 +25,13 @@ from __future__ import annotations
 import csv
 import io
 import os
-from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, IO, List, Sequence, Tuple, Union
 
 from repro.serving.request import RequestRecord
 
 #: What the loops accept as a trace sink: an open text-mode file-like
 #: object (anything with ``write``) or a filesystem path to create.
 TraceSink = Union[str, "os.PathLike[str]", IO[str]]
-
-#: Called once per record as it leaves the stream, with its arrival index.
-RecordObserver = Callable[[RequestRecord, int], None]
 
 
 def open_trace_sink(sink: TraceSink) -> Tuple[IO[str], bool]:
@@ -52,31 +49,26 @@ class TraceStreamer:
     """Order-preserving record emitter behind every streamed trace.
 
     ``register`` is called once per record in arrival order (assigning the
-    record its trace-row index); ``finish`` when the record's last stamp
-    lands.  Rows are emitted — to the CSV sink and to every observer — in
-    registration order, each as soon as all its predecessors have
-    finished.  ``close`` drains whatever never finished (partially-stamped
-    rows from an ``early_exit`` run) plus an optional tail of records that
-    never even entered the loop, so the emitted trace covers exactly the
-    rows the in-memory report would have rendered.
+    record its trace-row index); ``finish`` when the record resolves.  Rows
+    are written to the CSV sink in registration order, each as soon as all
+    its predecessors have finished.  ``close`` drains whatever never
+    finished (partially-stamped rows from an ``early_exit`` run) plus an
+    optional tail of records that never even entered the loop, so the
+    written trace covers exactly the rows the in-memory report would have
+    rendered.  The streamer only writes rows: the event loop folds every
+    record's metrics itself, when the record resolves.
     """
 
     def __init__(
         self,
-        sink: Optional[TraceSink],
+        sink: TraceSink,
         header: Sequence[str],
         row_of: Callable[[RequestRecord, int], List[object]],
-        observers: Sequence[RecordObserver] = (),
     ) -> None:
         self._row_of = row_of
-        self._observers = tuple(observers)
-        self._handle: Optional[IO[str]] = None
-        self._owns_handle = False
-        self._writer = None
-        if sink is not None:
-            self._handle, self._owns_handle = open_trace_sink(sink)
-            self._writer = csv.writer(self._handle, lineterminator="\n")
-            self._writer.writerow(header)
+        self._handle, self._owns_handle = open_trace_sink(sink)
+        self._writer = csv.writer(self._handle, lineterminator="\n")
+        self._writer.writerow(header)
         #: arrival index -> registered-but-unflushed record.
         self._buffer: Dict[int, RequestRecord] = {}
         #: id(record) -> arrival index, for live (buffered) records only.
@@ -111,14 +103,8 @@ class TraceStreamer:
     def _flush(self, index: int) -> None:
         record = self._buffer.pop(index)
         del self._index_of[id(record)]
-        self._emit(record, index)
+        self._writer.writerow(self._row_of(record, index))
         self._next = index + 1
-
-    def _emit(self, record: RequestRecord, index: int) -> None:
-        if self._writer is not None:
-            self._writer.writerow(self._row_of(record, index))
-        for observer in self._observers:
-            observer(record, index)
 
     # -- teardown ------------------------------------------------------------
     def close(self, tail: Sequence[RequestRecord] = ()) -> None:
@@ -132,9 +118,8 @@ class TraceStreamer:
             self._flush(index)
         self._finished.clear()
         for record in tail:
-            index = self._count
+            self._writer.writerow(self._row_of(record, self._count))
             self._count += 1
-            self._emit(record, index)
         self.release()
 
     def release(self) -> None:

@@ -62,7 +62,10 @@ def test_one_replica_unsharded_fleet_reproduces_simulate_exactly(scheduler_facto
     )
     device = fleet.device_reports[0]
     assert device.to_csv() == single.to_csv()
-    assert device.queue_depth == single.queue_depth
+    assert (device.mean_queue_depth, device.max_queue_depth) == (
+        single.mean_queue_depth,
+        single.max_queue_depth,
+    )
     assert device.busy_s == single.busy_s
     assert fleet.makespan_s == single.makespan_s
     assert fleet.percentiles("e2e") == single.percentiles("e2e")
@@ -97,7 +100,10 @@ def test_one_replica_unsharded_fleet_reproduces_simulate_exactly(scheduler_facto
     device = fleet.device_reports[0]
     assert fleet.makespan_s == single.makespan_s
     assert device.busy_s == single.busy_s
-    assert device.queue_depth == single.queue_depth
+    assert (device.mean_queue_depth, device.max_queue_depth) == (
+        single.mean_queue_depth,
+        single.max_queue_depth,
+    )
     assert fleet.faults == single.faults
     assert single.faults.crashes == 1 and single.faults.retries > 0
 

@@ -4,7 +4,8 @@ Same contract as the single-device streaming tests, with the fleet's
 extra column: the bytes streamed to the sink (device assignment included)
 must equal ``FleetReport.to_csv()`` of the in-memory run, for every
 router and scheduler, coalescing on or off, and a ``keep_records=False``
-run must answer fleet-wide and per-device aggregates identically.
+run must answer fleet-wide and per-device aggregates identically — with
+faults, hedges and early exits too.
 """
 
 import io
@@ -13,11 +14,15 @@ import random
 import pytest
 
 from serving_toys import ToyBackend
+from test_fleet_coalescing import SPARSE_CHAOS, SPARSE_SLO
 
 from repro.api import InferenceRequest
+from repro.faults import FaultSpec, RetryPolicy
 from repro.fleet import ROUTERS, build_fleet, get_router, simulate_fleet
+from repro.memory import MemorySpec
 from repro.serving import (
     ContinuousBatchScheduler,
+    DigestSink,
     FCFSScheduler,
     PoissonWorkload,
     SLOSpec,
@@ -78,29 +83,102 @@ def test_record_dropping_fleet_streams_the_same_bytes(scheduler_name, router_nam
     assert dropped.assignments == reference.assignments
 
 
+#: Hedging on top of chaos: a crash, flaky verdicts with client retries,
+#: hedges after 2 s and a deadline.  A hedge can win while its primary
+#: waits out a retry backoff on no device.
+HEDGED = dict(
+    faults=FaultSpec(crash_windows=((0, 30.0, 10.0),), flaky_prob=0.05, seed=3),
+    retry=RetryPolicy(max_attempts=3, backoff_s=0.5, hedge_after_s=2.0),
+    deadline_s=8.0,
+)
+SPARSE_SPECS = {"plain": {}, "chaos": SPARSE_CHAOS, "hedge": HEDGED}
+#: Tight enough that every sparse run below exits early under fail_fast.
+EARLY_EXIT_SLO = SLOSpec(e2e_s=2.0)
+METRICS = ("ttft", "tpot", "e2e", "queue_wait")
+
+
+def _sparse_run(arrivals, router_name, options, **kwargs):
+    """16 mostly idle replicas (with a KV memory model for the headroom
+    router, which steers by free DRAM)."""
+    memory = MemorySpec(dram_bytes=2**29) if router_name == "headroom" else None
+    fleet = build_fleet(
+        [ToyBackend(ttft=0.3, step=0.1)] * 16,
+        scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4, memory=memory),
+    )
+    return simulate_fleet(
+        arrivals, fleet, get_router(router_name), **options, **kwargs
+    )
+
+
+def _aggregates(report):
+    """Every aggregate a fleet report answers, fleet-wide and per device."""
+
+    def common(part):
+        return (
+            part.num_requests,
+            part.num_completed,
+            [part.percentiles(metric) for metric in METRICS],
+            part.slo_attainment(),
+            part.goodput_rps(),
+        )
+
+    return dict(
+        fleet=common(report),
+        throughput_rps=report.throughput_rps,
+        utilizations=report.utilizations,
+        imbalance=report.imbalance,
+        requests_per_device=report.requests_per_device,
+        devices=[
+            common(device) + (device.mean_queue_depth, device.max_queue_depth)
+            for device in report.device_reports
+        ],
+    )
+
+
 @pytest.mark.parametrize("router_name", sorted(ROUTERS))
 def test_streamed_fleet_aggregates_match_the_in_memory_report(router_name):
-    arrivals = _arrivals()
-    factory = SCHEDULERS["continuous"]
-    reference = _run(arrivals, factory, router_name)
-    dropped = _run(arrivals, factory, router_name, keep_records=False)
-    assert dropped.streamed is not None
-    assert dropped.num_requests == reference.num_requests
-    assert dropped.num_completed == reference.num_completed
-    for metric in ("ttft", "tpot", "e2e", "queue_wait"):
-        assert dropped.percentiles(metric) == reference.percentiles(metric)
-    assert dropped.throughput_rps == reference.throughput_rps
-    assert dropped.slo_attainment() == reference.slo_attainment()
-    assert dropped.goodput_rps() == reference.goodput_rps()
-    assert dropped.utilizations == reference.utilizations
-    assert dropped.imbalance == reference.imbalance
-    # Per-device breakdowns come from per-device streamed accumulators.
-    assert dropped.requests_per_device == reference.requests_per_device
-    for mine, theirs in zip(dropped.device_reports, reference.device_reports):
-        assert mine.num_completed == theirs.num_completed
-        assert mine.percentiles("e2e") == theirs.percentiles("e2e")
-        assert mine.mean_queue_depth == pytest.approx(theirs.mean_queue_depth)
-        assert mine.max_queue_depth == theirs.max_queue_depth
+    """{plain, chaos, hedge} x {whole run, fail_fast early exit} x
+    {metrics only, digest sink}: every aggregate of a record-dropping run,
+    per-device ones included, equals the record-keeping run's."""
+    arrivals = PoissonWorkload(3.0, _mixed_payload, seed=0).generate(300)
+    for spec, options in SPARSE_SPECS.items():
+        for early_exit in (False, True):
+            slo = EARLY_EXIT_SLO if early_exit else SPARSE_SLO
+            run = dict(options, slo=slo, fail_fast=early_exit)
+            reference = _sparse_run(arrivals, router_name, run)
+            assert reference.early_exit == early_exit
+            # Each routed record folds into the device its trace row names.
+            assert reference.requests_per_device == [
+                reference.assignments.count(index) for index in range(16)
+            ], spec
+            expected = _aggregates(reference)
+            for sink in (None, DigestSink()):
+                dropped = _sparse_run(
+                    arrivals, router_name, run, trace_sink=sink, keep_records=False
+                )
+                assert dropped.streamed is not None
+                case = (spec, early_exit, sink is not None)
+                assert _aggregates(dropped) == expected, case
+
+
+def test_a_hedge_win_files_its_primary_under_the_winning_device():
+    """Every kept primary sits in exactly one device's records: the device
+    its trace row names — also when its hedge won while it waited out a
+    retry backoff on no device."""
+    arrivals = PoissonWorkload(3.0, _mixed_payload, seed=2).generate(300)
+    fleet = build_fleet(
+        [ToyBackend(ttft=0.3, step=0.1)] * 4,
+        scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
+    )
+    report = simulate_fleet(arrivals, fleet, get_router("failover"), **HEDGED)
+    assert report.faults.hedge_wins > 0 and report.faults.retries > 0
+    owner = {}
+    for index, device in enumerate(report.device_reports):
+        for record in device.records:
+            assert id(record) not in owner
+            owner[id(record)] = index
+    assert len(owner) == len(report.records)
+    assert [owner.get(id(record)) for record in report.records] == report.assignments
 
 
 def test_record_dropping_fleet_report_refuses_to_csv():

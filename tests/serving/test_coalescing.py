@@ -271,17 +271,6 @@ def test_presorted_list_skips_the_sort(monkeypatch):
     assert report.num_completed == 30
 
 
-# -- queue-depth sampling -----------------------------------------------------
-
-def test_no_duplicate_final_queue_depth_sample():
-    for scheduler in (FCFSScheduler(), ContinuousBatchScheduler(max_batch=2)):
-        report = simulate(
-            PoissonWorkload(2.0, PAYLOAD, seed=4).generate(40), ToyBackend(), scheduler
-        )
-        assert report.queue_depth[-1] != report.queue_depth[-2]
-        assert report.queue_depth[-1][0] == report.makespan_s
-
-
 # -- early exit (fail_fast) ---------------------------------------------------
 
 def test_fail_fast_aborts_hopeless_runs_with_the_same_verdict():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import InferenceRequest
+from repro.fleet.device import _QueueDepthStats
 from repro.serving import RequestRecord, ServingReport, ServingRequest, SLOSpec, percentile
 
 
@@ -28,7 +29,6 @@ def _report(records, makespan=10.0, busy=8.0, slo=None):
         records=records,
         makespan_s=makespan,
         busy_s=busy,
-        queue_depth=[(0.0, 0), (2.0, 3), (6.0, 1), (10.0, 0)],
         slo=slo,
     )
 
@@ -98,9 +98,15 @@ def test_report_rates_and_utilization():
     assert report.utilization == pytest.approx(0.8)
     assert report.throughput_rps == pytest.approx(0.2)
     assert report.tokens_per_second == pytest.approx(2 * 4 / 10.0)
-    assert report.max_queue_depth == 3
+
+
+def test_queue_depth_stats_fold_the_step_function():
+    stats = _QueueDepthStats()
+    for now, depth in [(0.0, 0), (2.0, 3), (6.0, 1), (10.0, 0)]:
+        stats.add(now, depth)
+    assert stats.max_depth == 3
     # Step function: 0 until t=2, 3 until t=6, 1 until t=10.
-    assert report.mean_queue_depth == pytest.approx((3 * 4 + 1 * 4) / 10.0)
+    assert stats.area == pytest.approx(3 * 4 + 1 * 4)
 
 
 def test_report_attainment_goodput_and_verdict():
@@ -157,7 +163,6 @@ def _empty_report(slo=None):
         records=[],
         makespan_s=0.0,
         busy_s=0.0,
-        queue_depth=[],
         slo=slo,
     )
 

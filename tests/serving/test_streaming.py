@@ -101,7 +101,7 @@ def test_streamed_aggregates_match_the_in_memory_report(scheduler_name):
     assert dropped.slo_attainment() == reference.slo_attainment()
     assert dropped.goodput_rps() == reference.goodput_rps()
     assert dropped.meets_slo() == reference.meets_slo()
-    assert dropped.mean_queue_depth == pytest.approx(reference.mean_queue_depth)
+    assert dropped.mean_queue_depth == reference.mean_queue_depth
     assert dropped.max_queue_depth == reference.max_queue_depth
 
 

@@ -240,14 +240,32 @@ def test_memory_flags_reject_bad_sizes(command, flag, message):
 
 # -- --stream-trace and --parallel ----------------------------------------------------
 
-def test_stream_trace_is_byte_identical_to_the_csv(command, tmp_path, capsys):
+#: A hedged fleet whose hedges can win while their primaries wait to retry.
+_HEDGED_FLEET = [
+    "fleet", "opt-6.7b", "--config", "S", "--gen-tokens", "4",
+    "--num-devices", "4", "--router", "jsq", "--qps", "0.3",
+    "--num-requests", "120", "--scheduler", "continuous", "--max-batch", "4",
+    "--faults", "flaky=0.2,seed=1", "--retry", "attempts=3,backoff=0.5,hedge-after=1",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [(_BASE["fleet"], 20), (_BASE["serve"], 20), (_HEDGED_FLEET, 120)],
+    ids=["fleet", "serve", "fleet-hedged"],
+)
+def test_stream_trace_is_byte_identical_to_the_csv(argv, rows, tmp_path, capsys):
+    """``--stream-trace`` writes the bytes ``--csv`` writes and prints the
+    same report, all but the closing "Wrote"/"Streamed" line."""
     written, streamed = tmp_path / "written.csv", tmp_path / "streamed.csv"
-    assert main(_BASE[command] + ["--slo-e2e", "60", "--csv", str(written)]) == 0
-    assert main(
-        _BASE[command] + ["--slo-e2e", "60", "--stream-trace", str(streamed)]
-    ) == 0
-    output = capsys.readouterr().out
-    assert f"Streamed 20 request rows to {streamed}" in output
+    argv = argv + ["--slo-e2e", "60"]
+    assert main(argv + ["--csv", str(written)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--stream-trace", str(streamed)]) == 0
+    streamed_printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == f"Wrote {rows} request records to {written}"
+    assert streamed_printed[-1] == f"Streamed {rows} request rows to {streamed}"
+    assert streamed_printed[:-1] == printed[:-1]
     assert streamed.read_bytes() == written.read_bytes()
 
 
