@@ -25,20 +25,21 @@ Determinism under coalescing
 
 A fault transition is an *interesting boundary*: each device's scheduler
 is handed the time of its next scheduled fault through the attached
-:class:`FaultGate`, and a coalesced decode window never extends a step
+:class:`FaultGate`, and a coalesced decode run never extends a step
 across it (see :mod:`repro.serving.scheduler`).  The straddling step is
 planned as its own single-step occupancy in coalesced and step-by-step
 runs alike, and planning only ever happens on idle devices — at instants
 both runs share.  A retry, hedge or crash re-queue dispatched to a busy
 device cuts its open decode run at the first step boundary at or after
-the dispatch, exactly as a source arrival does, so crash aborts,
-slowdown repricing, shedding and retries land on identical state either
-way: ``max_steps=1`` and coalesced fault runs produce byte-identical
-traces.  One known gap: behind a *full* batch, a queued request whose
-deadline expired, or a cancelled hedge, leaves the queue at the next
-planning call, which a coalesced run reaches at the next in-batch
-completion and the step-by-step run at the next step boundary; a router
-reading queue lengths in between can then route differently.
+the dispatch, exactly as a source arrival does, with or without a KV
+memory model, so crash aborts, slowdown repricing, shedding and retries
+land on identical state either way: ``max_steps=1`` and coalesced fault
+runs produce byte-identical traces.  One known gap: behind a *full*
+batch, a queued request whose deadline expired, or a cancelled hedge,
+leaves the queue at the next planning call, which a coalesced run
+reaches at the next in-batch completion and the step-by-step run at the
+next step boundary; a router reading queue lengths in between can then
+route differently.
 
 Crash semantics
 ---------------
@@ -208,30 +209,6 @@ class _FaultRun:
         #: guard in :meth:`next_time`).
         self.idle_passes = 0
         self.down_since: List[Optional[float]] = [None] * len(devices)
-        # Memory-model decode windows stop at the planning horizon rather
-        # than being cut, and dynamically-scheduled deliveries (flaky
-        # retries, crash re-queues) are not in it the way source arrivals
-        # are, so such a window could extend past an admission the
-        # step-by-step reference would open.  Two caps restore the
-        # equivalence: no window extends past the next fault event on
-        # ANY device (a crash there can re-queue work onto this one), and
-        # with flaky retries armed, none extends more than the minimum
-        # possible client backoff past its planning instant (a failure
-        # after `now` cannot schedule a retry any sooner than that).
-        self._min_retry_delay: Optional[float] = None
-        if (
-            retry is not None
-            and retry.max_attempts > 1
-            and faults is not None
-            and faults.flaky_prob > 0.0
-        ):
-            shortest = min(
-                retry.multiplier ** attempt
-                for attempt in range(retry.max_attempts - 1)
-            )
-            self._min_retry_delay = (
-                retry.backoff_s * shortest * (1.0 - retry.jitter)
-            )
         self.gates: List[FaultGate] = []
         self.cursors = []
         for index, device in enumerate(devices):
@@ -246,8 +223,6 @@ class _FaultRun:
             if cursor is not None and cursor.head_time is not None:
                 gate.boundary_s = cursor.head_time
                 self.rearm.append((cursor.head_time, index))
-        self._fault_head: Optional[float] = None
-        self._refresh_fault_head()
 
     # -- gate callbacks -------------------------------------------------------
     def _make_callbacks(self, index: int):
@@ -594,7 +569,6 @@ class _FaultRun:
         gate.boundary_s = head
         if head is not None:
             self.rearm.append((head, index))
-        self._refresh_fault_head()
         return progressed
 
     def _abort_device(self, index: int, device, time_s: float) -> bool:
@@ -646,40 +620,12 @@ class _FaultRun:
         for record in requeue:
             # Re-route at the crash instant against live health state.
             self._redispatch(record, time_s)
+        # The queue emptied (a router may have sent survivors back):
+        # sample it now, or the pre-crash depth holds through the outage.
+        device.queue_stats.add(time_s, device.scheduler.waiting)
         return bool(requeue)
 
-    # -- planning and the clock ---------------------------------------------
-    def _refresh_fault_head(self) -> None:
-        """Re-derive the earliest pending fault instant across all devices."""
-        head: Optional[float] = None
-        for cursor in self.cursors:
-            if cursor is None:
-                continue
-            time_s = cursor.head_time
-            if time_s is not None and (head is None or time_s < head):
-                head = time_s
-        self._fault_head = head
-
-    def horizon(self, horizon: Optional[float], now: float) -> Optional[float]:
-        """The planning horizon memory-model decode windows stop at: the
-        next source arrival capped by the next retry delivery, the next
-        fault on any device, and the shortest possible flaky-retry backoff
-        (see ``__init__``)."""
-        retry_heap = self.retry_heap
-        if retry_heap:
-            rhead = retry_heap[0][0]
-            if horizon is None or rhead < horizon:
-                horizon = rhead
-        fault_head = self._fault_head
-        if fault_head is not None and (horizon is None or fault_head < horizon):
-            horizon = fault_head
-        min_delay = self._min_retry_delay
-        if min_delay is not None:
-            cap = now + min_delay
-            if horizon is None or cap < horizon:
-                horizon = cap
-        return horizon
-
+    # -- the clock ------------------------------------------------------------
     def next_time(self, next_time: Optional[float], progressed: bool) -> float:
         """The next event instant given the heap/source minimum, merging
         the retry heap; raises when the run can no longer progress."""

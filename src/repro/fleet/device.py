@@ -140,18 +140,20 @@ class Device:
     def memory(self):
         """This replica's KV memory model (None without one).
 
-        The scheduler owns the model; the device only surfaces it so
-        routers can steer by free DRAM and the fleet loop can snapshot
-        per-device :class:`repro.memory.MemoryReport` counters.
+        The scheduler owns the model; the device only surfaces it so the
+        fleet loop can name its recorder track and snapshot per-device
+        :class:`repro.memory.MemoryReport` counters.  Routers read
+        :meth:`free_dram_bytes` instead.
         """
         return getattr(self.scheduler, "memory", None)
 
-    @property
-    def free_dram_bytes(self) -> int:
-        """Free KV DRAM on this replica (0 without a memory model)."""
-        memory = self.memory
-        return 0 if memory is None else memory.pool.free_bytes
+    def free_dram_bytes(self, now: float) -> int:
+        """Free KV DRAM on this replica as of ``now``, as the step-by-step
+        loop has booked it (0 without a memory model)."""
+        return self.scheduler.free_dram_bytes(now)
 
     def finalize(self, makespan_s: float) -> None:
-        """Take the closing queue-depth sample."""
+        """Book the scheduler's last run and take the closing queue-depth
+        sample."""
+        self.scheduler.finalize()
         self.queue_stats.add(makespan_s, self.scheduler.waiting)

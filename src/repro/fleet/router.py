@@ -298,28 +298,16 @@ class MemoryHeadroomRouter(Router):
     """Most free KV DRAM, then fewest outstanding requests.
 
     Reads each replica's :class:`repro.memory.KVMemoryModel` through
-    ``Device.free_dram_bytes``; replicas without a memory model score 0
-    headroom, so a memory-less fleet degrades to exact JSQ behaviour
-    (every headroom ties, the queue count decides).  Like every policy,
-    ties break to the smallest device index — lexicographic min over
-    ``(-headroom, outstanding)`` tuples keeps the scan's determinism.
+    ``Device.free_dram_bytes(now)``; replicas without a memory model
+    score 0 headroom, so a memory-less fleet degrades to exact JSQ
+    behaviour (every headroom ties, the queue count decides).  Like
+    every policy, ties break to the smallest device index — lexicographic
+    min over ``(-headroom, outstanding)`` tuples keeps the scan's
+    determinism.
 
-    Residency is read as-of the latest *planned* decode step.  A
-    coalesced occupancy books its whole window's KV growth at planning
-    time, so an arrival landing mid-window can see residency the
-    step-by-step reference has not booked yet: decisions are
-    deterministic per run, but byte-identity between ``max_steps=None``
-    and ``max_steps=1`` fleets is only guaranteed for this policy when
-    no replica carries a memory model (the tested battery) — pass
-    ``max_steps=1`` when comparing memory-model traces across runs.
-
-    That booking is also why memory-model decode windows keep the
-    fleet-wide arrival horizon (they stop at the first step boundary
-    reaching the next arrival anywhere) instead of running to the next
-    completion and being cut by a request routed to their device, as
-    slot-count windows are: a window planned longer books more growth,
-    which this policy would read at every arrival before the cut, so
-    routing — and the pinned traces of memory-model runs — would change.
+    Residency is read as of ``now``: a coalesced decode run counts the
+    steps the step-by-step loop has planned by then, not the whole run,
+    so coalesced and ``max_steps=1`` fleets route alike.
     """
 
     name = "headroom"
@@ -328,7 +316,7 @@ class MemoryHeadroomRouter(Router):
         self, record: RequestRecord, devices: Sequence[Device], now: float
     ) -> int:
         scores = [
-            (-device.free_dram_bytes, device.outstanding)
+            (-device.free_dram_bytes(now), device.outstanding)
             for device in devices
         ]
         if self.exclude_unhealthy:

@@ -278,11 +278,15 @@ def _run(
                 if fleet_shape:
                     memory_model.track = f"memory{index}"
 
-    def record_run(track: str, occupancy) -> None:
+    def record_run(index: int, occupancy) -> None:
         """Record an open decode run once its end is final: the
-        scheduler's ``coalesce`` instant, then the occupancy span."""
+        scheduler's ``coalesce`` instant, the memory model's ``dram``
+        instant, then the occupancy span."""
         start = occupancy.start_s
+        track = device_tracks[index]
         rec.instant(track, "coalesce", start, occupancy.note)
+        if occupancy.dram is not None:
+            rec.instant(devices[index].memory.track, "dram", start, occupancy.dram)
         rec.span(
             track,
             occupancy.kind,
@@ -414,7 +418,7 @@ def _run(
                         progressed = True
                     occupancy = device._occupancy
                     if rec is not None and occupancy.start_s is not None:
-                        record_run(device_tracks[index], occupancy)
+                        record_run(index, occupancy)
                     completed = occupancy.completed
                     device.busy_until = None
                     device._occupancy = None
@@ -500,26 +504,19 @@ def _run(
                 progressed = True
             if prof_add is not None:
                 prof_add("dispatch", prof_clock() - t0)
-            # 3. Touched idle devices plan (sampling their queue depth as
-            # they do), in device-index order.  Untouched devices need no
-            # attempt: their schedulers saw no arrival and no completion,
-            # so planning could only repeat the previous answer — skipping
-            # it drops only redundant same-depth queue samples, which
-            # leaves every derived queue statistic unchanged.  A touched
-            # busy device's queue changed, and its scheduler may cut the
-            # in-flight decode run short to admit a request
-            # (Scheduler.cut): the device is then busy until the new end,
-            # gives back the cut tail of its busy time, and its completion
-            # is pushed afresh, superseding the old one.  The horizon
-            # handed to each scheduler (read only by memory-model decode
-            # windows) is the next undelivered arrival; a device with
-            # nothing pending and no arrivals left skips the attempt.
-            # Fault-aware runs cap the horizon further, at the next retry
-            # delivery, the next fault anywhere and the shortest retry
-            # backoff (see repro.faults.engine).
-            horizon = source.head_time
-            if fault_run is not None:
-                horizon = fault_run.horizon(horizon, now)
+            # 3. Touched idle devices with pending work plan (sampling
+            # their queue depth as they do), in device-index order.  The
+            # devices skipped could only repeat their previous answer:
+            # an untouched scheduler saw no arrival and no completion, and
+            # one with nothing pending is idle with an empty queue, which
+            # its last sample already says (a crash samples the queue it
+            # empties).  Skipping them drops only redundant same-depth
+            # samples, which leaves every derived queue statistic
+            # unchanged.  A touched busy device's queue changed, and its
+            # scheduler may cut the in-flight decode run short to admit a
+            # request (Scheduler.cut): the device is then busy until the
+            # new end, gives back the cut tail of its busy time, and its
+            # completion is pushed afresh, superseding the old one.
             if touched:
                 if prof_add is not None:
                     t0 = prof_clock()
@@ -541,9 +538,9 @@ def _run(
                                 heap_max_depth = len(heap)
                     elif device.up:
                         scheduler = device.scheduler
-                        if horizon is not None or scheduler.pending:
+                        if scheduler.pending:
                             occupancy = scheduler.next_occupancy(
-                                now, device.cost, horizon=horizon, max_steps=max_steps
+                                now, device.cost, max_steps=max_steps
                             )
                             if fault_run is not None:
                                 # Queue drops (shed, cancelled) since the
@@ -596,15 +593,16 @@ def _run(
                     break
                 heap_pop(heap)
                 pops += 1
+            head = source.head_time
             if fault_run is None:
                 if heap:
                     next_completion = heap[0][0]
-                    if horizon is None or next_completion <= horizon:
+                    if head is None or next_completion <= head:
                         now = next_completion
                     else:
-                        now = horizon
+                        now = head
                 else:
-                    if horizon is None:
+                    if head is None:
                         stuck = sum(device.scheduler.pending for device in devices)
                         if stuck:
                             raise RuntimeError(
@@ -612,7 +610,7 @@ def _run(
                                 "but planned no work"
                             )
                         break
-                    now = horizon
+                    now = head
             else:
                 # Shedding while planning can resolve requests too.
                 if fail_fast:
@@ -622,7 +620,6 @@ def _run(
                 # Fault schedules can be infinite, so a fault-aware run
                 # ends when every delivered request resolved and the
                 # stream is dry — not when the heap does.
-                head = source.head_time
                 if fault_run.open_requests == 0 and head is None:
                     break
                 next_time = heap[0][0] if heap else None
@@ -641,7 +638,7 @@ def _run(
             ):
                 # A run still in flight when the loop stops: no request
                 # is left to cut it, so its end is final.
-                record_run(device_tracks[index], occupancy)
+                record_run(index, occupancy)
             if device.backend_name is None:
                 # A replica that received no traffic still resolves its
                 # display name against the stream's first payload

@@ -103,6 +103,7 @@ class _Window:
         "refill_bytes",
         "dram_peak",
         "dram_last",
+        "dram_last_s",
         "fault_events",
         "shed",
         "retries",
@@ -121,7 +122,9 @@ class _Window:
         self.spill_bytes = 0
         self.refill_bytes = 0
         self.dram_peak: Optional[int] = None
+        #: The level at the window's latest ``dram`` instant, and when.
         self.dram_last: Optional[int] = None
+        self.dram_last_s: Optional[float] = None
         self.fault_events = 0
         self.shed = 0
         self.retries = 0
@@ -287,7 +290,11 @@ class TimelineCollector(Recorder):
             used = args.get("used_bytes", 0)
             if window.dram_peak is None or used > window.dram_peak:
                 window.dram_peak = used
-            window.dram_last = used
+            # A cuttable decode run's instant arrives once its end is
+            # final, after instants stamped later: keep the latest level.
+            if window.dram_last_s is None or ts_s >= window.dram_last_s:
+                window.dram_last = used
+                window.dram_last_s = ts_s
 
     # -- finalization ---------------------------------------------------------
     def finalize_run(self, makespan_s: float) -> Optional[AlertLog]:

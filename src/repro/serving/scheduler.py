@@ -60,15 +60,16 @@ occupancy), decode steps grow residency per step, and a step whose
 growth no longer fits spills to flash and reads the flash-resident KV
 back through the channels every step.  Freed DRAM pulls spilled bytes
 home as explicit ``refill`` occupancies.  Every spill/refill is a new
-interesting boundary: coalescing is additionally capped at the step
+interesting boundary: a decode run is additionally capped at the step
 where DRAM would fill (regime A), and a spilling batch plans strictly
 one step per occupancy (regime B), so coalesced and ``max_steps=1``
-runs stay byte-identical with the model enabled too.  The memory path
-books a window's KV growth when it plans the window, so its runs are
-never cut: ``next_occupancy`` hands it an arrival ``horizon`` (the next
-arrival anywhere in the fleet) instead, and while a slot is free a
-window stops at the first step boundary reaching it.  ``memory=None``
-(the default) leaves the slot-count path untouched.
+runs stay byte-identical with the model enabled too.  Otherwise a
+regime-A run is planned and cut exactly like a slot-count run.  It books
+its KV growth, and releases its finishing members, only once it is
+over: at the scheduler's next planning call, a crash eviction or
+:meth:`Scheduler.finalize`.  Until then :meth:`Scheduler.free_dram_bytes`
+reads DRAM as of an instant, as the step-by-step loop has booked it.
+``memory=None`` (the default) leaves the slot-count path untouched.
 
 Faults
 ------
@@ -107,6 +108,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import inf
 from typing import Deque, List, Optional
 
 from repro.serving.request import RequestRecord
@@ -142,6 +144,9 @@ class Occupancy:
     #: The scheduler's ``coalesce`` instant for an open run on a
     #: recorder-attached run, emitted by the loop with the run's span.
     note: Optional[dict] = None
+    #: The memory model's ``dram`` instant for an open memory-model run,
+    #: emitted by the loop between the note and the span.
+    dram: Optional[dict] = None
 
     def end_time(self, now: float) -> float:
         """When this occupancy finishes, starting at ``now``."""
@@ -154,10 +159,10 @@ def _cap_reason(
     """Why a coalesced decode occupancy stopped at ``steps``.
 
     Only evaluated on recorder-attached runs (inside the emission guard):
-    ``horizon`` — an admissible arrival's step boundary was reached (or
-    a fault boundary); ``max_steps`` — the caller's coalescing cap;
-    ``completion`` — the next in-batch completion (the natural boundary).
-    A run :meth:`Scheduler.cut` shortens reports ``horizon`` too.
+    ``horizon`` — the run was cut for a request that queued mid-run
+    (:meth:`Scheduler.cut` sets it) or capped at the device's next fault;
+    ``max_steps`` — the caller's coalescing cap; ``completion`` — the
+    next in-batch completion (the natural boundary).
     """
     if steps < limit:
         return "horizon"
@@ -203,19 +208,13 @@ class Scheduler:
         return len(self._waiting)
 
     def next_occupancy(
-        self,
-        now: float,
-        cost,
-        horizon: Optional[float] = None,
-        max_steps: Optional[int] = None,
+        self, now: float, cost, max_steps: Optional[int] = None
     ) -> Optional[Occupancy]:
         """Plan the next device occupancy starting at ``now`` (None = idle).
 
-        ``horizon`` is the absolute arrival time of the next request still
-        in flight (None when the stream is exhausted; only the memory
-        model's decode windows stop at it); ``max_steps`` caps how many
-        decode steps a coalescing scheduler may fast-forward in one
-        occupancy (None = unlimited, 1 = the uncoalesced loop).
+        ``max_steps`` caps how many decode steps a coalescing scheduler
+        may fast-forward in one occupancy (None = unlimited, 1 = the
+        uncoalesced loop).
         """
         raise NotImplementedError
 
@@ -230,6 +229,13 @@ class Scheduler:
         non-preemptive occupancies only.
         """
         return None
+
+    def free_dram_bytes(self, now: float) -> int:
+        """Free KV DRAM as of ``now`` (0 without a memory model)."""
+        return 0
+
+    def finalize(self) -> None:
+        """The run is over: book what the last occupancy still owes."""
 
     # -- fault support -------------------------------------------------------
     def _shed_expired(self, now: float) -> None:
@@ -283,17 +289,13 @@ class FCFSScheduler(Scheduler):
     """First-come-first-served, one request on the device at a time.
 
     A job is already one whole occupancy, so there is nothing further to
-    coalesce: ``horizon`` and ``max_steps`` are accepted and ignored.
+    coalesce: ``max_steps`` is accepted and ignored.
     """
 
     name = "fcfs"
 
     def next_occupancy(
-        self,
-        now: float,
-        cost,
-        horizon: Optional[float] = None,
-        max_steps: Optional[int] = None,
+        self, now: float, cost, max_steps: Optional[int] = None
     ) -> Optional[Occupancy]:
         gate = self.faults
         if gate is not None and self._waiting:
@@ -320,7 +322,7 @@ class StaticBatchScheduler(Scheduler):
     the classic static-batching straggler penalty.
 
     The batch runs as one occupancy already (the maximally coalesced
-    form), so ``horizon`` and ``max_steps`` are accepted and ignored.
+    form), so ``max_steps`` is accepted and ignored.
     """
 
     name = "static"
@@ -332,11 +334,7 @@ class StaticBatchScheduler(Scheduler):
         self.max_batch = max_batch
 
     def next_occupancy(
-        self,
-        now: float,
-        cost,
-        horizon: Optional[float] = None,
-        max_steps: Optional[int] = None,
+        self, now: float, cost, max_steps: Optional[int] = None
     ) -> Optional[Occupancy]:
         gate = self.faults
         if gate is not None and self._waiting:
@@ -360,6 +358,94 @@ class StaticBatchScheduler(Scheduler):
             record.prefill_start_s = now
             record.first_token_s = now + prefill
         return Occupancy(BATCH, prefill + steps * step, batch)
+
+
+class _KVGrowth:
+    """A regime-A decode run's KV growth, booked once the run is over.
+
+    The step-by-step loop books a step's growth when it plans the step,
+    and the finishing members release their residency with the last
+    step.  A coalesced run books all of it at once (:meth:`book`); until
+    then :meth:`advance` tracks what the step-by-step loop holds at an
+    instant: the first step, plus every later step that started strictly
+    before it (a request arriving on a step boundary is routed before
+    that step is planned), and once the last step has started, the net
+    growth after the finishing members' release.  ``started`` only moves
+    forward, so a read between two step boundaries costs one comparison.
+    """
+
+    __slots__ = (
+        "occupancy",
+        "batch",
+        "growth",
+        "step",
+        "base",
+        "end_free",
+        "free",
+        "started",
+        "next_start",
+    )
+
+    def __init__(
+        self,
+        occupancy: Occupancy,
+        batch: list,
+        growth: int,
+        step: float,
+        now: float,
+        free: int,
+    ) -> None:
+        steps = occupancy.steps
+        self.occupancy = occupancy
+        #: The batch as planned: [record, remaining, ...] entries whose
+        #: remaining steps already count this run (0 = finishes with it).
+        self.batch = batch
+        self.growth = growth
+        self.step = step
+        #: Free DRAM before the run, and once it is booked.
+        self.base = free
+        released = 0
+        for entry in batch:
+            if not entry[1]:
+                released += entry[3] + steps * entry[5]
+        self.end_free = free - steps * growth + released
+        #: Free DRAM as of the latest read, the steps started by then, and
+        #: the start of the next step (inf once the last one started).
+        self.started = 1
+        if steps == 1:
+            self.free, self.next_start = self.end_free, inf
+        else:
+            self.free, self.next_start = free - growth, now + step
+
+    def advance(self, now: float) -> None:
+        """Count the steps that started strictly before ``now``."""
+        steps = self.occupancy.steps
+        started, start, step = self.started, self.next_start, self.step
+        while now > start:
+            started += 1
+            if started == steps:
+                self.started, self.next_start = started, inf
+                self.free = self.end_free
+                return
+            start += step
+        self.started, self.next_start = started, start
+        self.free = self.base - started * self.growth
+
+    def cut(self, steps: int) -> None:
+        """The run now ends after ``steps`` steps, and nobody finishes."""
+        self.end_free = self.base - steps * self.growth
+        if self.started == steps:
+            self.next_start = inf
+
+    def book(self, pool) -> None:
+        """Book the run's growth, then release its finishing members."""
+        steps = self.occupancy.steps
+        if self.growth:
+            pool.admit(steps * self.growth)
+        for entry in self.batch:
+            entry[3] += steps * entry[5]
+            if not entry[1] and entry[3]:
+                pool.release(entry[3])
 
 
 class ContinuousBatchScheduler(Scheduler):
@@ -412,6 +498,8 @@ class ContinuousBatchScheduler(Scheduler):
         #: The open decode run :meth:`cut` may shorten, as [occupancy,
         #: step, the batch list as planned]; None between runs.
         self._open: Optional[list] = None
+        #: The latest regime-A run's KV growth, until it is booked.
+        self._growth: Optional[_KVGrowth] = None
 
     @property
     def pending(self) -> int:
@@ -423,11 +511,7 @@ class ContinuousBatchScheduler(Scheduler):
         return len(self._active)
 
     def next_occupancy(
-        self,
-        now: float,
-        cost,
-        horizon: Optional[float] = None,
-        max_steps: Optional[int] = None,
+        self, now: float, cost, max_steps: Optional[int] = None
     ) -> Optional[Occupancy]:
         if cost is not self._memo_cost:
             self._ttft_memo.clear()
@@ -435,6 +519,8 @@ class ContinuousBatchScheduler(Scheduler):
             self._memo_cost = cost
         # The device is idle again, so the previous run is over.
         self._open = None
+        if self._growth is not None:
+            self._book()
         gate = self.faults
         if gate is not None and self._waiting:
             self._shed_expired(now)
@@ -449,46 +535,7 @@ class ContinuousBatchScheduler(Scheduler):
         # Admission first: fill free batch slots with waiting prefills so
         # new requests reach their first token as early as possible.
         if self._waiting and len(self._active) < self.max_batch:
-            if memory is None:
-                record = self._waiting.popleft()
-                request = record.source.request
-                memo = self._ttft_memo
-                hit = memo.get(id(request))
-                if hit is not None and hit[0] is request:
-                    ttft = hit[1]
-                else:
-                    ttft = cost.ttft(request)
-                    if len(memo) >= self.MEMO_SIZE:
-                        memo.clear()
-                    memo[id(request)] = (request, ttft)
-                if gate is not None and gate.slow_factor != 1.0:
-                    # Memo entries cache the unscaled latency; the window
-                    # multiplier applies per planning call.
-                    ttft *= gate.slow_factor
-                record.prefill_start_s = now
-                record.first_token_s = now + ttft
-                self._active.append([record, request.gen_tokens, request])
-                self._lanes += request.batch_size
-                ident = id(request)
-                payloads = self._payloads
-                counted = payloads.get(ident)
-                if counted is None:
-                    payloads[ident] = [request, 1]
-                else:
-                    counted[1] += 1
-                if rec is not None:
-                    rec.instant(
-                        self.track,
-                        "admit",
-                        now,
-                        {
-                            "request_id": record.request_id,
-                            "verdict": "slot",
-                            "batch": len(self._active),
-                        },
-                    )
-                return Occupancy(PREFILL, ttft)
-            occupancy = self._admit_with_memory(now, cost)
+            occupancy = self._admit(now, cost)
             if occupancy is not None:
                 return occupancy
             # Otherwise the head-of-line request is waiting on DRAM/flash
@@ -538,14 +585,26 @@ class ContinuousBatchScheduler(Scheduler):
         # in-batch completion, so up to `limit` steps are one occupancy.
         if max_steps is not None and max_steps < limit:
             limit = max_steps
-        boundary = gate.boundary_s if gate is not None else None
+        spilling = dram_capped = False
         if memory is not None:
-            return self._decode_with_memory(
-                now, step, limit, horizon, max_steps, boundary
-            )
+            growth = 0
+            for entry in active:
+                growth += entry[5]
+            free = memory.pool.free_bytes
+            if memory.spilled_bytes or growth > free:
+                # Regime B: the step spills or reads spilled KV back, so it
+                # is planned alone and pays the flash time on top.
+                step += self._spill_step()
+                limit = 1
+                spilling = True
+            elif growth and free // growth < limit:
+                # Regime A: the step where DRAM fills is interesting too.
+                limit = free // growth
+                dram_capped = True
         # Accumulate the boundaries one step at a time: `end` walks the
         # exact float sequence the uncoalesced loop would produce.
         end = now + step
+        boundary = gate.boundary_s if gate is not None else None
         if boundary is None:
             steps = limit
             for _ in range(limit - 1):
@@ -564,9 +623,13 @@ class ContinuousBatchScheduler(Scheduler):
                 steps += 1
                 end = nxt
         # With a free slot, a request queuing mid-run is admissible at the
-        # next step boundary: the run stays open for cut().
+        # next step boundary: the run stays open for cut().  A regime-A
+        # run books its growth once it is over, against the batch as
+        # planned.
         batch = len(active)
-        planned = list(active) if steps > 1 and batch < self.max_batch else None
+        cuttable = steps > 1 and batch < self.max_batch
+        books = memory is not None and not spilling
+        planned = list(active) if cuttable or books else None
         finished = []
         for entry in active:
             entry[1] -= steps
@@ -588,20 +651,44 @@ class ContinuousBatchScheduler(Scheduler):
             steps=steps,
             end_s=end,
         )
-        if planned is not None:
+        if cuttable:
             occupancy.start_s = now
             self._open = [occupancy, step, planned]
+        if books:
+            self._growth = _KVGrowth(occupancy, planned, growth, step, now, free)
+        elif spilling:
+            for entry in finished:
+                self._release(entry)
         if rec is not None:
+            if spilling:
+                reason = "spill"
+            elif dram_capped and steps == limit:
+                reason = "dram_fill"
+            else:
+                reason = _cap_reason(steps, limit, max_steps)
             note = {
                 "steps": steps,
-                "reason": _cap_reason(steps, limit, max_steps),
+                "reason": reason,
                 "batch": batch,
                 "completed": len(finished),
             }
-            if planned is not None:
-                occupancy.note = note  # emitted once the end is final
+            dram = None
+            if memory is not None:
+                # The DRAM level once the run is booked: the timeline's
+                # KV-occupancy series.
+                pool = memory.pool
+                used = pool.used_bytes
+                if books:
+                    used = pool.capacity_bytes - self._growth.end_free
+                dram = {"used_bytes": used}
+            if cuttable:
+                # Emitted once the end is final.
+                occupancy.note = note
+                occupancy.dram = dram
             else:
                 rec.instant(self.track, "coalesce", now, note)
+                if dram is not None:
+                    rec.instant(memory.track, "dram", now, dram)
         return occupancy
 
     def cut(self, now: float) -> Optional[Occupancy]:
@@ -647,80 +734,102 @@ class ContinuousBatchScheduler(Scheduler):
         occupancy.steps = steps
         occupancy.end_s = end
         occupancy.seconds = step if steps == 1 else end - start
+        growth = self._growth
+        if growth is not None:
+            growth.cut(steps)
         note = occupancy.note
         if note is not None:
             note["steps"] = steps
             note["reason"] = "horizon"
             note["completed"] = 0
+            if growth is not None:
+                occupancy.dram["used_bytes"] = (
+                    self.memory.pool.capacity_bytes - growth.end_free
+                )
         return occupancy
+
+    def free_dram_bytes(self, now: float) -> int:
+        """Free KV DRAM as of ``now``: what the step-by-step loop has
+        booked by then (see :class:`_KVGrowth`)."""
+        growth = self._growth
+        if growth is not None:
+            if now > growth.next_start:
+                growth.advance(now)
+            return growth.free
+        memory = self.memory
+        return 0 if memory is None else memory.pool.free_bytes
+
+    def finalize(self) -> None:
+        if self._growth is not None:
+            self._book()
 
     def evict_all(self) -> List[RequestRecord]:
         """Crash support: drain the active batch, then the waiting queue.
 
-        Active members release their KV residency (DRAM and spilled flash
-        bytes) before the queue drains — the computed KV is lost with the
-        device, and a re-queued request pays a fresh re-prefill (and
-        re-spill) through :meth:`_admit_with_memory` wherever it lands
-        next.
+        The latest decode run is booked first, then active members
+        release their KV residency (DRAM and spilled flash bytes) before
+        the queue drains — the computed KV is lost with the device, and a
+        re-queued request pays a fresh re-prefill (and re-spill) through
+        :meth:`_admit` wherever it lands next.
         """
+        if self._growth is not None:
+            self._book()
         active = self._active
         evicted = [entry[0] for entry in active]
-        memory = self.memory
-        if memory is not None:
-            pool = memory.pool
+        if self.memory is not None:
             for entry in active:
-                if entry[3]:
-                    pool.release(entry[3])
-                if entry[4]:
-                    memory.discard(entry[4])
+                self._release(entry)
         active.clear()
         self._lanes = 0
         self._payloads.clear()
         self._open = None
         return evicted + super().evict_all()
 
-    # -- the memory-model path ------------------------------------------------
-    def _admit_with_memory(self, now: float, cost) -> Optional[Occupancy]:
-        """Admit the head-of-line request by KV footprint, not slot count.
+    def _admit(self, now: float, cost) -> Optional[Occupancy]:
+        """Prefill the head-of-line request into a free batch slot.
 
-        Returns None when the prompt's KV bytes fit neither in free DRAM
-        nor in DRAM plus free flash — the request then waits for in-flight
-        decodes to release residency.  An empty batch with no residency to
-        free means the config can never hold the request: that is a true
-        OOM, raised so sharding (which scales the spec) can rescue it.
+        Under the memory model its prompt's KV bytes must also fit in free
+        DRAM, or in DRAM plus free flash (the spill write rides on the
+        prefill occupancy; ``first_token_s`` stays at ``now + ttft``, as
+        the token exists before the cold KV moves).  Returns None when they
+        fit in neither — the request then waits for in-flight decodes to
+        release residency.  An empty batch with no residency to free means
+        the config can never hold the request: that is a true OOM, raised
+        so sharding (which scales the spec) can rescue it.
         """
         memory = self.memory
         rec = self.recorder
         record = self._waiting[0]
         request = record.source.request
-        footprint = memory.footprint(request)
-        prompt = footprint.prompt_bytes
-        free = memory.pool.free_bytes
-        if prompt <= free:
-            resident, spilled = prompt, 0
-        elif prompt <= free + memory.flash_free_bytes:
-            resident, spilled = free, prompt - free
-        elif not self._active:
-            raise ValueError(
-                f"prompt KV footprint ({prompt} bytes) does not fit in DRAM "
-                f"({memory.pool.capacity_bytes} bytes) plus flash spill space "
-                f"({memory.spill_capacity_bytes} bytes); the request can never "
-                "be admitted — shard the replica or scale the MemorySpec"
-            )
-        else:
-            if rec is not None:
-                rec.instant(
-                    self.track,
-                    "admit_blocked",
-                    now,
-                    {
-                        "request_id": record.request_id,
-                        "prompt_bytes": prompt,
-                        "free_dram_bytes": free,
-                        "free_flash_bytes": memory.flash_free_bytes,
-                    },
+        if memory is not None:
+            footprint = memory.footprint(request)
+            prompt = footprint.prompt_bytes
+            free = memory.pool.free_bytes
+            if prompt <= free:
+                resident, spilled = prompt, 0
+            elif prompt <= free + memory.flash_free_bytes:
+                resident, spilled = free, prompt - free
+            elif not self._active:
+                raise ValueError(
+                    f"prompt KV footprint ({prompt} bytes) does not fit in DRAM "
+                    f"({memory.pool.capacity_bytes} bytes) plus flash spill space "
+                    f"({memory.spill_capacity_bytes} bytes); the request can never "
+                    "be admitted — shard the replica or scale the MemorySpec"
                 )
-            return None
+            else:
+                if rec is not None:
+                    rec.instant(
+                        self.track,
+                        "admit_blocked",
+                        now,
+                        {
+                            "request_id": record.request_id,
+                            "prompt_bytes": prompt,
+                            "free_dram_bytes": free,
+                            "free_flash_bytes": memory.flash_free_bytes,
+                        },
+                    )
+                return None
         self._waiting.popleft()
         memo = self._ttft_memo
         hit = memo.get(id(request))
@@ -733,47 +842,42 @@ class ContinuousBatchScheduler(Scheduler):
             memo[id(request)] = (request, ttft)
         gate = self.faults
         if gate is not None and gate.slow_factor != 1.0:
-            # Slowdowns model compute, so only the prefill is repriced;
-            # the spill write below still pays modeled flash time.
+            # Memo entries cache the unscaled latency; slowdowns model
+            # compute, so they reprice the prefill but not a spill write.
             ttft *= gate.slow_factor
-        io_seconds = 0.0
-        if resident:
-            memory.pool.admit(resident)
-        if spilled:
-            io_seconds = memory.spill(spilled)
+        seconds = ttft
+        entry = [record, request.gen_tokens, request]
+        if memory is not None:
+            if resident:
+                memory.pool.admit(resident)
+            if spilled:
+                seconds += memory.spill(spilled)
+            entry += (resident, spilled, footprint.step_bytes)
         record.prefill_start_s = now
         record.first_token_s = now + ttft
-        self._active.append(
-            [record, request.gen_tokens, request, resident, spilled, footprint.step_bytes]
-        )
+        self._active.append(entry)
         self._lanes += request.batch_size
-        ident = id(request)
         payloads = self._payloads
-        counted = payloads.get(ident)
+        counted = payloads.get(id(request))
         if counted is None:
-            payloads[ident] = [request, 1]
+            payloads[id(request)] = [request, 1]
         else:
             counted[1] += 1
-        # The spill write rides on the prefill occupancy; first_token_s
-        # stays at now + ttft (the token exists before the cold KV moves).
         if rec is not None:
-            rec.instant(
-                self.track,
-                "admit",
-                now,
-                {
-                    "request_id": record.request_id,
-                    "verdict": "dram" if not spilled else "dram+spill",
-                    "resident_bytes": resident,
-                    "spilled_bytes": spilled,
-                    "batch": len(self._active),
-                },
-            )
-            rec.instant(
-                memory.track, "dram", now, {"used_bytes": memory.pool.used_bytes}
-            )
-        return Occupancy(PREFILL, ttft + io_seconds)
+            args = {"request_id": record.request_id, "verdict": "slot"}
+            if memory is not None:
+                args["verdict"] = "dram+spill" if spilled else "dram"
+                args["resident_bytes"] = resident
+                args["spilled_bytes"] = spilled
+            args["batch"] = len(self._active)
+            rec.instant(self.track, "admit", now, args)
+            if memory is not None:
+                rec.instant(
+                    memory.track, "dram", now, {"used_bytes": memory.pool.used_bytes}
+                )
+        return Occupancy(PREFILL, seconds)
 
+    # -- the memory-model path ------------------------------------------------
     def _plan_refill(self) -> Optional[Occupancy]:
         """Move spilled KV back into free DRAM, oldest batch member first."""
         memory = self.memory
@@ -807,141 +911,52 @@ class ContinuousBatchScheduler(Scheduler):
             )
         return occupancy
 
-    def _decode_with_memory(
-        self,
-        now: float,
-        step: float,
-        limit: int,
-        horizon: Optional[float],
-        max_steps: Optional[int] = None,
-        boundary: Optional[float] = None,
-    ) -> Occupancy:
-        """Plan decode steps under the memory model.
+    def _spill_step(self) -> float:
+        """Book one regime-B decode step; return its flash seconds.
 
-        Regime A (nothing spilled, the whole batch's per-step KV growth
-        fits in DRAM): coalescing stays legal, additionally capped at the
-        step where DRAM would fill — that boundary is interesting.
-        Regime B (something is spilled, or this step must spill): plan
-        strictly one step, paying the flash read-through of the resident
-        spill plus the spill write of whatever no longer fits.  Both
-        regimes make the same integer ledger updates per step whether
-        steps are coalesced or not, so ``max_steps=1`` and coalesced runs
-        stay byte-identical.
+        The step re-reads the flash-resident KV, grows each member in
+        batch order into what DRAM still has free, and spills the rest.
+        It books at planning because its price depends on the ledgers:
+        the same integer updates per step coalesced or not.
         """
         memory = self.memory
-        active = self._active
         pool = memory.pool
-        growth = 0
-        for entry in active:
-            growth += entry[5]
-        regime_b = False
-        dram_capped = False
-        if memory.spilled_bytes == 0 and growth <= pool.free_bytes:
-            # Regime A — the DRAM-fill boundary caps the fast-forward.
-            if growth:
-                cap = pool.free_bytes // growth
-                if cap < limit:
-                    limit = cap
-                    dram_capped = True
-            admission_open = horizon is not None and len(active) < self.max_batch
-            steps, end = 1, now + step
-            if boundary is None:
-                while steps < limit and not (admission_open and end >= horizon):
-                    steps += 1
-                    end += step
-            else:
-                # Fault boundaries cap regime-A coalescing exactly like
-                # the slot-count path (see ``next_occupancy``).
-                while steps < limit and not (admission_open and end >= horizon):
-                    nxt = end + step
-                    if nxt > boundary:
-                        break
-                    steps += 1
-                    end = nxt
-            if growth:
-                pool.admit(steps * growth)
-                for entry in active:
-                    entry[3] += steps * entry[5]
-            seconds = step if steps == 1 else end - now
-        else:
-            # Regime B — every step spills or touches flash; one step only.
-            regime_b = True
-            io_seconds = memory.readthrough_seconds()
-            free = pool.free_bytes
-            admitted = 0
-            spill_total = 0
-            for entry in active:
-                grow = entry[5]
-                take = grow if grow <= free else free
-                if take:
-                    entry[3] += take
-                    free -= take
-                    admitted += take
-                rest = grow - take
-                if rest:
-                    entry[4] += rest
-                    spill_total += rest
-            if admitted:
-                pool.admit(admitted)
-            if spill_total:
-                if spill_total > memory.flash_free_bytes:
-                    raise ValueError(
-                        f"decode-step KV growth ({spill_total} bytes) does not "
-                        "fit in the remaining flash spill space "
-                        f"({memory.flash_free_bytes} bytes); the batch has "
-                        "outgrown DRAM plus flash"
-                    )
-                io_seconds += memory.spill(spill_total)
-            steps = 1
-            seconds = step + io_seconds
-            end = now + seconds
-        finished = []
-        for entry in active:
-            entry[1] -= steps
-            if entry[1] == 0:
-                finished.append(entry)
-        payloads = self._payloads
-        for entry in finished:
-            active.remove(entry)
-            request = entry[2]
-            self._lanes -= request.batch_size
-            counted = payloads[id(request)]
-            if counted[1] == 1:
-                del payloads[id(request)]
-            else:
-                counted[1] -= 1
-            if entry[3]:
-                pool.release(entry[3])
-            if entry[4]:
-                memory.discard(entry[4])
-        rec = self.recorder
-        if rec is not None:
-            if regime_b:
-                reason = "spill"
-            elif dram_capped and steps == limit:
-                reason = "dram_fill"
-            else:
-                reason = _cap_reason(steps, limit, max_steps)
-            rec.instant(
-                self.track,
-                "coalesce",
-                now,
-                {
-                    "steps": steps,
-                    "reason": reason,
-                    "batch": len(active) + len(finished),
-                    "completed": len(finished),
-                },
-            )
-            # The DRAM level after this step's growth and the finished
-            # members' releases — the timeline's KV-occupancy series.
-            rec.instant(
-                memory.track, "dram", now, {"used_bytes": pool.used_bytes}
-            )
-        return Occupancy(
-            DECODE,
-            seconds,
-            [entry[0] for entry in finished],
-            steps=steps,
-            end_s=end,
-        )
+        io_seconds = memory.readthrough_seconds()
+        free = pool.free_bytes
+        admitted = 0
+        spill_total = 0
+        for entry in self._active:
+            grow = entry[5]
+            take = grow if grow <= free else free
+            if take:
+                entry[3] += take
+                free -= take
+                admitted += take
+            rest = grow - take
+            if rest:
+                entry[4] += rest
+                spill_total += rest
+        if admitted:
+            pool.admit(admitted)
+        if spill_total:
+            if spill_total > memory.flash_free_bytes:
+                raise ValueError(
+                    f"decode-step KV growth ({spill_total} bytes) does not "
+                    "fit in the remaining flash spill space "
+                    f"({memory.flash_free_bytes} bytes); the batch has "
+                    "outgrown DRAM plus flash"
+                )
+            io_seconds += memory.spill(spill_total)
+        return io_seconds
+
+    def _release(self, entry: list) -> None:
+        """Return a leaving member's KV residency: DRAM and spilled flash."""
+        if entry[3]:
+            self.memory.pool.release(entry[3])
+        if entry[4]:
+            self.memory.discard(entry[4])
+
+    def _book(self) -> None:
+        """Book the latest regime-A run, now that it is over."""
+        self._growth.book(self.memory.pool)
+        self._growth = None

@@ -35,9 +35,10 @@ in-batch completion, and a request that queues on the device while a
 batch slot is free *cuts* the interval (``Scheduler.cut``) at the first
 step boundary at or after its arrival — the boundary where the
 step-by-step loop would admit it.  A request routed to another device
-leaves the interval alone.  (The KV memory model's decode windows are
-the exception: they stop at the next arrival anywhere, the *horizon*
-the loop hands the scheduler, instead of being cut.)  Coalescing
+leaves the interval alone.  Under the KV memory model the interval
+books its KV growth only once it is over, and a router reads each
+device's DRAM as of the current instant, as the step-by-step loop has
+booked it (``Device.free_dram_bytes(now)``).  Coalescing
 schedulers accumulate the interval's end one step-duration at a time
 (never as one ``k * step`` product), and a cut re-walks it the same way
 from the interval's start, so the clock visits exactly the same floats

@@ -219,6 +219,28 @@ def test_unrecovered_crash_truncates_downtime_at_the_makespan():
     )
 
 
+def test_a_crash_empties_the_queue_depth_statistics_at_once():
+    """Device 0 queues two of its three requests until it crashes at t=1;
+    the crash re-routes them to device 1, so device 0's queue is empty
+    from t=1 on, not from its next planning call after the recovery."""
+    from repro.serving import ServingRequest
+
+    payload = PAYLOAD.with_overrides(gen_tokens=64)
+    fleet = build_fleet(
+        [ToyBackend(ttft=0.3, step=0.1)] * 2,
+        scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=1),
+    )
+    report = simulate_fleet(
+        [ServingRequest(0.0, i, payload) for i in range(6)],
+        fleet,
+        get_router("failover"),
+        faults=FaultSpec(crash_windows=((0, 1.0, 100.0),), seed=0),
+    )
+    crashed = report.device_reports[0]
+    assert crashed.max_queue_depth == 2
+    assert crashed.mean_queue_depth == 2 * 1.0 / report.makespan_s
+
+
 def test_slowdown_stretches_latency_inside_the_window_only():
     clean = _serve(_poisson(40), faults=BENIGN)
     slowed = _serve(

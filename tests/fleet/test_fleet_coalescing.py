@@ -8,7 +8,9 @@ between the default run and a ``max_steps=1`` reference.
 The 4-replica battery keeps every replica busy, so its decode runs end at
 in-batch completions.  The sparse 16-replica battery below leaves most
 replicas with a free slot, so its runs are cut by the requests routed to
-them (``Scheduler.cut``): it is the one that exercises cuts.
+them (``Scheduler.cut``): it is the one that exercises cuts.  The memory
+battery after it fills small batches on KV-model replicas, whose DRAM
+fills and spills, and which the headroom router reads as of each arrival.
 """
 
 import random
@@ -20,6 +22,7 @@ from serving_toys import ToyBackend
 from repro.api import InferenceRequest
 from repro.faults import FaultSpec, RetryPolicy
 from repro.fleet import ROUTERS, build_fleet, get_router, simulate_fleet
+from repro.memory import MemorySpec
 from repro.obs import SpanRecorder
 from repro.serving import (
     ContinuousBatchScheduler,
@@ -165,6 +168,48 @@ def test_cut_decode_runs_are_byte_identical_to_step_by_step(
     assert coalesced.goodput_rps() == reference.goodput_rps()
     assert coalesced.faults == reference.faults
     assert coalesced.num_events * 2 < reference.num_events
+
+
+#: The sparse chaos without its deadline: with one, routers that read
+#: queue lengths hit the full-batch shedding gap (see repro.faults.engine).
+MEMORY_CHAOS = {
+    key: value for key, value in SPARSE_CHAOS.items() if key != "deadline_s"
+}
+
+
+def _memory_run(arrivals, router_name, max_batch, max_steps, **options):
+    """4 replicas whose 512 MiB of DRAM holds two 250 MiB prompts: batches
+    fill, spill and cut memory-model decode runs."""
+    fleet = build_fleet(
+        [ToyBackend(ttft=0.3, step=0.1)] * 4,
+        scheduler_factory=lambda: ContinuousBatchScheduler(
+            max_batch=max_batch, memory=MemorySpec(dram_bytes=2**29)
+        ),
+    )
+    return simulate_fleet(
+        arrivals, fleet, get_router(router_name), max_steps=max_steps, **options
+    )
+
+
+@pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
+@pytest.mark.parametrize("max_batch", [1, 2])
+@pytest.mark.parametrize("router_name", sorted(ROUTERS))
+def test_memory_model_runs_are_byte_identical_to_step_by_step(
+    router_name, max_batch, chaos
+):
+    """Memory-model decode runs are cut like slot-count runs and book their
+    KV growth once they are over, so the headroom router, which reads DRAM
+    as of now, routes a coalesced fleet like the step-by-step one."""
+    # ~67 s of arrivals: past the crash at 30 s and into the slowdown.
+    arrivals = PoissonWorkload(3.0, _mixed_payload, seed=11).generate(200)
+    options = MEMORY_CHAOS if chaos else {}
+    reference = _memory_run(arrivals, router_name, max_batch, 1, **options)
+    coalesced = _memory_run(arrivals, router_name, max_batch, None, **options)
+    assert coalesced.to_csv() == reference.to_csv()
+    assert [device.memory for device in coalesced.device_reports] == [
+        device.memory for device in reference.device_reports
+    ]
+    assert coalesced.faults == reference.faults
 
 
 @pytest.mark.parametrize("fail_fast", [False, True], ids=["whole-run", "early-exit"])

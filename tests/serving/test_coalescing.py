@@ -117,9 +117,9 @@ def test_coalesced_occupancy_reports_its_steps():
         ServingRequest(arrival_s=0.0, request_id=0, request=PAYLOAD)
     )
     scheduler.enqueue(record, 0.0)
-    prefill = scheduler.next_occupancy(0.0, cost, horizon=None)
+    prefill = scheduler.next_occupancy(0.0, cost)
     assert prefill.kind == "prefill" and prefill.steps == 1
-    decode = scheduler.next_occupancy(1.0, cost, horizon=None)
+    decode = scheduler.next_occupancy(1.0, cost)
     assert decode.kind == "decode"
     assert decode.steps == PAYLOAD.gen_tokens
     assert decode.completed == [record]
@@ -154,17 +154,16 @@ def _step_clock(start, steps):
     return end
 
 
-def test_decode_stops_at_the_first_boundary_reaching_the_horizon():
-    """With a free slot, coalescing never runs past an arrival's admission
-    boundary (here: arrival at 1.25 -> stop at the 1.3 boundary).  The
-    slot-count path plans the run to its natural end and a request that
-    queues mid-run cuts it there."""
+def test_a_request_queued_mid_run_cuts_it_at_the_next_boundary():
+    """With a free slot, a decode run is planned to its natural end, and a
+    request that queues mid-run cuts it at its admission boundary (here:
+    arrival at 1.25 -> stop at the 1.3 boundary)."""
     from repro.serving import ServingRequest
     from repro.serving.request import RequestRecord
 
     scheduler, cost, record = _decoding_scheduler()
-    decode = scheduler.next_occupancy(1.0, cost, horizon=1.25)
-    assert decode.steps == PAYLOAD.gen_tokens  # the horizon is not read
+    decode = scheduler.next_occupancy(1.0, cost)
+    assert decode.steps == PAYLOAD.gen_tokens
     assert decode.completed == [record]
     # No request waiting: nothing to cut for.
     assert scheduler.cut(1.25) is None
@@ -211,23 +210,77 @@ def test_an_arrival_on_a_step_boundary_cuts_the_run_right_there():
     assert runs[1].to_csv() == runs[0].to_csv()
 
 
-def test_memory_decode_still_stops_at_the_horizon():
-    """The memory model books a window's KV growth at planning, so its
-    windows keep the arrival horizon instead of being cut."""
+#: Bytes of KV one opt-6.7b token holds at 16 bits, and a 500-token prompt.
+TOKEN_KV = 524_288
+PROMPT_KV = 500 * TOKEN_KV
+
+
+def test_memory_decode_runs_are_cut_like_slot_count_runs():
+    """A memory-model run is planned to its natural end and cut by a
+    request that queues mid-run; it books only the steps it ran, once it
+    is over, so the DRAM high-water mark never sees the cut tail."""
     from repro.memory import MemorySpec
     from repro.serving import ServingRequest
     from repro.serving.request import RequestRecord
 
-    scheduler, cost, record = _decoding_scheduler(memory=MemorySpec())
-    decode = scheduler.next_occupancy(1.0, cost, horizon=1.25)
-    assert decode.steps == 3  # boundaries 1.1, 1.2, 1.3 >= 1.25
-    assert decode.completed == []
-    assert decode.end_s == _step_clock(1.0, 3)
+    spec = MemorySpec()
+    scheduler, cost, record = _decoding_scheduler(memory=spec)
+    decode = scheduler.next_occupancy(1.0, cost)
+    assert decode.steps == PAYLOAD.gen_tokens
+    # A short prompt (5,242,880 B) is smaller than the 21 steps of growth
+    # the cut drops (11,010,048 B): a refunded over-booking would show.
+    short = PAYLOAD.with_overrides(seq_len=10)
     scheduler.enqueue(
-        RequestRecord(ServingRequest(arrival_s=1.25, request_id=1, request=PAYLOAD)),
+        RequestRecord(ServingRequest(arrival_s=1.25, request_id=1, request=short)),
         1.25,
     )
-    assert decode.start_s is None and scheduler.cut(1.25) is None
+    assert scheduler.cut(1.25) is decode
+    assert decode.steps == 3  # boundaries 1.1, 1.2, 1.3 >= 1.25
+    assert decode.end_s == _step_clock(1.0, 3)
+    assert scheduler.free_dram_bytes(decode.end_s) == (
+        spec.dram_bytes - PROMPT_KV - 3 * TOKEN_KV
+    )
+    prefill = scheduler.next_occupancy(decode.end_s, cost)
+    assert prefill.kind == "prefill" and scheduler.active == 2
+    assert scheduler.memory.pool.high_water_bytes == (
+        PROMPT_KV + 3 * TOKEN_KV + 10 * TOKEN_KV
+    )
+
+
+def test_free_dram_is_read_as_of_now():
+    """A router reading DRAM mid-run sees what the step-by-step loop has
+    booked: the first step at the plan instant, then each step that
+    started strictly before the read (an arrival on a step boundary is
+    routed before that step is planned), and the member's release once
+    its last step started."""
+    from repro.fleet import Device
+    from repro.memory import MemorySpec
+    from repro.serving import ServingRequest
+    from repro.serving.request import RequestRecord
+
+    spec = MemorySpec()
+    device = Device(
+        ToyBackend(ttft=1.0, step=0.25),
+        ContinuousBatchScheduler(max_batch=1, memory=spec),
+    )
+    scheduler = device.scheduler
+    scheduler.enqueue(
+        RequestRecord(ServingRequest(arrival_s=0.0, request_id=0, request=PAYLOAD)),
+        0.0,
+    )
+    scheduler.next_occupancy(0.0, device.cost)  # prefill on [0, 1]
+    decode = scheduler.next_occupancy(1.0, device.cost)
+    assert decode.steps == PAYLOAD.gen_tokens
+    held = spec.dram_bytes - PROMPT_KV
+    assert device.free_dram_bytes(1.0) == held - TOKEN_KV
+    assert device.free_dram_bytes(1.5) == held - 2 * TOKEN_KV
+    assert device.free_dram_bytes(1.6) == held - 3 * TOKEN_KV
+    last_start = 1.0 + (PAYLOAD.gen_tokens - 1) * 0.25
+    assert device.free_dram_bytes(last_start) == held - 23 * TOKEN_KV
+    assert device.free_dram_bytes(decode.end_s) == spec.dram_bytes
+    device.finalize(decode.end_s)
+    assert scheduler.memory.pool.used_bytes == 0
+    assert scheduler.memory.pool.high_water_bytes == PROMPT_KV + 24 * TOKEN_KV
 
 
 def test_occupancy_default_end_time_matches_seconds():
