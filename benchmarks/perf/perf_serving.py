@@ -36,7 +36,7 @@ sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
 from repro.api import ExperimentRunner, InferenceRequest  # noqa: E402
 from repro.fleet import JoinShortestQueueRouter, build_fleet, simulate_fleet  # noqa: E402
 from repro.memory import MemorySpec  # noqa: E402
-from repro.obs import PhaseProfiler, SpanRecorder, TimelineCollector  # noqa: E402
+from repro.obs import SpanRecorder, TimelineCollector  # noqa: E402
 from repro.units import MiB  # noqa: E402
 from repro.serving import (  # noqa: E402
     BackendCostModel,
@@ -493,21 +493,19 @@ def bench_fault_overhead(num_requests=5000, gen_tokens=64):
 def bench_obs_overhead(num_requests=5000, gen_tokens=64):
     """The observability contract, priced: the continuous-batching loop
     bare (``recorder=None`` — the path every other scenario, including
-    ``serving_stream_1M`` and its bars, runs on), with a ``SpanRecorder``
-    attached, and with a ``PhaseProfiler`` timing the loop's own phases.
-    Byte identity across all three is part of ``--check``; the recorded/
-    profiled wall clocks document what opting in costs."""
+    ``serving_stream_1M`` and its bars, runs on) and with a ``SpanRecorder``
+    attached.  Byte identity across both is part of ``--check``; the
+    recorded wall clock documents what opting in costs."""
     payload = InferenceRequest(model="llama2-7b", seq_len=512, gen_tokens=gen_tokens)
     arrivals = _overload_arrivals(payload, num_requests, seed=5)
     cost = BackendCostModel(BACKEND)
 
-    def run(recorder=None, profiler=None):
+    def run(recorder=None):
         return simulate(
             arrivals,
             cost,
             ContinuousBatchScheduler(max_batch=MAX_BATCH),
             recorder=recorder,
-            profiler=profiler,
         )
 
     run()  # warm the profile cache
@@ -516,8 +514,6 @@ def bench_obs_overhead(num_requests=5000, gen_tokens=64):
     recorded_s, _ = _timed_best(lambda: run(recorder=SpanRecorder()))
     recorder = SpanRecorder()
     recorded = run(recorder=recorder)
-    profiler = PhaseProfiler()
-    profiled_s, profiled = _timed(lambda: run(profiler=profiler))
     return {
         "num_requests": num_requests,
         "gen_tokens": gen_tokens,
@@ -525,9 +521,7 @@ def bench_obs_overhead(num_requests=5000, gen_tokens=64):
         "recorded_seconds": recorded_s,
         "recorder_overhead": recorded_s / bare_s,
         "events_recorded": len(recorder.events),
-        "profiled_seconds": profiled_s,
-        "phases": profiler.summary(),
-        "byte_identical": bare.to_csv() == recorded.to_csv() == profiled.to_csv(),
+        "byte_identical": bare.to_csv() == recorded.to_csv(),
     }
 
 

@@ -62,11 +62,12 @@ fixed-width metric windows (rates, goodput, queue depth, utilization,
 KV DRAM occupancy, exact per-window latency percentiles) with
 SLO-burn-rate alert rules evaluated as windows close, a
 :func:`critical_path` pass attributes where the tail latency and the
-makespan actually went, a :class:`MetricsRegistry` absorbs a finished
-report into a Prometheus-text :class:`MetricsSnapshot`, and a
-:class:`PhaseProfiler` times the loop's own wall-clock phases.
+makespan actually went, and a :class:`MetricsRegistry` absorbs a
+finished report into a Prometheus-text :class:`MetricsSnapshot`.
 Attaching any of them never changes a trace CSV, a report, or a
-makespan — the disabled path costs zero per-event work.
+makespan — the disabled path costs zero per-event work.  No module of
+the package reads the wall clock; ``python3 simbench/run.py --trace 1``
+splits the simulator's own wall-clock time by layer from outside it.
 
 :mod:`repro.faults` turns the event loop into a chaos rig without
 losing determinism: a :class:`FaultSpec` injects seeded crash / recover
@@ -160,7 +161,6 @@ from repro.obs import (
     MetricsRegistry,
     MetricsSnapshot,
     NullRecorder,
-    PhaseProfiler,
     Recorder,
     SpanRecorder,
     SustainedRule,
@@ -271,7 +271,6 @@ __all__ = [
     "critical_path",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "PhaseProfiler",
     "serving_snapshot",
     "fleet_snapshot",
 ]

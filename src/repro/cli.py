@@ -525,8 +525,6 @@ def _serving_setup(args: argparse.Namespace, search_flag: str, searching: bool) 
                 "--stream-trace streams one simulation's trace; it cannot "
                 "follow a capacity/sizing search"
             )
-    if args.parallel != 1 and not searching:
-        raise SystemExit(f"--parallel parallelizes {search_flag} probes")
     slo = _serving_slo(args)
     memory = _serving_memory(args)
     resilience = _resilience_kwargs(args, searching)
@@ -672,7 +670,6 @@ def _serve_command(args: argparse.Namespace) -> int:
             seed=args.seed,
             runner=run.runner,
             cost=cost,
-            parallel=args.parallel,
         )
         report = capacity.report
         lead_rows = [
@@ -786,7 +783,6 @@ def _fleet_command(args: argparse.Namespace) -> int:
             max_replicas=args.max_replicas,
             runner=run.runner,
             cost_cache=cost_cache,
-            parallel=args.parallel,
         )
         cost_models = list(cost_cache.values())
         report = sizing.report
@@ -1022,13 +1018,13 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         help="batch slots for static/continuous scheduling (default 8)",
     )
     parser.add_argument(
-        "--dram-gb", type=float, default=None, metavar="GIB",
+        "--dram-gb", type=_finite_float, default=None, metavar="GIB",
         help="model KV memory: per-chip DRAM budget in GiB (continuous "
              "scheduler only; admission blocks and cold KV spills to flash "
              "when it runs out)",
     )
     parser.add_argument(
-        "--flash-gb", "--flash", type=float, default=None, metavar="GIB",
+        "--flash-gb", "--flash", type=_finite_float, default=None, metavar="GIB",
         dest="flash_gb",
         help="model KV memory: cap the per-chip flash spill area at this "
              "many GiB (default: whatever the --config flash array holds)",
@@ -1048,7 +1044,7 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
              "'attempts=3,backoff=0.5,multiplier=2'",
     )
     parser.add_argument(
-        "--deadline-s", type=float, default=None, metavar="SEC",
+        "--deadline-s", type=_finite_float, default=None, metavar="SEC",
         help="per-request deadline on the simulated clock: queued work past "
              "it is shed, finished work past it counts as timed out",
     )
@@ -1117,12 +1113,6 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         help="record the run's spans and print a critical-path attribution "
              "table (queue/prefill/decode shares, flash I/O, per-device "
              "makespan chains)",
-    )
-    parser.add_argument(
-        "--parallel", type=_positive_int, default=1, metavar="N",
-        help="speculative probe threads for --find-max-qps/--size-for-qps "
-             "(capped at the CPU count; the probe trail and the result are "
-             "identical to the serial search)",
     )
     parser.add_argument(
         "--markdown", action="store_true", help="print a markdown table instead"

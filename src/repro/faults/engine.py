@@ -44,8 +44,8 @@ route differently.
 Crash semantics
 ---------------
 
-A crash aborts the in-flight occupancy (the executed head of its busy
-time is kept, the unexecuted tail refunded), evicts every batch member
+A crash aborts the in-flight occupancy (it ends at the crash instant,
+so only its executed head counts as busy time), evicts every batch member
 and queued request through ``Scheduler.evict_all`` — releasing any KV
 residency a :mod:`repro.memory` model holds, so a re-queued request
 pays a fresh re-prefill (and re-spill) wherever it lands — and re-routes
@@ -151,7 +151,9 @@ class _FaultRun:
     every primary that resolves — served, shed, timed out, failed or won
     by its hedge — to the loop's ``resolve(record, index, sample)``
     callback, with its :func:`metric_sample` and the device it resolved
-    on, exactly once.
+    on, exactly once.  A crash ends the device's in-flight occupancy
+    through the loop's ``end_occupancy(index, device, end)``, the one
+    point that books an occupancy's busy time and span.
     """
 
     def __init__(
@@ -167,6 +169,7 @@ class _FaultRun:
         rec,
         tag_device: bool,
         resolve,
+        end_occupancy,
         assignments: List[int],
         touched: set,
     ) -> None:
@@ -180,6 +183,7 @@ class _FaultRun:
         #: Tag request-phase spans with the device index (fleet reports).
         self.tag_device = tag_device
         self.resolve = resolve
+        self.end_occupancy = end_occupancy
         self.assignments = assignments
         self.touched = touched
         self.track_work = router.needs_work_estimates
@@ -575,14 +579,10 @@ class _FaultRun:
         """Crash support: abort the in-flight occupancy, evict and
         re-route everything the device owed work to."""
         lost: List[RequestRecord] = []
-        occupancy = device._occupancy
-        if occupancy is not None:
-            # Keep the executed head of the busy window, refund the tail.
-            device.busy_s -= device.busy_until - time_s
-            device.busy_until = None
-            device._occupancy = None
+        if device._occupancy is not None:
+            # The occupancy ends at the crash instant, its tail unexecuted.
+            lost = self.end_occupancy(index, device, time_s)
             device.live_seq = None
-            lost = list(occupancy.completed)
         evicted = lost + device.scheduler.evict_all()
         requeue: List[RequestRecord] = []
         rec = self.rec

@@ -40,6 +40,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterable, Iterator, Optional, Tuple
 
 __all__ = [
@@ -72,6 +73,17 @@ def _unit(seed: int, *parts: object) -> float:
     """
     digest = hashlib.sha256(repr((seed,) + parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Reject anything but a finite number above 0 (NaN included)."""
+    if not 0 < value < inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _window_ok(window: tuple) -> bool:
+    """A window starts at a finite time >= 0 and lasts a finite time > 0."""
+    return 0 <= window[1] < inf and 0 < window[2] < inf
 
 
 @dataclass(frozen=True)
@@ -119,31 +131,26 @@ class FaultSpec:
         object.__setattr__(
             self, "slow_windows", tuple(tuple(w) for w in self.slow_windows)
         )
-        if self.crash_mtbf_s is not None and self.crash_mtbf_s <= 0:
-            raise ValueError(f"crash_mtbf_s must be positive, got {self.crash_mtbf_s}")
-        if self.slow_mtbf_s is not None and self.slow_mtbf_s <= 0:
-            raise ValueError(f"slow_mtbf_s must be positive, got {self.slow_mtbf_s}")
-        if self.crash_mttr_s <= 0:
-            raise ValueError(f"crash_mttr_s must be positive, got {self.crash_mttr_s}")
-        if self.slow_duration_s <= 0:
-            raise ValueError(
-                f"slow_duration_s must be positive, got {self.slow_duration_s}"
-            )
-        if self.slow_factor <= 0:
-            raise ValueError(f"slow_factor must be positive, got {self.slow_factor}")
+        if self.crash_mtbf_s is not None:
+            _check_positive("crash_mtbf_s", self.crash_mtbf_s)
+        if self.slow_mtbf_s is not None:
+            _check_positive("slow_mtbf_s", self.slow_mtbf_s)
+        _check_positive("crash_mttr_s", self.crash_mttr_s)
+        _check_positive("slow_duration_s", self.slow_duration_s)
+        _check_positive("slow_factor", self.slow_factor)
         if not 0.0 <= self.flaky_prob <= 1.0:
             raise ValueError(f"flaky_prob must be in [0, 1], got {self.flaky_prob}")
         for window in self.crash_windows:
             if len(window) != 3:
                 raise ValueError(f"crash window must be (device, start, duration): {window}")
-            if window[1] < 0 or window[2] <= 0:
+            if not _window_ok(window):
                 raise ValueError(f"bad crash window {window}")
         for window in self.slow_windows:
             if len(window) not in (3, 4):
                 raise ValueError(
                     f"slow window must be (device, start, duration[, factor]): {window}"
                 )
-            if window[1] < 0 or window[2] <= 0:
+            if not (_window_ok(window) and all(0 < f < inf for f in window[3:])):
                 raise ValueError(f"bad slow window {window}")
 
     @property
@@ -291,16 +298,15 @@ class RetryPolicy:
     hedge_after_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+        if not self.max_attempts >= 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.multiplier <= 0:
-            raise ValueError(f"multiplier must be positive, got {self.multiplier}")
+        if not 0 <= self.backoff_s < inf:
+            raise ValueError(f"backoff_s must be >= 0 and finite, got {self.backoff_s}")
+        _check_positive("multiplier", self.multiplier)
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.hedge_after_s is not None and self.hedge_after_s <= 0:
-            raise ValueError(f"hedge_after_s must be positive, got {self.hedge_after_s}")
+        if self.hedge_after_s is not None:
+            _check_positive("hedge_after_s", self.hedge_after_s)
 
     def delay_s(self, attempt: int, request_id: int) -> float:
         """Backoff before attempt ``attempt + 1`` (``attempt`` just failed)."""

@@ -103,6 +103,8 @@ class Device:
         # -- timeline state ---------------------------------------------------
         self.records: List[RequestRecord] = []
         self.busy_until: Optional[float] = None
+        #: Busy seconds, booked as each occupancy ends (the event loop's
+        #: ``end_occupancy``).
         self.busy_s = 0.0
         #: Waiting-queue depth sampled at every planning attempt (and
         #: once at the end of the run).

@@ -13,7 +13,11 @@ the planning opportunities both create:
   reports — records, busy seconds and queue-depth statistics;
 * routing happens at arrival time against the live device states, and
   every policy is deterministic, so a fixed workload seed fixes the device
-  assignment (and the trace CSV) byte for byte.
+  assignment (and the trace CSV) byte for byte;
+* an occupancy books its busy seconds, and emits its recorder span, once,
+  when it ends: at its completion, at a crash (the crash instant) or at
+  the loop's close (the makespan), so a device is never busy past the
+  makespan and its spans add up to its busy time.
 
 The loop owns its event heap outright: a plain ``heapq`` list of
 ``(time, kind, index, seq)`` tuples, whose total order
@@ -59,6 +63,7 @@ record state.
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Iterable, List, Optional, Sequence
 
 from repro.api.runner import BackendLike, ExperimentRunner
@@ -138,7 +143,6 @@ def simulate_fleet(
     trace_sink: Optional[TraceSink] = None,
     keep_records: bool = True,
     recorder=None,
-    profiler=None,
     faults=None,
     retry=None,
     deadline_s: Optional[float] = None,
@@ -168,8 +172,7 @@ def simulate_fleet(
     ``device0..N``), per-request phase spans (track ``requests``, tagged
     with the routed device), router decision instants with per-candidate
     scores (track ``router``), and per-replica memory instants (tracks
-    ``memory0..N``); ``profiler`` times the loop's dispatch/planning/fold
-    phases on the wall clock.  Neither changes a single simulated float.
+    ``memory0..N``).  It never changes a single simulated float.
 
     Resilience: ``faults`` (a :class:`repro.faults.FaultSpec`), ``retry``
     (a :class:`repro.faults.RetryPolicy`) and ``deadline_s`` (per-request
@@ -205,7 +208,6 @@ def simulate_fleet(
         trace_sink=trace_sink,
         keep_records=keep_records,
         recorder=recorder,
-        profiler=profiler,
         faults=faults,
         retry=retry,
         deadline_s=deadline_s,
@@ -219,8 +221,8 @@ def _check_options(slo, max_steps, fail_fast, faults, retry, deadline_s) -> None
         raise TypeError(f"faults must be a FaultSpec, got {type(faults).__name__}")
     if retry is not None and not isinstance(retry, RetryPolicy):
         raise TypeError(f"retry must be a RetryPolicy, got {type(retry).__name__}")
-    if deadline_s is not None and deadline_s <= 0:
-        raise ValueError(f"deadline_s must be positive, got {deadline_s}")
+    if deadline_s is not None and not 0 < deadline_s < inf:
+        raise ValueError(f"deadline_s must be positive and finite, got {deadline_s}")
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be at least 1 when given")
     if fail_fast and slo is None:
@@ -239,7 +241,6 @@ def _run(
     trace_sink: Optional[TraceSink],
     keep_records: bool,
     recorder,
-    profiler,
     faults,
     retry,
     deadline_s: Optional[float],
@@ -278,27 +279,34 @@ def _run(
                 if fleet_shape:
                     memory_model.track = f"memory{index}"
 
-    def record_run(index: int, occupancy) -> None:
-        """Record an open decode run once its end is final: the
-        scheduler's ``coalesce`` instant, the memory model's ``dram``
-        instant, then the occupancy span."""
+    def end_occupancy(index: int, device: Device, end: float) -> list:
+        """The one point an occupancy ends: its completion, a crash abort
+        (at the crash instant) or the loop's close (at the makespan).  Book
+        its busy seconds (the planned ones if it ran to its end), record
+        the scheduler's ``coalesce`` and ``dram`` instants and its span,
+        and return the records it completes."""
+        occupancy = device._occupancy
         start = occupancy.start_s
-        track = device_tracks[index]
-        rec.instant(track, "coalesce", start, occupancy.note)
-        if occupancy.dram is not None:
-            rec.instant(devices[index].memory.track, "dram", start, occupancy.dram)
-        rec.span(
-            track,
-            occupancy.kind,
-            start,
-            occupancy.end_s,
-            {"steps": occupancy.steps, "completed": len(occupancy.completed)},
-        )
-
-    # The profiler supplies its own clock — this module imports no time
-    # source, matching the serving package's no-wall-clock rule.
-    prof_add = profiler.add if profiler is not None else None
-    prof_clock = profiler.clock if profiler is not None else None
+        if end == device.busy_until:
+            device.busy_s += occupancy.seconds
+        else:
+            device.busy_s += end - start
+        device.busy_until = None
+        device._occupancy = None
+        if rec is not None:
+            track = device_tracks[index]
+            if occupancy.note is not None:
+                rec.instant(track, "coalesce", start, occupancy.note)
+            if occupancy.dram is not None:
+                rec.instant(device.memory.track, "dram", start, occupancy.dram)
+            rec.span(
+                track,
+                occupancy.kind,
+                start,
+                end,
+                {"steps": occupancy.steps, "completed": len(occupancy.completed)},
+            )
+        return occupancy.completed
 
     # Arrivals are delivered in stream order, so appending each routed
     # index builds a list parallel to the trace rows.
@@ -364,6 +372,7 @@ def _run(
             rec=rec,
             tag_device=fleet_shape,
             resolve=resolve,
+            end_occupancy=end_occupancy,
             assignments=assignments,
             touched=touched,
         )
@@ -401,8 +410,6 @@ def _run(
             # transitions: the heap yields completions before faults, each
             # in device-index order (see repro.serving.events).
             if heap and heap[0][0] <= now:
-                if prof_add is not None:
-                    t0 = prof_clock()
                 while heap and heap[0][0] <= now:
                     event = heap_pop(heap)
                     pops += 1
@@ -416,12 +423,7 @@ def _run(
                         continue  # superseded by a cut or a crash abort
                     if fault_run is not None:
                         progressed = True
-                    occupancy = device._occupancy
-                    if rec is not None and occupancy.start_s is not None:
-                        record_run(index, occupancy)
-                    completed = occupancy.completed
-                    device.busy_until = None
-                    device._occupancy = None
+                    completed = end_occupancy(index, device, now)
                     if fault_run is not None:
                         for record in completed:
                             fault_run.member_done(index, device, record, now)
@@ -455,8 +457,6 @@ def _run(
                         if len(heap) > heap_max_depth:
                             heap_max_depth = len(heap)
                     fault_run.rearm.clear()
-                if prof_add is not None:
-                    prof_add("fold", prof_clock() - t0)
                 # Attainment can no longer reach the threshold even if
                 # everything still in flight meets the SLO: the probe is
                 # decided, stop here.
@@ -465,8 +465,6 @@ def _run(
                         early_exit = True
                         break
             # 2. Deliver and route arrivals due now, then due retries.
-            if prof_add is not None:
-                t0 = prof_clock()
             while True:
                 due = source.head_time
                 if due is None or due > now:
@@ -502,8 +500,6 @@ def _run(
                     progressed = True
             if fault_run is not None and fault_run.deliver(now):
                 progressed = True
-            if prof_add is not None:
-                prof_add("dispatch", prof_clock() - t0)
             # 3. Touched idle devices with pending work plan (sampling
             # their queue depth as they do), in device-index order.  The
             # devices skipped could only repeat their previous answer:
@@ -515,11 +511,9 @@ def _run(
             # unchanged.  A touched busy device's queue changed, and its
             # scheduler may cut the in-flight decode run short to admit a
             # request (Scheduler.cut): the device is then busy until the
-            # new end, gives back the cut tail of its busy time, and its
-            # completion is pushed afresh, superseding the old one.
+            # new end, and its completion is pushed afresh, superseding the
+            # old one.  Busy time is booked once an occupancy ends.
             if touched:
-                if prof_add is not None:
-                    t0 = prof_clock()
                 # A single touched device (the common case: one arrival or
                 # one completion) needs no sort.
                 order = touched if len(touched) == 1 else sorted(touched)
@@ -529,7 +523,6 @@ def _run(
                         occupancy = device.scheduler.cut(now)
                         if occupancy is not None:
                             end = occupancy.end_s
-                            device.busy_s -= device.busy_until - end
                             device.busy_until = end
                             seq += 1
                             device.live_seq = seq
@@ -559,8 +552,8 @@ def _run(
                                 end = occupancy.end_s
                                 if end is None:
                                     end = now + seconds
+                                occupancy.start_s = now
                                 device.busy_until = end
-                                device.busy_s += seconds
                                 device._occupancy = occupancy
                                 seq += 1
                                 device.live_seq = seq
@@ -568,22 +561,7 @@ def _run(
                                 if len(heap) > heap_max_depth:
                                     heap_max_depth = len(heap)
                                 progressed = True
-                                if rec is not None and occupancy.start_s is None:
-                                    rec.span(
-                                        device_tracks[index],
-                                        occupancy.kind,
-                                        now,
-                                        end,
-                                        {
-                                            "steps": occupancy.steps,
-                                            "completed": len(
-                                                occupancy.completed
-                                            ),
-                                        },
-                                    )
                 touched.clear()
-                if prof_add is not None:
-                    prof_add("planning", prof_clock() - t0)
             # 4. Advance to the next event, or stop.  Superseded
             # completions at the head of the heap are dropped first, so
             # they never cost a pass.
@@ -630,15 +608,11 @@ def _run(
 
         for index, device in enumerate(devices):
             device.finalize(now)
-            occupancy = device._occupancy
-            if (
-                rec is not None
-                and occupancy is not None
-                and occupancy.start_s is not None
-            ):
-                # A run still in flight when the loop stops: no request
-                # is left to cut it, so its end is final.
-                record_run(index, occupancy)
+            if device._occupancy is not None:
+                # Still in flight when the loop stops (an early exit, or a
+                # fault-aware run whose requests all resolved): it ends at
+                # the makespan.
+                end_occupancy(index, device, now)
             if device.backend_name is None:
                 # A replica that received no traffic still resolves its
                 # display name against the stream's first payload

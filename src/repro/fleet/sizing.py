@@ -26,7 +26,6 @@ from repro.fleet.router import JoinShortestQueueRouter, Router
 from repro.fleet.sharding import ShardingSpec
 from repro.fleet.simulator import BackendLike, build_fleet, simulate_fleet
 from repro.serving.metrics import SLOSpec
-from repro.serving.probes import ProbePool, probe_width
 from repro.serving.scheduler import FCFSScheduler, Scheduler
 from repro.serving.workload import PayloadLike, PoissonWorkload
 
@@ -79,7 +78,6 @@ def size_fleet(
     runner: Optional[ExperimentRunner] = None,
     cost_cache: Optional[dict] = None,
     fail_fast: bool = True,
-    parallel: int = 1,
 ) -> FleetSizingResult:
     """The smallest fleet of ``backend`` replicas sustaining ``target_qps``.
 
@@ -96,13 +94,6 @@ def size_fleet(
     doubling phase's failures just stop early.  ``cost_cache`` (a mutable
     dict, one is created when omitted) shares per-sharding cost models
     across every probe, so interned latencies survive fleet rebuilds.
-
-    With ``parallel > 1`` the replica counts the serial search could
-    probe next (the doubling ladder ahead of the current rung, both
-    halves of the bisection) run speculatively on up to ``parallel``
-    worker threads (capped at the CPU count).  Results are consumed —
-    and probes recorded — in the serial order, so the audit trail and
-    the winning configuration are identical to ``parallel=1``.
 
     With ``memory`` set, every replica's scheduler is built with a
     :class:`repro.memory.MemorySpec` scaled to its sharding — a ``tp4``
@@ -125,15 +116,12 @@ def size_fleet(
         raise ValueError("max_replicas must be at least 1")
     if not shardings:
         raise ValueError("at least one sharding candidate is required")
-    if parallel < 1:
-        raise ValueError("parallel must be at least 1")
-    shardings = list(shardings)
     runner = runner if runner is not None else ExperimentRunner()
     cost_cache = cost_cache if cost_cache is not None else {}
     arrivals = PoissonWorkload(target_qps, payload, seed=seed).generate(num_requests)
     probes: List[SizingProbe] = []
 
-    def run_probe(replicas: int, sharding: ShardingSpec) -> Optional[FleetReport]:
+    def evaluate(replicas: int, sharding: ShardingSpec) -> Optional[FleetReport]:
         factory = scheduler_factory
         if memory is not None:
             spec = memory.scaled(sharding.num_devices)
@@ -146,85 +134,44 @@ def size_fleet(
                 runner=runner,
                 cost_cache=cost_cache,
             )
-            return simulate_fleet(
+            report = simulate_fleet(
                 arrivals, fleet, router_factory(), slo=slo, fail_fast=fail_fast
             )
         except ValueError as error:
-            if "does not fit" in str(error):
-                return None  # capacity wall: this sharding cannot hold the load
-            raise
-
-    pool: Optional[ProbePool] = None
-    if parallel > 1:
-        pool = ProbePool(
-            lambda key: run_probe(key[1], shardings[key[0]]),
-            probe_width(parallel),
-        )
-
-    def evaluate(
-        order: int, replicas: int, sharding: ShardingSpec
-    ) -> Optional[FleetReport]:
-        if pool is None:
-            report = run_probe(replicas, sharding)
-        else:
-            report = pool.get((order, replicas))
+            if "does not fit" not in str(error):
+                raise
+            report = None  # capacity wall: this sharding cannot hold the load
         met = report is not None and report.meets_slo()
         probes.append(SizingProbe(replicas, sharding, met))
         return report
 
-    def prefetch_doubling(order: int, replicas: int) -> None:
-        """Speculate up to ``parallel`` rungs of the doubling ladder."""
-        if pool is None:
-            return
-        for _ in range(parallel):
-            pool.prefetch((order, replicas))
-            if replicas >= max_replicas:
-                break
-            replicas = min(2 * replicas, max_replicas)
-
-    def prefetch_bisect(order: int, lo: int, hi: int, budget: int) -> None:
-        """Speculate both halves of the bisection tree, depth-first."""
-        if pool is None or budget <= 0 or hi - lo <= 1:
-            return
-        mid = (lo + hi) // 2
-        pool.prefetch((order, mid))
-        prefetch_bisect(order, lo, mid, (budget - 1) // 2)
-        prefetch_bisect(order, mid, hi, (budget - 1) // 2)
-
     best: Optional[Tuple[int, int, int, ShardingSpec, FleetReport]] = None
-    try:
-        for order, sharding in enumerate(shardings):
-            # -- double until the SLO is met ---------------------------------
-            prefetch_doubling(order, 1)
-            replicas, report = 1, evaluate(order, 1, sharding)
+    for order, sharding in enumerate(shardings):
+        # -- double until the SLO is met ---------------------------------
+        replicas, report = 1, evaluate(1, sharding)
+        if report is None:
+            continue  # capacity wall: more replicas cannot rescue it
+        failed = 0
+        while not report.meets_slo() and replicas < max_replicas:
+            failed = replicas
+            replicas = min(2 * replicas, max_replicas)
+            report = evaluate(replicas, sharding)
             if report is None:
-                continue  # capacity wall: more replicas cannot rescue it
-            failed = 0
-            while not report.meets_slo() and replicas < max_replicas:
-                failed = replicas
-                replicas = min(2 * replicas, max_replicas)
-                prefetch_doubling(order, replicas)
-                report = evaluate(order, replicas, sharding)
-                if report is None:
-                    break
-            if report is None or not report.meets_slo():
-                continue  # infeasible within max_replicas for this sharding
-            # -- bisect down to the minimum ----------------------------------
-            low, high = failed, replicas  # low fails (0 = "no fleet"), high meets
-            while high - low > 1:
-                prefetch_bisect(order, low, high, parallel)
-                mid = (low + high) // 2
-                mid_report = evaluate(order, mid, sharding)
-                if mid_report is not None and mid_report.meets_slo():
-                    high, report = mid, mid_report
-                else:
-                    low = mid
-            candidate = (high * sharding.num_devices, high, order, sharding, report)
-            if best is None or candidate[:3] < best[:3]:
-                best = candidate
-    finally:
-        if pool is not None:
-            pool.close()
+                break
+        if report is None or not report.meets_slo():
+            continue  # infeasible within max_replicas for this sharding
+        # -- bisect down to the minimum ----------------------------------
+        low, high = failed, replicas  # low fails (0 = "no fleet"), high meets
+        while high - low > 1:
+            mid = (low + high) // 2
+            mid_report = evaluate(mid, sharding)
+            if mid_report is not None and mid_report.meets_slo():
+                high, report = mid, mid_report
+            else:
+                low = mid
+        candidate = (high * sharding.num_devices, high, order, sharding, report)
+        if best is None or candidate[:3] < best[:3]:
+            best = candidate
 
     if best is None:
         raise ValueError(

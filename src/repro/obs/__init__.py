@@ -1,6 +1,6 @@
-"""repro.obs — deterministic tracing, metrics, and profiling hooks.
+"""repro.obs — deterministic tracing, metrics, timelines and alerts.
 
-Six independent instruments over the serving/fleet/memory stack:
+Five independent instruments over the serving/fleet/memory stack:
 
 * :mod:`repro.obs.recorder` — sim-time span/instant tracer with a
   zero-overhead disabled default, byte-stable Perfetto export, and a
@@ -16,9 +16,7 @@ Six independent instruments over the serving/fleet/memory stack:
   deterministic :class:`AlertLog` of fire/resolve events;
 * :mod:`repro.obs.critpath` — :func:`critical_path` attribution over a
   recorded span stream: per-request and tail phase breakdowns, flash
-  I/O shares, and each device's makespan-critical occupancy chain;
-* :mod:`repro.obs.profile` — opt-in *wall-clock* phase timers
-  (explicitly outside the determinism guarantee).
+  I/O shares, and each device's makespan-critical occupancy chain.
 
 The cardinal rule, enforced by the byte-identity test battery: attaching
 any of these never changes what the simulation computes — traces,
@@ -51,7 +49,6 @@ from repro.obs.metrics import (
     fleet_snapshot,
     serving_snapshot,
 )
-from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import (
     DECODE,
     PREFILL,
@@ -80,7 +77,6 @@ __all__ = [
     "MetricsSnapshot",
     "NullRecorder",
     "OccupancyChain",
-    "PhaseProfiler",
     "PREFILL",
     "QUEUE",
     "Recorder",

@@ -236,13 +236,19 @@ class CriticalPathReport:
         return ["device (* = makespan)", "chained spans", "from (s)", "to (s)", "busy (s)"], rows
 
 
+def _device_order(track: str) -> Tuple[str, int]:
+    """Sort key for device tracks: the name, then its numeric suffix."""
+    name = track.rstrip("0123456789")
+    return name, int(track[len(name):] or -1)
+
+
 def critical_path(recorder: SpanRecorder) -> CriticalPathReport:
     """Attribute a recorded run's time: phases, flash I/O, device chains.
 
     ``recorder`` is a :class:`SpanRecorder` that observed one simulation
     (serve or fleet).  Requests appear in emission order — completion
     order, which is deterministic — and occupancy chains are derived per
-    device track.
+    device track, in device order (``device2`` before ``device10``).
     """
     requests: Dict[object, RequestAttribution] = {}
     order: List[RequestAttribution] = []
@@ -279,7 +285,8 @@ def critical_path(recorder: SpanRecorder) -> CriticalPathReport:
                 refill_s += args.get("seconds", 0.0)
                 refill_bytes += args.get("bytes", 0)
     chains: List[OccupancyChain] = []
-    for track, spans in occupancies.items():
+    for track in sorted(occupancies, key=_device_order):
+        spans = occupancies[track]
         # Spans on one track are emitted in chronological order; walk
         # back from the last one while each span starts exactly where
         # the previous ended (the loops reuse the popped completion time

@@ -15,8 +15,9 @@ and folds them into fixed-width windows on the **simulated** clock:
   the QUEUE-span endpoints,
 * device-busy seconds and utilization (occupancy spans distributed
   across the windows they overlap),
-* KV spill/refill bytes and the DRAM occupancy level (from the
-  scheduler's ``"dram"`` instants, carried forward across quiet windows),
+* KV spill/refill bytes and the DRAM occupancy peak (from the
+  ``"dram"`` instants; each memory track's level carries forward across
+  the windows where it emits none),
 * exact per-window TTFT/TPOT/e2e reservoirs, reduced to p50/p95/p99,
 * fault-engine lifecycle counts (total fault events plus shed / retried /
   timed-out / failed requests, from the ``"faults"``-track instants the
@@ -103,7 +104,6 @@ class _Window:
         "refill_bytes",
         "dram_peak",
         "dram_last",
-        "dram_last_s",
         "fault_events",
         "shed",
         "retries",
@@ -122,9 +122,9 @@ class _Window:
         self.spill_bytes = 0
         self.refill_bytes = 0
         self.dram_peak: Optional[int] = None
-        #: The level at the window's latest ``dram`` instant, and when.
-        self.dram_last: Optional[int] = None
-        self.dram_last_s: Optional[float] = None
+        #: Memory track -> (time, level) of its latest ``dram`` instant in
+        #: the window.
+        self.dram_last: Dict[str, Tuple[float, int]] = {}
         self.fault_events = 0
         self.shed = 0
         self.retries = 0
@@ -290,11 +290,11 @@ class TimelineCollector(Recorder):
             used = args.get("used_bytes", 0)
             if window.dram_peak is None or used > window.dram_peak:
                 window.dram_peak = used
-            # A cuttable decode run's instant arrives once its end is
-            # final, after instants stamped later: keep the latest level.
-            if window.dram_last_s is None or ts_s >= window.dram_last_s:
-                window.dram_last = used
-                window.dram_last_s = ts_s
+            # A decode run's instant arrives once the run ends, after
+            # instants stamped later: keep each track's latest level.
+            last = window.dram_last.get(track)
+            if last is None or ts_s >= last[0]:
+                window.dram_last[track] = (ts_s, used)
 
     # -- finalization ---------------------------------------------------------
     def finalize_run(self, makespan_s: float) -> Optional[AlertLog]:
@@ -322,7 +322,8 @@ class TimelineCollector(Recorder):
             devices = len(self._device_tracks) or 1
         slo = self.slo
         rows: List[dict] = []
-        dram_level: Optional[int] = None
+        #: Memory track -> the level it carries into the next window.
+        dram_levels: Dict[str, int] = {}
         for index in range(count):
             window = self._windows.get(index)
             start = index * width
@@ -354,14 +355,15 @@ class TimelineCollector(Recorder):
                 for q in (50, 95, 99):
                     row[f"{metric}_p{q}_s"] = percentile_of_sorted(ordered, q)
             if self._saw_memory:
-                peak = dram_level
+                peak = max(dram_levels.values(), default=None)
                 if window is not None and window.dram_peak is not None:
                     peak = (
                         window.dram_peak
                         if peak is None
                         else max(peak, window.dram_peak)
                     )
-                    dram_level = window.dram_last
+                    for track, (_, used) in window.dram_last.items():
+                        dram_levels[track] = used
                 row["kv_spill_bytes"] = (
                     window.spill_bytes if window is not None else 0
                 )

@@ -21,7 +21,6 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.api.runner import ExperimentRunner
 from repro.serving.metrics import ServingReport, SLOSpec
-from repro.serving.probes import ProbePool, probe_width
 from repro.serving.scheduler import FCFSScheduler, Scheduler
 from repro.serving.simulator import BackendCostModel, BackendLike, simulate
 from repro.serving.workload import PayloadLike, PoissonWorkload
@@ -56,7 +55,6 @@ def find_max_qps(
     runner: Optional[ExperimentRunner] = None,
     cost: Optional[BackendCostModel] = None,
     fail_fast: bool = True,
-    parallel: int = 1,
 ) -> CapacityResult:
     """Bisect for the highest Poisson arrival rate that meets ``slo``.
 
@@ -88,73 +86,26 @@ def find_max_qps(
         no longer reach the threshold (default on).  Probe verdicts and
         the returned rate/report are unchanged — failing probes, half of
         every bisection, just stop early.
-    parallel:
-        With ``parallel > 1`` the rates the serial search could probe
-        next (the bracket ladder ahead of the current rung, both halves
-        of the bisection tree) run speculatively on up to ``parallel``
-        worker threads (capped at the CPU count).  Results are consumed
-        — and probes recorded — in the serial order, so the audit trail,
-        every verdict and the returned rate/report are identical to
-        ``parallel=1``; mispredicted speculative simulations are simply
-        discarded.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
     if max_probes < 1:
         raise ValueError("max_probes must be at least 1")
-    if parallel < 1:
-        raise ValueError("parallel must be at least 1")
     runner = runner if runner is not None else ExperimentRunner()
     cost = cost if cost is not None else BackendCostModel(backend, runner=runner)
     probes: List[Tuple[float, bool]] = []
 
-    def run_probe(rate_qps: float, probe_cost: BackendCostModel) -> ServingReport:
+    def evaluate(rate_qps: float) -> ServingReport:
         workload = PoissonWorkload(rate_qps, payload, seed=seed)
-        return simulate(
+        report = simulate(
             workload.generate(num_requests),
-            probe_cost,
+            cost,
             scheduler_factory(),
             slo=slo,
             fail_fast=fail_fast,
         )
-
-    pool: Optional[ProbePool] = None
-    if parallel > 1:
-        # Each speculative probe prices through its own interning cache
-        # over the shared runner, so worker threads share the memoized
-        # backend profiles without contending on one cost model's LRU.
-        pool = ProbePool(
-            lambda rate: run_probe(
-                rate, BackendCostModel(cost._backend, runner=cost._runner)
-            ),
-            probe_width(parallel),
-        )
-
-    def evaluate(rate_qps: float) -> ServingReport:
-        if pool is None:
-            report = run_probe(rate_qps, cost)
-        else:
-            report = pool.get(rate_qps)
         probes.append((rate_qps, report.meets_slo()))
         return report
-
-    def prefetch_ladder(start: float, factor: float) -> None:
-        """Speculate up to ``parallel`` rungs of the bracket ladder."""
-        if pool is None:
-            return
-        rate = start
-        for _ in range(parallel):
-            pool.prefetch(rate)
-            rate *= factor
-
-    def prefetch_bisect(lo: float, hi: float, budget: int) -> None:
-        """Speculate both halves of the bisection tree, depth-first."""
-        if pool is None or budget <= 0 or hi / lo <= 1.0 + rel_tol:
-            return
-        mid = 0.5 * (lo + hi)
-        pool.prefetch(mid)
-        prefetch_bisect(lo, mid, (budget - 1) // 2)
-        prefetch_bisect(mid, hi, (budget - 1) // 2)
 
     if initial_qps is None:
         # Scale off the first payload of the seeded process: its solo job
@@ -162,65 +113,56 @@ def find_max_qps(
         sample = PoissonWorkload(1.0, payload, seed=seed).generate(1)[0].request
         initial_qps = 1.0 / cost.total_seconds(sample)
 
-    try:
-        # -- bracket: find a passing rate `low` and a failing rate `high` ----
-        probe = initial_qps
-        report = evaluate(probe)
-        if report.meets_slo():
-            low, best = probe, report
-            high = None
-            prefetch_ladder(probe * 2.0, 2.0)
-            for _ in range(_MAX_BRACKET_STEPS):
-                if len(probes) >= max_probes:
-                    break
-                probe *= 2.0
-                prefetch_ladder(probe, 2.0)
-                report = evaluate(probe)
-                if report.meets_slo():
-                    low, best = probe, report
-                else:
-                    high = probe
-                    break
-            if high is None:
-                raise ValueError(
-                    f"the SLO is still met at {probe:g} qps "
-                    f"({2 ** _MAX_BRACKET_STEPS}x the initial probe or the probe "
-                    "budget); it never constrains this system"
-                )
-        else:
-            high = probe
-            low, best = None, None
-            prefetch_ladder(probe * 0.5, 0.5)
-            for _ in range(_MAX_BRACKET_STEPS):
-                if len(probes) >= max_probes:
-                    break
-                probe *= 0.5
-                prefetch_ladder(probe, 0.5)
-                report = evaluate(probe)
-                if report.meets_slo():
-                    low, best = probe, report
-                    break
-                high = probe
-            if low is None:
-                raise ValueError(
-                    f"the SLO is violated even at {probe:g} qps (an effectively "
-                    "unloaded system); it cannot be met by this backend/payload"
-                )
-
-        # -- bisect until the bracket is tight -------------------------------
-        # When the bracket is already within rel_tol the loop body never runs
-        # and the bracket-phase report at `low` is returned as-is: terminating
-        # immediately costs zero extra simulations.
-        while high / low > 1.0 + rel_tol and len(probes) < max_probes:
-            prefetch_bisect(low, high, parallel)
-            mid = 0.5 * (low + high)
-            report = evaluate(mid)
+    # -- bracket: find a passing rate `low` and a failing rate `high` ----
+    probe = initial_qps
+    report = evaluate(probe)
+    if report.meets_slo():
+        low, best = probe, report
+        high = None
+        for _ in range(_MAX_BRACKET_STEPS):
+            if len(probes) >= max_probes:
+                break
+            probe *= 2.0
+            report = evaluate(probe)
             if report.meets_slo():
-                low, best = mid, report
+                low, best = probe, report
             else:
-                high = mid
-    finally:
-        if pool is not None:
-            pool.close()
+                high = probe
+                break
+        if high is None:
+            raise ValueError(
+                f"the SLO is still met at {probe:g} qps "
+                f"({2 ** _MAX_BRACKET_STEPS}x the initial probe or the probe "
+                "budget); it never constrains this system"
+            )
+    else:
+        high = probe
+        low, best = None, None
+        for _ in range(_MAX_BRACKET_STEPS):
+            if len(probes) >= max_probes:
+                break
+            probe *= 0.5
+            report = evaluate(probe)
+            if report.meets_slo():
+                low, best = probe, report
+                break
+            high = probe
+        if low is None:
+            raise ValueError(
+                f"the SLO is violated even at {probe:g} qps (an effectively "
+                "unloaded system); it cannot be met by this backend/payload"
+            )
+
+    # -- bisect until the bracket is tight -------------------------------
+    # When the bracket is already within rel_tol the loop body never runs
+    # and the bracket-phase report at `low` is returned as-is: terminating
+    # immediately costs zero extra simulations.
+    while high / low > 1.0 + rel_tol and len(probes) < max_probes:
+        mid = 0.5 * (low + high)
+        report = evaluate(mid)
+        if report.meets_slo():
+            low, best = mid, report
+        else:
+            high = mid
 
     return CapacityResult(max_qps=low, report=best, probes=tuple(probes))

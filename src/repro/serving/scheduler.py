@@ -137,14 +137,15 @@ class Occupancy:
     #: accumulated from the planning time one step at a time, so the event
     #: loop lands on exactly the same float the step-by-step loop reaches.
     end_s: Optional[float] = None
-    #: The start of an open decode run (one :meth:`Scheduler.cut` may
-    #: still shorten); None otherwise.  The event loop records such a run
-    #: only once its end is final.
+    #: When the occupancy starts: the event loop stamps every occupancy
+    #: it plans, and the continuous scheduler stamps an open decode run
+    #: (one :meth:`Scheduler.cut` may still shorten) itself.
     start_s: Optional[float] = None
-    #: The scheduler's ``coalesce`` instant for an open run on a
-    #: recorder-attached run, emitted by the loop with the run's span.
+    #: The scheduler's ``coalesce`` instant for a decode run on a
+    #: recorder-attached run, emitted by the loop with the run's span
+    #: once the run ends.
     note: Optional[dict] = None
-    #: The memory model's ``dram`` instant for an open memory-model run,
+    #: The memory model's ``dram`` instant for a memory-model decode run,
     #: emitted by the loop between the note and the span.
     dram: Optional[dict] = None
 
@@ -666,13 +667,13 @@ class ContinuousBatchScheduler(Scheduler):
                 reason = "dram_fill"
             else:
                 reason = _cap_reason(steps, limit, max_steps)
-            note = {
+            # The loop emits both instants once the run ends.
+            occupancy.note = {
                 "steps": steps,
                 "reason": reason,
                 "batch": batch,
                 "completed": len(finished),
             }
-            dram = None
             if memory is not None:
                 # The DRAM level once the run is booked: the timeline's
                 # KV-occupancy series.
@@ -680,15 +681,7 @@ class ContinuousBatchScheduler(Scheduler):
                 used = pool.used_bytes
                 if books:
                     used = pool.capacity_bytes - self._growth.end_free
-                dram = {"used_bytes": used}
-            if cuttable:
-                # Emitted once the end is final.
-                occupancy.note = note
-                occupancy.dram = dram
-            else:
-                rec.instant(self.track, "coalesce", now, note)
-                if dram is not None:
-                    rec.instant(memory.track, "dram", now, dram)
+                occupancy.dram = {"used_bytes": used}
         return occupancy
 
     def cut(self, now: float) -> Optional[Occupancy]:

@@ -334,7 +334,6 @@ def simulate(
     trace_sink: Optional[TraceSink] = None,
     keep_records: bool = True,
     recorder=None,
-    profiler=None,
     faults=None,
     retry=None,
     deadline_s: Optional[float] = None,
@@ -394,11 +393,7 @@ def simulate(
     scheduler's and memory model's decision instants.  Every emission is
     a read-only observation, so attaching a recorder never changes the
     trace, the report, or the makespan; a disabled recorder (None or
-    ``NullRecorder``) costs nothing per event.  ``profiler`` (a
-    :class:`repro.obs.PhaseProfiler`) accumulates *wall-clock* seconds
-    around the loop's dispatch/planning/fold phases — explicitly outside
-    the determinism guarantee (it changes nothing but how fast the loop
-    runs).
+    ``NullRecorder``) costs nothing per event.
 
     Resilience: ``faults`` (a :class:`repro.faults.FaultSpec`), ``retry``
     (a :class:`repro.faults.RetryPolicy`) and ``deadline_s`` (per-request
@@ -434,7 +429,6 @@ def simulate(
         trace_sink=trace_sink,
         keep_records=keep_records,
         recorder=recorder,
-        profiler=profiler,
         faults=faults,
         retry=retry,
         deadline_s=deadline_s,

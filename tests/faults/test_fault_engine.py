@@ -376,3 +376,9 @@ def test_engine_kwargs_are_validated():
         _serve(_poisson(5), faults=BENIGN, deadline_s=0.0)
     with pytest.raises(ValueError):
         _serve(_poisson(5), faults=BENIGN, max_steps=0)
+
+
+@pytest.mark.parametrize("deadline_s", [float("nan"), float("inf")])
+def test_a_deadline_must_be_finite(deadline_s):
+    with pytest.raises(ValueError, match="deadline_s must be positive and finite"):
+        _serve(_poisson(5), deadline_s=deadline_s)

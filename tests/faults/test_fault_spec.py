@@ -1,5 +1,7 @@
 """FaultSpec / FaultInjector / RetryPolicy: seeded, lazy, reproducible."""
 
+from math import inf, nan
+
 import pytest
 
 from repro.faults import (
@@ -40,6 +42,15 @@ def _drain(cursor, count):
         {"crash_windows": ((0, 1.0, 0.0),)},
         {"slow_windows": ((0, 1.0, 5.0, 2.0, 9.9),)},
         {"slow_windows": ((0, 1.0, -2.0),)},
+        {"crash_mtbf_s": nan},
+        {"slow_mtbf_s": inf},
+        {"crash_mttr_s": nan},
+        {"slow_duration_s": inf},
+        {"slow_factor": nan},
+        {"crash_windows": ((0, nan, 5.0),)},
+        {"crash_windows": ((0, 1.0, inf),)},
+        {"slow_windows": ((0, 1.0, 50.0, nan),)},
+        {"slow_windows": ((0, 1.0, 50.0, 0.0),)},
     ],
 )
 def test_fault_spec_rejects_bad_values(kwargs):
@@ -56,6 +67,10 @@ def test_fault_spec_rejects_bad_values(kwargs):
         {"jitter": 1.0},
         {"jitter": -0.5},
         {"hedge_after_s": 0.0},
+        {"backoff_s": nan},
+        {"backoff_s": inf},
+        {"multiplier": nan},
+        {"hedge_after_s": nan},
     ],
 )
 def test_retry_policy_rejects_bad_values(kwargs):

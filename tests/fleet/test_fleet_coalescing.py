@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from serving_toys import ToyBackend
+from serving_toys import ToyBackend, assert_same_trace
 
 from repro.api import InferenceRequest
 from repro.faults import FaultSpec, RetryPolicy
@@ -79,7 +79,7 @@ def test_coalesced_fleet_is_byte_identical_to_step_by_step(
     factory = SCHEDULERS[scheduler_name]
     reference = _run(arrivals, factory, "jsq", max_steps=1)
     coalesced = _run(arrivals, factory, "jsq", max_steps=None)
-    assert coalesced.to_csv() == reference.to_csv()
+    assert_same_trace(coalesced.to_csv(), reference.to_csv())
     assert coalesced.makespan_s == reference.makespan_s
     assert [r.busy_s for r in coalesced.device_reports] == pytest.approx(
         [r.busy_s for r in reference.device_reports]
@@ -92,7 +92,7 @@ def test_every_router_is_byte_identical_under_coalescing(router_name):
     factory = SCHEDULERS["continuous"]
     reference = _run(arrivals, factory, router_name, max_steps=1)
     coalesced = _run(arrivals, factory, router_name, max_steps=None)
-    assert coalesced.to_csv() == reference.to_csv()
+    assert_same_trace(coalesced.to_csv(), reference.to_csv())
 
 
 def test_fleet_coalescing_collapses_the_event_count():
@@ -101,7 +101,7 @@ def test_fleet_coalescing_collapses_the_event_count():
     factory = lambda: ContinuousBatchScheduler(max_batch=8)  # noqa: E731
     reference = _run(arrivals, factory, "jsq", max_steps=1)
     coalesced = _run(arrivals, factory, "jsq", max_steps=None)
-    assert coalesced.to_csv() == reference.to_csv()
+    assert_same_trace(coalesced.to_csv(), reference.to_csv())
     assert coalesced.num_events * 5 < reference.num_events
 
 
@@ -119,6 +119,16 @@ SPARSE_CHAOS = dict(
         seed=3,
     ),
     retry=RetryPolicy(max_attempts=3, backoff_s=0.5),
+    deadline_s=8.0,
+)
+
+#: Hedging on top of chaos: a crash, flaky verdicts with client retries,
+#: hedges after 2 s and a deadline.  A hedge can win while its primary
+#: waits out a retry backoff on no device, and a fault-aware run ends once
+#: every request resolved, with a cancelled attempt still decoding.
+HEDGED = dict(
+    faults=FaultSpec(crash_windows=((0, 30.0, 10.0),), flaky_prob=0.05, seed=3),
+    retry=RetryPolicy(max_attempts=3, backoff_s=0.5, hedge_after_s=2.0),
     deadline_s=8.0,
 )
 
@@ -162,7 +172,7 @@ def test_cut_decode_runs_are_byte_identical_to_step_by_step(
     coalesced, trace = _sparse_run(
         arrivals, router_name, None, keep_records, **options
     )
-    assert trace == expected
+    assert_same_trace(trace, expected)
     assert coalesced.makespan_s == reference.makespan_s
     assert coalesced.percentiles("ttft")["p99"] == reference.percentiles("ttft")["p99"]
     assert coalesced.goodput_rps() == reference.goodput_rps()
@@ -205,7 +215,7 @@ def test_memory_model_runs_are_byte_identical_to_step_by_step(
     options = MEMORY_CHAOS if chaos else {}
     reference = _memory_run(arrivals, router_name, max_batch, 1, **options)
     coalesced = _memory_run(arrivals, router_name, max_batch, None, **options)
-    assert coalesced.to_csv() == reference.to_csv()
+    assert_same_trace(coalesced.to_csv(), reference.to_csv())
     assert [device.memory for device in coalesced.device_reports] == [
         device.memory for device in reference.device_reports
     ]
@@ -213,10 +223,17 @@ def test_memory_model_runs_are_byte_identical_to_step_by_step(
 
 
 @pytest.mark.parametrize("fail_fast", [False, True], ids=["whole-run", "early-exit"])
-def test_occupancy_spans_tile_each_device_busy_time(fail_fast):
-    """A cut run is recorded once, with its final end, and a run still in
-    flight when the loop stops is recorded too: a device's spans never
-    overlap and add up to its busy time."""
+@pytest.mark.parametrize(
+    "options",
+    [{}, SPARSE_CHAOS, HEDGED],
+    ids=["plain", "chaos", "hedged"],
+)
+def test_occupancy_spans_tile_each_device_busy_time(options, fail_fast):
+    """Busy time and the span are booked once, when an occupancy ends: at
+    its completion (a cut run with its final end), at a crash, or at the
+    makespan for a run still in flight when the loop stops.  A device's
+    spans never overlap, never end after the makespan, and add up to its
+    busy time."""
     recorder = SpanRecorder()
     report, _ = _sparse_run(
         _sparse_arrivals(),
@@ -225,6 +242,7 @@ def test_occupancy_spans_tile_each_device_busy_time(fail_fast):
         recorder=recorder,
         slo=SLOSpec(e2e_s=2.0) if fail_fast else SPARSE_SLO,
         fail_fast=fail_fast,
+        **options,
     )
     assert report.early_exit == fail_fast
     spans = recorder.spans()
@@ -236,9 +254,33 @@ def test_occupancy_spans_tile_each_device_busy_time(fail_fast):
         )
         for (_, end), (start, _) in zip(intervals, intervals[1:]):
             assert start >= end - 1e-9
+        assert all(end <= report.makespan_s + 1e-9 for _, end in intervals)
         total = sum(end - start for start, end in intervals)
         assert total == pytest.approx(device.busy_s)
+        assert device.busy_s <= report.makespan_s
     assert sum(device.busy_s for device in report.device_reports) > 0
+
+
+def test_a_hedged_fleet_books_the_busy_time_of_its_step_by_step_run():
+    """A fault-aware run ends once every request resolved, while a replica
+    may still decode a cancelled hedge attempt: that run ends at the
+    makespan, coalesced or not, so busy time matches ``max_steps=1``."""
+    arrivals = PoissonWorkload(3.0, _mixed_payload, seed=0).generate(300)
+
+    def run(max_steps):
+        fleet = build_fleet(
+            [ToyBackend(ttft=0.3, step=0.1)] * 4,
+            scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
+        )
+        return simulate_fleet(
+            arrivals, fleet, get_router("failover"), max_steps=max_steps, **HEDGED
+        )
+
+    coalesced, reference = run(None), run(1)
+    assert_same_trace(coalesced.to_csv(), reference.to_csv())
+    assert [device.busy_s for device in coalesced.device_reports] == pytest.approx(
+        [device.busy_s for device in reference.device_reports]
+    )
 
 
 def test_an_arrival_routed_elsewhere_does_not_split_a_decode_run():
@@ -270,7 +312,7 @@ def test_an_arrival_routed_elsewhere_does_not_split_a_decode_run():
         if span[1] == "device0"
     ]
     assert decodes == [64]
-    assert report.to_csv() == run(1).to_csv()
+    assert_same_trace(report.to_csv(), run(1).to_csv())
 
 
 def test_a_superseded_completion_tied_with_a_live_one_is_skipped():
@@ -303,7 +345,7 @@ def test_a_superseded_completion_tied_with_a_live_one_is_skipped():
 
     report = run(None)
     reference = run(1)
-    assert report.to_csv() == reference.to_csv()
+    assert_same_trace(report.to_csv(), reference.to_csv())
     assert report.event_queue["pushes"] == report.event_queue["pops"]
 
 
@@ -423,5 +465,5 @@ def test_size_fleet_fail_fast_finds_the_same_fleet():
     assert fast.num_replicas == full.num_replicas
     assert fast.sharding == full.sharding
     assert fast.probes == full.probes
-    assert fast.report.to_csv() == full.report.to_csv()
+    assert_same_trace(fast.report.to_csv(), full.report.to_csv())
     assert not fast.report.early_exit  # the winning fleet ran to completion

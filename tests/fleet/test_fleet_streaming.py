@@ -14,10 +14,9 @@ import random
 import pytest
 
 from serving_toys import ToyBackend
-from test_fleet_coalescing import SPARSE_CHAOS, SPARSE_SLO
+from test_fleet_coalescing import HEDGED, SPARSE_CHAOS, SPARSE_SLO
 
 from repro.api import InferenceRequest
-from repro.faults import FaultSpec, RetryPolicy
 from repro.fleet import ROUTERS, build_fleet, get_router, simulate_fleet
 from repro.memory import MemorySpec
 from repro.serving import (
@@ -83,14 +82,6 @@ def test_record_dropping_fleet_streams_the_same_bytes(scheduler_name, router_nam
     assert dropped.assignments == reference.assignments
 
 
-#: Hedging on top of chaos: a crash, flaky verdicts with client retries,
-#: hedges after 2 s and a deadline.  A hedge can win while its primary
-#: waits out a retry backoff on no device.
-HEDGED = dict(
-    faults=FaultSpec(crash_windows=((0, 30.0, 10.0),), flaky_prob=0.05, seed=3),
-    retry=RetryPolicy(max_attempts=3, backoff_s=0.5, hedge_after_s=2.0),
-    deadline_s=8.0,
-)
 SPARSE_SPECS = {"plain": {}, "chaos": SPARSE_CHAOS, "hedge": HEDGED}
 #: Tight enough that every sparse run below exits early under fail_fast.
 EARLY_EXIT_SLO = SLOSpec(e2e_s=2.0)

@@ -132,6 +132,17 @@ def test_back_to_back_occupancies_chain_exactly():
     assert (chain.spans, chain.start_s, chain.end_s) == (3, 0.0, 9.0)
 
 
+def test_chains_come_in_device_order_whatever_the_emission_order():
+    """Spans are emitted as occupancies end, so a later device can emit
+    first; the chain table still lists device0, device2, device10."""
+    recorder = SpanRecorder()
+    recorder.span("device10", "prefill", 0.0, 1.0, {})
+    recorder.span("device2", "prefill", 0.0, 2.0, {})
+    recorder.span("device0", "prefill", 0.0, 3.0, {})
+    tracks = [chain.track for chain in critical_path(recorder).chains]
+    assert tracks == ["device0", "device2", "device10"]
+
+
 def test_makespan_chain_is_the_latest_ending_track():
     recorder = SpanRecorder()
     recorder.span("device0", "decode", 0.0, 5.0, {})

@@ -16,7 +16,7 @@ from serving_toys import ToyBackend
 from repro.api import InferenceRequest
 from repro.fleet import build_fleet, get_router, simulate_fleet
 from repro.memory import MemorySpec
-from repro.obs import DECODE, PREFILL, QUEUE, NullRecorder, PhaseProfiler, SpanRecorder
+from repro.obs import DECODE, PREFILL, QUEUE, NullRecorder, SpanRecorder
 from repro.serving import (
     ContinuousBatchScheduler,
     PoissonWorkload,
@@ -46,18 +46,17 @@ WORKLOADS = {
 MEMORY = {"bare": None, "memory": TIGHT_SPEC}
 
 
-def _serve(arrivals, memory=None, recorder=None, profiler=None):
+def _serve(arrivals, memory=None, recorder=None):
     return simulate(
         arrivals,
         ToyBackend(),
         ContinuousBatchScheduler(max_batch=4, memory=memory),
         slo=SLO,
         recorder=recorder,
-        profiler=profiler,
     )
 
 
-def _fleet(arrivals, memory=None, recorder=None, profiler=None):
+def _fleet(arrivals, memory=None, recorder=None):
     fleet = build_fleet(
         [ToyBackend(ttft=1.0, step=0.1)] * 4,
         scheduler_factory=lambda: ContinuousBatchScheduler(
@@ -70,7 +69,6 @@ def _fleet(arrivals, memory=None, recorder=None, profiler=None):
         get_router("jsq"),
         slo=SLO,
         recorder=recorder,
-        profiler=profiler,
     )
 
 
@@ -104,21 +102,6 @@ def test_null_recorder_is_the_disabled_default(shape):
     nulled = run(arrivals, recorder=NullRecorder())
     assert nulled.to_csv() == base.to_csv()
     assert nulled.makespan_s == base.makespan_s
-
-
-@pytest.mark.parametrize("shape", ["serve", "fleet"])
-def test_profiler_never_changes_the_trace(shape):
-    run = _serve if shape == "serve" else _fleet
-    arrivals = WORKLOADS["poisson"]()
-    base = run(arrivals)
-    profiler = PhaseProfiler()
-    profiled = run(arrivals, profiler=profiler)
-    assert profiled.to_csv() == base.to_csv()
-    assert profiled.makespan_s == base.makespan_s
-    # The profiler measured the loop's phases on the wall clock.
-    assert set(profiler.seconds) >= {"planning", "dispatch", "fold"}
-    assert profiler.total_seconds >= 0.0
-    assert profiler.counts["planning"] > 0
 
 
 def test_recorded_stream_is_seed_deterministic():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import DECODE, PREFILL, QUEUE, PhaseProfiler, SpanRecorder
+from repro.obs import DECODE, PREFILL, QUEUE, SpanRecorder
 from repro.obs.recorder import record_request_phases
 
 
@@ -196,50 +196,3 @@ def test_perfetto_writes_the_file(tmp_path):
 
 def test_empty_recorder_exports_an_empty_trace():
     assert json.loads(SpanRecorder().to_perfetto())["traceEvents"] == []
-
-
-# -- PhaseProfiler ------------------------------------------------------------
-
-def test_profiler_accumulates_phases():
-    profiler = PhaseProfiler()
-    profiler.add("planning", 0.25)
-    profiler.add("planning", 0.25)
-    profiler.add("fold", 0.1)
-    assert profiler.seconds == {"planning": 0.5, "fold": 0.1}
-    assert profiler.counts == {"planning": 2, "fold": 1}
-    assert profiler.total_seconds == pytest.approx(0.6)
-    summary = profiler.summary()
-    assert list(summary) == ["planning", "fold"]
-    assert summary["planning"] == {"seconds": 0.5, "count": 2}
-    rows = profiler.rows()
-    assert rows[0][0] == "wall planning (s)"
-    assert "(2 calls)" in rows[0][1]
-
-
-def test_profiler_context_manager_times_real_work():
-    profiler = PhaseProfiler()
-    with profiler.time("block"):
-        sum(range(1000))
-    assert profiler.counts == {"block": 1}
-    assert profiler.seconds["block"] >= 0.0
-
-
-def test_only_the_profiler_module_touches_the_wall_clock():
-    """recorder/metrics stay on simulated time; profile.py is the one
-    sanctioned wall-clock reader (mirrors the serving package guard)."""
-    import repro.obs.alerts
-    import repro.obs.critpath
-    import repro.obs.metrics
-    import repro.obs.recorder
-    import repro.obs.timeline
-
-    for module in (
-        repro.obs.recorder,
-        repro.obs.metrics,
-        repro.obs.timeline,
-        repro.obs.alerts,
-        repro.obs.critpath,
-    ):
-        source = open(module.__file__).read()
-        for needle in ("import time", "from time", "perf_counter", "datetime"):
-            assert needle not in source, (module.__name__, needle)

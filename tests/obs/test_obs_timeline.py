@@ -221,14 +221,25 @@ def test_memory_instants_fold_and_the_dram_level_carries_forward():
 
 
 def test_the_carried_dram_level_is_the_latest_instants_not_the_last_emitted():
-    """A decode run's dram instant is emitted once its end is final, after
+    """A decode run's dram instant is emitted once the run ends, after
     instants stamped later in the same window."""
     collector = TimelineCollector(window_s=10.0)
     collector.instant("memory0", "dram", 6.0, {"used_bytes": 20})
-    collector.instant("memory1", "dram", 3.0, {"used_bytes": 30})
+    collector.instant("memory0", "dram", 3.0, {"used_bytes": 30})
     rows = collector.finalize(makespan_s=20.0)
     assert rows[0]["kv_dram_peak_bytes"] == 30
     assert rows[1]["kv_dram_peak_bytes"] == 20
+
+
+def test_each_replica_carries_its_own_dram_level():
+    """A window's peak is the highest level any replica holds in it: the
+    levels every memory track carries in, and the window's own instants."""
+    collector = TimelineCollector(window_s=10.0)
+    collector.instant("memory0", "dram", 6.0, {"used_bytes": 20})
+    collector.instant("memory1", "dram", 3.0, {"used_bytes": 30})
+    collector.instant("memory1", "dram", 25.0, {"used_bytes": 5})
+    rows = collector.finalize(makespan_s=39.0)
+    assert [row["kv_dram_peak_bytes"] for row in rows] == [30, 30, 30, 20]
 
 
 def test_without_a_memory_model_the_kv_columns_stay_blank():

@@ -1,4 +1,5 @@
-"""A constant-latency toy backend shared by the serving tests."""
+"""A constant-latency toy backend and a trace comparison shared by the
+serving tests."""
 
 from repro.api import RunResult
 from repro.api.result import DECODE_PHASE, PREFILL_PHASE
@@ -40,3 +41,29 @@ class ToyBackend:
             traffic_bytes_per_token=0.0,
             bottleneck="toy",
         )
+
+
+def assert_same_trace(got: str, want: str) -> None:
+    """Assert two trace CSVs are equal.
+
+    A mismatch fails at once with the line counts and the first differing
+    row (the header is row 0), not with pytest's diff of two long strings,
+    which can take minutes to render.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    row = min(len(got_lines), len(want_lines))
+    for index, (line, expected) in enumerate(zip(got_lines, want_lines)):
+        if line != expected:
+            row = index
+            break
+
+    def shown(lines):
+        return repr(lines[row]) if row < len(lines) else "<end of trace>"
+
+    raise AssertionError(
+        f"traces differ: {len(got_lines)} lines vs {len(want_lines)} expected; "
+        f"first difference at row {row}:\n  got      {shown(got_lines)}\n"
+        f"  expected {shown(want_lines)}"
+    )

@@ -9,10 +9,11 @@ scheduler x workload for the single-device loop; the fleet-side battery
 """
 
 import random
+import time
 
 import pytest
 
-from serving_toys import ToyBackend
+from serving_toys import ToyBackend, assert_same_trace
 
 from repro.api import InferenceRequest
 from repro.serving import (
@@ -64,7 +65,7 @@ def test_coalesced_run_is_byte_identical_to_step_by_step(
     coalesced = simulate(
         arrivals, ToyBackend(), SCHEDULERS[scheduler_name](), slo=slo
     )
-    assert coalesced.to_csv() == reference.to_csv()
+    assert_same_trace(coalesced.to_csv(), reference.to_csv())
     assert coalesced.makespan_s == reference.makespan_s
     assert coalesced.busy_s == pytest.approx(reference.busy_s)
 
@@ -77,7 +78,7 @@ def test_coalescing_collapses_the_continuous_event_count():
         arrivals, ToyBackend(), ContinuousBatchScheduler(max_batch=8), max_steps=1
     )
     coalesced = simulate(arrivals, ToyBackend(), ContinuousBatchScheduler(max_batch=8))
-    assert coalesced.to_csv() == reference.to_csv()
+    assert_same_trace(coalesced.to_csv(), reference.to_csv())
     assert coalesced.num_events * 5 < reference.num_events
 
 
@@ -92,7 +93,25 @@ def test_intermediate_max_steps_is_also_equivalent():
         )
         for max_steps in (1, 3, None)
     ]
-    assert runs[0].to_csv() == runs[1].to_csv() == runs[2].to_csv()
+    assert_same_trace(runs[1].to_csv(), runs[0].to_csv())
+    assert_same_trace(runs[2].to_csv(), runs[0].to_csv())
+
+
+def test_a_trace_mismatch_fails_fast_naming_the_first_differing_row():
+    """Two 10,000-row traces that part after row 50: the helper reports
+    the line counts and row 51 at once, without a diff of the strings."""
+    header = "request_id,arrival_s,finish_s"
+    want = [header] + [f"{i},{i * 0.5},{i * 0.5 + 1.0}" for i in range(10_000)]
+    got = want[:51] + [f"{i},{i * 0.5},{i * 0.5 + 2.0}" for i in range(50, 10_000)]
+    start = time.perf_counter()
+    with pytest.raises(AssertionError) as excinfo:
+        assert_same_trace("\n".join(got) + "\n", "\n".join(want) + "\n")
+    assert time.perf_counter() - start < 1.0
+    message = str(excinfo.value)
+    assert "10001 lines vs 10001 expected" in message
+    assert "first difference at row 51:" in message
+    assert "'50,25.0,27.0'" in message and "'50,25.0,26.0'" in message
+    assert len(message) < 500
 
 
 def test_max_steps_must_be_positive():
@@ -207,7 +226,7 @@ def test_an_arrival_on_a_step_boundary_cuts_the_run_right_there():
         for max_steps in (1, None)
     ]
     assert runs[1].records[1].prefill_start_s == 1.0
-    assert runs[1].to_csv() == runs[0].to_csv()
+    assert_same_trace(runs[1].to_csv(), runs[0].to_csv())
 
 
 #: Bytes of KV one opt-6.7b token holds at 16 bits, and a 500-token prompt.
@@ -307,7 +326,8 @@ def test_simulate_accepts_presorted_unsorted_and_generator_streams():
     from_sorted = simulate(arrivals, ToyBackend(), FCFSScheduler())
     from_shuffled = simulate(shuffled, ToyBackend(), FCFSScheduler())
     from_generator = simulate(iter(arrivals), ToyBackend(), FCFSScheduler())
-    assert from_sorted.to_csv() == from_shuffled.to_csv() == from_generator.to_csv()
+    assert_same_trace(from_shuffled.to_csv(), from_sorted.to_csv())
+    assert_same_trace(from_generator.to_csv(), from_sorted.to_csv())
     # The fast path must not reorder or mutate the caller's list.
     assert arrivals == PoissonWorkload(2.0, PAYLOAD, seed=1).generate(50)
 
@@ -345,7 +365,7 @@ def test_fail_fast_leaves_passing_runs_untouched():
     full = simulate(arrivals, ToyBackend(), FCFSScheduler(), slo=slo)
     fast = simulate(arrivals, ToyBackend(), FCFSScheduler(), slo=slo, fail_fast=True)
     assert fast.meets_slo() and not fast.early_exit
-    assert fast.to_csv() == full.to_csv()
+    assert_same_trace(fast.to_csv(), full.to_csv())
     assert fast.num_events == full.num_events
 
 

@@ -114,6 +114,10 @@ def test_grid_command_markdown_output(capsys):
          "--on-seconds"),
         (["fleet", "llama2-7b", "--workload", "onoff", "--off-seconds", "-1"],
          "--off-seconds"),
+        (["serve", "llama2-7b", "--dram-gb", "nan"], "--dram-gb"),
+        (["fleet", "llama2-7b", "--dram-gb", "inf"], "--dram-gb"),
+        (["serve", "llama2-7b", "--flash", "nan"], "--flash-gb/--flash"),
+        (["fleet", "llama2-7b", "--deadline-s", "nan"], "--deadline-s"),
     ],
     ids=[
         "serve-seq-len",
@@ -143,6 +147,10 @@ def test_grid_command_markdown_output(capsys):
         "serve-timeline-window",
         "serve-on-seconds",
         "fleet-off-seconds",
+        "serve-dram-gb-nan",
+        "fleet-dram-gb-inf",
+        "serve-flash-nan",
+        "fleet-deadline-s-nan",
     ],
 )
 def test_bad_flag_values_exit_2_naming_the_flag(argv, flag, capsys):

@@ -2,8 +2,7 @@
 
 Every case runs on both commands, so the two stay pinned to the same
 flag handling: ``--faults``/``--retry`` spec parsing and its errors,
-``--deadline-s``, ``--dram-gb``/``--flash``, ``--stream-trace`` and
-``--parallel``.
+``--deadline-s``, ``--dram-gb``/``--flash`` and ``--stream-trace``.
 """
 
 import pytest
@@ -116,6 +115,14 @@ def test_faults_windows_repeat_in_order(command, spy, capsys):
         ("flaky=2", "--faults: flaky_prob must be in [0, 1], got 2.0"),
         ("crash-window=0:-1:3", "--faults: bad crash window (0, -1.0, 3.0)"),
         (
+            "crash-mtbf=nan,mttr=5",
+            "--faults: crash_mtbf_s must be positive and finite, got nan",
+        ),
+        (
+            "slow-window=0:1:50:nan",
+            "--faults: bad slow window (0, 1.0, 50.0, nan)",
+        ),
+        (
             "seed=3",
             "--faults: the spec injects nothing; give it an MTBF, a window "
             "or a flaky probability",
@@ -166,6 +173,10 @@ def test_an_empty_retry_spec_is_the_default_policy(command, spy, capsys):
         ("attempts=2.5", "--retry: bad value in 'attempts=2.5'"),
         ("attempts=0", "--retry: max_attempts must be >= 1, got 0"),
         ("jitter=1", "--retry: jitter must be in [0, 1), got 1.0"),
+        (
+            "attempts=3,backoff=nan",
+            "--retry: backoff_s must be >= 0 and finite, got nan",
+        ),
     ],
 )
 def test_retry_errors_name_the_flag(command, spec, message):
@@ -238,7 +249,7 @@ def test_memory_flags_reject_bad_sizes(command, flag, message):
     assert _fails(argv) == message
 
 
-# -- --stream-trace and --parallel ----------------------------------------------------
+# -- --stream-trace -------------------------------------------------------------
 
 #: A hedged fleet whose hedges can win while their primaries wait to retry.
 _HEDGED_FLEET = [
@@ -286,10 +297,3 @@ def test_stream_trace_cannot_follow_a_search(command, tmp_path):
     )
     assert message.endswith(" search")
     assert not (tmp_path / "t.csv").exists()
-
-
-def test_parallel_needs_a_search(command):
-    search_flag = _SEARCH[command][0]
-    assert _fails(_BASE[command] + ["--parallel", "2"]) == (
-        f"--parallel parallelizes {search_flag} probes"
-    )
