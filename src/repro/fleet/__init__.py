@@ -43,7 +43,7 @@ exactly.  Exposed on the CLI as ``python -m repro fleet``.
 """
 
 from repro.fleet.device import Device
-from repro.fleet.report import FLEET_TRACE_CSV_FIELDS, FleetReport
+from repro.fleet.report import FleetReport
 from repro.fleet.router import (
     ROUTERS,
     FailoverRouter,
@@ -58,6 +58,7 @@ from repro.fleet.router import (
 from repro.fleet.sharding import ShardedBackend, ShardingSpec
 from repro.fleet.simulator import build_fleet, simulate_fleet
 from repro.fleet.sizing import FleetSizingResult, SizingProbe, size_fleet
+from repro.serving.metrics import FLEET_TRACE_CSV_FIELDS
 
 __all__ = [
     "Device",

@@ -13,8 +13,6 @@ idlest replica that routing policies are judged by.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -23,33 +21,10 @@ from repro.serving.metrics import (
     SLOSpec,
     ServingReport,
     StreamedMetrics,
-    TRACE_CSV_FIELDS,
     percentile_triplet,
-    trace_values,
+    trace_csv,
 )
 from repro.serving.request import RequestRecord
-
-#: Fleet trace columns: the serving trace plus the routed device.
-FLEET_TRACE_CSV_FIELDS = ["request_id", "device"] + TRACE_CSV_FIELDS[1:]
-
-
-def fleet_trace_values(
-    record: RequestRecord,
-    slo: Optional[SLOSpec],
-    assignments: List[int],
-    index: int,
-) -> List[object]:
-    """Arrival ``index``'s cells in :data:`FLEET_TRACE_CSV_FIELDS` order.
-
-    The serving trace cells of ``record`` with its routed device from
-    ``assignments`` after the request id; the device cell is blank for a
-    request an ``early_exit`` run never routed.  Shared by
-    :meth:`FleetReport.to_csv` and the event loop's streamed fleet trace,
-    so both render a row identically.
-    """
-    values = trace_values(record, slo)
-    device = assignments[index] if index < len(assignments) else ""
-    return [values[0], device] + values[1:]
 
 
 @dataclass
@@ -259,15 +234,4 @@ class FleetReport:
                 "this report was built with keep_records=False; pass "
                 "trace_sink= to simulate_fleet to stream the trace instead"
             )
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(FLEET_TRACE_CSV_FIELDS)
-        for index, record in enumerate(self.records):
-            writer.writerow(
-                fleet_trace_values(record, self.slo, self.assignments, index)
-            )
-        text = buffer.getvalue()
-        if path is not None:
-            with open(path, "w", newline="") as handle:
-                handle.write(text)
-        return text
+        return trace_csv(self.records, self.slo, self.assignments, path)

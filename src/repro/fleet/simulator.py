@@ -52,12 +52,11 @@ the end.  Every report reads those reservoirs alone, whatever
 
 Scale: the loop re-plans only the devices an event actually touched, a
 decode run is split only by a request routed to its own device, and —
-with ``trace_sink``/``keep_records=False`` — streams each
-request's trace row out the moment it is stamped (a fleet row through
-:func:`repro.fleet.report.fleet_trace_values`, exactly as
-:meth:`FleetReport.to_csv` renders it) and drops the record, so a
-million-request, hundred-device day runs in seconds holding O(in-flight)
-record state.
+with ``trace_sink``/``keep_records=False`` — renders each request's
+trace row once, when it resolves, from the sample its fold read (as
+:meth:`FleetReport.to_csv` renders it), writes the rows in batches and
+drops the record, so a million-request, hundred-device day runs in
+seconds holding O(in-flight) record state.
 """
 
 from __future__ import annotations
@@ -70,19 +69,12 @@ from repro.api.runner import BackendLike, ExperimentRunner
 from repro.faults.engine import _FaultRun
 from repro.faults.spec import FaultSpec, RetryPolicy
 from repro.fleet.device import Device
-from repro.fleet.report import FLEET_TRACE_CSV_FIELDS, FleetReport, fleet_trace_values
+from repro.fleet.report import FleetReport
 from repro.fleet.router import JoinShortestQueueRouter, Router
 from repro.fleet.sharding import ShardingSpec
 from repro.obs.recorder import record_request_phases
 from repro.serving.events import COMPLETION, FAULT
-from repro.serving.metrics import (
-    TRACE_CSV_FIELDS,
-    ServingReport,
-    SLOSpec,
-    StreamedMetrics,
-    metric_sample,
-    trace_values,
-)
+from repro.serving.metrics import ServingReport, SLOSpec, StreamedMetrics, metric_sample
 from repro.serving.request import ServingRequest
 from repro.serving.scheduler import FCFSScheduler
 from repro.serving.simulator import _ArrivalSource
@@ -157,15 +149,16 @@ def simulate_fleet(
 
     ``trace_sink``/``keep_records`` stream the fleet trace exactly as in
     :func:`repro.serving.simulator.simulate`: rows (including the routed
-    device column) are written in arrival order the moment each request is
-    fully stamped, byte-identical to :meth:`FleetReport.to_csv`.  Every
-    run folds each record into the reservoirs of the device it resolves
-    on, and the fleet-wide and per-device aggregates read those alone;
-    ``keep_records`` only decides whether the records (and ``to_csv``)
-    survive the run, so with ``keep_records=False`` it holds O(in-flight)
-    record state and reports the same aggregates.  Lazy (non-list)
-    streams combined with ``keep_records=False`` are consumed
-    incrementally and cannot be used with ``fail_fast``.
+    device column) are rendered as each request resolves and written in
+    arrival order, in batches, byte-identical to
+    :meth:`FleetReport.to_csv`.  Every run folds each record into the
+    reservoirs of the device it resolves on, and the fleet-wide and
+    per-device aggregates read those alone; ``keep_records`` only decides
+    whether the records (and ``to_csv``) survive the run, so with
+    ``keep_records=False`` it holds O(in-flight) record state and reports
+    the same aggregates.  Lazy (non-list) streams combined with
+    ``keep_records=False`` are consumed incrementally and cannot be used
+    with ``fail_fast``.
 
     Observability mirrors :func:`repro.serving.simulator.simulate`:
     ``recorder`` receives per-replica occupancy spans (tracks
@@ -318,19 +311,7 @@ def _run(
     folds = [metrics.add_sample for metrics in device_metrics]
     streamer: Optional[TraceStreamer] = None
     if trace_sink is not None:
-        if fleet_shape:
-            header = FLEET_TRACE_CSV_FIELDS
-
-            def row_of(record, index):
-                return fleet_trace_values(record, slo, assignments, index)
-
-        else:
-            header = TRACE_CSV_FIELDS
-
-            def row_of(record, index):
-                return trace_values(record, slo)
-
-        streamer = TraceStreamer(trace_sink, header, row_of)
+        streamer = TraceStreamer(trace_sink, assignments if fleet_shape else None)
     # Delivered records not yet resolved, each with its trace-row
     # position, kept only when an early exit could leave some behind.
     live: Optional[dict] = {} if fail_fast else None
@@ -340,13 +321,16 @@ def _run(
     def resolve(record, index: int, sample) -> None:
         """Fold a record that just resolved on device ``index`` (``sample``
         is its :func:`metric_sample`), tally a ``fail_fast`` miss, and
-        release its trace row."""
+        render its trace row from the same sample.  A record's stamps and
+        its ``assignments`` cell are final once it resolves: nothing stamps
+        it again (a losing attempt runs to an ignored end), and a hedge win
+        re-points the cell before it resolves the primary."""
         nonlocal missed
         folds[index](sample)
         if fail_fast and not sample[5]:
             missed += 1
         if streamer is not None:
-            streamer.finish(record)
+            streamer.finish(record, sample)
         if live is not None:
             del live[id(record)]
 
@@ -628,17 +612,20 @@ def _run(
         # carries its device's reservoirs.
         if live:
             for record, position in live.values():
-                folds[assignments[position]](metric_sample(record, slo))
+                sample = metric_sample(record, slo)
+                folds[assignments[position]](sample)
+                if streamer is not None:
+                    streamer.finish(record, sample)
         fleet_metrics = device_metrics[0]
         if fleet_shape:
             fleet_metrics = StreamedMetrics(slo_met=slo_met)
             for part in device_metrics:
                 fleet_metrics.merge_from(part)
-        tail = list(source.tail())
-        for record in tail:
-            fleet_metrics.add_sample(metric_sample(record, slo))
+        tail = [(record, metric_sample(record, slo)) for record in source.tail()]
+        for _, sample in tail:
+            fleet_metrics.add_sample(sample)
         if streamer is not None:
-            streamer.close(tail=tail)
+            streamer.close(tail)
     finally:
         if streamer is not None:
             streamer.release()

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.recorder import DECODE, PREFILL, QUEUE, SpanRecorder
+from repro.obs.recorder import DECODE, PREFILL, QUEUE, SpanRecorder, track_order
 
 #: The track the event loop emits request phase spans on.
 _PHASE_TRACK = "requests"
@@ -236,12 +236,6 @@ class CriticalPathReport:
         return ["device (* = makespan)", "chained spans", "from (s)", "to (s)", "busy (s)"], rows
 
 
-def _device_order(track: str) -> Tuple[str, int]:
-    """Sort key for device tracks: the name, then its numeric suffix."""
-    name = track.rstrip("0123456789")
-    return name, int(track[len(name):] or -1)
-
-
 def critical_path(recorder: SpanRecorder) -> CriticalPathReport:
     """Attribute a recorded run's time: phases, flash I/O, device chains.
 
@@ -285,7 +279,7 @@ def critical_path(recorder: SpanRecorder) -> CriticalPathReport:
                 refill_s += args.get("seconds", 0.0)
                 refill_bytes += args.get("bytes", 0)
     chains: List[OccupancyChain] = []
-    for track in sorted(occupancies, key=_device_order):
+    for track in sorted(occupancies, key=track_order):
         spans = occupancies[track]
         # Spans on one track are emitted in chronological order; walk
         # back from the last one while each span starts exactly where

@@ -24,8 +24,9 @@ Every event names a *track* (a string): the loops use ``"device"`` /
 ``"device3"`` for occupancy spans, ``"requests"`` for per-request phase
 spans, ``"router"`` for routing decisions and ``"memory"`` /
 ``"memory3"`` for the flash-backed KV model.  The Perfetto export maps
-tracks to thread ids in first-appearance order (deterministic) and
-labels them with ``thread_name`` metadata events.
+tracks to thread ids in :func:`track_order` (``device2`` before
+``device10``), whatever order they emit in, and labels them with
+``thread_name`` metadata events.
 """
 
 from __future__ import annotations
@@ -228,12 +229,13 @@ class SpanRecorder(Recorder):
 
         Simulated seconds map to trace microseconds (``ts = 1e6 * s``);
         tracks become threads of one process, named via ``thread_name``
-        metadata.  Serialization uses sorted keys and compact separators,
+        metadata and numbered in :func:`track_order`, whatever order they
+        emit in.  Serialization uses sorted keys and compact separators,
         so the same event stream always renders the same bytes.
         """
         tids: Dict[str, int] = {}
         trace_events: List[dict] = []
-        for track in self.tracks():
+        for track in sorted(self.tracks(), key=track_order):
             tid = tids[track] = len(tids)
             trace_events.append(
                 {
@@ -268,6 +270,13 @@ class SpanRecorder(Recorder):
                 handle.write(text)
                 handle.write("\n")
         return text
+
+
+def track_order(track: str) -> Tuple[str, int, str]:
+    """Sort key for track names: the name, then its numeric suffix
+    (``device2`` before ``device10``), then the name as written."""
+    name = track.rstrip("0123456789")
+    return name, int(track[len(name):] or -1), track
 
 
 def record_request_phases(

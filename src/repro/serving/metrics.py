@@ -12,8 +12,9 @@ Every aggregate has one path: the event loop folds each record once, the
 moment it resolves, through :func:`metric_sample` (the one derivation of
 a record's floats, which the trace rows and :meth:`SLOSpec.met_by` read
 too), and a report built from a record list folds that list on
-construction.  A report is exactly as deterministic as the simulation
-that produced it: the same seed yields the same reservoirs and a
+construction.  :func:`trace_line` renders every trace row, kept or
+streamed.  A report is exactly as deterministic as the simulation that
+produced it: the same seed yields the same reservoirs and a
 byte-identical :meth:`ServingReport.to_csv`.
 """
 
@@ -23,6 +24,7 @@ import csv
 import io
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Dict, List, MutableSequence, Optional, Sequence, Tuple
 
 from repro.serving.request import RequestRecord
@@ -52,6 +54,15 @@ TRACE_CSV_FIELDS = [
     "tpot_s",
     "e2e_s",
     "slo_met",
+]
+
+#: Fleet trace columns: the serving trace plus the routed device.
+FLEET_TRACE_CSV_FIELDS = ["request_id", "device"] + TRACE_CSV_FIELDS[1:]
+
+
+#: One record's ``(queue_wait, ttft, tpot, e2e, tokens, met)``: :func:`metric_sample`.
+MetricSample = Tuple[
+    Optional[float], Optional[float], Optional[float], Optional[float], int, Optional[bool]
 ]
 
 
@@ -114,10 +125,7 @@ class StreamedMetrics:
     queue_depth_area: float = 0.0
     max_queue_depth: int = 0
 
-    def add_sample(
-        self,
-        sample: "Tuple[Optional[float], Optional[float], Optional[float], Optional[float], int, Optional[bool]]",
-    ) -> None:
+    def add_sample(self, sample: MetricSample) -> None:
         """Fold one record's :func:`metric_sample` into the reservoirs.
 
         A partially-stamped record (from an ``early_exit`` run) adds only
@@ -161,19 +169,16 @@ class StreamedMetrics:
             self.slo_met = (self.slo_met or 0) + other.slo_met
 
 
-def metric_sample(
-    record: RequestRecord, slo: Optional[SLOSpec]
-) -> Tuple[
-    Optional[float], Optional[float], Optional[float], Optional[float], int, Optional[bool]
-]:
+def metric_sample(record: RequestRecord, slo: Optional[SLOSpec]) -> MetricSample:
     """One record's ``(queue_wait, ttft, tpot, e2e, tokens, met)`` values.
 
-    The one derivation of a record's floats: the reservoirs fold it, the
-    trace rows (:func:`trace_values`) render it and :meth:`SLOSpec.met_by`
-    reads its verdict, so a value can never differ between them.  ``None``
-    marks a stamp the record never received (``tpot`` needs both the first
-    token and the finish; ``tokens`` is 0 until finished); ``met`` is
-    ``None`` when no SLO is given.
+    The one derivation of a record's floats: the event loop computes it
+    once, when the record resolves, for both its fold and its streamed
+    trace row (:func:`trace_line`), and :meth:`SLOSpec.met_by` reads its
+    verdict, so a value can never differ between them.  ``None`` marks a
+    stamp the record never received (``tpot`` needs both the first token
+    and the finish; ``tokens`` is 0 until finished); ``met`` is ``None``
+    when no SLO is given.
     """
     source = record.source
     arrival = source.arrival_s
@@ -501,51 +506,75 @@ class ServingReport:
                 "this report streamed its records away (keep_records=False); "
                 "the per-request trace was written to the run's trace_sink"
             )
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(TRACE_CSV_FIELDS)
-        for record in self.records:
-            writer.writerow(trace_values(record, self.slo))
-        text = buffer.getvalue()
-        if path is not None:
-            with open(path, "w", newline="") as handle:
-                handle.write(text)
-        return text
+        return trace_csv(self.records, self.slo, None, path)
 
 
-def trace_values(record: RequestRecord, slo: Optional[SLOSpec]) -> List[object]:
-    """One record's cells in :data:`TRACE_CSV_FIELDS` order; blank cells
-    for unstamped times and, without an SLO, for the verdict.
+#: The ``model,config`` cells of each ``(model name, config)`` pair seen so
+#: far, as ``csv.writer`` quotes them, keyed by the two strings' values.
+_TEXT_CELLS: Dict[Tuple[str, Optional[str]], str] = {}
+_VERDICT_CELLS = {None: "", True: "True", False: "False"}
 
-    Shared by :meth:`ServingReport.to_csv`, the fleet trace export and
-    the streaming trace sinks, so every trace CSV in the repo renders a
-    record identically (``csv.writer`` formats each value exactly as the
-    former ``DictWriter`` did — same ``str()`` float rendering, same
-    quoting rules — keeping streamed and post-hoc traces byte-identical).
-    The latency cells are :func:`metric_sample`'s values.
+
+def trace_line(record: RequestRecord, sample: MetricSample, device: object) -> str:
+    """One record's trace CSV row, newline included, byte for byte as
+    ``csv.writer`` renders it: the one renderer of every trace row.
+
+    ``sample`` is the record's :func:`metric_sample` (a streamed row reads
+    the one its fold read).  ``device`` None renders a single-device row;
+    anything else is the device cell after the request id (a fleet row).
+    Floats render with ``repr``, as ``csv.writer`` does, and unstamped
+    cells are blank.  Only the model name and config can need quoting, so
+    each distinct pair goes through ``csv.writer`` once.
     """
-    queue_wait, ttft, tpot, e2e, _, met = metric_sample(record, slo)
-    request = record.request
+    queue_wait, ttft, tpot, e2e, _, met = sample
+    source = record.source
+    request = source.request
     prefill = record.prefill_start_s
     first = record.first_token_s
     finish = record.finish_s
-    return [
-        record.request_id,
-        record.arrival_s,
-        request.model_name,
-        request.config or "",
-        request.seq_len,
-        request.gen_tokens,
-        request.batch_size,
-        "" if prefill is None else prefill,
-        "" if first is None else first,
-        "" if finish is None else finish,
-        "" if queue_wait is None else queue_wait,
-        "" if ttft is None else ttft,
-        "" if tpot is None else tpot,
-        "" if e2e is None else e2e,
-        "" if met is None else met,
-    ]
+    key = (request.model_name, request.config)
+    text = _TEXT_CELLS.get(key)
+    if text is None:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([key[0], key[1] or ""])
+        text = _TEXT_CELLS[key] = buffer.getvalue()[:-1]
+    lead = source.request_id if device is None else f"{source.request_id},{device}"
+    return (
+        f"{lead},{source.arrival_s!r},{text},{request.seq_len},"
+        f"{request.gen_tokens},{request.batch_size},"
+        f"{'' if prefill is None else repr(prefill)},"
+        f"{'' if first is None else repr(first)},"
+        f"{'' if finish is None else repr(finish)},"
+        f"{'' if queue_wait is None else repr(queue_wait)},"
+        f"{'' if ttft is None else repr(ttft)},"
+        f"{'' if tpot is None else repr(tpot)},"
+        f"{'' if e2e is None else repr(e2e)},{_VERDICT_CELLS[met]}\n"
+    )
+
+
+def trace_csv(
+    records: Sequence[RequestRecord],
+    slo: Optional[SLOSpec],
+    assignments: Optional[List[int]],
+    path: Optional[str],
+) -> str:
+    """The trace CSV of ``records`` (in arrival order), also written to
+    ``path`` when given.  A fleet passes ``assignments``, its routed
+    devices in arrival order, for the device column: blank for a request
+    an ``early_exit`` run never routed."""
+    header, devices = TRACE_CSV_FIELDS, repeat(None)
+    if assignments is not None:
+        header, devices = FLEET_TRACE_CSV_FIELDS, chain(assignments, repeat(""))
+    # Written as rendered: the rows' objects are never all alive at once.
+    buffer = io.StringIO()
+    buffer.write(",".join(header) + "\n")
+    for record, device in zip(records, devices):
+        buffer.write(trace_line(record, metric_sample(record, slo), device))
+    text = buffer.getvalue()
+    if path is not None:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    return text
 
 
 def percentile_triplet(values: Dict[str, Optional[float]], scale: float = 1.0) -> str:

@@ -371,9 +371,9 @@ def simulate(
     :meth:`ServingReport.meets_slo`, and sets ``early_exit``.
 
     Streaming output: ``trace_sink`` (a path or a file-like object)
-    receives each request's trace-CSV row the moment the request is fully
-    stamped — byte-identical to :meth:`ServingReport.to_csv`, rows in
-    arrival order.  Every run folds each record, once, into exact
+    receives the trace CSV byte-identical to :meth:`ServingReport.to_csv`,
+    rows in arrival order: each row is rendered once, when its request
+    resolves, and written in batches.  Every run folds each record, once, into exact
     :class:`repro.serving.metrics.StreamedMetrics` reservoirs when it
     resolves, and every aggregate metric (percentiles, attainment,
     goodput, queue depth) reads them alone.  ``keep_records`` only

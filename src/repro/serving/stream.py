@@ -1,133 +1,144 @@
-"""Streaming trace output: CSV rows written the moment records finish.
+"""Streaming trace output: each CSV row rendered once, when its record
+resolves, and written to the sink in batches.
 
 The in-memory path renders the per-request trace *after* a run from the
 full record list (:meth:`repro.serving.metrics.ServingReport.to_csv`).
 For million-request runs that list — not the event loop — dominates
 memory, so :func:`repro.serving.simulator.simulate` and
 :func:`repro.fleet.simulator.simulate_fleet` instead accept a
-``trace_sink`` (a file-like object or a path) and stream each row out the
-moment the record is fully stamped, optionally dropping the record
-afterwards (``keep_records=False``), leaving only O(in-flight batch)
-record state alive.
+``trace_sink`` (a file-like object or a path) and stream the trace,
+optionally dropping each record once it resolves (``keep_records=False``),
+leaving only O(in-flight batch) record state alive.
 
-Byte-identity is the contract: the sink receives exactly the bytes
-``to_csv()`` would have produced.  Since requests *finish* out of arrival
-order under continuous batching while the trace is written in arrival
-order, the :class:`TraceStreamer` keeps a small reorder buffer and
-flushes a record only once every earlier-arriving record has flushed —
-the buffer holds at most the records currently in flight plus those
-queued behind them, which is the same O(batch + queue) state the event
-loop already carries.
+Byte-identity is the contract: both paths render every row with
+:func:`repro.serving.metrics.trace_line`, so the sink receives exactly
+the bytes ``to_csv()`` would have produced.  A record's row is rendered
+when it resolves, from the sample its fold read.  Requests *finish* out
+of arrival order while the trace is written in arrival order, so the
+:class:`TraceStreamer` keeps a row that finished early, as text, until
+every earlier row is released.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import os
-from typing import Callable, Dict, IO, List, Sequence, Tuple, Union
+from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
 
+from repro.serving.metrics import MetricSample, trace_csv, trace_line
 from repro.serving.request import RequestRecord
 
 #: What the loops accept as a trace sink: an open text-mode file-like
 #: object (anything with ``write``) or a filesystem path to create.
 TraceSink = Union[str, "os.PathLike[str]", IO[str]]
 
-
-def open_trace_sink(sink: TraceSink) -> Tuple[IO[str], bool]:
-    """Resolve ``sink`` to ``(handle, owns_handle)``.
-
-    Paths are opened for writing with ``newline=""`` (the csv module's
-    requirement); file-like objects are used as-is and never closed here.
-    """
-    if hasattr(sink, "write"):
-        return sink, False
-    return open(os.fspath(sink), "w", newline=""), True
+#: Rows released in arrival order per sink write.
+BATCH_ROWS = 256
 
 
 class TraceStreamer:
-    """Order-preserving record emitter behind every streamed trace.
+    """Order-preserving row emitter behind every streamed trace.
 
-    ``register`` is called once per record in arrival order (assigning the
-    record its trace-row index); ``finish`` when the record resolves.  Rows
-    are written to the CSV sink in registration order, each as soon as all
-    its predecessors have finished.  ``close`` drains whatever never
-    finished (partially-stamped rows from an ``early_exit`` run) plus an
-    optional tail of records that never even entered the loop, so the
-    written trace covers exactly the rows the in-memory report would have
-    rendered.  The streamer only writes rows: the event loop folds every
-    record's metrics itself, when the record resolves.
+    ``register`` is called once per record in arrival order (assigning its
+    trace-row index); ``finish`` once it resolves, with the
+    :func:`~repro.serving.metrics.metric_sample` its fold read, and renders
+    its row at once (a fleet row's device cell comes from ``assignments``,
+    the loop's routed devices in arrival order).  Rows are released in
+    registration order, each as soon as its predecessors are, and written
+    one batch of :data:`BATCH_ROWS` per sink write, plus what is pending
+    at ``close`` and ``release`` — the error path included, so a run that
+    raises leaves every released row in the sink.  ``close`` expects every
+    registered record finished (an ``early_exit`` run finishes its
+    unresolved ones, partially stamped, first) and appends the rows of
+    records that never entered the loop, so the trace covers exactly the
+    rows the in-memory report would have rendered.
     """
 
-    def __init__(
-        self,
-        sink: TraceSink,
-        header: Sequence[str],
-        row_of: Callable[[RequestRecord, int], List[object]],
-    ) -> None:
-        self._row_of = row_of
-        self._handle, self._owns_handle = open_trace_sink(sink)
-        self._writer = csv.writer(self._handle, lineterminator="\n")
-        self._writer.writerow(header)
-        #: arrival index -> registered-but-unflushed record.
-        self._buffer: Dict[int, RequestRecord] = {}
-        #: id(record) -> arrival index, for live (buffered) records only.
+    def __init__(self, sink: TraceSink, assignments: Optional[List[int]]) -> None:
+        self._assignments = assignments
+        # A file-like sink is used as-is and never closed here; a path is
+        # opened with the csv module's ``newline=""``.
+        owns = self._owns_handle = not hasattr(sink, "write")
+        self._handle = open(os.fspath(sink), "w", newline="") if owns else sink
+        #: Released rows not yet written, after the header (a CSV of no rows).
+        self._pending: List[str] = [trace_csv((), None, assignments, None)]
+        #: id(record) -> arrival index, for registered, unfinished records.
         self._index_of: Dict[int, int] = {}
-        #: arrival indices whose record has finished but not yet flushed.
-        self._finished: set = set()
+        #: arrival index -> row of a record that finished before an earlier one.
+        self._waiting: Dict[int, str] = {}
         self._next = 0
         self._count = 0
-        #: High-water mark of the reorder buffer — how far completion
-        #: order actually diverged from arrival order (a debug metric:
-        #: bounds the streamer's extra memory at O(max_buffered) records).
+        #: High-water mark of registered records whose rows are not yet
+        #: released — how far completion order diverged from arrival order
+        #: (a debug metric: the streamer holds back O(max_buffered) rows).
         self.max_buffered = 0
 
     # -- event-loop interface ------------------------------------------------
     def register(self, record: RequestRecord) -> None:
         """Admit ``record`` to the trace in arrival order."""
         index = self._count
-        self._count += 1
-        buffer = self._buffer
-        buffer[index] = record
+        self._count = index + 1
         self._index_of[id(record)] = index
-        if len(buffer) > self.max_buffered:
-            self.max_buffered = len(buffer)
+        buffered = self._count - self._next
+        if buffered > self.max_buffered:
+            self.max_buffered = buffered
 
-    def finish(self, record: RequestRecord) -> None:
-        """Mark ``record`` fully stamped; flush the ready prefix."""
-        self._finished.add(self._index_of[id(record)])
-        while self._next in self._finished:
-            self._finished.discard(self._next)
-            self._flush(self._next)
+    def finish(self, record: RequestRecord, sample: MetricSample) -> None:
+        """Render ``record``'s row from ``sample``; release the ready prefix."""
+        index = self._index_of.pop(id(record))
+        assignments = self._assignments
+        device = None if assignments is None else assignments[index]
+        line = trace_line(record, sample, device)
+        if index != self._next:
+            self._waiting[index] = line
+            return
+        pending = self._pending
+        pending.append(line)
+        index += 1
+        waiting = self._waiting
+        while index in waiting:
+            pending.append(waiting.pop(index))
+            index += 1
+        self._next = index
+        if len(pending) >= BATCH_ROWS:
+            self._write()
 
-    def _flush(self, index: int) -> None:
-        record = self._buffer.pop(index)
-        del self._index_of[id(record)]
-        self._writer.writerow(self._row_of(record, index))
-        self._next = index + 1
+    def _write(self) -> None:
+        self._handle.write("".join(self._pending))
+        self._pending.clear()
 
     # -- teardown ------------------------------------------------------------
-    def close(self, tail: Sequence[RequestRecord] = ()) -> None:
-        """Drain unfinished records in order, emit ``tail``, release the sink.
+    def close(self, tail: Sequence[Tuple[RequestRecord, MetricSample]] = ()) -> None:
+        """Append ``tail``'s rows, write what is pending, release the sink.
 
         ``tail`` carries the records an early-exited run never delivered
-        to a scheduler (they were never registered); their rows render
-        with blank lifecycle cells, exactly as ``to_csv`` would.
+        to a scheduler (they were never registered or routed), each with
+        its sample; their rows render with blank lifecycle and device
+        cells, exactly as ``to_csv`` would.
         """
-        for index in sorted(self._buffer):
-            self._flush(index)
-        self._finished.clear()
-        for record in tail:
-            self._writer.writerow(self._row_of(record, self._count))
-            self._count += 1
+        if self._index_of:
+            raise RuntimeError(f"{len(self._index_of)} trace rows never finished")
+        pending = self._pending
+        device = None if self._assignments is None else ""
+        for record, sample in tail:
+            pending.append(trace_line(record, sample, device))
+            if len(pending) >= BATCH_ROWS:
+                self._write()
         self.release()
 
     def release(self) -> None:
-        """Close the sink handle if this streamer opened it (idempotent)."""
-        if self._owns_handle and self._handle is not None:
-            self._handle.close()
+        """Write the pending rows, and close the sink if this streamer
+        opened it (idempotent).  The loop's error path ends here too: rows
+        still waiting on an earlier one are dropped."""
+        if self._handle is None:
+            return
+        try:
+            if self._pending:
+                self._write()
+        finally:
+            if self._owns_handle:
+                self._handle.close()
             self._handle = None
-            self._writer = None
 
 
 class DigestSink(io.TextIOBase):

@@ -196,3 +196,33 @@ def test_perfetto_writes_the_file(tmp_path):
 
 def test_empty_recorder_exports_an_empty_trace():
     assert json.loads(SpanRecorder().to_perfetto())["traceEvents"] == []
+
+
+def test_perfetto_track_ids_do_not_depend_on_emission_order():
+    """Tracks are numbered by name, then numeric suffix (``device2``
+    before ``device10``): the same events emitted in another track order
+    give every track the same ``tid``."""
+    events = [
+        ("requests", QUEUE, 0.0, 0.5),
+        ("device10", "decode", 0.0, 1.0),
+        ("memory2", "spill", 0.2, 0.3),
+        ("device2", "prefill", 0.5, 1.5),
+        ("device", "decode", 1.0, 2.0),
+    ]
+
+    def tids(order):
+        recorder = SpanRecorder()
+        for track, name, start, end in order:
+            recorder.span(track, name, start, end)
+        events = json.loads(recorder.to_perfetto())["traceEvents"]
+        return {e["args"]["name"]: e["tid"] for e in events if e["ph"] == "M"}
+
+    forward = tids(events)
+    assert tids(events[::-1]) == forward
+    assert forward == {
+        "device": 0,
+        "device2": 1,
+        "device10": 2,
+        "memory2": 3,
+        "requests": 4,
+    }
