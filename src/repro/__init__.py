@@ -17,7 +17,7 @@ Quick start — the unified Backend/Request/Result API drives every system::
     )
     print(result.tokens_per_second, result.time_to_first_token_s)
 
-    # A memoized, concurrent grid across systems (Fig. 9 in four lines):
+    # A memoized grid across systems (Fig. 9 in four lines):
     runner = ExperimentRunner()
     results = runner.run_grid(
         backends=["cambricon", "flexgen-ssd", "flexgen-dram", "mlc-llm"],
@@ -28,8 +28,9 @@ Quick start — the unified Backend/Request/Result API drives every system::
 
 New systems plug in with ``register_backend("name", MyBackend)`` and
 immediately work in grids and the ``python -m repro grid`` CLI.  The
-lower-level models (:class:`InferenceEngine`, the baseline classes, the ECC
-and accuracy studies) remain available for system-specific detail.
+lower-level models the backends build on (:class:`InferenceEngine`, the
+baseline classes) and the ECC and accuracy studies remain available for
+system-specific detail.
 
 On top of the single-job API, :mod:`repro.serving` simulates *queues* of
 timestamped requests — seeded workload generators, pluggable schedulers

@@ -12,7 +12,7 @@ same three types::
     )
     print(result.tokens_per_second, result.time_to_first_token_s)
 
-    # A memoized, concurrent grid over backends x models x contexts:
+    # A memoized grid over backends x models x contexts:
     runner = ExperimentRunner()
     results = runner.run_grid(
         backends=["cambricon", "flexgen-ssd", "mlc-llm"],

@@ -43,27 +43,21 @@ class CambriconBackend:
         ``config`` key selects a Table-II preset (default ``"L"``).
     engine:
         Pre-built :class:`InferenceEngine` (takes precedence over
-        ``config``); used by the legacy ``decode_report`` shim and by
-        ablation studies that set engine flags.
+        ``config``); used by ablation studies that set engine flags.
     energy:
         Whether to fill the :attr:`RunResult.energy_joules_per_token` hook.
-    include_prefill:
-        Whether to model the prefill phase; the legacy ``decode_report``
-        shim disables it because the single-token report discards TTFT.
 
     An instance memoizes its successful single-token decode reports by
     (engine config, model, seq_len).  A report does not depend on the
     batch width, so a serving scheduler that prices one shape at eight
     widths computes its one or two reports once.  The memo belongs to the
     instance, dies with it, and is never shared with a
-    :meth:`with_capacity_scale` twin; concurrent callers at worst compute
-    an equal report twice.
+    :meth:`with_capacity_scale` twin.
     """
 
     config: Optional[CambriconLLMConfig] = None
     engine: Optional[InferenceEngine] = None
     energy: bool = True
-    include_prefill: bool = True
     name: str = "cambricon"
     #: Flash capacity multiplier: ``n`` means the weights may occupy ``n``
     #: chips' worth of flash.  Set by :meth:`with_capacity_scale` when a
@@ -94,7 +88,7 @@ class CambriconBackend:
         body = "per-request" if config is None else repr(config)
         return (
             f"{self.name}[{body}{flags}|energy={self.energy}"
-            f"|prefill={self.include_prefill}|cap={self.capacity_scale}]"
+            f"|cap={self.capacity_scale}]"
         )
 
     def normalize_request(self, request: InferenceRequest) -> InferenceRequest:
@@ -157,7 +151,7 @@ class CambriconBackend:
         key = (engine.config, model, seq_len)
         report = self._reports.get(key)
         if report is None:
-            report = engine._decode_report_impl(model, seq_len=seq_len)
+            report = engine.decode_report(model, seq_len=seq_len)
             self._reports[key] = report
         return report
 
@@ -190,11 +184,7 @@ class CambriconBackend:
         else:
             step_seconds = step_first
 
-        ttft = (
-            self._prefill_seconds(engine, first, request)
-            if self.include_prefill
-            else 0.0
-        )
+        ttft = self._prefill_seconds(engine, first, request)
         decode_seconds = request.gen_tokens * step_seconds
         traffic = first.traffic
         traffic_per_token = (
@@ -275,24 +265,17 @@ class CambriconBackend:
 class OffloadingBackend:
     """Adapter exposing any :class:`OffloadingBaseline` through the API.
 
-    ``energy`` controls the :attr:`RunResult.energy_joules_per_token` hook
-    (only FlexGen-SSD has an energy model); the legacy ``decode_result``
-    shim disables it since :class:`BaselineResult` has no energy field.
+    Only FlexGen-SSD has an energy model, so only its results fill the
+    :attr:`RunResult.energy_joules_per_token` hook.
     """
 
-    def __init__(
-        self,
-        baseline: OffloadingBaseline,
-        name: Optional[str] = None,
-        energy: bool = True,
-    ):
+    def __init__(self, baseline: OffloadingBaseline, name: Optional[str] = None):
         self.baseline = baseline
         self.name = name if name is not None else baseline.name.lower()
-        self.energy = energy
 
     @property
     def cache_key(self) -> str:
-        return f"{self.name}:{self.baseline!r}|energy={self.energy}"
+        return f"{self.name}:{self.baseline!r}"
 
     def normalize_request(self, request: InferenceRequest) -> InferenceRequest:
         """Offloading baselines have fixed hardware and precision."""
@@ -308,13 +291,13 @@ class OffloadingBackend:
 
     def run(self, request: InferenceRequest) -> RunResult:
         baseline = self.baseline
-        legacy: BaselineResult = baseline._decode_result_impl(
+        single: BaselineResult = baseline.decode_result(
             request.model, seq_len=request.seq_len
         )
-        if legacy.out_of_memory:
+        if single.out_of_memory:
             return RunResult(
                 backend_name=baseline.name,
-                model_name=legacy.model_name,
+                model_name=single.model_name,
                 request=request,
                 tokens_per_second=0.0,
                 time_to_first_token_s=float("inf"),
@@ -322,10 +305,10 @@ class OffloadingBackend:
                 total_seconds=float("inf"),
                 phase_seconds={},
                 traffic_bytes_per_token=0.0,
-                bottleneck=legacy.bottleneck,
+                bottleneck=single.bottleneck,
                 out_of_memory=True,
-                error=f"{legacy.model_name} exceeds the weight capacity of {baseline.name}",
-                detail=legacy,
+                error=f"{single.model_name} exceeds the weight capacity of {baseline.name}",
+                detail=single,
             )
 
         batch = request.batch_size
@@ -344,7 +327,7 @@ class OffloadingBackend:
         ttft = weight_bytes / baseline.offload_bandwidth + baseline.per_token_overhead_s
         decode_seconds = request.gen_tokens * step_seconds
         energy = None
-        if self.energy and isinstance(baseline, FlexGenSSD):
+        if isinstance(baseline, FlexGenSSD):
             energy = (
                 FlexGenSSDEnergyModel(baseline)
                 .report(request.model, seq_len=request.seq_len)
@@ -352,7 +335,7 @@ class OffloadingBackend:
             )
         return RunResult(
             backend_name=baseline.name,
-            model_name=legacy.model_name,
+            model_name=single.model_name,
             request=request,
             tokens_per_second=batch / step_seconds,
             time_to_first_token_s=ttft,
@@ -364,7 +347,7 @@ class OffloadingBackend:
             ),
             energy_joules_per_token=energy,
             bottleneck=bottleneck,
-            detail=legacy,
+            detail=single,
         )
 
     def _step_seconds(

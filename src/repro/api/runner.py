@@ -1,17 +1,14 @@
-"""Grid experiment execution with memoization and concurrency.
+"""Grid experiment execution with memoization.
 
 The :class:`ExperimentRunner` is the one sweep loop the repo needs: it
 takes cartesian grids of (backend x model x config x seq_len x batch x
-gen_tokens), executes the distinct requests concurrently via
-:mod:`concurrent.futures`, memoizes every (backend, request) pair so
-repeated or overlapping grids never re-run the models, and returns a
-:class:`repro.api.result.ResultSet`.
+gen_tokens), executes each distinct request once, in order, memoizes
+every (backend, request) pair so repeated or overlapping grids never
+re-run the models, and returns a :class:`repro.api.result.ResultSet`.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -26,65 +23,34 @@ _CacheKey = Tuple[str, InferenceRequest]
 
 
 class ExperimentRunner:
-    """Runs requests against backends with caching and a worker pool.
+    """Runs requests against backends, memoizing every result.
 
-    Parameters
-    ----------
-    max_workers:
-        Thread-pool width for grid execution (default: a small multiple of
-        the grid is fine — the models are quick analytical evaluations).
+    Execution is serial, and the runner is not thread-safe; neither are
+    the objects that share one (cost models, schedulers, a backend's own
+    memo).  The models are quick analytical evaluations, so threads
+    would buy nothing under the GIL.
     """
 
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
+    def __init__(self):
         self._cache: Dict[_CacheKey, RunResult] = {}
-        self._lock = threading.Lock()
-        #: Keys currently executing in some thread; waiters block on the event.
-        self._inflight: Dict[_CacheKey, threading.Event] = {}
         self._hits = 0
         self._misses = 0
 
     # -- single request ------------------------------------------------------
     def run(self, backend: BackendLike, request: InferenceRequest) -> RunResult:
-        """Run one request, returning the cached result when available.
-
-        Concurrent callers of the same uncached key do not both execute
-        the backend: the first registers the key as in flight, later
-        callers wait on its completion event and reuse the cached result
-        (re-claiming the execution themselves if the first caller failed).
-        """
-        backend_obj, key = self._resolve(backend, request)
-        return self._run_key(backend_obj, key)
+        """Run one request, returning the cached result when available."""
+        backend_obj = self._instantiate(backend)
+        return self._run_key(backend_obj, self._key(backend_obj, request))
 
     def _run_key(self, backend_obj: Backend, key: _CacheKey) -> RunResult:
-        """Cache-or-execute one key with in-flight deduplication.
-
-        The single execution path shared by :meth:`run` and the grid
-        pool, so any mix of concurrent callers runs each key once.
-        """
-        while True:
-            with self._lock:
-                if key in self._cache:
-                    self._hits += 1
-                    return self._cache[key]
-                waiter = self._inflight.get(key)
-                if waiter is None:
-                    self._inflight[key] = threading.Event()
-                    self._misses += 1
-                    break
-            waiter.wait()
-            # Either the result is cached now, or the executing thread
-            # failed and cleared the key — loop and take over in that case.
-        try:
-            result = backend_obj.run(key[1])
-        except BaseException:
-            with self._lock:
-                self._misses -= 1  # failed runs leave no phantom miss
-                self._inflight.pop(key).set()
-            raise
-        with self._lock:
-            self._cache.setdefault(key, result)
-            self._inflight.pop(key).set()
+        """Cache-or-execute one key; a failed run counts no miss."""
+        result = self._cache.get(key)
+        if result is not None:
+            self._hits += 1
+            return result
+        result = backend_obj.run(key[1])
+        self._misses += 1
+        self._cache[key] = result
         return result
 
     # -- grids ---------------------------------------------------------------
@@ -123,74 +89,44 @@ class ExperimentRunner:
         backends: Sequence[BackendLike],
         requests: Iterable[InferenceRequest],
     ) -> ResultSet:
-        """Run every request on every backend (deduplicated, concurrent)."""
+        """Run every request on every backend, each distinct point once.
+
+        Points run in first-appearance order.  A failing point does not
+        stop the sweep: every other point runs and is cached, then the
+        first failure is raised.
+        """
         requests = list(requests)
-        ordered_keys: List[_CacheKey] = []
-        pending: Dict[_CacheKey, Backend] = {}
-        with self._lock:
-            for backend in backends:
-                backend_obj = self._instantiate(backend)
-                for request in requests:
-                    key = self._key(backend_obj, request)
-                    ordered_keys.append(key)
-                    if key in self._cache:
-                        self._hits += 1
-                    elif key in pending:
-                        self._hits += 1
-                    else:
-                        pending[key] = backend_obj
+        ordered: Dict[_CacheKey, Backend] = {}
+        for backend in backends:
+            backend_obj = self._instantiate(backend)
+            for request in requests:
+                key = self._key(backend_obj, request)
+                if key in ordered:
+                    self._hits += 1
+                else:
+                    ordered[key] = backend_obj
 
-        if pending:
-            workers = self.max_workers or min(8, len(pending))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # Each job goes through _run_key, so grid execution shares
-                # the in-flight dedup (and hit/miss accounting) with run():
-                # a key being computed anywhere is never executed twice.
-                futures = {
-                    key: pool.submit(self._run_key, backend_obj, key)
-                    for key, backend_obj in pending.items()
-                }
-            # Every completed point is already cached by _run_key, so one
-            # bad grid point doesn't discard the rest of the sweep.
-            failures = []
-            for future in futures.values():
-                try:
-                    future.result()
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    failures.append(exc)
-            if failures:
-                raise failures[0]
-
-        with self._lock:
-            results, seen = [], set()
-            for key in ordered_keys:
-                if key not in seen:
-                    seen.add(key)
-                    results.append(self._cache[key])
+        results: List[RunResult] = []
+        failure: Optional[Exception] = None
+        for key, backend_obj in ordered.items():
+            try:
+                results.append(self._run_key(backend_obj, key))
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
         return ResultSet(results)
 
     # -- cache introspection -------------------------------------------------
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss counters and the number of memoized results."""
-        with self._lock:
-            return {"hits": self._hits, "misses": self._misses, "size": len(self._cache)}
-
-    def stats(self) -> Dict[str, int]:
-        """:meth:`cache_info` plus live execution state — the runner-side
-        counterpart of :meth:`repro.serving.simulator.BackendCostModel.cache_info`."""
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "size": len(self._cache),
-                "in_flight": len(self._inflight),
-            }
+        return {"hits": self._hits, "misses": self._misses, "size": len(self._cache)}
 
     def clear_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()
-            self._hits = 0
-            self._misses = 0
+        self._cache.clear()
+        self._hits = 0
+        self._misses = 0
 
     # -- internals -----------------------------------------------------------
     @staticmethod
@@ -206,9 +142,3 @@ class ExperimentRunner:
             request = normalize(request)
         identity = getattr(backend_obj, "cache_key", backend_obj.name)
         return (identity, request)
-
-    def _resolve(
-        self, backend: BackendLike, request: InferenceRequest
-    ) -> Tuple[Backend, _CacheKey]:
-        backend_obj = self._instantiate(backend)
-        return backend_obj, self._key(backend_obj, request)

@@ -52,23 +52,15 @@ class OffloadingBaseline:
     def decode_result(self, model: "ModelSpec | str", seq_len: int = 1000) -> BaselineResult:
         """Bandwidth-bound decode latency of one token.
 
-        Thin shim over the unified API: the request runs through an
-        :class:`repro.api.adapters.OffloadingBackend` wrapping this
-        baseline, whose native :class:`BaselineResult` is returned.  Use
-        the backend directly for prefill/batch/multi-token semantics.
+        The single-token model that
+        :class:`repro.api.adapters.OffloadingBackend` builds prefill, batch
+        and multi-token semantics on.  A model over the weight capacity
+        is an out-of-memory result, not an error.
         """
-        from repro.api.adapters import OffloadingBackend
         from repro.api.request import InferenceRequest
 
-        result = OffloadingBackend(self, energy=False).run(
-            InferenceRequest(model=model, seq_len=seq_len)
-        )
-        return result.detail
-
-    def _decode_result_impl(
-        self, model: "ModelSpec | str", seq_len: int = 1000
-    ) -> BaselineResult:
-        """The actual bandwidth-bound model (called by the API backend)."""
+        # Fail on a bad model or context as a request does.
+        InferenceRequest(model=model, seq_len=seq_len)
         workload = self.workload(model, seq_len)
         spec = workload.model
         weight_bytes = workload.gemv_weight_bytes

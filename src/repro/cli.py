@@ -7,7 +7,7 @@ Installed as ``python -m repro``; every subcommand drives the unified
 * ``compare`` — Cambricon-LLM-S/M/L versus the FlexGen / MLC-LLM baselines,
 * ``sweep``   — channel/chip scalability sweep for one model (Fig. 15 style),
 * ``grid``    — cartesian (backend x model x config x seq_len x batch)
-  experiment grid with memoized concurrent execution and CSV/markdown export,
+  experiment grid with memoized execution and CSV/markdown export,
 * ``serve``   — discrete-event multi-request serving simulation (workload ->
   scheduler -> backend) with SLO percentiles, goodput and capacity search,
 * ``fleet``   — multi-device fleet simulation (routing, sharding, mixed
@@ -239,7 +239,7 @@ def _show(args: argparse.Namespace, title: str, headers, rows, first=False) -> N
 
 
 def _grid_command(args: argparse.Namespace) -> int:
-    runner = ExperimentRunner(max_workers=args.workers)
+    runner = ExperimentRunner()
     results = runner.run_grid(
         backends=args.backends or list_backends(),
         models=args.models,
@@ -255,13 +255,11 @@ def _grid_command(args: argparse.Namespace) -> int:
     info = runner.cache_info()
     print(f"\n{len(results)} results ({info['misses']} runs, {info['hits']} cache hits)")
     if args.show_cache_stats:
-        stats = runner.stats()
         rows = [
-            ["profile hits", stats["hits"]],
-            ["profile misses", stats["misses"]],
-            ["backend evaluations", stats["misses"]],
-            ["profile entries", stats["size"]],
-            ["in flight", stats["in_flight"]],
+            ["profile hits", info["hits"]],
+            ["profile misses", info["misses"]],
+            ["backend evaluations", info["misses"]],
+            ["profile entries", info["size"]],
         ]
         _show(args, "Cache stats", ["counter", "value"], rows)
     return 0
@@ -562,8 +560,8 @@ def _serving_setup(args: argparse.Namespace, search_flag: str, searching: bool) 
 def _cache_stats_table(cost_models, runner: ExperimentRunner):
     """One (title, headers, rows) extra table for ``--show-cache-stats``.
 
-    ``latency *`` counters aggregate the distinct cost models' interned
-    scalar lookups; ``profile *`` is the shared runner's backend-eval view.
+    ``latency *`` counters aggregate the distinct cost models' scalar
+    lookups; ``profile *`` is the shared runner's backend-eval view.
     """
     seen = set()
     latency = {"hits": 0, "misses": 0, "size": 0}
@@ -575,7 +573,7 @@ def _cache_stats_table(cost_models, runner: ExperimentRunner):
         latency["hits"] += info["latency_hits"]
         latency["misses"] += info["latency_misses"]
         latency["size"] += info["latency_size"]
-    profile = runner.stats()
+    profile = runner.cache_info()
     rows = [
         ["cost models", len(seen)],
         ["latency hits", latency["hits"]],
@@ -899,9 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--csv", default=None, metavar="PATH", help="also write CSV here")
     grid.add_argument(
         "--markdown", action="store_true", help="print a markdown table instead"
-    )
-    grid.add_argument(
-        "--workers", type=_positive_int, default=None, help="thread-pool width"
     )
     grid.add_argument(
         "--show-cache-stats", action="store_true",

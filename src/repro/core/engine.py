@@ -213,27 +213,15 @@ class InferenceEngine:
     ) -> DecodeReport:
         """Model the decode of one token and return the full report.
 
-        Thin shim over the unified API: the request is executed by a
-        :class:`repro.api.adapters.CambriconBackend` wrapping this engine,
-        and the backend's native :class:`DecodeReport` is returned.  Use
-        the backend directly for prefill/batch/multi-token semantics.
+        The single-token model that
+        :class:`repro.api.adapters.CambriconBackend` builds prefill, batch
+        and multi-token semantics on.  Raises ``ValueError`` when the
+        model's weights do not fit in flash.
         """
-        from repro.api.adapters import CambriconBackend
         from repro.api.request import InferenceRequest
 
-        result = CambriconBackend(
-            engine=self, energy=False, include_prefill=False
-        ).run(InferenceRequest(model=model, seq_len=seq_len))
-        if result.out_of_memory:
-            raise ValueError(
-                result.error or f"{result.model_name} does not fit in flash"
-            )
-        return result.detail
-
-    def _decode_report_impl(
-        self, model: "ModelSpec | str", seq_len: int = 1000
-    ) -> DecodeReport:
-        """The actual single-token decode model (called by the API backend)."""
+        # Fail on a bad model or context as a request does.
+        InferenceRequest(model=model, seq_len=seq_len)
         workload = self._build_workload(model, seq_len)
         spec = workload.model
         if not self.config.flash.can_store(workload.gemv_weight_bytes):

@@ -81,7 +81,7 @@ class Device:
         spec = None if sharding is None or sharding.is_trivial else sharding
         if cost is not None:
             # A shared cost model (same backend + sharding) from a sibling
-            # replica: identical latencies, one set of interned caches.
+            # replica: identical latencies, one set of latency caches.
             # It must have been built under the same sharding, or the
             # device would silently price a differently-shaped replica.
             if getattr(cost, "_fleet_sharding", None) != spec:

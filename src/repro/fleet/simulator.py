@@ -99,7 +99,7 @@ def build_fleet(
     backend profile each request shape once, not N times.
 
     Replicas of the same (backend, sharding) also share one
-    :class:`repro.serving.simulator.BackendCostModel`, so interned
+    :class:`repro.serving.simulator.BackendCostModel`, so memoized
     per-shape latencies are resolved once per fleet rather than once per
     device.  Pass a mutable ``cost_cache`` dict to extend that sharing
     across *many* fleets (the sizing search reuses one across every

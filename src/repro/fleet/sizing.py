@@ -93,7 +93,7 @@ def size_fleet(
     probe verdicts and the winning configuration are unchanged, the
     doubling phase's failures just stop early.  ``cost_cache`` (a mutable
     dict, one is created when omitted) shares per-sharding cost models
-    across every probe, so interned latencies survive fleet rebuilds.
+    across every probe, so memoized latencies survive fleet rebuilds.
 
     With ``memory`` set, every replica's scheduler is built with a
     :class:`repro.memory.MemorySpec` scaled to its sharding — a ``tp4``

@@ -73,18 +73,6 @@ def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _unescape_label(value: str) -> str:
-    out: List[str] = []
-    it = iter(value)
-    for char in it:
-        if char == "\\":
-            nxt = next(it, "")
-            out.append({"n": "\n", '"': '"', "\\": "\\"}.get(nxt, nxt))
-        else:
-            out.append(char)
-    return "".join(out)
-
-
 def _unquote_label(quoted: str) -> str:
     """Validate and unescape one ``"..."`` label value from exposition.
 
@@ -522,9 +510,6 @@ def _absorb_cache_info(
     )
     size.set(cache_info["latency_size"], layer="latency", **labels)
     size.set(cache_info["profile_size"], layer="profile", **labels)
-    registry.counter(
-        "repro_backend_cache_evictions_total", "Latency intern-table LRU evictions"
-    ).inc(cache_info["latency_evictions"], **labels)
 
 
 def serving_snapshot(report, cost_model=None) -> MetricsSnapshot:

@@ -79,7 +79,7 @@ def find_max_qps(
         1.5x multiple sits beyond the observed failure point.
     cost:
         Optional pre-built :class:`BackendCostModel`; every probe shares
-        it (one is built over ``runner`` when omitted), so interned
+        it (one is built over ``runner`` when omitted), so memoized
         latencies carry across the whole search.
     fail_fast:
         Abort each failing probe's simulation the moment attainment can

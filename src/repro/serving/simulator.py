@@ -19,9 +19,9 @@ each distinct request shape once through a memoizing
 :class:`repro.api.runner.ExperimentRunner` and serves every simulated
 occupancy from that cache, so a 10 000-request simulation typically costs
 only a handful of backend evaluations (one per distinct shape x batch
-width).  On top of the profile cache it interns every scalar latency per
-*payload object identity*, so the event loop's inner per-step queries are
-plain dict lookups that never re-hash an :class:`InferenceRequest`.
+width).  On top of the profile cache it memoizes every scalar latency by
+value, per (request, batch width, field), so equal payloads share one
+entry however many payload objects a workload builds.
 
 Fast-forward coalescing (the invariant)
 ---------------------------------------
@@ -54,10 +54,9 @@ moment the uncoalesced loop could have *acted* on them.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import replace
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.api.backend import get_backend
 from repro.api.request import InferenceRequest
@@ -71,10 +70,6 @@ from repro.serving.stream import TraceSink
 #: Cache-miss sentinel distinguishing "absent" from a legitimate 0.0 latency.
 _MISSING = object()
 
-#: Default cap on the id-keyed intern table (see :class:`BackendCostModel`):
-#: far above any realistic in-flight set, far below a million-request run.
-DEFAULT_INTERN_CACHE_SIZE = 4096
-
 
 class BackendCostModel:
     """Per-phase latency oracle over one backend, memoized across queries.
@@ -86,36 +81,14 @@ class BackendCostModel:
     """
 
     def __init__(
-        self,
-        backend: BackendLike,
-        runner: Optional[ExperimentRunner] = None,
-        *,
-        intern_cache_size: int = DEFAULT_INTERN_CACHE_SIZE,
+        self, backend: BackendLike, runner: Optional[ExperimentRunner] = None
     ):
-        if intern_cache_size < 1:
-            raise ValueError("intern_cache_size must be at least 1")
         self._backend = get_backend(backend) if isinstance(backend, str) else backend
         self._runner = runner if runner is not None else ExperimentRunner()
         #: (request, batch width, field) -> seconds; see :meth:`_latency`.
         self._latency_cache: dict = {}
-        #: id(request) -> (request, {(batch width, field) -> seconds}).
-        #: Workloads reuse payload objects, so the hot path resolves a
-        #: latency by object identity without hashing the dataclass; the
-        #: stored request reference keeps the id stable for the entry's
-        #: lifetime.  Equal-but-distinct payloads still share results
-        #: through ``_latency_cache``.  The table is LRU-bounded at
-        #: ``intern_cache_size`` entries: generator-style workloads build
-        #: a fresh payload object per request, and without a cap a
-        #: million-request run interns a million dead entries.  Eviction
-        #: only costs the evicted object its fast path — the keyed
-        #: ``_latency_cache`` still answers without re-profiling.
-        self._interned: "OrderedDict[int, Tuple[InferenceRequest, dict]]" = (
-            OrderedDict()
-        )
-        self._intern_cache_size = intern_cache_size
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
 
     @property
     def backend_name(self) -> str:
@@ -125,26 +98,8 @@ class BackendCostModel:
         self, request: InferenceRequest, batch_size: Optional[int], field: str
     ) -> float:
         """One scalar latency, memoized locally so the event loop's inner
-        per-step queries skip the request rebuild and the runner's lock."""
+        per-step queries skip the request rebuild and the runner's lookup."""
         batch = batch_size if batch_size is not None else request.batch_size
-        interned = self._interned
-        ident = id(request)
-        entry = interned.get(ident)
-        if entry is None or entry[0] is not request:
-            entry = (request, {})
-            interned[ident] = entry
-            interned.move_to_end(ident)
-            if len(interned) > self._intern_cache_size:
-                interned.popitem(last=False)
-                self._evictions += 1
-        else:
-            interned.move_to_end(ident)
-        table = entry[1]
-        slot = (batch, field)
-        value = table.get(slot, _MISSING)
-        if value is not _MISSING:
-            self._hits += 1
-            return value
         key = (request, batch, field)
         value = self._latency_cache.get(key, _MISSING)
         if value is _MISSING:
@@ -153,7 +108,6 @@ class BackendCostModel:
             self._latency_cache[key] = value
         else:
             self._hits += 1
-        table[slot] = value
         return value
 
     def profile(
@@ -195,19 +149,15 @@ class BackendCostModel:
         """Latency-lookup and backend-profile cache counters.
 
         ``latency_*`` counts this model's scalar lookups (a miss is a
-        lookup that had to consult :meth:`profile`); ``latency_evictions``
-        counts intern-table entries dropped by the LRU cap (evictions
-        never force a re-profile, they only retire an object-identity
-        fast path); ``profile_*`` is the shared
-        :class:`ExperimentRunner`'s view, which spans every cost model
-        attached to that runner.
+        lookup that had to consult :meth:`profile`); ``profile_*`` is the
+        shared :class:`ExperimentRunner`'s view, which spans every cost
+        model attached to that runner.
         """
         profile = self._runner.cache_info()
         return {
             "latency_hits": self._hits,
             "latency_misses": self._misses,
             "latency_size": len(self._latency_cache),
-            "latency_evictions": self._evictions,
             "profile_hits": profile["hits"],
             "profile_misses": profile["misses"],
             "profile_size": profile["size"],

@@ -53,31 +53,17 @@ class WorkloadGenerator:
     # -- generation ----------------------------------------------------------
     def generate(self, num_requests: int) -> List[ServingRequest]:
         """The first ``num_requests`` arrivals of this process, in order."""
-        if num_requests < 1:
-            raise ValueError("num_requests must be at least 1")
-        rng = random.Random(self.seed)
-        times = self._arrival_times(num_requests, rng)
-        payload = self.payload
-        if isinstance(payload, InferenceRequest):
-            return [
-                ServingRequest(when, index, payload)
-                for index, when in enumerate(times)
-            ]
-        return [
-            ServingRequest(when, index, payload(rng, index))
-            for index, when in enumerate(times)
-        ]
+        return list(self.stream(num_requests))
 
     def stream(self, num_requests: int) -> Iterator[ServingRequest]:
-        """Lazy :meth:`generate`: the same arrivals, yielded one at a time.
+        """The first ``num_requests`` arrivals, yielded one at a time.
 
-        Arrival times are still drawn up front (they are cheap floats and
-        the RNG consumes them before any payload draw, exactly as in
-        :meth:`generate`), but the per-request payloads — the bulky part
-        of a heterogeneous stream — are built only as the simulator pulls
-        them.  Feeding ``stream(n)`` to a ``keep_records=False``
-        simulation keeps whole-stream state out of memory while producing
-        the byte-identical trace of ``generate(n)``.
+        Arrival times are drawn up front (they are cheap floats, and the
+        RNG consumes them before any payload draw), but the per-request
+        payloads — the bulky part of a heterogeneous stream — are built
+        only as the consumer pulls them.  Feeding ``stream(n)`` to a
+        ``keep_records=False`` simulation keeps whole-stream state out of
+        memory.
         """
         if num_requests < 1:
             raise ValueError("num_requests must be at least 1")
@@ -95,11 +81,6 @@ class WorkloadGenerator:
             ServingRequest(when, index, payload(rng, index))
             for index, when in enumerate(times)
         )
-
-    def _payload(self, rng: random.Random, index: int) -> InferenceRequest:
-        if isinstance(self.payload, InferenceRequest):
-            return self.payload
-        return self.payload(rng, index)
 
 
 class PoissonWorkload(WorkloadGenerator):

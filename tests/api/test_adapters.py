@@ -1,12 +1,9 @@
 """Tests for the built-in backend adapters and request semantics."""
 
-import sys
-
 import pytest
 
 from repro.api import (
     CambriconBackend,
-    ExperimentRunner,
     FlexGenDRAMBackend,
     FlexGenSSDBackend,
     InferenceRequest,
@@ -82,6 +79,16 @@ def test_legacy_shims_still_delegate():
     report = InferenceEngine(cambricon_llm_l()).decode_report("llama2-70b")
     assert report.tokens_per_second >= 3.0
     assert MLCLLM().decode_result("llama2-70b").out_of_memory
+
+
+@pytest.mark.parametrize(
+    "seq_len, error", [(0, ValueError), (1000.5, TypeError), (True, TypeError)]
+)
+def test_single_token_models_check_their_arguments_like_a_request(seq_len, error):
+    with pytest.raises(error, match="seq_len"):
+        InferenceEngine(cambricon_llm_s()).decode_report("opt-6.7b", seq_len=seq_len)
+    with pytest.raises(error, match="seq_len"):
+        FlexGenSSD().decode_result("opt-6.7b", seq_len=seq_len)
 
 
 # -- out-of-memory handling ---------------------------------------------------
@@ -277,28 +284,3 @@ def test_pricing_a_shape_at_every_batch_width_builds_its_reports_once(monkeypatc
         cost.ttft(request, batch)
         cost.decode_step(request, batch)
     assert len(calls) <= 18
-
-
-def test_threads_sharing_one_backend_match_a_serial_run():
-    requests = [
-        InferenceRequest(
-            model=model, config=config, seq_len=seq_len, gen_tokens=16,
-            batch_size=batch,
-        )
-        for model in ("llama2-7b", "opt-6.7b")
-        for config in ("S", "L")
-        for seq_len in (128, 1024)
-        for batch in range(1, 9)
-    ]
-    assert len(requests) == 64
-    backend = CambriconBackend()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = ExperimentRunner(max_workers=16).run_requests([backend], requests)
-    finally:
-        sys.setswitchinterval(interval)
-    serial = [CambriconBackend().run(request) for request in requests]
-    assert [_exact(result) for result in threaded] == [
-        _exact(result) for result in serial
-    ]

@@ -2,7 +2,8 @@
 
 import csv
 import io
-import threading
+
+import pytest
 
 from repro.api import ExperimentRunner, InferenceRequest
 from repro.api.result import DECODE_PHASE, PREFILL_PHASE, RunResult
@@ -15,11 +16,9 @@ class CountingBackend:
 
     def __init__(self):
         self.calls = 0
-        self._lock = threading.Lock()
 
     def run(self, request):
-        with self._lock:
-            self.calls += 1
+        self.calls += 1
         speed = 100.0 / request.seq_len
         return RunResult(
             backend_name=self.name,
@@ -123,19 +122,10 @@ def test_resultset_filter_best_and_exports(tmp_path):
     assert "Cambricon-LLM-L" in markdown
 
 
-def test_runner_concurrency_produces_same_results_as_serial():
-    serial = ExperimentRunner(max_workers=1)
-    parallel = ExperimentRunner(max_workers=8)
-    kwargs = dict(models=["opt-6.7b"], configs=["S", "M", "L"], seq_lens=[500, 1500])
-    a = serial.run_grid(["cambricon"], **kwargs)
-    b = parallel.run_grid(["cambricon"], **kwargs)
-    assert [r.tokens_per_second for r in a] == [r.tokens_per_second for r in b]
-
-
-def test_failed_grid_point_does_not_discard_completed_results():
-    """One bad point raises, but the good points stay cached."""
-    import pytest
-
+@pytest.mark.parametrize("exploding_first", [False, True])
+def test_failed_grid_point_does_not_discard_completed_results(exploding_first):
+    """One bad point raises, but the good points, before or after it, run
+    and stay cached."""
     backend = CountingBackend()
 
     class ExplodingBackend:
@@ -146,8 +136,11 @@ def test_failed_grid_point_does_not_discard_completed_results():
 
     runner = ExperimentRunner()
     request = InferenceRequest(model="opt-6.7b")
+    backends = [backend, ExplodingBackend()]
+    if exploding_first:
+        backends.reverse()
     with pytest.raises(KeyError):
-        runner.run_requests([backend, ExplodingBackend()], [request])
+        runner.run_requests(backends, [request])
     # The successful point was cached and the failed one left no phantom miss.
     assert runner.cache_info() == {"hits": 0, "misses": 1, "size": 1}
     runner.run(backend, request)
@@ -164,69 +157,7 @@ def test_clear_cache_forgets_results():
     assert backend.calls == 2
 
 
-# -- in-flight deduplication --------------------------------------------------
-
-class GatedBackend:
-    """A backend whose run() blocks until the test releases it."""
-
-    name = "gated"
-
-    def __init__(self):
-        self.calls = 0
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        self._lock = threading.Lock()
-
-    def run(self, request):
-        with self._lock:
-            self.calls += 1
-        self.entered.set()
-        assert self.release.wait(timeout=10), "test forgot to release the backend"
-        return RunResult(
-            backend_name=self.name,
-            model_name=request.model,
-            request=request,
-            tokens_per_second=1.0,
-            time_to_first_token_s=0.1,
-            decode_step_seconds=1.0,
-            total_seconds=1.1,
-            phase_seconds={PREFILL_PHASE: 0.1, DECODE_PHASE: 1.0},
-            traffic_bytes_per_token=0.0,
-            bottleneck="toy",
-        )
-
-
-def test_concurrent_run_of_the_same_key_executes_the_backend_once():
-    """Two threads racing on one uncached key must not both run it."""
-    backend = GatedBackend()
-    runner = ExperimentRunner()
-    request = InferenceRequest(model="opt-6.7b")
-    results = {}
-
-    def call(slot):
-        results[slot] = runner.run(backend, request)
-
-    first = threading.Thread(target=call, args=("first",))
-    first.start()
-    assert backend.entered.wait(timeout=10)
-    # The key is now in flight; a second caller must wait, not re-execute.
-    second = threading.Thread(target=call, args=("second",))
-    second.start()
-    backend.release.set()
-    first.join(timeout=10)
-    second.join(timeout=10)
-    assert not first.is_alive() and not second.is_alive()
-
-    assert backend.calls == 1
-    assert results["first"] is results["second"]
-    info = runner.cache_info()
-    assert info["misses"] == 1 and info["size"] == 1
-    assert info["hits"] == 1  # the waiter reused the in-flight result
-
-
 def test_failed_run_clears_the_inflight_key_for_retries():
-    import pytest
-
     class FlakyBackend:
         name = "flaky"
 
@@ -244,35 +175,8 @@ def test_failed_run_clears_the_inflight_key_for_retries():
     request = InferenceRequest(model="opt-6.7b")
     with pytest.raises(RuntimeError):
         runner.run(backend, request)
-    # The failure left no phantom miss and no stuck in-flight key.
+    # The failure left no phantom miss and no cached result, so a retry runs.
     assert runner.cache_info() == {"hits": 0, "misses": 0, "size": 0}
     result = runner.run(backend, request)
     assert backend.calls == 2
     assert result.tokens_per_second > 0
-
-
-def test_run_requests_shares_inflight_dedup_with_run():
-    """A grid racing a direct run() on the same key executes it once."""
-    backend = GatedBackend()
-    runner = ExperimentRunner()
-    request = InferenceRequest(model="opt-6.7b")
-    results = {}
-
-    def via_run():
-        results["run"] = runner.run(backend, request)
-
-    def via_grid():
-        results["grid"] = runner.run_requests([backend], [request])[0]
-
-    first = threading.Thread(target=via_run)
-    first.start()
-    assert backend.entered.wait(timeout=10)
-    second = threading.Thread(target=via_grid)
-    second.start()
-    backend.release.set()
-    first.join(timeout=10)
-    second.join(timeout=10)
-    assert not first.is_alive() and not second.is_alive()
-
-    assert backend.calls == 1
-    assert results["run"] is results["grid"]

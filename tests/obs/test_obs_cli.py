@@ -166,7 +166,7 @@ def test_grid_show_cache_stats(capsys):
     output = capsys.readouterr().out
     assert "Cache stats" in output
     assert "backend evaluations" in output
-    assert "in flight" in output
+    assert "in flight" not in output
 
 
 def test_grid_without_the_flag_stays_quiet(capsys):

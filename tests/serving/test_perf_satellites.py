@@ -1,12 +1,11 @@
 """Satellites of the perf PR: cache counters and cheap capacity probes."""
 
-import pytest
-
 from serving_toys import ToyBackend
 
-from repro.api import ExperimentRunner, InferenceRequest
+from repro.api import InferenceRequest
 from repro.serving import (
     BackendCostModel,
+    ContinuousBatchScheduler,
     FCFSScheduler,
     PoissonWorkload,
     SLOSpec,
@@ -58,13 +57,24 @@ def test_cost_model_shares_results_across_equal_but_distinct_payloads():
     assert cost.cache_info()["latency_misses"] == 1
 
 
-def test_runner_stats_matches_cache_info_plus_in_flight():
-    runner = ExperimentRunner()
-    runner.run(ToyBackend(), PAYLOAD)
-    stats = runner.stats()
-    assert stats["misses"] == 1 and stats["size"] == 1
-    assert stats["in_flight"] == 0
-    assert {k: stats[k] for k in ("hits", "misses", "size")} == runner.cache_info()
+def test_latency_table_grows_with_shapes_not_with_payload_objects():
+    """A factory that builds a fresh payload per request still prices
+    from one entry per (shape, batch width, field)."""
+    shapes = ((128, 4), (512, 16), (1024, 64))
+
+    def fresh(rng, index):
+        seq_len, gen_tokens = shapes[rng.randrange(len(shapes))]
+        return InferenceRequest(model="opt-6.7b", seq_len=seq_len, gen_tokens=gen_tokens)
+
+    arrivals = PoissonWorkload(2.0, fresh, seed=0).generate(5000)
+    assert len({id(arrival.request) for arrival in arrivals}) == 5000
+    backend = ToyBackend(0.2, 0.05)
+    cost = BackendCostModel(backend)
+    simulate(arrivals, cost, ContinuousBatchScheduler(max_batch=8))
+    info = cost.cache_info()
+    # One ttft and up to eight decode-step widths per shape.
+    assert info["latency_size"] == info["latency_misses"] <= len(shapes) * (1 + 8)
+    assert info["profile_misses"] == backend.calls
 
 
 def test_simulate_accepts_a_prebuilt_cost_model():
@@ -120,34 +130,6 @@ def test_search_shares_one_cost_model_across_probes():
     info = cost.cache_info()
     assert info["latency_misses"] <= 3
     assert info["latency_hits"] > info["latency_misses"]
-
-
-def test_intern_table_is_lru_bounded_and_counts_evictions():
-    """Distinct payload objects beyond the cap evict oldest-used first;
-    evictions never force a re-profile (the keyed cache still answers)."""
-    cost = BackendCostModel(ToyBackend(), intern_cache_size=2)
-    first = PAYLOAD.with_overrides(seq_len=100)
-    second = PAYLOAD.with_overrides(seq_len=200)
-    third = PAYLOAD.with_overrides(seq_len=100)  # equal to first, distinct object
-    cost.ttft(first)
-    cost.ttft(second)
-    assert cost.cache_info()["latency_evictions"] == 0
-    cost.ttft(third)  # interning a third object evicts `first`
-    info = cost.cache_info()
-    assert info["latency_evictions"] == 1
-    # `third` equals `first`, so the keyed cache answered without profiling.
-    assert info["latency_misses"] == 2
-    # Re-pricing the evicted object re-interns it (evicting `second`) but
-    # is still a keyed-cache hit, not a backend re-evaluation.
-    cost.ttft(first)
-    info = cost.cache_info()
-    assert info["latency_evictions"] == 2
-    assert info["latency_misses"] == 2
-
-
-def test_intern_cache_size_must_be_positive():
-    with pytest.raises(ValueError, match="intern_cache_size"):
-        BackendCostModel(ToyBackend(), intern_cache_size=0)
 
 
 def test_percentiles_sort_each_metric_exactly_once(monkeypatch):
