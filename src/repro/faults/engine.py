@@ -7,18 +7,20 @@ given, and calls its handlers at the points where a fault-aware run
 differs from a plain one.  With all three unset none of this module
 runs.
 
-A fault-aware run adds two event sources to the loop: per-device fault
-transitions (crash / recover / slowdown open / slowdown close), drawn
-lazily from a :class:`repro.faults.FaultInjector` and scheduled on the
-loop's event heap as :data:`repro.serving.events.FAULT` events, and a retry
-heap of client retries and hedge timers.  The total event order is the
-documented :mod:`repro.serving.events` contract: completions due at an
-instant stamp before a simultaneous fault applies (an occupancy ending
-at the crash instant still counts), faults apply before arrivals route
-(an arrival at the crash instant already sees the device down), and
-arrivals are delivered before idle devices plan.  Retries and hedge
-timers re-enter through the arrival stage, with source arrivals first
-at equal timestamps.
+A fault-aware run adds per-device fault transitions (crash / recover /
+slowdown open / slowdown close), drawn lazily from a
+:class:`repro.faults.FaultInjector` and scheduled on the loop's event
+heap as :data:`repro.serving.events.FAULT` events, and pushes client
+retries and hedge timers onto the loop's one arrival source as
+re-entries.  The total event order is the documented
+:mod:`repro.serving.events` contract: completions due at an instant
+stamp before a simultaneous fault applies (an occupancy ending at the
+crash instant still counts), faults apply before arrivals route (an
+arrival at the crash instant already sees the device down), and
+arrivals are delivered before idle devices plan.  Re-entries are
+delivered with the stream's arrivals, a stream arrival first at an
+equal time, and reach a device through the loop's one ``dispatch``, as
+crash re-queues do at the crash instant.
 
 Determinism under coalescing
 ----------------------------
@@ -58,7 +60,6 @@ re-queue where they were and wait out the recovery.
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional
 
 from repro.obs.recorder import record_request_phases
@@ -76,15 +77,10 @@ from repro.faults.spec import (
 
 __all__ = ["FaultGate"]
 
-#: Retry-heap actions: a scheduled client retry, and a hedge timer.
+#: Re-entry actions on the arrival source: a scheduled client retry, and
+#: a hedge timer.
 _RETRY = 0
 _HEDGE = 1
-
-#: Consecutive loop passes driven purely by fault events (no request
-#: progress) before the loop declares itself wedged.  Random fault
-#: schedules are infinite, so a run that can no longer make progress
-#: would otherwise spin through crash/recover cycles forever.
-_MAX_IDLE_FAULTS = 10_000
 
 
 class FaultGate:
@@ -143,17 +139,21 @@ def _stamp_attempt(record: RequestRecord, now: float) -> None:
 class _FaultRun:
     """One fault-aware run's state, and the handlers the event loop calls.
 
-    The loop owns the clock, the heap, routing of source arrivals and
-    planning; this object owns everything only a fault-aware run has:
-    the per-device gates and fault cursors, the retry heap, hedge
-    pairings, terminal outcomes, and the :class:`FaultReport`.  It
-    shares the loop's ``assignments`` list and ``touched`` set, and hands
-    every primary that resolves — served, shed, timed out, failed or won
-    by its hedge — to the loop's ``resolve(record, index, sample)``
-    callback, with its :func:`metric_sample` and the device it resolved
-    on, exactly once.  A crash ends the device's in-flight occupancy
-    through the loop's ``end_occupancy(index, device, end)``, the one
-    point that books an occupancy's busy time and span.
+    The loop owns the clock, the heap, the arrival source, routing
+    (``dispatch(record, now)``, which every delivery goes through) and
+    planning; this object makes the fault decisions only: the per-device
+    gates and fault cursors, whether a retry or hedge is still due,
+    attempt stamps, hedge pairings, crash eviction, terminal outcomes,
+    and the :class:`FaultReport`.  It pushes retries and hedge timers
+    onto the source (``push(time, action, record)``), shares the loop's
+    ``assignments`` list, ``live`` table (delivered, unresolved
+    primaries with their trace-row positions) and ``touched`` set, and
+    hands every primary that resolves — served, shed, timed out, failed
+    or won by its hedge — to the loop's ``resolve(record, index,
+    sample)`` callback, with its :func:`metric_sample` and the device it
+    resolved on, exactly once.  A crash ends the device's in-flight
+    occupancy through the loop's ``end_occupancy(index, device, end)``,
+    the one point that books an occupancy's busy time and span.
     """
 
     def __init__(
@@ -170,7 +170,10 @@ class _FaultRun:
         tag_device: bool,
         resolve,
         end_occupancy,
+        dispatch,
+        push,
         assignments: List[int],
+        live: dict,
         touched: set,
     ) -> None:
         self.devices = devices
@@ -184,34 +187,26 @@ class _FaultRun:
         self.tag_device = tag_device
         self.resolve = resolve
         self.end_occupancy = end_occupancy
+        self.dispatch = dispatch
+        self.push = push
         self.assignments = assignments
+        self.live = live
         self.touched = touched
         self.track_work = router.needs_work_estimates
         self.injector = (
             FaultInjector(faults, len(devices)) if faults is not None else None
         )
         self.report = FaultReport(num_devices=len(devices))
-        #: Primaries delivered but not yet terminally resolved.
-        self.open_requests = 0
-        #: id(record) -> index into ``assignments`` (overwritten before
-        #: every read at delivery time, so id reuse cannot corrupt it).
-        self.arrival_pos: dict = {}
         #: id(record) -> device index currently owning the record.
         self.owner: dict = {}
         #: Hedge pairing maps; entries pin both records alive, so the
         #: id keys stay unambiguous for the pairing's lifetime.
         self.hedge_primary: dict = {}
         self.hedge_attempt: dict = {}
-        #: Retry/hedge-timer heap of (time, seq, action, record).
-        self.retry_heap: list = []
-        self.retry_seq = 0
         #: (time, device) fault transitions for the loop to push onto its
         #: heap: each device's first one before the first pass, then each
         #: next one once every fault due at the current instant applied.
         self.rearm: list = []
-        #: Consecutive loop passes in which no request moved (the wedge
-        #: guard in :meth:`next_time`).
-        self.idle_passes = 0
         self.down_since: List[Optional[float]] = [None] * len(devices)
         self.gates: List[FaultGate] = []
         self.cursors = []
@@ -254,7 +249,7 @@ class _FaultRun:
                     now,
                     {"request_id": record.request_id, "device": index},
                 )
-            self._finish_terminal(record, index)
+            self.resolve(record, index, metric_sample(record, self.slo))
 
         def drop(record: RequestRecord) -> None:
             # A cancelled record: a losing hedge attempt, or a primary
@@ -272,12 +267,6 @@ class _FaultRun:
             del self.hedge_attempt[id(primary)]
 
     # -- terminal resolution --------------------------------------------------
-    def _finish_terminal(self, record: RequestRecord, index: int) -> None:
-        """Close out a primary record (success or terminal outcome) that
-        resolved on device ``index``."""
-        self.open_requests -= 1
-        self.resolve(record, index, metric_sample(record, self.slo))
-
     def _record_phases(self, record: RequestRecord, index: int) -> None:
         extra = {"device": index} if self.tag_device else None
         record_request_phases(self.rec, "requests", record, extra)
@@ -296,50 +285,53 @@ class _FaultRun:
             self.gates[dev].dirty = True
             self.touched.add(dev)
 
-    # -- dispatch -------------------------------------------------------------
+    # -- deliveries -----------------------------------------------------------
     def arrived(self, record: RequestRecord, index: int, now: float) -> None:
-        """A source arrival the loop just routed to device ``index`` and
-        appended to ``assignments``: track it, and arm its hedge timer."""
+        """A stream arrival the loop just dispatched to device ``index``:
+        stamp its attempt, track its owner, and arm its hedge timer."""
         _stamp_attempt(record, now)
-        self.open_requests += 1
         self.owner[id(record)] = index
-        self.arrival_pos[id(record)] = len(self.assignments) - 1
         retry = self.retry
         if retry is not None and retry.hedge_after_s is not None:
-            self._push_retry(record.arrival_s + retry.hedge_after_s, _HEDGE, record)
+            self.push(record.arrival_s + retry.hedge_after_s, _HEDGE, record)
 
-    def _dispatch(self, record: RequestRecord, now: float) -> int:
-        """Route a retry, hedge or crash re-queue and enqueue it (the same
-        steps the loop inlines for source arrivals)."""
+    def reenter(self, action: int, record: RequestRecord, now: float) -> bool:
+        """A retry or hedge timer the source delivered at ``now``: dispatch
+        it if its primary is still unresolved (and, for a hedge, has no
+        first token and no hedge yet); True if it was dispatched."""
+        if id(record) not in self.live:
+            return False
+        rec = self.rec
+        if action == _RETRY:
+            record.retries += 1
+            self.report.retries += 1
+            if rec is not None:
+                rec.instant(
+                    "faults",
+                    "retry",
+                    now,
+                    {"request_id": record.request_id, "attempt": record.attempts + 1},
+                )
+            self._requeue(record, now)
+            return True
+        if record.first_token_s is not None or id(record) in self.hedge_attempt:
+            return False
+        attempt = RequestRecord(record.source, hedge=True)
+        self.hedge_primary[id(attempt)] = record
+        self.hedge_attempt[id(record)] = attempt
+        self.report.hedges += 1
+        if rec is not None:
+            rec.instant("faults", "hedge", now, {"request_id": record.request_id})
+        _stamp_attempt(attempt, now)
+        self.owner[id(attempt)] = self.dispatch(attempt, now)
+        return True
+
+    def _requeue(self, record: RequestRecord, now: float) -> None:
+        """Send a primary to a device again (a retry, or a crash re-queue at
+        the crash instant) and move its trace row's device cell."""
         _stamp_attempt(record, now)
-        devices = self.devices
-        index = self.router.route(record, devices, now)
-        if not 0 <= index < len(devices):
-            raise ValueError(
-                f"router {self.router.name!r} routed to device {index} "
-                f"of a {len(devices)}-device fleet"
-            )
-        device = devices[index]
-        if device.backend_name is None:
-            device.backend_name = device.cost.profile(
-                record.source.request
-            ).backend_name
-        if self.keep_records and not record.hedge:
-            device.records.append(record)
-        device.outstanding += 1
-        if self.track_work:
-            device.outstanding_work_s += device.job_seconds(record)
-        device.scheduler.enqueue(record, now)
-        self.owner[id(record)] = index
-        self.touched.add(index)
-        return index
-
-    def _redispatch(self, record: RequestRecord, now: float) -> None:
-        """Dispatch a primary again and move its trace row's device cell."""
-        index = self._dispatch(record, now)
-        pos = self.arrival_pos.get(id(record))
-        if pos is not None:
-            self.assignments[pos] = index
+        index = self.owner[id(record)] = self.dispatch(record, now)
+        self.assignments[self.live[id(record)][1]] = index
 
     @staticmethod
     def _forget_device_record(device, record: RequestRecord) -> None:
@@ -351,61 +343,6 @@ class _FaultRun:
             if records[i] is record:
                 del records[i]
                 break
-
-    def _push_retry(self, time_s: float, action: int, record: RequestRecord) -> None:
-        self.retry_seq += 1
-        heapq.heappush(self.retry_heap, (time_s, self.retry_seq, action, record))
-
-    def deliver(self, now: float) -> bool:
-        """Dispatch the retries and hedge timers due by ``now`` (after the
-        loop delivered the source arrivals); True if anything moved."""
-        retry_heap = self.retry_heap
-        moved = False
-        while retry_heap and retry_heap[0][0] <= now:
-            _, _, action, record = heapq.heappop(retry_heap)
-            if action == _RETRY:
-                if (
-                    record.outcome is None
-                    and record.finish_s is None
-                    and not record.cancelled
-                ):
-                    record.retries += 1
-                    self.report.retries += 1
-                    if self.rec is not None:
-                        self.rec.instant(
-                            "faults",
-                            "retry",
-                            now,
-                            {
-                                "request_id": record.request_id,
-                                "attempt": record.attempts + 1,
-                            },
-                        )
-                    self._redispatch(record, now)
-                    moved = True
-            else:  # _HEDGE timer
-                primary = record
-                if (
-                    primary.outcome is None
-                    and primary.finish_s is None
-                    and not primary.cancelled
-                    and primary.first_token_s is None
-                    and id(primary) not in self.hedge_attempt
-                ):
-                    attempt = RequestRecord(primary.source, hedge=True)
-                    self.hedge_primary[id(attempt)] = primary
-                    self.hedge_attempt[id(primary)] = attempt
-                    self.report.hedges += 1
-                    if self.rec is not None:
-                        self.rec.instant(
-                            "faults",
-                            "hedge",
-                            now,
-                            {"request_id": primary.request_id},
-                        )
-                    self._dispatch(attempt, now)
-                    moved = True
-        return moved
 
     # -- completion handling --------------------------------------------------
     def member_done(
@@ -436,7 +373,7 @@ class _FaultRun:
             if retry is not None and record.attempts < retry.max_attempts:
                 record.prefill_start_s = None
                 delay = retry.delay_s(record.attempts, record.request_id)
-                self._push_retry(time_s + delay, _RETRY, record)
+                self.push(time_s + delay, _RETRY, record)
                 self._forget_device_record(device, record)
                 return
             record.outcome = "failed"
@@ -449,7 +386,7 @@ class _FaultRun:
                     {"request_id": record.request_id, "attempts": record.attempts},
                 )
             self._cancel_sibling_hedge(record)
-            self._finish_terminal(record, index)
+            self.resolve(record, index, metric_sample(record, self.slo))
             return
         deadline = self.deadline_s
         if deadline is not None and time_s - record.arrival_s > deadline:
@@ -465,7 +402,7 @@ class _FaultRun:
         if rec is not None:
             self._record_phases(record, index)
         self._cancel_sibling_hedge(record)
-        self._finish_terminal(record, index)
+        self.resolve(record, index, metric_sample(record, self.slo))
 
     def _hedge_done(self, index: int, attempt: RequestRecord, time_s: float) -> None:
         """A hedge attempt finished: adopt its stamps if the primary is
@@ -486,9 +423,7 @@ class _FaultRun:
         primary.prefill_start_s = attempt.prefill_start_s
         primary.first_token_s = attempt.first_token_s
         primary.finish_s = time_s
-        pos = self.arrival_pos.get(id(primary))
-        if pos is not None:
-            self.assignments[pos] = index
+        self.assignments[self.live[id(primary)][1]] = index
         prev = self.owner.get(id(primary))
         if prev is not None:
             # The primary's own attempt loses: silently cancel it.
@@ -515,7 +450,7 @@ class _FaultRun:
                 {"request_id": primary.request_id, "device": index},
             )
             self._record_phases(primary, index)
-        self._finish_terminal(primary, index)
+        self.resolve(primary, index, metric_sample(primary, self.slo))
 
     # -- fault handling -------------------------------------------------------
     def fault(self, index: int, time_s: float) -> bool:
@@ -594,18 +529,13 @@ class _FaultRun:
             if record.hedge:
                 self._drop_hedge(record)  # the attempt dies with the device
                 continue
-            if (
-                record.cancelled
-                or record.outcome is not None
-                or record.finish_s is not None
-            ):
-                continue
+            if id(record) not in self.live:
+                continue  # resolved elsewhere: its hedge won
             # The computed KV is lost with the device: wipe the stamps and
             # re-queue; the re-prefill (and any re-spill) is priced fresh
             # wherever the request lands.
             record.prefill_start_s = None
             record.first_token_s = None
-            record.finish_s = None
             self.report.requeued += 1
             self._forget_device_record(device, record)
             if rec is not None:
@@ -619,40 +549,13 @@ class _FaultRun:
         self.router.on_completed(index, device)
         for record in requeue:
             # Re-route at the crash instant against live health state.
-            self._redispatch(record, time_s)
+            self._requeue(record, time_s)
         # The queue emptied (a router may have sent survivors back):
         # sample it now, or the pre-crash depth holds through the outage.
         device.queue_stats.add(time_s, device.scheduler.waiting)
         return bool(requeue)
 
-    # -- the clock ------------------------------------------------------------
-    def next_time(self, next_time: Optional[float], progressed: bool) -> float:
-        """The next event instant given the heap/source minimum, merging
-        the retry heap; raises when the run can no longer progress."""
-        retry_heap = self.retry_heap
-        if retry_heap:
-            rhead = retry_heap[0][0]
-            if next_time is None or rhead < next_time:
-                next_time = rhead
-        if next_time is None:
-            stuck = sum(device.scheduler.pending for device in self.devices)
-            raise RuntimeError(
-                f"fault engine: {stuck} pending requests "
-                f"({self.open_requests} open) but no event is "
-                "scheduled to make progress"
-            )
-        if progressed:
-            self.idle_passes = 0
-        else:
-            self.idle_passes += 1
-            if self.idle_passes > _MAX_IDLE_FAULTS:
-                raise RuntimeError(
-                    "fault engine: fault events keep advancing the "
-                    f"clock but no request progressed in "
-                    f"{_MAX_IDLE_FAULTS} consecutive events"
-                )
-        return next_time
-
+    # -- the end of the run ---------------------------------------------------
     def close(self, now: float) -> None:
         """Stamp the makespan; a crash still open at the end contributes
         downtime truncated at the makespan, but no recovery sample."""

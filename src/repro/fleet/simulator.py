@@ -22,21 +22,27 @@ the planning opportunities both create:
 The loop owns its event heap outright: a plain ``heapq`` list of
 ``(time, kind, index, seq)`` tuples, whose total order
 (:mod:`repro.serving.events`) is what the determinism rests on, plus the
-push/pop/depth counters it reports as ``event_queue``.  Arrivals stay
-outside the heap and merge against its head.  A device's completion is
-*live* while its ``seq`` is the device's ``live_seq``; a decode run cut
-short (``Scheduler.cut``) or an occupancy a crash aborted leaves a
-superseded completion behind, which is skipped when popped and dropped
-from the head of the heap before the clock advances, so it never costs
-a loop pass.
+push/pop/depth counters it reports as ``event_queue``.  Deliveries stay
+outside the heap: one arrival source
+(:class:`repro.serving.simulator._ArrivalSource`) holds the request
+stream and the re-entries pushed onto it, hands out a stream arrival
+first at an equal time, and its head merges against the heap's.  Every
+delivery — a stream arrival, a client retry, a hedge, or a request a
+crash re-queues — reaches a device through the loop's one ``dispatch``,
+and every run ends by one rule: no delivered request is unresolved and
+the stream is dry.  A device's completion is *live* while its ``seq`` is
+the device's ``live_seq``; a decode run cut short (``Scheduler.cut``) or
+an occupancy a crash aborted leaves a superseded completion behind,
+which is skipped when popped and dropped from the head of the heap
+before the clock advances, so it never costs a loop pass.
 
 Fault injection rides the same loop: ``faults``, ``retry`` or
-``deadline_s`` arm a :mod:`repro.faults.engine` handler object that adds
-two event sources — per-device fault transitions, which it hands to the
-loop's heap through its ``rearm`` list, and a retry heap merged into the
-arrival stage — plus crash, retry, hedge and outcome handling.  Unarmed
-runs never touch it: the hot path below is the plain loop, with one
-identity check at each hand-off point.
+``deadline_s`` arm a :mod:`repro.faults.engine` handler object that
+makes the fault decisions — per-device fault transitions, which it hands
+to the loop's heap through its ``rearm`` list, client retries and hedge
+timers, which it pushes onto the arrival source, crash eviction, hedge
+pairing and outcomes.  Unarmed runs never touch it: the hot path below
+is the plain loop, with one identity check at each hand-off point.
 
 All devices may share one :class:`repro.api.runner.ExperimentRunner`:
 a 16-device, 10k-request simulation still costs a handful of backend
@@ -79,6 +85,10 @@ from repro.serving.request import ServingRequest
 from repro.serving.scheduler import FCFSScheduler
 from repro.serving.simulator import _ArrivalSource
 from repro.serving.stream import TraceSink, TraceStreamer
+
+#: Consecutive loop passes in which no request moved before the loop
+#: declares itself wedged (see step 4 of :func:`_run`).
+_MAX_IDLE_PASSES = 10_000
 
 
 def build_fleet(
@@ -301,8 +311,8 @@ def _run(
             )
         return occupancy.completed
 
-    # Arrivals are delivered in stream order, so appending each routed
-    # index builds a list parallel to the trace rows.
+    # Stream arrivals are delivered in stream order, so appending each
+    # routed index builds a list parallel to the trace rows.
     assignments: List[int] = []
     # Every record folds once, into the reservoirs of the device it
     # resolves on; the fleet-wide view is merged from these at close.
@@ -312,9 +322,11 @@ def _run(
     streamer: Optional[TraceStreamer] = None
     if trace_sink is not None:
         streamer = TraceStreamer(trace_sink, assignments if fleet_shape else None)
-    # Delivered records not yet resolved, each with its trace-row
-    # position, kept only when an early exit could leave some behind.
-    live: Optional[dict] = {} if fail_fast else None
+    # The one table of delivered requests not yet resolved: id(record) ->
+    # (record, trace-row position).  The end rule reads it, a retry, a
+    # crash re-queue or a hedge win re-points the row's device cell
+    # through it, and an early exit folds what it still holds.
+    live: dict = {}
     #: Resolved requests that missed the SLO (the ``fail_fast`` tally).
     missed = 0
 
@@ -331,16 +343,48 @@ def _run(
             missed += 1
         if streamer is not None:
             streamer.finish(record, sample)
-        if live is not None:
-            del live[id(record)]
+        del live[id(record)]
+
+    # Devices whose state changed this event and therefore need a planning
+    # attempt; everyone plans at t=0.
+    touched = set(range(len(devices)))
+    num_devices = len(devices)
+    route = router.route
+    #: Whether the router reads per-device work estimates, and the
+    #: per-device scheduler enqueue hooks, hoisted for dispatch.
+    track_work = router.needs_work_estimates
+    enqueues = [device.scheduler.enqueue for device in devices]
+
+    def dispatch(record, now: float) -> int:
+        """Route one delivery (a stream arrival, a retry, a hedge or a crash
+        re-queue) at ``now`` and queue it on its device; return the device
+        index.  Every request reaches a device through here."""
+        index = route(record, devices, now)
+        if not 0 <= index < num_devices:
+            raise ValueError(
+                f"router {router.name!r} routed to device {index} "
+                f"of a {num_devices}-device fleet"
+            )
+        device = devices[index]
+        if device.backend_name is None:
+            # Resolve the display name (and fail fast on an OOM payload)
+            # on the device's first request.
+            device.backend_name = device.cost.profile(
+                record.source.request
+            ).backend_name
+        if keep_records and not record.hedge:
+            device.records.append(record)
+        device.outstanding += 1
+        if track_work:
+            device.outstanding_work_s += device.job_seconds(record)
+        enqueues[index](record, now)
+        touched.add(index)
+        return index
 
     # The event heap (see repro.serving.events) and its debug counters:
     # ``seq`` doubles as the push count.
     heap: list = []
     seq = pops = heap_max_depth = 0
-    # Devices whose state changed this event and therefore need a planning
-    # attempt; everyone plans at t=0.
-    touched = set(range(len(devices)))
     # Fault handling, armed only when asked for.  The devices' first fault
     # transitions join the heap before the first pass.
     fault_run: Optional[_FaultRun] = None
@@ -357,7 +401,10 @@ def _run(
             tag_device=fleet_shape,
             resolve=resolve,
             end_occupancy=end_occupancy,
+            dispatch=dispatch,
+            push=source.push,
             assignments=assignments,
+            live=live,
             touched=touched,
         )
         for when, index in fault_run.rearm:
@@ -370,23 +417,19 @@ def _run(
     num_events = 0
     early_exit = False
     total = source.total
-    #: Whether this pass moved a request (fault-aware runs: the wedge guard).
+    #: Whether this pass moved a request, and how many passes in a row
+    #: moved none (the wedge guard).
     progressed = False
-    num_devices = len(devices)
+    idle_passes = 0
     # Hot-loop locals: the body below runs a couple of million times on a
     # 1M-request day, so every repeated attribute lookup is hoisted once,
-    # and the source's next arrival time is read straight off its
+    # and the source's next delivery time is read straight off its
     # ``head_time`` attribute — shaving a method call from a path taken
     # once or more per event.
     source_pop = source.pop
-    route = router.route
     on_completed = router.on_completed
     heap_push = heapq.heappush
     heap_pop = heapq.heappop
-    #: Whether the router reads per-device work estimates, and the
-    #: per-device scheduler enqueue hooks, hoisted for the arrival path.
-    track_work = router.needs_work_estimates
-    enqueues = [device.scheduler.enqueue for device in devices]
     try:
         while True:
             num_events += 1
@@ -405,8 +448,7 @@ def _run(
                         continue
                     if event[3] != device.live_seq:
                         continue  # superseded by a cut or a crash abort
-                    if fault_run is not None:
-                        progressed = True
+                    progressed = True
                     completed = end_occupancy(index, device, now)
                     if fault_run is not None:
                         for record in completed:
@@ -448,42 +490,24 @@ def _run(
                     if missed and (total - missed) / total < slo.min_attainment:
                         early_exit = True
                         break
-            # 2. Deliver and route arrivals due now, then due retries.
+            # 2. Deliver what the source holds due now: stream arrivals
+            # first, then retries and hedge timers in push order.
             while True:
                 due = source.head_time
                 if due is None or due > now:
                     break
-                record = source_pop()
-                index = route(record, devices, now)
-                if not 0 <= index < num_devices:
-                    raise ValueError(
-                        f"router {router.name!r} routed to device {index} "
-                        f"of a {num_devices}-device fleet"
-                    )
-                assignments.append(index)
-                device = devices[index]
-                if device.backend_name is None:
-                    # Resolve the display name (and fail fast on an OOM
-                    # payload) on the device's first request.
-                    device.backend_name = device.cost.profile(
-                        record.source.request
-                    ).backend_name
-                if keep_records:
-                    device.records.append(record)
-                device.outstanding += 1
-                if track_work:
-                    device.outstanding_work_s += device.job_seconds(record)
-                enqueues[index](record, now)
-                if streamer is not None:
-                    streamer.register(record)
-                if live is not None:
-                    live[id(record)] = (record, len(assignments) - 1)
-                touched.add(index)
-                if fault_run is not None:
-                    fault_run.arrived(record, index, now)
+                action, record = source_pop()
+                if action is None:
+                    index = dispatch(record, now)
+                    live[id(record)] = (record, len(assignments))
+                    assignments.append(index)
+                    if streamer is not None:
+                        streamer.register(record)
+                    if fault_run is not None:
+                        fault_run.arrived(record, index, now)
                     progressed = True
-            if fault_run is not None and fault_run.deliver(now):
-                progressed = True
+                elif fault_run.reenter(action, record, now):
+                    progressed = True
             # 3. Touched idle devices with pending work plan (sampling
             # their queue depth as they do), in device-index order.  The
             # devices skipped could only repeat their previous answer:
@@ -555,40 +579,40 @@ def _run(
                     break
                 heap_pop(heap)
                 pops += 1
-            head = source.head_time
-            if fault_run is None:
-                if heap:
-                    next_completion = heap[0][0]
-                    if head is None or next_completion <= head:
-                        now = next_completion
-                    else:
-                        now = head
-                else:
-                    if head is None:
-                        stuck = sum(device.scheduler.pending for device in devices)
-                        if stuck:
-                            raise RuntimeError(
-                                f"schedulers report {stuck} pending requests "
-                                "but planned no work"
-                            )
-                        break
-                    now = head
-            else:
-                # Shedding while planning can resolve requests too.
-                if fail_fast:
-                    if missed and (total - missed) / total < slo.min_attainment:
-                        early_exit = True
-                        break
-                # Fault schedules can be infinite, so a fault-aware run
-                # ends when every delivered request resolved and the
-                # stream is dry — not when the heap does.
-                if fault_run.open_requests == 0 and head is None:
+            # Shedding while planning can resolve requests too.
+            if fail_fast:
+                if missed and (total - missed) / total < slo.min_attainment:
+                    early_exit = True
                     break
-                next_time = heap[0][0] if heap else None
-                if head is not None and (next_time is None or head < next_time):
-                    next_time = head
-                now = fault_run.next_time(next_time, progressed)
+            # The one end rule: every delivered request resolved and the
+            # stream is dry.  A re-entry still queued then is a hedge timer
+            # whose primary resolved, and fault schedules can be infinite,
+            # so neither keeps the run going.
+            if not live and source.stream_time is None:
+                break
+            next_time = heap[0][0] if heap else None
+            head = source.head_time
+            if head is not None and (next_time is None or head < next_time):
+                next_time = head
+            if next_time is None:
+                raise RuntimeError(
+                    f"{len(live)} delivered requests are unresolved but no "
+                    "event is scheduled to make progress"
+                )
+            # Random fault schedules are infinite, so a run whose requests
+            # can no longer move would spin through fault transitions
+            # forever.  A plain run moves a request on every pass.
+            if progressed:
                 progressed = False
+                idle_passes = 0
+            else:
+                idle_passes += 1
+                if idle_passes > _MAX_IDLE_PASSES:
+                    raise RuntimeError(
+                        "fault events keep advancing the clock but no request "
+                        f"progressed in {_MAX_IDLE_PASSES} consecutive events"
+                    )
+            now = next_time
 
         for index, device in enumerate(devices):
             device.finalize(now)
@@ -610,12 +634,11 @@ def _run(
         # trace row names; what it never delivered has no device, and
         # folds into the fleet-wide view only.  A single-device report
         # carries its device's reservoirs.
-        if live:
-            for record, position in live.values():
-                sample = metric_sample(record, slo)
-                folds[assignments[position]](sample)
-                if streamer is not None:
-                    streamer.finish(record, sample)
+        for record, position in live.values():
+            sample = metric_sample(record, slo)
+            folds[assignments[position]](sample)
+            if streamer is not None:
+                streamer.finish(record, sample)
         fleet_metrics = device_metrics[0]
         if fleet_shape:
             fleet_metrics = StreamedMetrics(slo_met=slo_met)

@@ -506,7 +506,7 @@ def _absorb_cache_info(
         cache.inc(cache_info[f"{layer}_hits"], layer=layer, result="hit", **labels)
         cache.inc(cache_info[f"{layer}_misses"], layer=layer, result="miss", **labels)
     size = registry.gauge(
-        "repro_backend_cache_size", "Interned cache entries per layer"
+        "repro_backend_cache_size", "Memoized cache entries per layer"
     )
     size.set(cache_info["latency_size"], layer="latency", **labels)
     size.set(cache_info["profile_size"], layer="profile", **labels)

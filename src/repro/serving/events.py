@@ -7,13 +7,16 @@ arrivals, followed by the planning opportunities they create; runs with
 fault handling armed (:mod:`repro.faults.engine`) add per-device fault
 transitions (crash/recover/slowdown).  The loop keeps its pending events
 in a ``heapq`` of ``(time, kind, index, seq)`` tuples, which it owns
-outright along with the push/pop/depth counters it reports.  Arrivals
-stay outside the heap (workload generators emit them already sorted; the
-loop merges the stream head against the heap's head), so the heap holds
-the in-flight occupancy completions — one live completion per busy
+outright along with the push/pop/depth counters it reports.  The heap
+holds the in-flight occupancy completions — one live completion per busy
 device, plus the superseded ones a cut or a crash left behind, which the
 loop skips (see :mod:`repro.fleet.simulator`) — and, on fault-injected
-runs, at most one upcoming fault transition per device.
+runs, at most one upcoming fault transition per device.  :data:`ARRIVAL`
+and :data:`PLANNING` are loop stages, never heap entries: deliveries
+come from one arrival source (the sorted request stream plus the client
+retries and hedge timers the fault engine pushes onto it), whose head
+the loop merges against the heap's, and planning runs over the devices
+an event touched.
 
 The event-ordering contract
 ---------------------------
@@ -41,11 +44,11 @@ The loop pops everything due at one instant in this order, and planning
 passes run over the touched-device set in ascending index order.  A
 fault transition scheduled while the faults due at an instant apply
 joins the heap only after they all have, so one due at that same
-instant waits for the next loop pass.  Client retries re-enter through
-the *arrival* stage (a retry heap merged against the workload stream,
-source arrivals first at equal timestamps), so a retry landing on an
-existing event time slots into the same total order as any other
-arrival.
+instant waits for the next loop pass.  Client retries and hedge timers
+re-enter through the *arrival* stage: the source hands out a stream
+arrival first at an equal time, then re-entries in push order, so a
+retry landing on an existing event time slots into the same total order
+as any other arrival.
 """
 
 #: Event kinds, in tie-break order (see the module docstring).

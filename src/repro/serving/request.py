@@ -61,8 +61,8 @@ class RequestRecord:
     finish_s: Optional[float] = None
 
     # -- resilience state (fault-injected runs only) --------------------------
-    #: Dispatches to a device: 1 on plain runs (0 until delivered), +1 per
-    #: client retry and per crash re-queue.
+    #: Dispatches to a device on a fault-aware run: 1 once delivered, +1
+    #: per client retry and per crash re-queue.  Plain runs leave it 0.
     attempts: int = 0
     #: Client retries dispatched for this request (flaky failures only).
     retries: int = 0

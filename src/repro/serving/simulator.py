@@ -54,9 +54,10 @@ moment the uncoalesced loop could have *acted* on them.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import replace
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.backend import get_backend
 from repro.api.request import InferenceRequest
@@ -190,7 +191,8 @@ def _ordered_requests(requests: Iterable[ServingRequest]) -> List[ServingRequest
 
 
 class _ArrivalSource:
-    """Arrival cursor over one run's request stream, of any stream type.
+    """The one source of a run's deliveries: its request stream, of any
+    stream type, plus the re-entries pushed onto it.
 
     ``keep_records=True`` builds every :class:`RequestRecord` up front
     (the report returns them); otherwise each record is built on
@@ -201,11 +203,17 @@ class _ArrivalSource:
     unknown, which is why ``fail_fast`` (whose attainment arithmetic
     needs the total) rejects it.
 
-    ``head_time`` — the next undelivered arrival's time, or None — is a
-    plain attribute kept current by :meth:`pop`, so the event loop reads
-    it without a method call (it is consulted several times per event).
-    ``first_request`` is captured at construction and stays readable
-    after a lazy stream has drained.
+    A re-entry is a record coming back at a later time with an action
+    (the fault engine's client retries and hedge timers): :meth:`push`
+    queues it, and :meth:`pop` hands out the next delivery, a stream
+    arrival first at an equal time and re-entries in push order.
+    ``head_time`` — the next delivery's time, or None — and
+    ``stream_time`` — the next stream arrival's, or None once the stream
+    is dry — are plain attributes kept current by :meth:`push` and
+    :meth:`pop`, so the event loop reads them without a method call (they
+    are consulted several times per event).  ``first_request`` is
+    captured at construction and stays readable after a lazy stream has
+    drained.
     """
 
     __slots__ = (
@@ -213,9 +221,12 @@ class _ArrivalSource:
         "total",
         "first_request",
         "head_time",
+        "stream_time",
         "_items",
         "_head",
         "_built",
+        "_reentries",
+        "_pushes",
     )
 
     def __init__(
@@ -239,32 +250,60 @@ class _ArrivalSource:
                 "fail_fast needs the total request count; pass a list instead of "
                 "a lazy stream (or keep_records=True to materialize it)"
             )
-        self.head_time: Optional[float] = self._head.arrival_s
+        self.stream_time: Optional[float] = self._head.arrival_s
+        self.head_time: Optional[float] = self.stream_time
         self.first_request: InferenceRequest = self._head.request
+        #: Re-entries as (time, push count, action, record).
+        self._reentries: list = []
+        self._pushes = 0
 
-    def pop(self) -> RequestRecord:
-        head = self._head
-        self._head = nxt = next(self._items, None)
-        if nxt is None:
-            self.head_time = None
+    def push(self, time_s: float, action: int, record: RequestRecord) -> None:
+        """Queue ``record`` to come back at ``time_s`` with ``action``."""
+        self._pushes += 1
+        heapq.heappush(self._reentries, (time_s, self._pushes, action, record))
+        if self.head_time is None or time_s < self.head_time:
+            self.head_time = time_s
+
+    def pop(self) -> Tuple[Optional[int], RequestRecord]:
+        """The next delivery as ``(action, record)``: a re-entry's action,
+        or None for a stream arrival."""
+        reentries = self._reentries
+        stream_time = self.stream_time
+        if reentries and (stream_time is None or reentries[0][0] < stream_time):
+            _, _, action, record = heapq.heappop(reentries)
         else:
-            self.head_time = when = nxt.arrival_s
-            # Explicit (arrival, id) comparison: the dataclass `<` builds
-            # two tuples per call, and this runs once per request.  Sorted
-            # lists pass trivially; a lazy stream is checked here.
-            if when < head.arrival_s or (
-                when == head.arrival_s and nxt.request_id < head.request_id
-            ):
-                raise ValueError(
-                    "a lazily-streamed request iterable must arrive pre-sorted "
-                    f"(saw {when:g}s after {head.arrival_s:g}s); "
-                    "pass a list to let the simulator sort it"
-                )
-        built = self._built
-        return RequestRecord(head) if built is None else next(built)
+            action = None
+            head = self._head
+            self._head = nxt = next(self._items, None)
+            if nxt is None:
+                stream_time = None
+            else:
+                stream_time = nxt.arrival_s
+                # Explicit (arrival, id) comparison: the dataclass `<`
+                # builds two tuples per call, and this runs once per
+                # request.  Sorted lists pass trivially; a lazy stream is
+                # checked here.
+                if stream_time < head.arrival_s or (
+                    stream_time == head.arrival_s
+                    and nxt.request_id < head.request_id
+                ):
+                    raise ValueError(
+                        "a lazily-streamed request iterable must arrive "
+                        f"pre-sorted (saw {stream_time:g}s after "
+                        f"{head.arrival_s:g}s); "
+                        "pass a list to let the simulator sort it"
+                    )
+            self.stream_time = stream_time
+            built = self._built
+            record = RequestRecord(head) if built is None else next(built)
+        if reentries and (stream_time is None or reentries[0][0] < stream_time):
+            self.head_time = reentries[0][0]
+        else:
+            self.head_time = stream_time
+        return action, record
 
     def tail(self) -> Iterator[RequestRecord]:
-        """Records never delivered to a device (early exit)."""
+        """Stream records never delivered to a device (early exit)."""
         if self._built is not None:
             return self._built
         head = self._head

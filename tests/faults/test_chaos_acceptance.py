@@ -5,8 +5,8 @@ fleet behind the failover router, two overlapping crashes in the evening
 peak, flaky verdicts with client retries, and a 20 s deadline — must
 reproduce the exact availability, retry, time-to-recover and trace-hash
 numbers recorded here.  Any drift in the fault engine, the event
-ordering, the retry heap or the failover router shows up as a diff in
-this file before it shows up for a user.
+ordering, the arrival source's re-entries or the failover router shows
+up as a diff in this file before it shows up for a user.
 """
 
 import hashlib

@@ -123,12 +123,16 @@ def test_benign_faults_reproduce_the_golden_traces(shape, workload_name):
     assert report.faults.shed == report.faults.timed_out == report.faults.failed == 0
 
 
-def test_plain_records_keep_their_defaults_under_benign_faults():
-    report = _serve(_poisson(40), faults=BENIGN)
-    assert all(
-        record.outcome is None and record.retries == 0 and record.attempts == 1
-        for record in report.records
-    )
+@pytest.mark.parametrize("faults", [None, BENIGN], ids=["plain", "benign"])
+def test_plain_records_keep_their_defaults_under_benign_faults(faults):
+    """Only an armed run stamps attempts: once, at delivery."""
+    report = _serve(_poisson(40), faults=faults)
+    for record in report.records:
+        assert record.outcome is None and record.retries == 0
+        if faults is None:
+            assert record.attempts == 0 and record.attempt_s is None
+        else:
+            assert record.attempts == 1 and record.attempt_s == [record.arrival_s]
 
 
 # -- equivalence: coalesced == step-by-step under chaos -----------------------

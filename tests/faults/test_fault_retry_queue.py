@@ -1,12 +1,13 @@
 """Retries landing on occupied timestamps: re-enqueue order stays total.
 
-Client retries re-enter the loop through a retry heap merged against the
-workload stream, with source arrivals winning ties.  These tests force
+Client retries are pushed back onto the loop's one arrival source, which
+hands out a stream arrival first at an equal time and re-entries in push
+order.  These tests force
 the nastiest case — several retries scheduled for the *same* instant, on
 an instant that already carries arrivals and completions — and check that
 the queue stays totally ordered: deterministic replays, sensible
 queue-depth sweeps, and a TraceStreamer run that is byte-identical to the
-kept-records run.
+kept-records run, and pin the tie rule itself.
 """
 
 import io
@@ -99,3 +100,22 @@ def test_streamed_retry_trace_is_byte_identical_to_kept_records():
     assert dropped.max_queue_depth == reference.max_queue_depth
     assert dropped.mean_queue_depth == reference.mean_queue_depth
     assert dropped.slo_attainment() == reference.slo_attainment()
+
+
+def test_a_stream_arrival_goes_before_a_retry_due_at_the_same_instant():
+    """Request 0 finishes at 3.0 and flakes; its retry comes back at 4.0,
+    the instant request 1 arrives.  The stream arrival queues first, so
+    request 1 starts at 4.0 and the retry only once it is done, at 7.0."""
+    payload = PAYLOAD.with_overrides(gen_tokens=2)
+    report = simulate(
+        [ServingRequest(0.0, 0, payload), ServingRequest(4.0, 1, payload)],
+        ToyBackend(ttft=1.0, step=1.0),
+        FCFSScheduler(),
+        faults=FaultSpec(flaky_prob=0.5, seed=18),
+        retry=RetryPolicy(max_attempts=2, backoff_s=1.0, multiplier=1.0),
+    )
+    first, second = report.records
+    assert first.attempt_s == [0.0, 4.0]
+    assert second.attempt_s == [4.0]
+    assert second.prefill_start_s == 4.0
+    assert first.prefill_start_s == 7.0

@@ -234,3 +234,33 @@ def test_rejected_call_does_not_poison_the_router():
     report = simulate_fleet(_arrivals([0.0]), build_fleet([ToyBackend()]), router)
     assert router.used
     assert report.num_requests == 1
+
+
+# -- the advance step's guards ------------------------------------------------
+
+class _NeverPlans(FCFSScheduler):
+    """Accepts requests but never plans work for them."""
+
+    def next_occupancy(self, now, cost, max_steps=None):
+        return None
+
+
+@pytest.mark.parametrize("armed", [{}, {"deadline_s": 1e9}], ids=["plain", "armed"])
+def test_a_run_that_cannot_progress_names_its_unresolved_requests(armed):
+    arrivals = _arrivals([0.5 * i for i in range(20)])
+    with pytest.raises(RuntimeError, match=r"\b20\b.* requests"):
+        simulate(arrivals, ToyBackend(), _NeverPlans(), **armed)
+
+
+def test_fault_events_that_move_no_request_trip_the_wedge_guard():
+    """A device down past every arrival while slowdowns keep firing: the
+    clock advances on fault transitions alone, and the loop gives up."""
+    faults = FaultSpec(
+        crash_windows=((0, 0.5, 1e9),),
+        slow_mtbf_s=1.0,
+        slow_duration_s=0.25,
+        seed=3,
+    )
+    arrivals = _arrivals([0.0, 1.0, 2.0])
+    with pytest.raises(RuntimeError, match="no request progressed in 10000 consecutive"):
+        simulate(arrivals, ToyBackend(), FCFSScheduler(), faults=faults)

@@ -1,5 +1,6 @@
 """Package guards: no module reads the wall clock, starts a thread, or
-keeps a private helper nothing uses.
+keeps a private helper nothing uses, and requests reach a router through
+one arrival path.
 
 Everything the model and the simulators report is a function of their
 inputs on the simulated clock.  Wall-clock questions about the simulator
@@ -69,3 +70,16 @@ def test_every_private_definition_is_used():
         if occurrences[name] <= count
     ]
     assert not unused, f"private definitions nothing uses: {unused}"
+
+
+def test_one_place_reads_a_router_route():
+    """Every delivery (stream arrival, retry, hedge, crash re-queue) is
+    routed by the event loop's one ``dispatch``: a second arrival path
+    would read ``.route`` a second time."""
+    sites = [
+        f"{path}:{node.lineno}"
+        for path, source in _sources().items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "route"
+    ]
+    assert len(sites) == 1, f"route read at {sites}"
