@@ -167,6 +167,7 @@ class _FaultRun:
         slo,
         keep_records: bool,
         rec,
+        spans,
         tag_device: bool,
         resolve,
         end_occupancy,
@@ -182,7 +183,10 @@ class _FaultRun:
         self.deadline_s = deadline_s
         self.slo = slo
         self.keep_records = keep_records
+        #: Every observer (fault instants), and the span recorders alone
+        #: (request-phase spans); either may be None.
         self.rec = rec
+        self.spans = spans
         #: Tag request-phase spans with the device index (fleet reports).
         self.tag_device = tag_device
         self.resolve = resolve
@@ -269,7 +273,7 @@ class _FaultRun:
     # -- terminal resolution --------------------------------------------------
     def _record_phases(self, record: RequestRecord, index: int) -> None:
         extra = {"device": index} if self.tag_device else None
-        record_request_phases(self.rec, "requests", record, extra)
+        record_request_phases(self.spans, "requests", record, extra)
 
     def _cancel_sibling_hedge(self, record: RequestRecord) -> None:
         """A primary resolved: cancel its in-flight hedge attempt, if any."""
@@ -399,7 +403,7 @@ class _FaultRun:
                     time_s,
                     {"request_id": record.request_id},
                 )
-        if rec is not None:
+        if self.spans is not None:
             self._record_phases(record, index)
         self._cancel_sibling_hedge(record)
         self.resolve(record, index, metric_sample(record, self.slo))
@@ -449,6 +453,7 @@ class _FaultRun:
                 time_s,
                 {"request_id": primary.request_id, "device": index},
             )
+        if self.spans is not None:
             self._record_phases(primary, index)
         self.resolve(primary, index, metric_sample(primary, self.slo))
 

@@ -14,10 +14,11 @@ the planning opportunities both create:
 * routing happens at arrival time against the live device states, and
   every policy is deterministic, so a fixed workload seed fixes the device
   assignment (and the trace CSV) byte for byte;
-* an occupancy books its busy seconds, and emits its recorder span, once,
-  when it ends: at its completion, at a crash (the crash instant) or at
-  the loop's close (the makespan), so a device is never busy past the
-  makespan and its spans add up to its busy time.
+* an occupancy books its busy seconds, emits its recorder span and
+  folds into the timelines once, when it ends: at its completion, at a
+  crash (the crash instant) or at the loop's close (the makespan), so a
+  device is never busy past the makespan and its spans add up to its
+  busy time.
 
 The loop owns its event heap outright: a plain ``heapq`` list of
 ``(time, kind, index, seq)`` tuples, whose total order
@@ -54,7 +55,13 @@ One aggregate path: every record folds once, when it resolves
 :class:`repro.serving.metrics.StreamedMetrics` reservoirs of the device
 it resolved on, and the fleet-wide view is merged from the devices' at
 the end.  Every report reads those reservoirs alone, whatever
-``keep_records`` and ``trace_sink`` say.
+``keep_records`` and ``trace_sink`` say.  A
+:class:`repro.obs.TimelineCollector` folds at the same two points: the
+record and its sample in ``resolve``, and each occupancy with its DRAM
+level in ``end_occupancy``.  The loop splits ``recorder=`` once
+(:func:`repro.obs.timeline.split_observers`), so only span recorders
+reach the schedulers and routers, and a run a timeline alone observes
+builds no span and no decision instant.
 
 Scale: the loop re-plans only the devices an event actually touched, a
 decode run is split only by a request routed to its own device, and —
@@ -79,6 +86,7 @@ from repro.fleet.report import FleetReport
 from repro.fleet.router import JoinShortestQueueRouter, Router
 from repro.fleet.sharding import ShardingSpec
 from repro.obs.recorder import record_request_phases
+from repro.obs.timeline import split_observers
 from repro.serving.events import COMPLETION, FAULT
 from repro.serving.metrics import ServingReport, SLOSpec, StreamedMetrics, metric_sample
 from repro.serving.request import ServingRequest
@@ -175,7 +183,8 @@ def simulate_fleet(
     ``device0..N``), per-request phase spans (track ``requests``, tagged
     with the routed device), router decision instants with per-candidate
     scores (track ``router``), and per-replica memory instants (tracks
-    ``memory0..N``).  It never changes a single simulated float.
+    ``memory0..N``); a timeline in it is fed the loop's folds instead.
+    It never changes a single simulated float.
 
     Resilience: ``faults`` (a :class:`repro.faults.FaultSpec`), ``retry``
     (a :class:`repro.faults.RetryPolicy`) and ``deadline_s`` (per-request
@@ -262,20 +271,25 @@ def _run(
     router.attach(devices)
     # Normalize the observability hooks once: with a disabled recorder
     # (None or NullRecorder) ``rec`` stays None and the hot loop pays only
-    # identity checks.  Attached recorders on a fleet get per-replica
+    # identity checks.  An enabled one splits into the span recorders
+    # (``spans``: every span, and the scheduler, router and loop
+    # instants) and the timelines (the folds in ``resolve`` and
+    # ``end_occupancy``); the memory models and the fault engine emit to
+    # the whole of it.  Attached recorders on a fleet get per-replica
     # track names, so the Perfetto export renders one lane per
     # device/memory model.
     rec = recorder if recorder is not None and recorder.enabled else None
+    spans, timelines = split_observers(rec)
     device_tracks: List[str] = []
     if rec is not None:
         if fleet_shape:
-            router.recorder = rec
+            router.recorder = spans
         for index, device in enumerate(devices):
             scheduler = device.scheduler
             if fleet_shape:
                 scheduler.track = f"device{index}"
             device_tracks.append(scheduler.track)
-            scheduler.recorder = rec
+            scheduler.recorder = spans
             memory_model = device.memory
             if memory_model is not None:
                 memory_model.recorder = rec
@@ -287,7 +301,8 @@ def _run(
         (at the crash instant) or the loop's close (at the makespan).  Book
         its busy seconds (the planned ones if it ran to its end), record
         the scheduler's ``coalesce`` and ``dram`` instants and its span,
-        and return the records it completes."""
+        fold it into the timelines with its DRAM level, and return the
+        records it completes."""
         occupancy = device._occupancy
         start = occupancy.start_s
         if end == device.busy_until:
@@ -296,19 +311,29 @@ def _run(
             device.busy_s += end - start
         device.busy_until = None
         device._occupancy = None
-        if rec is not None:
+        if spans is not None:
             track = device_tracks[index]
-            if occupancy.note is not None:
-                rec.instant(track, "coalesce", start, occupancy.note)
-            if occupancy.dram is not None:
-                rec.instant(device.memory.track, "dram", start, occupancy.dram)
-            rec.span(
+            note = occupancy.note
+            if note is not None:
+                # A decode run: its instants were held until it ended.
+                spans.instant(track, "coalesce", start, note)
+                if occupancy.dram is not None:
+                    spans.instant(
+                        device.memory.track,
+                        "dram",
+                        start,
+                        {"used_bytes": occupancy.dram},
+                    )
+            spans.span(
                 track,
                 occupancy.kind,
                 start,
                 end,
                 {"steps": occupancy.steps, "completed": len(occupancy.completed)},
             )
+        if timelines:
+            for timeline in timelines:
+                timeline.span(index, start, end, occupancy.dram)
         return occupancy.completed
 
     # Stream arrivals are delivered in stream order, so appending each
@@ -332,17 +357,21 @@ def _run(
 
     def resolve(record, index: int, sample) -> None:
         """Fold a record that just resolved on device ``index`` (``sample``
-        is its :func:`metric_sample`), tally a ``fail_fast`` miss, and
-        render its trace row from the same sample.  A record's stamps and
-        its ``assignments`` cell are final once it resolves: nothing stamps
-        it again (a losing attempt runs to an ignored end), and a hedge win
-        re-points the cell before it resolves the primary."""
+        is its :func:`metric_sample`) into the device's reservoirs and the
+        timelines, tally a ``fail_fast`` miss, and render its trace row
+        from the same sample.  A record's stamps and its ``assignments``
+        cell are final once it resolves: nothing stamps it again (a losing
+        attempt runs to an ignored end), and a hedge win re-points the
+        cell before it resolves the primary."""
         nonlocal missed
         folds[index](sample)
         if fail_fast and not sample[5]:
             missed += 1
         if streamer is not None:
             streamer.finish(record, sample)
+        if timelines:
+            for timeline in timelines:
+                timeline.resolved(record, sample)
         del live[id(record)]
 
     # Devices whose state changed this event and therefore need a planning
@@ -398,6 +427,7 @@ def _run(
             slo=slo,
             keep_records=keep_records,
             rec=rec,
+            spans=spans,
             tag_device=fleet_shape,
             resolve=resolve,
             end_occupancy=end_occupancy,
@@ -459,9 +489,9 @@ def _run(
                         device.outstanding -= len(completed)
                         for record in completed:
                             record.finish_s = now
-                            if rec is not None:
+                            if spans is not None:
                                 record_request_phases(
-                                    rec,
+                                    spans,
                                     "requests",
                                     record,
                                     {"device": index} if fleet_shape else None,

@@ -77,15 +77,17 @@ class KVMemoryModel:
     #: Cap on the per-request footprint memo (mirrors the scheduler memos).
     MEMO_SIZE = 4096
 
-    #: Observability hook (:class:`repro.obs.Recorder`): set by the event
-    #: loops alongside the scheduler's.  Emissions are read-only — the
-    #: byte ledgers never consult the recorder or the clock below.
+    #: Observability hook (:class:`repro.obs.Recorder`): the event loops
+    #: attach the whole ``recorder=`` here, timelines included (they fold
+    #: the spill/refill bytes).  Emissions are read-only — the byte
+    #: ledgers never consult the recorder or the clock below.
     recorder = None
     #: Recorder track for spill/refill/GC instants; the fleet loop
     #: renames it per replica (``memory0``, ``memory1``, ...).
     track = "memory"
     #: Simulated time of the current planning call, synced by the
-    #: scheduler on recorder-attached runs (the model itself is clockless).
+    #: scheduler whenever this model has a recorder (the model itself is
+    #: clockless).
     now_s = 0.0
 
     def __init__(self, spec: MemorySpec):

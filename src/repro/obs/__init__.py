@@ -8,7 +8,8 @@ Five independent instruments over the serving/fleet/memory stack:
 * :mod:`repro.obs.metrics` — labeled counters/gauges/histograms behind
   one :class:`MetricsSnapshot` with Prometheus text exposition;
 * :mod:`repro.obs.timeline` — a :class:`TimelineCollector` folding the
-  emission stream into fixed-width windows on the simulated clock
+  event loop's resolved requests and ended occupancies (plus memory and
+  fault instants) into fixed-width windows on the simulated clock
   (rates, goodput, queue depth, utilization, KV traffic, exact
   per-window latency percentiles) with CSV and gauge-view exports;
 * :mod:`repro.obs.alerts` — declarative threshold / sustained /

@@ -69,7 +69,7 @@ class Recorder:
     def finalize_run(self, makespan_s: float):
         """Called by the event loops once, after the last event.
 
-        Recorders that accumulate time-resolved state (the
+        Observers that accumulate time-resolved state (the
         :class:`~repro.obs.timeline.TimelineCollector`) close their
         windows here and may return a payload the loop surfaces on its
         report (an :class:`~repro.obs.alerts.AlertLog`).  The base
@@ -91,7 +91,11 @@ class TeeRecorder(Recorder):
     Compose a :class:`SpanRecorder` (raw spans, Perfetto export,
     critical-path input) with a
     :class:`~repro.obs.timeline.TimelineCollector` (windowed series,
-    alerts) on one ``recorder=`` seam.  Disabled children are dropped at
+    alerts) on one ``recorder=`` seam.  The event loops split a tee once
+    per run (:func:`repro.obs.timeline.split_observers`): its span
+    recorders receive every span and instant, its timelines the loops'
+    folds, and the tee itself the memory model's and the fault engine's
+    instants, which reach every child.  Disabled children are dropped at
     construction; a tee with no enabled children reports ``enabled``
     False and costs the loops nothing.  :meth:`finalize_run` forwards to
     every child and returns the first non-None payload (child order).
@@ -288,7 +292,8 @@ def record_request_phases(
     run) contributes only the phases it actually entered, mirroring how
     the trace CSV leaves its cells blank.  Records that expose their
     payload (``record.request``) also stamp ``gen_tokens`` into the span
-    args, which lets the timeline derive per-token decode latencies.
+    args, so a trace viewer can read per-token decode latencies off the
+    DECODE span.
     """
     args = {"request_id": record.request_id}
     source = getattr(record, "request", None)

@@ -1,34 +1,41 @@
-"""Time-resolved telemetry: recorder emissions folded into fixed windows.
+"""Time-resolved telemetry: the event loop's folds, in fixed windows.
 
-A :class:`TimelineCollector` is a :class:`~repro.obs.recorder.Recorder`
-that answers *what was true at time t* instead of *what happened over
-the whole run*.  It consumes the exact emission vocabulary the event
-loops, schedulers and memory models already produce — request
-QUEUE/PREFILL/DECODE phase spans on the ``"requests"`` track, occupancy
-spans on device tracks, spill/refill/dram instants on memory tracks —
-and folds them into fixed-width windows on the **simulated** clock:
+A :class:`TimelineCollector` answers *what was true at time t* instead
+of *what happened over the whole run*.  The event loops feed it at the
+two points where their reports fold: each request as it resolves
+(:meth:`~TimelineCollector.resolved`, with the
+:func:`~repro.serving.metrics.metric_sample` the report's fold read),
+and each device occupancy as it ends (:meth:`~TimelineCollector.span`,
+with the KV DRAM level its scheduler stamped on it).  Only what the
+memory model and the fault engine alone know reaches it as an instant
+(:meth:`~TimelineCollector.instant`): spill/refill bytes and fault
+events.  Everything folds into fixed-width windows on the **simulated**
+clock:
 
 * arrival and completion counts (and rates) per window,
 * goodput (SLO-meeting completions per second) when an
   :class:`~repro.serving.metrics.SLOSpec` is attached,
 * time-weighted mean and max queueing depth, from an exact sweep over
-  the QUEUE-span endpoints,
-* device-busy seconds and utilization (occupancy spans distributed
-  across the windows they overlap),
-* KV spill/refill bytes and the DRAM occupancy peak (from the
-  ``"dram"`` instants; each memory track's level carries forward across
-  the windows where it emits none),
+  the served requests' waits from arrival to prefill start,
+* device-busy seconds and utilization (occupancies distributed across
+  the windows they overlap),
+* KV spill/refill bytes and the DRAM occupancy peak (each replica's
+  level carries forward across the windows where it stamps none),
 * exact per-window TTFT/TPOT/e2e reservoirs, reduced to p50/p95/p99,
 * fault-engine lifecycle counts (total fault events plus shed / retried /
   timed-out / failed requests, from the ``"faults"``-track instants the
   :mod:`repro.faults` engine emits; blank columns on fault-free runs).
 
-Everything is derived from the deterministic event stream, so the rows,
-the CSV (:meth:`TimelineCollector.to_csv`) and the per-window gauge view
-(:meth:`TimelineCollector.to_registry` — the PR-8 Prometheus path,
-unchanged) are seed-stable byte for byte.  And like every recorder,
-attaching a collector never changes what the simulation computes: it
-only reads the floats the loops already produced.
+A timeline rides the loops' ``recorder=`` seam, alone or in a
+:class:`~repro.obs.recorder.TeeRecorder` beside span recorders; the
+loops split the seam once per run (:func:`split_observers`), so a run
+observed by a timeline alone builds no span and no scheduler or router
+instant.  Everything is derived from the deterministic event stream, so
+the rows, the CSV (:meth:`TimelineCollector.to_csv`) and the per-window
+gauge view (:meth:`TimelineCollector.to_registry` — the PR-8 Prometheus
+path, unchanged) are seed-stable byte for byte.  And like every
+observer, attaching a collector never changes what the simulation
+computes: it only reads the floats the loops already produced.
 
 Alert rules (see :mod:`repro.obs.alerts`) attached at construction are
 evaluated window-by-window when the run finalizes, yielding the
@@ -40,12 +47,15 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.alerts import AlertLog, evaluate_alerts
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.obs.recorder import DECODE, QUEUE, Recorder
+from repro.obs.recorder import Recorder, TeeRecorder
 from repro.serving.metrics import percentile_of_sorted
+
+_FINALIZED = "this TimelineCollector is finalized; use a fresh one"
 
 #: Column order of :meth:`TimelineCollector.to_csv`; one row per window.
 #: Cells without a defined value (no SLO attached, no memory model, an
@@ -83,12 +93,6 @@ TIMELINE_CSV_FIELDS = [
     "failed",
 ]
 
-#: The track :func:`repro.obs.recorder.record_request_phases` is called
-#: with by the event loop; spans here are request phases, spans on any
-#: other track are device occupancies.
-_PHASE_TRACK = "requests"
-
-
 class _Window:
     """One window's accumulators while the run is still emitting."""
 
@@ -122,9 +126,8 @@ class _Window:
         self.spill_bytes = 0
         self.refill_bytes = 0
         self.dram_peak: Optional[int] = None
-        #: Memory track -> (time, level) of its latest ``dram`` instant in
-        #: the window.
-        self.dram_last: Dict[str, Tuple[float, int]] = {}
+        #: Device -> (time, level) of its latest DRAM stamp in the window.
+        self.dram_last: Dict[object, Tuple[float, int]] = {}
         self.fault_events = 0
         self.shed = 0
         self.retries = 0
@@ -132,24 +135,26 @@ class _Window:
         self.failed = 0
 
 
-class TimelineCollector(Recorder):
-    """Folds recorder emissions into ``window_s``-wide metric windows.
+class TimelineCollector:
+    """Folds one run into ``window_s``-wide metric windows.
 
     Pass one to ``simulate(..., recorder=...)`` / ``simulate_fleet`` on
-    its own, or alongside a ``SpanRecorder`` via
+    its own, or beside a ``SpanRecorder`` in a
     :class:`~repro.obs.recorder.TeeRecorder` when the raw spans are
-    wanted too.  The loops call :meth:`finalize_run` with the makespan
-    once the last event lands; after that (or after an explicit
-    :meth:`finalize`) the windows are frozen and :meth:`to_rows`,
-    :meth:`to_csv` and :meth:`to_registry` answer from them.
+    wanted too: the loops split the seam once (:func:`split_observers`)
+    and feed the timeline their folds, never a span.  They call
+    :meth:`finalize_run` with the makespan once the last event lands;
+    after that (or after an explicit :meth:`finalize`) the windows are
+    frozen and :meth:`to_rows`, :meth:`to_csv` and :meth:`to_registry`
+    answer from them.
 
     ``slo`` enables the goodput/``slo_met`` columns (judged per
     completion from its TTFT/TPOT/e2e, the same thresholds
     ``SLOSpec.met_by`` applies).  ``rules`` is a sequence of
     :class:`~repro.obs.alerts.AlertRule` evaluated at finalize.
     ``num_devices`` overrides the utilization denominator (it defaults
-    to the number of distinct occupancy tracks seen, so a fleet device
-    that never worked would otherwise not be counted).
+    to the number of distinct devices whose occupancies it folded, so a
+    fleet device that never worked would otherwise not be counted).
     """
 
     enabled = True
@@ -170,102 +175,117 @@ class TimelineCollector(Recorder):
         #: The deterministic fire/resolve log, set by :meth:`finalize`
         #: when rules are attached (None before, and with no rules).
         self.alert_log: Optional[AlertLog] = None
-        self._windows: Dict[int, _Window] = {}
-        self._pending: Dict[object, float] = {}  # request_id -> arrival_s
+        #: Window index -> its accumulators, made on first touch.
+        self._windows: Dict[int, _Window] = defaultdict(_Window)
         self._queue_events: List[Tuple[float, int]] = []
-        self._device_tracks: Dict[str, None] = {}
+        self._devices: Dict[object, None] = {}
         self._saw_memory = False
         self._saw_faults = False
         self._t_max = 0.0
         self._rows: Optional[List[dict]] = None
 
-    # -- folding (the Recorder protocol) -------------------------------------
-    def _window(self, ts_s: float) -> _Window:
-        index = int(ts_s / self.window_s)
-        window = self._windows.get(index)
-        if window is None:
-            window = self._windows[index] = _Window()
-        return window
+    # -- folding --------------------------------------------------------------
+    def resolved(self, record, sample) -> None:
+        """Fold one request the loop just resolved; ``sample`` is the
+        :func:`~repro.serving.metrics.metric_sample` its report fold read.
+
+        Only a request with a finish stamp (served, timed out, or won by
+        a hedge) counts: its arrival in the window it arrived in, its wait
+        from arrival to prefill start in the queue-depth sweep, and its
+        completion, latencies and SLO verdict in the window it finished in.
+        """
+        if self._rows is not None:
+            raise ValueError(_FINALIZED)
+        finish = record.finish_s
+        if finish is None:
+            return
+        if finish > self._t_max:
+            self._t_max = finish
+        arrival = record.source.arrival_s
+        width = self.window_s
+        windows = self._windows
+        windows[int(arrival / width)].arrivals += 1
+        queue = self._queue_events
+        queue.append((arrival, 1))
+        queue.append((record.prefill_start_s, -1))
+        _, ttft, tpot, e2e, _, _ = sample
+        window = windows[int(finish / width)]
+        window.completions += 1
+        window.ttfts.append(ttft)
+        window.tpots.append(tpot)
+        window.e2es.append(e2e)
+        slo = self.slo
+        if slo is not None and not (
+            (slo.ttft_s is not None and ttft > slo.ttft_s)
+            or (slo.tpot_s is not None and tpot > slo.tpot_s)
+            or (slo.e2e_s is not None and e2e > slo.e2e_s)
+        ):
+            window.slo_met += 1
 
     def span(
         self,
-        track: str,
-        name: str,
+        device,
         start_s: float,
         end_s: float,
-        args: Optional[dict] = None,
+        dram_bytes: Optional[int] = None,
     ) -> None:
+        """Fold one occupancy of ``device`` the loop just ended.
+
+        Its seconds are distributed over the windows it overlaps, and
+        ``dram_bytes`` (the KV DRAM level its scheduler stamped on it as
+        of ``start_s``; None without a memory model) becomes the device's
+        level in the window it started in: the latest stamp wins, and a
+        tie goes to the occupancy handed over last.
+        """
         if self._rows is not None:
-            raise ValueError("this TimelineCollector is finalized; use a fresh one")
+            raise ValueError(_FINALIZED)
         if end_s > self._t_max:
             self._t_max = end_s
-        if track == _PHASE_TRACK:
-            if name == QUEUE:
-                # Arrivals are windowed by when the request *arrived*;
-                # the span endpoints drive the exact queue-depth sweep.
-                self._window(start_s).arrivals += 1
-                if args is not None:
-                    self._pending[args.get("request_id")] = start_s
-                self._queue_events.append((start_s, 1))
-                self._queue_events.append((end_s, -1))
-            elif name == DECODE:
-                window = self._window(end_s)
-                window.completions += 1
-                arrival = None
-                gen_tokens = None
-                if args is not None:
-                    arrival = self._pending.pop(args.get("request_id"), None)
-                    gen_tokens = args.get("gen_tokens")
-                ttft = tpot = e2e = None
-                if arrival is not None:
-                    ttft = start_s - arrival
-                    e2e = end_s - arrival
-                    window.ttfts.append(ttft)
-                    window.e2es.append(e2e)
-                if gen_tokens:
-                    tpot = (end_s - start_s) / gen_tokens
-                    window.tpots.append(tpot)
-                slo = self.slo
-                if slo is not None and e2e is not None:
-                    met = not (
-                        (slo.ttft_s is not None and ttft > slo.ttft_s)
-                        or (
-                            slo.tpot_s is not None
-                            and tpot is not None
-                            and tpot > slo.tpot_s
-                        )
-                        or (slo.e2e_s is not None and e2e > slo.e2e_s)
-                    )
-                    if met:
-                        window.slo_met += 1
-            # PREFILL phase spans carry no window metric of their own
-            # (critical-path attribution reads them from a SpanRecorder).
-            return
-        # Any other span is a device occupancy: distribute its duration
-        # over the windows it overlaps and count the track as a device.
-        self._device_tracks.setdefault(track, None)
-        if end_s <= start_s:
-            return
+        self._devices[device] = None
         width = self.window_s
-        for index in range(int(start_s / width), int(end_s / width) + 1):
-            low = index * width
-            overlap = min(end_s, low + width) - max(start_s, low)
-            if overlap > 0:
-                self._window(low).busy_s += overlap
+        windows = self._windows
+        first = int(start_s / width)
+        window = windows[first]
+        if end_s > start_s:
+            low = first * width
+            if int(end_s / width) == first and int(low / width) == first:
+                # Inside one window, as most occupancies are: the loop
+                # below, run once.
+                high = low + width
+                overlap = (end_s if end_s <= high else high) - (
+                    start_s if start_s >= low else low
+                )
+                if overlap > 0:
+                    window.busy_s += overlap
+            else:
+                for index in range(first, int(end_s / width) + 1):
+                    low = index * width
+                    overlap = min(end_s, low + width) - max(start_s, low)
+                    if overlap > 0:
+                        windows[int(low / width)].busy_s += overlap
+        if dram_bytes is not None:
+            self._saw_memory = True
+            if window.dram_peak is None or dram_bytes > window.dram_peak:
+                window.dram_peak = dram_bytes
+            last = window.dram_last.get(device)
+            if last is None or start_s >= last[0]:
+                window.dram_last[device] = (start_s, dram_bytes)
 
     def instant(
         self, track: str, name: str, ts_s: float, args: Optional[dict] = None
     ) -> None:
+        """Fold what only the memory model and the fault engine know: the
+        bytes of a ``spill``/``refill`` instant, and every instant on the
+        fault engine's ``"faults"`` track.  Other instants are ignored."""
         if self._rows is not None:
-            raise ValueError("this TimelineCollector is finalized; use a fresh one")
+            raise ValueError(_FINALIZED)
         if ts_s > self._t_max:
             self._t_max = ts_s
         if track == "faults":
-            # The fault engine's lifecycle instants: every one counts
-            # toward fault_events, outcome-bearing names also increment
-            # their dedicated column.
+            # Every fault-engine instant counts toward fault_events;
+            # outcome-bearing names also increment their own column.
             self._saw_faults = True
-            window = self._window(ts_s)
+            window = self._windows[int(ts_s / self.window_s)]
             window.fault_events += 1
             if name == "shed":
                 window.shed += 1
@@ -280,21 +300,12 @@ class TimelineCollector(Recorder):
             return
         if name == "spill":
             self._saw_memory = True
-            self._window(ts_s).spill_bytes += args.get("bytes", 0)
+            self._windows[int(ts_s / self.window_s)].spill_bytes += args.get("bytes", 0)
         elif name == "refill":
             self._saw_memory = True
-            self._window(ts_s).refill_bytes += args.get("bytes", 0)
-        elif name == "dram":
-            self._saw_memory = True
-            window = self._window(ts_s)
-            used = args.get("used_bytes", 0)
-            if window.dram_peak is None or used > window.dram_peak:
-                window.dram_peak = used
-            # A decode run's instant arrives once the run ends, after
-            # instants stamped later: keep each track's latest level.
-            last = window.dram_last.get(track)
-            if last is None or ts_s >= last[0]:
-                window.dram_last[track] = (ts_s, used)
+            self._windows[int(ts_s / self.window_s)].refill_bytes += args.get(
+                "bytes", 0
+            )
 
     # -- finalization ---------------------------------------------------------
     def finalize_run(self, makespan_s: float) -> Optional[AlertLog]:
@@ -319,11 +330,11 @@ class TimelineCollector(Recorder):
         areas, maxes = self._sweep_queue_depth(count, makespan_s)
         devices = self.num_devices
         if devices is None:
-            devices = len(self._device_tracks) or 1
+            devices = len(self._devices) or 1
         slo = self.slo
         rows: List[dict] = []
-        #: Memory track -> the level it carries into the next window.
-        dram_levels: Dict[str, int] = {}
+        #: Device -> the DRAM level it carries into the next window.
+        dram_levels: Dict[object, int] = {}
         for index in range(count):
             window = self._windows.get(index)
             start = index * width
@@ -362,8 +373,8 @@ class TimelineCollector(Recorder):
                         if peak is None
                         else max(peak, window.dram_peak)
                     )
-                    for track, (_, used) in window.dram_last.items():
-                        dram_levels[track] = used
+                    for device, (_, used) in window.dram_last.items():
+                        dram_levels[device] = used
                 row["kv_spill_bytes"] = (
                     window.spill_bytes if window is not None else 0
                 )
@@ -402,9 +413,10 @@ class TimelineCollector(Recorder):
     ) -> Tuple[List[float], List[int]]:
         """Exact per-window time-weighted area and max of the queue depth.
 
-        One chronological sweep over the QUEUE-span endpoints; at equal
-        timestamps the ``-1`` deltas sort first, so a request leaving the
-        queue exactly as another joins never inflates the max.
+        One chronological sweep over the served requests' queue
+        intervals (arrival to prefill start); at equal timestamps the
+        ``-1`` deltas sort first, so a request leaving the queue exactly as
+        another joins never inflates the max.
         """
         width = self.window_s
         areas = [0.0] * count
@@ -414,24 +426,27 @@ class TimelineCollector(Recorder):
         prev = 0.0
 
         def spread(until: float) -> None:
-            nonlocal prev
-            if until > prev and depth > 0:
-                for index in range(int(prev / width), min(int(until / width), last) + 1):
-                    low = index * width
-                    overlap = min(until, low + width) - max(prev, low)
-                    if overlap > 0:
-                        areas[index] += depth * overlap
-                        if depth > maxes[index]:
-                            maxes[index] = depth
-            prev = until if until > prev else prev
+            """Book ``depth`` requests queued over ``[prev, until)``."""
+            for index in range(int(prev / width), min(int(until / width), last) + 1):
+                low = index * width
+                overlap = min(until, low + width) - max(prev, low)
+                if overlap > 0:
+                    areas[index] += depth * overlap
+                    if depth > maxes[index]:
+                        maxes[index] = depth
 
         for ts, delta in sorted(self._queue_events):
-            spread(ts)
+            if ts > prev:
+                if depth > 0:
+                    spread(ts)
+                prev = ts
             depth += delta
-            index = min(int(ts / width), last)
+            index = int(ts / width)
+            if index > last:
+                index = last
             if depth > maxes[index]:
                 maxes[index] = depth
-        if makespan_s > prev:
+        if makespan_s > prev and depth > 0:
             spread(makespan_s)
         return areas, maxes
 
@@ -480,3 +495,37 @@ class TimelineCollector(Recorder):
     def snapshot(self) -> MetricsSnapshot:
         """:meth:`to_registry` frozen into a :class:`MetricsSnapshot`."""
         return self.to_registry().snapshot()
+
+
+def split_observers(
+    recorder,
+) -> Tuple[Optional[Recorder], Tuple[TimelineCollector, ...]]:
+    """``(spans, timelines)``: one ``recorder=`` argument split the way
+    the event loops feed it.
+
+    ``spans`` receives every span and every scheduler, router and loop
+    instant: the recorder itself, a tee's other children (a tee of them
+    when there are several), or None when only timelines observe the run.
+    Each timeline receives the loops' folds.  The whole recorder still
+    receives the memory model's and the fault engine's instants, and
+    ``finalize_run``.  A disabled recorder (None, a ``NullRecorder``)
+    splits into ``(None, ())``.
+    """
+    if recorder is None or not recorder.enabled:
+        return None, ()
+    if isinstance(recorder, TimelineCollector):
+        return None, (recorder,)
+    if not isinstance(recorder, TeeRecorder):
+        return recorder, ()
+    spans: List[Recorder] = []
+    timelines: List[TimelineCollector] = []
+    for child in recorder.recorders:
+        child_spans, child_timelines = split_observers(child)
+        if child_spans is not None:
+            spans.append(child_spans)
+        timelines += child_timelines
+    if not timelines:
+        return recorder, ()
+    if len(spans) > 1:
+        return TeeRecorder(*spans), tuple(timelines)
+    return (spans[0] if spans else None), tuple(timelines)

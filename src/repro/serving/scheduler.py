@@ -145,9 +145,13 @@ class Occupancy:
     #: recorder-attached run, emitted by the loop with the run's span
     #: once the run ends.
     note: Optional[dict] = None
-    #: The memory model's ``dram`` instant for a memory-model decode run,
-    #: emitted by the loop between the note and the span.
-    dram: Optional[dict] = None
+    #: The KV DRAM level (used bytes) as of the start, stamped by a
+    #: memory-model scheduler on every occupancy: after the admission
+    #: for a prefill, as booked (after any cut) for a decode run, after
+    #: the refill for a refill.  The loop hands it to a timeline once the
+    #: occupancy ends, and emits a decode run's as the memory model's
+    #: ``dram`` instant, between the note and the span.
+    dram: Optional[int] = None
 
     def end_time(self, now: float) -> float:
         """When this occupancy finishes, starting at ``now``."""
@@ -527,11 +531,11 @@ class ContinuousBatchScheduler(Scheduler):
             self._shed_expired(now)
         memory = self.memory
         rec = self.recorder
-        if rec is not None and memory is not None:
+        if memory is not None and memory.recorder is not None:
             # The memory model's own spill/refill/GC instants need the
             # simulated clock; it has no other view of it, so the planner
-            # syncs it once per planning call (recorder-attached runs only
-            # — the model's ledgers never read it).
+            # syncs it once per planning call (observed runs only — the
+            # model's ledgers never read it).
             memory.now_s = now
         # Admission first: fill free batch slots with waiting prefills so
         # new requests reach their first token as early as possible.
@@ -657,9 +661,11 @@ class ContinuousBatchScheduler(Scheduler):
             self._open = [occupancy, step, planned]
         if books:
             self._growth = _KVGrowth(occupancy, planned, growth, step, now, free)
+            occupancy.dram = memory.pool.capacity_bytes - self._growth.end_free
         elif spilling:
             for entry in finished:
                 self._release(entry)
+            occupancy.dram = memory.pool.used_bytes
         if rec is not None:
             if spilling:
                 reason = "spill"
@@ -674,14 +680,6 @@ class ContinuousBatchScheduler(Scheduler):
                 "batch": batch,
                 "completed": len(finished),
             }
-            if memory is not None:
-                # The DRAM level once the run is booked: the timeline's
-                # KV-occupancy series.
-                pool = memory.pool
-                used = pool.used_bytes
-                if books:
-                    used = pool.capacity_bytes - self._growth.end_free
-                occupancy.dram = {"used_bytes": used}
         return occupancy
 
     def cut(self, now: float) -> Optional[Occupancy]:
@@ -730,15 +728,12 @@ class ContinuousBatchScheduler(Scheduler):
         growth = self._growth
         if growth is not None:
             growth.cut(steps)
+            occupancy.dram = self.memory.pool.capacity_bytes - growth.end_free
         note = occupancy.note
         if note is not None:
             note["steps"] = steps
             note["reason"] = "horizon"
             note["completed"] = 0
-            if growth is not None:
-                occupancy.dram["used_bytes"] = (
-                    self.memory.pool.capacity_bytes - growth.end_free
-                )
         return occupancy
 
     def free_dram_bytes(self, now: float) -> int:
@@ -856,6 +851,9 @@ class ContinuousBatchScheduler(Scheduler):
             payloads[id(request)] = [request, 1]
         else:
             counted[1] += 1
+        occupancy = Occupancy(PREFILL, seconds)
+        if memory is not None:
+            occupancy.dram = memory.pool.used_bytes
         if rec is not None:
             args = {"request_id": record.request_id, "verdict": "slot"}
             if memory is not None:
@@ -866,9 +864,9 @@ class ContinuousBatchScheduler(Scheduler):
             rec.instant(self.track, "admit", now, args)
             if memory is not None:
                 rec.instant(
-                    memory.track, "dram", now, {"used_bytes": memory.pool.used_bytes}
+                    memory.track, "dram", now, {"used_bytes": occupancy.dram}
                 )
-        return Occupancy(PREFILL, seconds)
+        return occupancy
 
     # -- the memory-model path ------------------------------------------------
     def _plan_refill(self) -> Optional[Occupancy]:
@@ -892,15 +890,12 @@ class ContinuousBatchScheduler(Scheduler):
         if not moved:
             return None
         memory.pool.admit(moved)
-        occupancy = Occupancy(REFILL, memory.refill(moved))
+        occupancy = Occupancy(REFILL, memory.refill(moved), dram=memory.pool.used_bytes)
         rec = self.recorder
         if rec is not None:
             # memory.now_s was synced by the planning call that got here.
             rec.instant(
-                memory.track,
-                "dram",
-                memory.now_s,
-                {"used_bytes": memory.pool.used_bytes},
+                memory.track, "dram", memory.now_s, {"used_bytes": occupancy.dram}
             )
         return occupancy
 

@@ -379,10 +379,13 @@ def simulate(
     Observability: ``recorder`` (a :class:`repro.obs.Recorder`) receives
     sim-time spans and instants — one span per device occupancy, one
     QUEUE/PREFILL/DECODE span set per finished request, plus the
-    scheduler's and memory model's decision instants.  Every emission is
-    a read-only observation, so attaching a recorder never changes the
-    trace, the report, or the makespan; a disabled recorder (None or
-    ``NullRecorder``) costs nothing per event.
+    scheduler's and memory model's decision instants.  A
+    :class:`repro.obs.TimelineCollector`, alone or in a ``TeeRecorder``,
+    is fed the loop's folds instead: each request as it resolves and each
+    occupancy as it ends, plus the memory and fault instants.  Every
+    emission is a read-only observation, so attaching a recorder never
+    changes the trace, the report, or the makespan; a disabled recorder
+    (None or ``NullRecorder``) costs nothing per event.
 
     Resilience: ``faults`` (a :class:`repro.faults.FaultSpec`), ``retry``
     (a :class:`repro.faults.RetryPolicy`) and ``deadline_s`` (per-request

@@ -1,9 +1,10 @@
 """TimelineCollector: windowed folding, exports, and the run-level invariants.
 
-Unit tests feed synthetic emissions straight into a collector and pin the
-hand-computed window values; the integration half attaches collectors to
-real serve/fleet runs and pins the ISSUE acceptance criteria — byte-identical
-traces, completion conservation, seed-stable CSVs, and the deterministic
+Unit tests feed synthetic requests, occupancies and instants straight into
+a collector, the way the event loops fold them, and pin the hand-computed
+window values; the integration half attaches collectors to real
+serve/fleet runs and pins the acceptance criteria — byte-identical traces,
+completion conservation, seed-stable CSVs, and the deterministic
 burn-rate AlertLog on the diurnal fleet run.
 """
 
@@ -19,24 +20,41 @@ from repro.obs import (
     AlertLog,
     BurnRateRule,
     MetricsSnapshot,
+    NullRecorder,
     SpanRecorder,
     TeeRecorder,
     ThresholdRule,
     TimelineCollector,
 )
-from repro.obs.recorder import DECODE, PREFILL, QUEUE
+from repro.obs.recorder import DECODE
+from repro.obs.timeline import split_observers
 from repro.serving import (
     ContinuousBatchScheduler,
     PoissonWorkload,
+    RequestRecord,
+    ServingRequest,
     SLOSpec,
     load_bundled_trace,
     simulate,
 )
+from repro.serving.metrics import metric_sample
 from repro.units import MiB
 
 PAYLOAD = InferenceRequest(model="opt-6.7b", seq_len=500, gen_tokens=24)
 SLO = SLOSpec(ttft_s=10.0, e2e_s=60.0)
 TIGHT_SPEC = MemorySpec(dram_bytes=384 * MiB)
+
+
+def _record(request_id, arrival_s, decode_start_s, finish_s, gen_tokens=4):
+    """A served record whose prefill starts and first token lands at
+    ``decode_start_s``."""
+    payload = PAYLOAD.with_overrides(gen_tokens=gen_tokens)
+    return RequestRecord(
+        ServingRequest(arrival_s, request_id, payload),
+        prefill_start_s=decode_start_s,
+        first_token_s=decode_start_s,
+        finish_s=finish_s,
+    )
 
 
 def _request(
@@ -47,10 +65,10 @@ def _request(
     finish_s,
     gen_tokens=4,
 ):
-    """Emit one request's QUEUE + DECODE spans the way the loops do."""
-    args = {"request_id": request_id, "gen_tokens": gen_tokens}
-    collector.span("requests", QUEUE, arrival_s, decode_start_s, args)
-    collector.span("requests", DECODE, decode_start_s, finish_s, args)
+    """Hand the collector one resolved request the way the loops do: its
+    record and the metric sample the report's fold read."""
+    record = _record(request_id, arrival_s, decode_start_s, finish_s, gen_tokens)
+    collector.resolved(record, metric_sample(record, collector.slo))
 
 
 # -- windowing ---------------------------------------------------------------
@@ -85,14 +103,16 @@ def test_finalized_collector_rejects_further_emissions():
     first = collector.finalize(makespan_s=10.0)
     assert collector.finalize() is first  # idempotent
     with pytest.raises(ValueError):
-        collector.span("requests", QUEUE, 0.0, 1.0, {"request_id": 1})
+        _request(collector, 1, 0.0, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        collector.span(0, 0.0, 1.0)
     with pytest.raises(ValueError):
         collector.instant("memory", "spill", 0.0, {"bytes": 1})
 
 
 # -- latency reservoirs ------------------------------------------------------
 
-def test_latencies_derive_from_the_request_spans():
+def test_latencies_come_from_the_metric_sample():
     collector = TimelineCollector(window_s=10.0)
     _request(collector, 1, arrival_s=0.0, decode_start_s=2.0, finish_s=6.0,
              gen_tokens=4)
@@ -147,8 +167,8 @@ def test_without_an_slo_the_goodput_columns_stay_blank():
 def test_queue_depth_mean_and_max_are_exact():
     collector = TimelineCollector(window_s=10.0)
     # Two overlapping waits: depth 1 on [0,2), 2 on [2,4), 1 on [4,6).
-    collector.span("requests", QUEUE, 0.0, 4.0, {"request_id": 1})
-    collector.span("requests", QUEUE, 2.0, 6.0, {"request_id": 2})
+    _request(collector, 1, 0.0, 4.0, 4.0)
+    _request(collector, 2, 2.0, 6.0, 6.0)
     row = collector.finalize(makespan_s=10.0)[0]
     assert row["queue_depth_max"] == 2
     assert row["queue_depth_mean"] == pytest.approx(0.8)  # 8 depth-seconds / 10
@@ -156,8 +176,8 @@ def test_queue_depth_mean_and_max_are_exact():
 
 def test_handoff_at_equal_timestamps_never_inflates_the_max():
     collector = TimelineCollector(window_s=10.0)
-    collector.span("requests", QUEUE, 0.0, 5.0, {"request_id": 1})
-    collector.span("requests", QUEUE, 5.0, 10.0, {"request_id": 2})
+    _request(collector, 1, 0.0, 5.0, 5.0)
+    _request(collector, 2, 5.0, 10.0, 10.0)
     row = collector.finalize(makespan_s=10.0)[0]
     assert row["queue_depth_max"] == 1
     assert row["queue_depth_mean"] == pytest.approx(1.0)
@@ -165,7 +185,7 @@ def test_handoff_at_equal_timestamps_never_inflates_the_max():
 
 def test_queue_depth_spreads_across_windows():
     collector = TimelineCollector(window_s=10.0)
-    collector.span("requests", QUEUE, 5.0, 25.0, {"request_id": 1})
+    _request(collector, 1, 5.0, 25.0, 25.0)
     rows = collector.finalize(makespan_s=29.0)
     assert [row["queue_depth_mean"] for row in rows] == pytest.approx(
         [0.5, 1.0, 0.5]
@@ -177,17 +197,17 @@ def test_queue_depth_spreads_across_windows():
 
 def test_occupancy_spans_distribute_busy_time_over_windows():
     collector = TimelineCollector(window_s=10.0)
-    collector.span("device", "decode", 5.0, 25.0, {"steps": 10})
+    collector.span(0, 5.0, 25.0)
     rows = collector.finalize(makespan_s=29.0)
     assert [row["busy_s"] for row in rows] == pytest.approx([5.0, 10.0, 5.0])
-    # One device track seen -> the middle window is fully utilized.
+    # One device seen -> the middle window is fully utilized.
     assert rows[1]["utilization"] == pytest.approx(1.0)
 
 
-def test_utilization_counts_distinct_device_tracks():
+def test_utilization_counts_distinct_devices():
     collector = TimelineCollector(window_s=10.0)
-    collector.span("device0", "decode", 0.0, 10.0, {})
-    collector.span("device1", "decode", 0.0, 5.0, {})
+    collector.span(0, 0.0, 10.0)
+    collector.span(1, 0.0, 5.0)
     row = collector.finalize(makespan_s=10.0)[0]
     assert row["busy_s"] == pytest.approx(15.0)
     assert row["utilization"] == pytest.approx(0.75)  # 15 / (10 * 2 devices)
@@ -195,21 +215,21 @@ def test_utilization_counts_distinct_device_tracks():
 
 def test_num_devices_overrides_the_denominator():
     collector = TimelineCollector(window_s=10.0, num_devices=4)
-    collector.span("device0", "decode", 0.0, 10.0, {})
+    collector.span(0, 0.0, 10.0)
     row = collector.finalize(makespan_s=10.0)[0]
     assert row["utilization"] == pytest.approx(0.25)
 
 
 # -- memory columns ----------------------------------------------------------
 
-def test_memory_instants_fold_and_the_dram_level_carries_forward():
+def test_memory_bytes_fold_and_the_dram_level_carries_forward():
     collector = TimelineCollector(window_s=10.0)
     collector.instant("memory", "spill", 1.0, {"bytes": 100, "seconds": 0.1})
     collector.instant("memory", "refill", 2.0, {"bytes": 40, "seconds": 0.1})
-    collector.instant("memory", "dram", 3.0, {"used_bytes": 10})
-    collector.instant("memory", "dram", 4.0, {"used_bytes": 30})
-    collector.instant("memory", "dram", 5.0, {"used_bytes": 20})
-    collector.instant("memory", "dram", 25.0, {"used_bytes": 25})
+    collector.span(0, 3.0, 4.0, dram_bytes=10)
+    collector.span(0, 4.0, 5.0, dram_bytes=30)
+    collector.span(0, 5.0, 6.0, dram_bytes=20)
+    collector.span(0, 25.0, 26.0, dram_bytes=25)
     rows = collector.finalize(makespan_s=40.0)
     assert rows[0]["kv_spill_bytes"] == 100
     assert rows[0]["kv_refill_bytes"] == 40
@@ -220,12 +240,12 @@ def test_memory_instants_fold_and_the_dram_level_carries_forward():
     assert rows[3]["kv_dram_peak_bytes"] == 25
 
 
-def test_the_carried_dram_level_is_the_latest_instants_not_the_last_emitted():
-    """A decode run's dram instant is emitted once the run ends, after
-    instants stamped later in the same window."""
+def test_the_carried_dram_level_is_the_latest_stamp_not_the_last_handed_over():
+    """Each device's level is the one stamped latest in the window,
+    whatever order its occupancies are handed over in."""
     collector = TimelineCollector(window_s=10.0)
-    collector.instant("memory0", "dram", 6.0, {"used_bytes": 20})
-    collector.instant("memory0", "dram", 3.0, {"used_bytes": 30})
+    collector.span(0, 6.0, 7.0, dram_bytes=20)
+    collector.span(0, 3.0, 4.0, dram_bytes=30)
     rows = collector.finalize(makespan_s=20.0)
     assert rows[0]["kv_dram_peak_bytes"] == 30
     assert rows[1]["kv_dram_peak_bytes"] == 20
@@ -233,11 +253,11 @@ def test_the_carried_dram_level_is_the_latest_instants_not_the_last_emitted():
 
 def test_each_replica_carries_its_own_dram_level():
     """A window's peak is the highest level any replica holds in it: the
-    levels every memory track carries in, and the window's own instants."""
+    levels every device carries in, and the window's own stamps."""
     collector = TimelineCollector(window_s=10.0)
-    collector.instant("memory0", "dram", 6.0, {"used_bytes": 20})
-    collector.instant("memory1", "dram", 3.0, {"used_bytes": 30})
-    collector.instant("memory1", "dram", 25.0, {"used_bytes": 5})
+    collector.span(0, 6.0, 7.0, dram_bytes=20)
+    collector.span(1, 3.0, 4.0, dram_bytes=30)
+    collector.span(1, 25.0, 26.0, dram_bytes=5)
     rows = collector.finalize(makespan_s=39.0)
     assert [row["kv_dram_peak_bytes"] for row in rows] == [30, 30, 30, 20]
 
@@ -330,6 +350,56 @@ def test_timeline_composes_with_a_span_recorder_through_a_tee():
     assert sum(row["completions"] for row in rows) == base.num_completed
 
 
+def test_the_loops_split_a_recorder_into_span_recorders_and_timelines():
+    first, second = SpanRecorder(), SpanRecorder()
+    timeline = TimelineCollector(window_s=10.0)
+    assert split_observers(None) == (None, ())
+    assert split_observers(NullRecorder()) == (None, ())
+    assert split_observers(first) == (first, ())
+    assert split_observers(timeline) == (None, (timeline,))
+    tee = TeeRecorder(first, second)
+    assert split_observers(tee) == (tee, ())
+    assert split_observers(TeeRecorder(first, timeline)) == (first, (timeline,))
+    spans, timelines = split_observers(
+        TeeRecorder(first, TeeRecorder(timeline, second))
+    )
+    assert isinstance(spans, TeeRecorder) and spans.recorders == (first, second)
+    assert timelines == (timeline,)
+
+
+def test_a_timeline_alone_is_fed_folds_not_spans_or_decision_instants():
+    """Schedulers and routers of a run a timeline alone observes hold no
+    recorder; the memory models still hand it their spill bytes."""
+    arrivals = PoissonWorkload(3.0, PAYLOAD, seed=11).generate(60)
+    fleet = build_fleet(
+        [ToyBackend()] * 2,
+        scheduler_factory=lambda: ContinuousBatchScheduler(
+            max_batch=4, memory=TIGHT_SPEC
+        ),
+    )
+    router = get_router("headroom")
+    collector = TimelineCollector(window_s=10.0, slo=SLO)
+    simulate_fleet(arrivals, fleet, router, slo=SLO, recorder=collector)
+    assert router.recorder is None
+    assert all(device.scheduler.recorder is None for device in fleet)
+    assert all(device.memory.recorder is collector for device in fleet)
+    assert any(row["kv_spill_bytes"] for row in collector.to_rows())
+
+
+def test_every_timeline_in_a_tee_folds_the_whole_run():
+    arrivals = _poisson()
+    alone = TimelineCollector(window_s=10.0, slo=SLO)
+    _serve(arrivals, memory=TIGHT_SPEC, recorder=alone)
+    first = TimelineCollector(window_s=10.0, slo=SLO)
+    second = TimelineCollector(window_s=10.0, slo=SLO)
+    _serve(
+        arrivals,
+        memory=TIGHT_SPEC,
+        recorder=TeeRecorder(first, SpanRecorder(), second),
+    )
+    assert first.to_csv() == second.to_csv() == alone.to_csv()
+
+
 def test_timeline_csv_is_seed_stable():
     first = TimelineCollector(window_s=10.0, slo=SLO)
     second = TimelineCollector(window_s=10.0, slo=SLO)
@@ -345,7 +415,7 @@ def test_loop_finalizes_the_collector_with_the_makespan():
     rows = collector.to_rows()  # frozen by the loop's finalize_run
     assert rows[-1]["end_s"] >= report.makespan_s
     with pytest.raises(ValueError):
-        collector.span("requests", QUEUE, 0.0, 1.0, {"request_id": 0})
+        collector.span(0, 0.0, 1.0)
 
 
 # -- the ISSUE acceptance run: diurnal fleet + burn-rate alert ----------------
