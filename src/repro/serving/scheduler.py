@@ -193,6 +193,10 @@ class Scheduler:
     #: attached by fault-aware runs; None (the class default) keeps
     #: every fault consultation on plain runs a single identity check.
     faults = None
+    #: A lower bound on the queued records' ``arrival_s``: lowered by
+    #: every enqueue, made exact by every queue walk in
+    #: :meth:`_shed_expired` (inf = nothing queued since).
+    _arrival_floor = inf
 
     def __init__(self) -> None:
         self._waiting: Deque[RequestRecord] = deque()
@@ -201,6 +205,9 @@ class Scheduler:
     def enqueue(self, record: RequestRecord, now: float) -> None:
         """An arrival at simulated time ``now`` joins the waiting queue."""
         self._waiting.append(record)
+        arrival = record.source.arrival_s
+        if arrival < self._arrival_floor:
+            self._arrival_floor = arrival
 
     @property
     def waiting(self) -> int:
@@ -251,31 +258,46 @@ class Scheduler:
         and silently discards cancelled hedge attempts, notifying the
         event loop through the gate's callbacks.  Queue order of the
         survivors is preserved, so the drop is deterministic.
+
+        The queue is walked only when the gate is dirty (a hedge was
+        cancelled) or the deadline has passed for ``_arrival_floor``:
+        floating-point addition is monotone, so while it has not, it has
+        passed for no queued record, and the walk would drop nothing.
         """
         gate = self.faults
         deadline = gate.deadline_s
-        if deadline is None and not gate.dirty:
+        if not gate.dirty and (
+            deadline is None or not now > self._arrival_floor + deadline
+        ):
             return
         gate.dirty = False
         waiting = self._waiting
+        floor = inf
         doomed = False
         for record in waiting:
-            if record.cancelled or (
-                deadline is not None and now > record.arrival_s + deadline
-            ):
+            arrival = record.arrival_s
+            if record.cancelled or (deadline is not None and now > arrival + deadline):
                 doomed = True
                 break
+            if arrival < floor:
+                floor = arrival
         if not doomed:
+            self._arrival_floor = floor
             return
         kept: Deque[RequestRecord] = deque()
+        floor = inf
         for record in waiting:
+            arrival = record.arrival_s
             if record.cancelled:
                 gate.drop(record)
-            elif deadline is not None and now > record.arrival_s + deadline:
+            elif deadline is not None and now > arrival + deadline:
                 gate.shed(record, now)
             else:
                 kept.append(record)
+                if arrival < floor:
+                    floor = arrival
         self._waiting = kept
+        self._arrival_floor = floor
 
     def evict_all(self) -> List[RequestRecord]:
         """Crash support: drain every request this scheduler owes work to.

@@ -17,6 +17,7 @@ Three invariants anchor this file:
 
 import hashlib
 import random
+from collections import deque
 
 import pytest
 
@@ -24,11 +25,15 @@ from serving_toys import ToyBackend
 
 from repro.api import InferenceRequest
 from repro.faults import FaultSpec, RetryPolicy
+from repro.faults.engine import FaultGate
 from repro.fleet import build_fleet, get_router, simulate_fleet
 from repro.serving import (
+    BackendCostModel,
     ContinuousBatchScheduler,
     FCFSScheduler,
     PoissonWorkload,
+    RequestRecord,
+    ServingRequest,
     SLOSpec,
     StaticBatchScheduler,
     load_bundled_trace,
@@ -295,6 +300,51 @@ def test_deadline_sheds_queued_work_and_times_out_finished_work():
             # Timed-out requests ran to completion, past their deadline.
             assert record.finish_s is not None
             assert record.finish_s - record.source.arrival_s > 5.0
+
+
+class _CountingQueue(deque):
+    """A waiting queue that counts how often it is walked."""
+
+    walks = 0
+
+    def __iter__(self):
+        _CountingQueue.walks += 1
+        return super().__iter__()
+
+
+def test_a_deadline_that_sheds_nothing_never_walks_the_queue():
+    """An overloaded FCFS device with a deadline no request reaches: the
+    trace is the bare run's, and no planning call walks the queue."""
+    arrivals = PoissonWorkload(30.0, PAYLOAD, seed=5).generate(300)
+    bare = _serve(arrivals, FCFSScheduler())
+    scheduler = FCFSScheduler()
+    scheduler._waiting = _CountingQueue()
+    _CountingQueue.walks = 0
+    report = _serve(arrivals, scheduler, deadline_s=1e12)
+    assert report.to_csv() == bare.to_csv()
+    assert report.faults.shed == 0
+    assert max(record.prefill_start_s - record.arrival_s for record in report.records) > 100
+    assert _CountingQueue.walks == 0
+
+
+def test_a_retry_queued_behind_younger_work_is_shed_on_time():
+    """A retry re-enters the queue at its tail with its original arrival:
+    the first planning call past its deadline sheds it, though every
+    request ahead of it is younger."""
+    gate = FaultGate()
+    gate.deadline_s = 10.0
+    shed = []
+    gate.shed = lambda record, now: shed.append((record.request_id, now))
+    gate.drop = lambda record: None
+    scheduler = FCFSScheduler()
+    scheduler.faults = gate
+    cost = BackendCostModel(ToyBackend())
+    for request_id, arrival_s, now in ((1, 5.0, 5.0), (2, 5.5, 5.5), (0, 0.0, 6.0)):
+        scheduler.enqueue(RequestRecord(ServingRequest(arrival_s, request_id, PAYLOAD)), now)
+    assert scheduler.next_occupancy(10.0, cost).completed[0].request_id == 1
+    assert shed == []
+    assert scheduler.next_occupancy(10.5, cost).completed[0].request_id == 2
+    assert shed == [(0, 10.5)]
 
 
 def test_hedged_requests_win_on_a_stuck_replica():
