@@ -148,9 +148,10 @@ class TimelineCollector:
     frozen and :meth:`to_rows`, :meth:`to_csv` and :meth:`to_registry`
     answer from them.
 
-    ``slo`` enables the goodput/``slo_met`` columns (judged per
-    completion from its TTFT/TPOT/e2e, the same thresholds
-    ``SLOSpec.met_by`` applies).  ``rules`` is a sequence of
+    ``slo`` enables the goodput/``slo_met`` columns.  A completion's
+    verdict is the one the run's report counted (its sample's), so a
+    timed-out request is a miss and the column sums to the report's
+    ``slo_met``; on a run judged against no SLO, ``slo.met_by`` decides.  ``rules`` is a sequence of
     :class:`~repro.obs.alerts.AlertRule` evaluated at finalize.
     ``num_devices`` overrides the utilization denominator (it defaults
     to the number of distinct devices whose occupancies it folded, so a
@@ -189,37 +190,35 @@ class TimelineCollector:
         """Fold one request the loop just resolved; ``sample`` is the
         :func:`~repro.serving.metrics.metric_sample` its report fold read.
 
-        Only a request with a finish stamp (served, timed out, or won by
-        a hedge) counts: its arrival in the window it arrived in, its wait
-        from arrival to prefill start in the queue-depth sweep, and its
-        completion, latencies and SLO verdict in the window it finished in.
+        Every resolved request is an arrival, in the window it arrived
+        in.  One with a finish stamp (served, timed out, or won by a
+        hedge) also adds its wait from arrival to prefill start to the
+        queue-depth sweep, and its completion, latencies and SLO verdict
+        to the window it finished in.
         """
         if self._rows is not None:
             raise ValueError(_FINALIZED)
+        width = self.window_s
+        windows = self._windows
+        arrival = record.source.arrival_s
+        windows[int(arrival / width)].arrivals += 1
         finish = record.finish_s
         if finish is None:
             return
         if finish > self._t_max:
             self._t_max = finish
-        arrival = record.source.arrival_s
-        width = self.window_s
-        windows = self._windows
-        windows[int(arrival / width)].arrivals += 1
         queue = self._queue_events
         queue.append((arrival, 1))
         queue.append((record.prefill_start_s, -1))
-        _, ttft, tpot, e2e, _, _ = sample
+        _, ttft, tpot, e2e, _, met = sample
         window = windows[int(finish / width)]
         window.completions += 1
         window.ttfts.append(ttft)
         window.tpots.append(tpot)
         window.e2es.append(e2e)
-        slo = self.slo
-        if slo is not None and not (
-            (slo.ttft_s is not None and ttft > slo.ttft_s)
-            or (slo.tpot_s is not None and tpot > slo.tpot_s)
-            or (slo.e2e_s is not None and e2e > slo.e2e_s)
-        ):
+        if met is None and self.slo is not None:
+            met = self.slo.met_by(record)  # the run itself judged no SLO
+        if met:
             window.slo_met += 1
 
     def span(

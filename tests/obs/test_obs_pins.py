@@ -124,13 +124,13 @@ CASES = [(run, steps) for run in sorted(RUNS) for steps in (None, 1)]
 
 PINS = {
     ("fleet", None): {
-        "timeline": "5c9b36f4f5586ef84b2f5025cb7bfbc0e96b961b3173511b10be5ad7bbdf0adf",
-        "alerts": "1c2232bd609bfd37a272ab350f41fb4ddf612b0219f3fa5c56f36bcdb1a5cbf0",
+        "timeline": "192aa8eea80a6abfce51b5d0c0ff0beb5e946f37604e551f48dc46cdf999be36",
+        "alerts": "bfaabd8c451f80e4e519d6238fcbf916da1618adfaccecf6bfe827459dd85b13",
         "perfetto": "f577502875be9b6f625aa2ca2ac0b3564b9dbc752157d16f54736c743a916560",
     },
     ("fleet", 1): {
-        "timeline": "5b8a2c7eb5c31d17fba1abe9bc2e74efd06a0ab8bdb2612eca74e1301f90d35e",
-        "alerts": "1c2232bd609bfd37a272ab350f41fb4ddf612b0219f3fa5c56f36bcdb1a5cbf0",
+        "timeline": "a8f9ab853fe44a5126889375328d2ef4bac927a26218fb6900860664d8c2d556",
+        "alerts": "bfaabd8c451f80e4e519d6238fcbf916da1618adfaccecf6bfe827459dd85b13",
         "perfetto": "e2ce46b19bdd15112a2058650fa1cce323b992469ded0cd91ac8ae033609806d",
     },
     ("single", None): {

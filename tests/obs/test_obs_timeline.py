@@ -13,6 +13,7 @@ import pytest
 from serving_toys import ToyBackend
 
 from repro.api import InferenceRequest
+from repro.faults import FaultSpec, RetryPolicy
 from repro.fleet import build_fleet, get_router, simulate_fleet
 from repro.memory import MemorySpec
 from repro.obs import (
@@ -398,6 +399,49 @@ def test_every_timeline_in_a_tee_folds_the_whole_run():
         recorder=TeeRecorder(first, SpanRecorder(), second),
     )
     assert first.to_csv() == second.to_csv() == alone.to_csv()
+
+
+def test_timeline_totals_equal_the_report_on_a_chaos_fleet():
+    """Shed and failed requests are arrivals that never complete, and a
+    timed-out request finished but missed its SLO: the windows sum to the
+    report's totals."""
+    arrivals = PoissonWorkload(2.0, PAYLOAD, seed=11).generate(120)
+    fleet = build_fleet(
+        [ToyBackend()] * 3,
+        scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=2),
+    )
+    collector = TimelineCollector(window_s=10.0, slo=SLO)
+    report = simulate_fleet(
+        arrivals,
+        fleet,
+        get_router("failover"),
+        slo=SLO,
+        faults=FaultSpec(crash_windows=((0, 10.0, 5.0),), flaky_prob=0.4, seed=5),
+        retry=RetryPolicy(max_attempts=2, backoff_s=0.5),
+        deadline_s=10.0,
+        recorder=collector,
+    )
+    faults = report.faults
+    assert faults.shed and faults.failed and faults.timed_out
+    rows = collector.to_rows()
+    assert sum(row["arrivals"] for row in rows) == len(arrivals)
+    assert sum(row["completions"] for row in rows) == report.num_completed
+    assert sum(row["slo_met"] for row in rows) == report.streamed.slo_met
+
+
+def test_a_timeline_judges_its_own_slo_on_a_run_without_one():
+    arrivals = _poisson()
+    judged = TimelineCollector(window_s=10.0, slo=SLO)
+    _serve(arrivals, recorder=judged)
+    unjudged = TimelineCollector(window_s=10.0, slo=SLO)
+    simulate(
+        arrivals,
+        ToyBackend(),
+        ContinuousBatchScheduler(max_batch=4),
+        recorder=unjudged,
+    )
+    assert unjudged.to_csv() == judged.to_csv()
+    assert sum(row["slo_met"] for row in judged.to_rows()) > 0
 
 
 def test_timeline_csv_is_seed_stable():
