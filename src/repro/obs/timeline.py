@@ -151,8 +151,9 @@ class TimelineCollector:
     ``slo`` enables the goodput/``slo_met`` columns.  A completion's
     verdict is the one the run's report counted (its sample's), so a
     timed-out request is a miss and the column sums to the report's
-    ``slo_met``; on a run judged against no SLO, ``slo.met_by`` decides.  ``rules`` is a sequence of
-    :class:`~repro.obs.alerts.AlertRule` evaluated at finalize.
+    ``slo_met``; on a run judged against no SLO, ``slo.met_by`` decides.
+    ``rules`` is a sequence of :class:`~repro.obs.alerts.AlertRule`
+    evaluated at finalize.
     ``num_devices`` overrides the utilization denominator (it defaults
     to the number of distinct devices whose occupancies it folded, so a
     fleet device that never worked would otherwise not be counted).
@@ -186,6 +187,9 @@ class TimelineCollector:
         self._rows: Optional[List[dict]] = None
 
     # -- folding --------------------------------------------------------------
+    def _window(self, ts_s: float) -> _Window:
+        return self._windows[int(ts_s / self.window_s)]
+
     def resolved(self, record, sample) -> None:
         """Fold one request the loop just resolved; ``sample`` is the
         :func:`~repro.serving.metrics.metric_sample` its report fold read.
@@ -261,7 +265,7 @@ class TimelineCollector:
                     low = index * width
                     overlap = min(end_s, low + width) - max(start_s, low)
                     if overlap > 0:
-                        windows[int(low / width)].busy_s += overlap
+                        self._window(low).busy_s += overlap
         if dram_bytes is not None:
             self._saw_memory = True
             if window.dram_peak is None or dram_bytes > window.dram_peak:
@@ -284,7 +288,7 @@ class TimelineCollector:
             # Every fault-engine instant counts toward fault_events;
             # outcome-bearing names also increment their own column.
             self._saw_faults = True
-            window = self._windows[int(ts_s / self.window_s)]
+            window = self._window(ts_s)
             window.fault_events += 1
             if name == "shed":
                 window.shed += 1
@@ -299,12 +303,10 @@ class TimelineCollector:
             return
         if name == "spill":
             self._saw_memory = True
-            self._windows[int(ts_s / self.window_s)].spill_bytes += args.get("bytes", 0)
+            self._window(ts_s).spill_bytes += args.get("bytes", 0)
         elif name == "refill":
             self._saw_memory = True
-            self._windows[int(ts_s / self.window_s)].refill_bytes += args.get(
-                "bytes", 0
-            )
+            self._window(ts_s).refill_bytes += args.get("bytes", 0)
 
     # -- finalization ---------------------------------------------------------
     def finalize_run(self, makespan_s: float) -> Optional[AlertLog]:

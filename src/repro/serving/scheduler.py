@@ -271,22 +271,9 @@ class Scheduler:
         ):
             return
         gate.dirty = False
-        waiting = self._waiting
-        floor = inf
-        doomed = False
-        for record in waiting:
-            arrival = record.arrival_s
-            if record.cancelled or (deadline is not None and now > arrival + deadline):
-                doomed = True
-                break
-            if arrival < floor:
-                floor = arrival
-        if not doomed:
-            self._arrival_floor = floor
-            return
         kept: Deque[RequestRecord] = deque()
         floor = inf
-        for record in waiting:
+        for record in self._waiting:
             arrival = record.arrival_s
             if record.cancelled:
                 gate.drop(record)
