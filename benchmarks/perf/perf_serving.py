@@ -527,8 +527,9 @@ def bench_obs_overhead(num_requests=5000, gen_tokens=64):
 
 def bench_timeline_overhead(num_requests=5000, gen_tokens=64, window_s=60.0):
     """The windowed-telemetry path, priced the same way: the loop bare
-    versus with a ``TimelineCollector`` folding every emission into
-    fixed windows (including the finalize-time queue-depth sweep).
+    versus with a ``TimelineCollector`` folding each resolved request and
+    each ended occupancy into fixed windows (including the finalize-time
+    queue-depth sweep).
     Byte identity is part of ``--check``; the fold's wall clock and the
     window count document what the timeline costs."""
     payload = InferenceRequest(model="llama2-7b", seq_len=512, gen_tokens=gen_tokens)

@@ -308,7 +308,7 @@ class _CountingQueue(deque):
     walks = 0
 
     def __iter__(self):
-        _CountingQueue.walks += 1
+        self.walks += 1
         return super().__iter__()
 
 
@@ -318,13 +318,13 @@ def test_a_deadline_that_sheds_nothing_never_walks_the_queue():
     arrivals = PoissonWorkload(30.0, PAYLOAD, seed=5).generate(300)
     bare = _serve(arrivals, FCFSScheduler())
     scheduler = FCFSScheduler()
-    scheduler._waiting = _CountingQueue()
-    _CountingQueue.walks = 0
+    queue = scheduler._waiting = _CountingQueue()
     report = _serve(arrivals, scheduler, deadline_s=1e12)
     assert report.to_csv() == bare.to_csv()
     assert report.faults.shed == 0
-    assert max(record.prefill_start_s - record.arrival_s for record in report.records) > 100
-    assert _CountingQueue.walks == 0
+    waits = [record.prefill_start_s - record.arrival_s for record in report.records]
+    assert max(waits) > 100
+    assert queue.walks == 0
 
 
 def test_a_retry_queued_behind_younger_work_is_shed_on_time():
@@ -340,7 +340,8 @@ def test_a_retry_queued_behind_younger_work_is_shed_on_time():
     scheduler.faults = gate
     cost = BackendCostModel(ToyBackend())
     for request_id, arrival_s, now in ((1, 5.0, 5.0), (2, 5.5, 5.5), (0, 0.0, 6.0)):
-        scheduler.enqueue(RequestRecord(ServingRequest(arrival_s, request_id, PAYLOAD)), now)
+        record = RequestRecord(ServingRequest(arrival_s, request_id, PAYLOAD))
+        scheduler.enqueue(record, now)
     assert scheduler.next_occupancy(10.0, cost).completed[0].request_id == 1
     assert shed == []
     assert scheduler.next_occupancy(10.5, cost).completed[0].request_id == 2
