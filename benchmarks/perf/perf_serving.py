@@ -16,12 +16,15 @@ wall-clock floor) on the 5k x 256-token continuous-batching scenario,
 single-digit seconds and a streaming-RSS win on the million-request
 scenarios, real spill traffic and a sub-15s wall clock on the KV-spill
 scenario — and that every scenario stayed byte-identical; used by the
-non-blocking CI perf job.
+non-blocking CI perf job.  The cold-pricing scenario (``pricing``) adds
+deterministic bars: the paper model searches tiles, and runs the channel
+simulator, once per (config, model).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
@@ -32,8 +35,12 @@ import time
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path.append(os.path.join(_REPO_ROOT, "simbench"))
 
-from repro.api import ExperimentRunner, InferenceRequest  # noqa: E402
+from repro.api import CambriconBackend, ExperimentRunner, InferenceRequest  # noqa: E402
+from repro.core import InferenceEngine, get_config  # noqa: E402
+from repro.core.tiling import TilingStrategy  # noqa: E402
+from repro.flash.simulator import ChannelSimulator  # noqa: E402
 from repro.fleet import JoinShortestQueueRouter, build_fleet, simulate_fleet  # noqa: E402
 from repro.memory import MemorySpec  # noqa: E402
 from repro.obs import SpanRecorder, TimelineCollector  # noqa: E402
@@ -48,6 +55,7 @@ from repro.serving import (  # noqa: E402
     find_max_qps,
     simulate,
 )
+from workloads import CATALOGUE, CONFIG, MODEL  # noqa: E402
 
 BACKEND = "cambricon"
 MAX_BATCH = 8
@@ -571,6 +579,86 @@ def bench_timeline_overhead(num_requests=5000, gen_tokens=64, window_s=60.0):
     }
 
 
+@contextlib.contextmanager
+def _counted(owner, name, counts):
+    """Count the calls of ``owner.name`` into ``counts[name]`` while open."""
+    original = vars(owner)[name]
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counted)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def bench_cold_pricing():
+    """The paper model priced cold: the simulator benchmark's ``trace_mix``
+    catalogue (20 shapes) at every batch width, through a fresh engine and
+    cost model, on the closed-form and the simulated rate path.  Seconds
+    are best-of-3 without counters.  The counts are deterministic: tile
+    searches (``candidate_tiles`` calls) against the same count for one
+    cold report of the model, and channel-simulator runs."""
+    payloads = [
+        InferenceRequest(model=MODEL, config=CONFIG, seq_len=seq_len, gen_tokens=gen)
+        for seq_len, gen in CATALOGUE
+    ]
+
+    def engine(use_simulator):
+        return InferenceEngine(get_config(CONFIG), use_simulator=use_simulator)
+
+    def price(use_simulator):
+        cost = BackendCostModel(CambriconBackend(engine=engine(use_simulator)))
+        for payload in payloads:
+            for batch in range(1, MAX_BATCH + 1):
+                cost.ttft(payload, batch)
+                cost.decode_step(payload, batch)
+
+    paths = {}
+    for path, use_simulator in (("closed_form", False), ("simulated", True)):
+        seconds, _ = _timed_best(lambda: price(use_simulator))
+        counts = {}
+        with _counted(TilingStrategy, "candidate_tiles", counts), _counted(
+            ChannelSimulator, "run", counts
+        ):
+            engine(use_simulator).decode_report(MODEL)
+            report_searches = counts["candidate_tiles"]
+            counts["candidate_tiles"] = counts["run"] = 0
+            price(use_simulator)
+        paths[path] = {
+            "seconds": seconds,
+            "tile_searches": counts["candidate_tiles"],
+            "report_tile_searches": report_searches,
+            "simulator_runs": counts["run"],
+        }
+    return {"shapes": len(payloads), "widths": MAX_BATCH, **paths}
+
+
+def _pricing_failures(pricing):
+    """The cold-pricing bars, for a catalogue of one (config, model): no
+    more tile searches than one cold report makes, and at most one
+    channel-simulator run."""
+    failures = []
+    for path in ("closed_form", "simulated"):
+        row = pricing[path]
+        if row["tile_searches"] > row["report_tile_searches"]:
+            failures.append(
+                f"{path} pricing searched tiles {row['tile_searches']} times, "
+                f"over {row['report_tile_searches']} per (config, model)"
+            )
+    runs = pricing["simulated"]["simulator_runs"]
+    if runs > 1:
+        failures.append(
+            f"simulated pricing ran the channel simulator {runs} times, "
+            "over once per (config, model)"
+        )
+    return failures
+
+
 SCENARIOS = {
     "serving_continuous_5k_256": bench_serving_continuous,
     "fleet_jsq_4dev_2k_128": bench_fleet_jsq,
@@ -639,11 +727,22 @@ def main(argv=None):
     )
     obs["timeline"] = timeline
 
+    print("[pricing] running ...", flush=True)
+    pricing = bench_cold_pricing()
+    for path in ("closed_form", "simulated"):
+        row = pricing[path]
+        print(
+            f"[pricing.{path}] {pricing['shapes']} shapes x {pricing['widths']} "
+            f"widths cold in {row['seconds']:.3f}s, {row['tile_searches']} tile "
+            f"searches, {row['simulator_runs']} channel-simulator runs"
+        )
+
     record = {
         "suite": "serving-perf",
         "schema_version": 1,
         "scenarios": results,
         "obs": obs,
+        "pricing": pricing,
     }
     with open(args.output, "w") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
@@ -660,6 +759,9 @@ def main(argv=None):
             failures.append("obs.timeline")
         if failures:
             raise SystemExit(f"outputs diverged in: {', '.join(failures)}")
+        failures = _pricing_failures(pricing)
+        if failures:
+            raise SystemExit("; ".join(failures))
         # Coalescing must still collapse an order of magnitude of events
         # (deterministic on every host) and clearly win on wall clock.
         # The wall-clock floor is deliberately lower than the events
@@ -722,7 +824,7 @@ def main(argv=None):
             f"check ok: tentpole {tentpole['events_ratio']:.1f}x fewer "
             f"events ({tentpole['speedup']:.1f}x wall clock), 1M scenarios "
             "in single-digit seconds, streaming RSS below record-keeping, "
-            "all outputs identical"
+            "cold pricing searches tiles once per model, all outputs identical"
         )
 
     if args.compare:

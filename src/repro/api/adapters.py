@@ -47,12 +47,14 @@ class CambriconBackend:
     energy:
         Whether to fill the :attr:`RunResult.energy_joules_per_token` hook.
 
-    An instance memoizes its successful single-token decode reports by
-    (engine config, model, seq_len).  A report does not depend on the
-    batch width, so a serving scheduler that prices one shape at eight
-    widths computes its one or two reports once.  The memo belongs to the
-    instance, dies with it, and is never shared with a
-    :meth:`with_capacity_scale` twin.
+    An instance keeps one engine per effective config, so the engine's
+    per-model weight plan outlives a request.  Beside it, the instance
+    memoizes per (engine config, model, seq_len) what a context fixes:
+    the successful single-token decode report, the prompt's prefill ops
+    and the energy per token.  None of them depends on the batch width,
+    so a serving scheduler that prices a shape at eight widths pays for
+    each once.  The memos belong to the instance, die with it, and are
+    never shared with a :meth:`with_capacity_scale` twin.
     """
 
     config: Optional[CambriconLLMConfig] = None
@@ -64,7 +66,16 @@ class CambriconBackend:
     #: :class:`repro.fleet.sharding.ShardedBackend` rescues an OOM config
     #: by dividing the weight image across its replica's chips.
     capacity_scale: int = 1
+    _engines: Dict[CambriconLLMConfig, InferenceEngine] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _reports: Dict[tuple, DecodeReport] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _prefill_ops: Dict[tuple, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _energy: Dict[tuple, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -143,7 +154,10 @@ class CambriconBackend:
                     * self.capacity_scale,
                 ),
             )
-        return InferenceEngine(config)
+        engine = self._engines.get(config)
+        if engine is None:
+            engine = self._engines[config] = InferenceEngine(config)
+        return engine
 
     def _decode_report(
         self, engine: InferenceEngine, model, seq_len: int
@@ -151,8 +165,7 @@ class CambriconBackend:
         key = (engine.config, model, seq_len)
         report = self._reports.get(key)
         if report is None:
-            report = engine.decode_report(model, seq_len=seq_len)
-            self._reports[key] = report
+            report = self._reports[key] = engine.decode_report(model, seq_len=seq_len)
         return report
 
     def run(self, request: InferenceRequest) -> RunResult:
@@ -194,11 +207,16 @@ class CambriconBackend:
         )
         energy = None
         if self.energy:
-            energy = (
-                CambriconEnergyModel(engine)
-                .report_for_decode(first, seq_len=request.seq_len, model=request.model)
-                .energy_joules
-            )
+            key = (engine.config, request.model, request.seq_len)
+            energy = self._energy.get(key)
+            if energy is None:
+                energy = self._energy[key] = (
+                    CambriconEnergyModel(engine)
+                    .report_for_decode(
+                        first, seq_len=request.seq_len, model=request.model
+                    )
+                    .energy_joules
+                )
         return RunResult(
             backend_name=engine.config.name,
             model_name=first.model_name,
@@ -236,9 +254,8 @@ class CambriconBackend:
         step = sum(parts.values()) + report.lm_head_seconds
         return step, parts
 
-    @staticmethod
     def _prefill_seconds(
-        engine: InferenceEngine, report: DecodeReport, request: InferenceRequest
+        self, engine: InferenceEngine, report: DecodeReport, request: InferenceRequest
     ) -> float:
         """Prefill latency: one pass over the weights overlapped with compute.
 
@@ -248,17 +265,18 @@ class CambriconBackend:
         slower of the two bounds the phase.
         """
         config = engine.config
-        prefill = PrefillWorkload(
-            request.model,
-            prompt_len=request.seq_len,
-            weight_bits=config.weight_bits,
-            activation_bits=config.activation_bits,
-            kv_bits=config.kv_bits,
-        )
+        key = (config, request.model, request.seq_len)
+        ops = self._prefill_ops.get(key)
+        if ops is None:
+            ops = self._prefill_ops[key] = PrefillWorkload(
+                request.model,
+                prompt_len=request.seq_len,
+                weight_bits=config.weight_bits,
+                activation_bits=config.activation_bits,
+                kv_bits=config.kv_bits,
+            ).total_ops
         weight_pass = report.traffic.flash_internal_bytes / report.combined_weight_rate
-        compute = config.npu.systolic.compute_seconds(
-            request.batch_size * prefill.total_ops
-        )
+        compute = config.npu.systolic.compute_seconds(request.batch_size * ops)
         return max(weight_pass, compute)
 
 

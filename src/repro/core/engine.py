@@ -25,7 +25,7 @@ its uncovered remainder is exposed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.core.config import CambriconLLMConfig
 from repro.core.metrics import DecodeReport, LayerTiming, TrafficBreakdown
@@ -39,7 +39,32 @@ from repro.llm.operators import GeMVOp, Placement
 from repro.llm.workload import DecodeWorkload
 
 
-@dataclass
+@dataclass(frozen=True)
+class _WeightPlan:
+    """The context-free half of a decode report for one model.
+
+    The flash/NPU weight split is fixed by the engine and the model alone:
+    the tile, the delivery rates and ``alpha``, the weight half of a
+    layer's timing and the weight and vector traffic.  Only the KV fetch,
+    attention and SFU work read the context.
+    """
+
+    tile: TileShape
+    flash_rate: float
+    stream_rate: float
+    alpha: float
+    efficiency: float
+    #: Per layer: the overlapped weight GeMVs, and the Q/K/V streaming the
+    #: KV fetch hides behind.
+    weight_seconds: float
+    qkv_seconds: float
+    lm_head_seconds: float
+    weight_bytes: float
+    streamed_bytes: float
+    vector_bytes: float
+
+
+@dataclass(frozen=True)
 class InferenceEngine:
     """Decode-speed model for one Cambricon-LLM hardware configuration.
 
@@ -61,6 +86,12 @@ class InferenceEngine:
         ``True`` calibrates the weight-delivery rates and channel utilisation
         with the discrete-event channel simulator instead of the closed-form
         model.
+
+    The engine is frozen, so every report of one model shares one
+    context-free :class:`_WeightPlan`, memoized per model spec on first
+    use: the tile search and the rates (one channel-simulator run on the
+    simulated path) are paid once per (engine, model), whatever the
+    contexts it is asked for.
     """
 
     config: CambriconLLMConfig
@@ -70,22 +101,33 @@ class InferenceEngine:
     use_simulator: bool = False
     _flash_model: FlashSteadyStateModel = field(init=False, repr=False)
     _tiling: TilingStrategy = field(init=False, repr=False)
+    _plans: Dict[ModelSpec, _WeightPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.sync_stages_per_layer < 0:
             raise ValueError("sync_stages_per_layer must be non-negative")
-        self._flash_model = FlashSteadyStateModel(
-            geometry=self.config.flash,
-            timing=self.config.timing,
-            core=self.config.compute_core,
-            slice_control=self.config.slice_control,
-            weight_bits=self.config.weight_bits,
-            activation_bits=self.config.activation_bits,
+        object.__setattr__(
+            self,
+            "_flash_model",
+            FlashSteadyStateModel(
+                geometry=self.config.flash,
+                timing=self.config.timing,
+                core=self.config.compute_core,
+                slice_control=self.config.slice_control,
+                weight_bits=self.config.weight_bits,
+                activation_bits=self.config.activation_bits,
+            ),
         )
-        self._tiling = TilingStrategy(
-            geometry=self.config.flash,
-            weight_bits=self.config.weight_bits,
-            activation_bits=self.config.activation_bits,
+        object.__setattr__(
+            self,
+            "_tiling",
+            TilingStrategy(
+                geometry=self.config.flash,
+                weight_bits=self.config.weight_bits,
+                activation_bits=self.config.activation_bits,
+            ),
         )
 
     # -- helpers ------------------------------------------------------------
@@ -148,37 +190,62 @@ class InferenceEngine:
             simulated_stream = 0.0
         return simulated_flash, simulated_stream
 
-    # -- per-layer latency -------------------------------------------------------
-    def _layer_timing(
-        self,
-        workload: DecodeWorkload,
-        flash_rate: float,
-        stream_rate: float,
-        alpha: float,
-    ) -> LayerTiming:
-        layer = workload.layers[0]
+    # -- the context-free weight plan ---------------------------------------------
+    def _weight_plan(self, workload: DecodeWorkload) -> _WeightPlan:
+        """Price the weight GeMVs of ``workload``'s model; raises
+        ``ValueError`` when they do not fit in flash."""
+        weight_bytes = workload.gemv_weight_bytes
+        if not self.config.flash.can_store(weight_bytes):
+            raise ValueError(
+                f"{workload.model.name} weights do not fit in the flash array of "
+                f"{self.config.name}"
+            )
+        tile = self.selected_tile()
+        flash_rate, stream_rate, alpha, efficiency = self._weight_rates(workload, tile)
         combined = flash_rate + stream_rate
-        weight_bytes = layer.weight_bytes
-
         if combined <= 0:
             raise RuntimeError("weight delivery rate is zero")
-        t_flash = alpha * weight_bytes / flash_rate if flash_rate > 0 else 0.0
+
+        layer = workload.layers[0]
+        layer_bytes = layer.weight_bytes
+        t_flash = alpha * layer_bytes / flash_rate if flash_rate > 0 else 0.0
         t_stream = (
-            (1.0 - alpha) * weight_bytes / stream_rate if stream_rate > 0 else 0.0
+            (1.0 - alpha) * layer_bytes / stream_rate if stream_rate > 0 else 0.0
         )
         streamed_elements = (1.0 - alpha) * sum(
             op.weight_elements for op in layer.gemv_ops
         )
         t_npu_compute = self.config.npu.weight_stream_compute_seconds(streamed_elements)
-        t_weights = max(t_flash, t_stream, t_npu_compute)
-
-        # KV-cache fetch overlaps with the Q/K/V projection streaming.
         qkv_bytes = sum(
             op.weight_bytes
             for op in layer.gemv_ops
             if op.name in ("w_q", "w_k", "w_v")
         )
-        t_qkv = qkv_bytes / combined
+
+        tile_bytes = self._tiling.tile_elements * self.config.weight_bits / 8
+        num_tiles = alpha * weight_bytes / tile_bytes if tile_bytes > 0 else 0.0
+        return _WeightPlan(
+            tile=tile,
+            flash_rate=flash_rate,
+            stream_rate=stream_rate,
+            alpha=alpha,
+            efficiency=efficiency,
+            weight_seconds=max(t_flash, t_stream, t_npu_compute),
+            qkv_seconds=qkv_bytes / combined,
+            lm_head_seconds=(
+                workload.lm_head.weight_bytes / combined
+                if workload.include_lm_head
+                else 0.0
+            ),
+            weight_bytes=weight_bytes,
+            streamed_bytes=(1.0 - alpha) * weight_bytes,
+            vector_bytes=num_tiles * self._tiling.tile_transfer_bytes(tile),
+        )
+
+    # -- per-layer latency -------------------------------------------------------
+    def _layer_timing(self, workload: DecodeWorkload, plan: _WeightPlan) -> LayerTiming:
+        layer = workload.layers[0]
+        # KV-cache fetch overlaps with the Q/K/V projection streaming.
         t_kv_fetch = self.config.npu.dram.transfer_seconds(layer.kv_bytes)
         attention_ops = sum(
             op.ops
@@ -186,7 +253,7 @@ class InferenceEngine:
             if op.placement is Placement.NPU_AND_DRAM
         )
         t_attention_compute = self.config.npu.systolic.compute_seconds(attention_ops)
-        t_kv_exposed = max(0.0, t_kv_fetch - t_qkv) + t_attention_compute
+        t_kv_exposed = max(0.0, t_kv_fetch - plan.qkv_seconds) + t_attention_compute
 
         sfu_like = [
             op
@@ -201,7 +268,7 @@ class InferenceEngine:
             + self.config.timing.register_transfer_seconds
         )
         return LayerTiming(
-            weight_seconds=t_weights,
+            weight_seconds=plan.weight_seconds,
             kv_seconds=t_kv_exposed,
             sfu_seconds=t_sfu,
             sync_seconds=t_sync,
@@ -224,26 +291,18 @@ class InferenceEngine:
         InferenceRequest(model=model, seq_len=seq_len)
         workload = self._build_workload(model, seq_len)
         spec = workload.model
-        if not self.config.flash.can_store(workload.gemv_weight_bytes):
-            raise ValueError(
-                f"{spec.name} weights do not fit in the flash array of "
-                f"{self.config.name}"
-            )
+        plan = self._plans.get(spec)
+        if plan is None:
+            plan = self._plans[spec] = self._weight_plan(workload)
+        combined = plan.flash_rate + plan.stream_rate
 
-        tile = self.selected_tile()
-        flash_rate, stream_rate, alpha, efficiency = self._weight_rates(workload, tile)
-        combined = flash_rate + stream_rate
-
-        layer_timing = self._layer_timing(workload, flash_rate, stream_rate, alpha)
-        lm_head_seconds = (
-            workload.lm_head.weight_bytes / combined if workload.include_lm_head else 0.0
-        )
+        layer_timing = self._layer_timing(workload, plan)
         token_seconds = (
-            spec.num_layers * layer_timing.total_seconds + lm_head_seconds
+            spec.num_layers * layer_timing.total_seconds + plan.lm_head_seconds
         )
         tokens_per_second = 1.0 / token_seconds
 
-        traffic = self._traffic(workload, alpha, tile)
+        traffic = self._traffic(workload, plan)
         utilization = self._channel_utilization(traffic, token_seconds)
 
         return DecodeReport(
@@ -251,17 +310,17 @@ class InferenceEngine:
             config_name=self.config.name,
             tokens_per_second=tokens_per_second,
             token_seconds=token_seconds,
-            alpha=alpha,
-            tile=str(tile),
+            alpha=plan.alpha,
+            tile=str(plan.tile),
             channel_utilization=utilization,
             combined_weight_rate=combined,
-            flash_weight_rate=flash_rate,
-            stream_weight_rate=stream_rate,
+            flash_weight_rate=plan.flash_rate,
+            stream_weight_rate=plan.stream_rate,
             traffic=traffic,
             layer_timing=layer_timing,
-            lm_head_seconds=lm_head_seconds,
+            lm_head_seconds=plan.lm_head_seconds,
             num_layers=spec.num_layers,
-            notes={"tiling_efficiency": efficiency, "seq_len": float(seq_len)},
+            notes={"tiling_efficiency": plan.efficiency, "seq_len": float(seq_len)},
         )
 
     def decode_speed(self, model: "ModelSpec | str", seq_len: int = 1000) -> float:
@@ -269,21 +328,14 @@ class InferenceEngine:
         return self.decode_report(model, seq_len).tokens_per_second
 
     # -- traffic / utilisation ---------------------------------------------------------
-    def _traffic(
-        self, workload: DecodeWorkload, alpha: float, tile: TileShape
-    ) -> TrafficBreakdown:
-        weight_bytes = workload.gemv_weight_bytes
-        streamed = (1.0 - alpha) * weight_bytes
-        tile_bytes = self._tiling.tile_elements * self.config.weight_bits / 8
-        num_tiles = alpha * weight_bytes / tile_bytes if tile_bytes > 0 else 0.0
-        vector_bytes = num_tiles * self._tiling.tile_transfer_bytes(tile)
+    def _traffic(self, workload: DecodeWorkload, plan: _WeightPlan) -> TrafficBreakdown:
         kv_bytes = workload.kv_cache_bytes + workload.model.kv_cache_bytes(
             1, self.config.kv_bits
         )
         return TrafficBreakdown(
-            flash_internal_bytes=weight_bytes,
-            d2d_stream_bytes=streamed,
-            d2d_vector_bytes=vector_bytes,
+            flash_internal_bytes=plan.weight_bytes,
+            d2d_stream_bytes=plan.streamed_bytes,
+            d2d_vector_bytes=plan.vector_bytes,
             dram_kv_bytes=kv_bytes,
             dram_activation_bytes=workload.activation_bytes,
         )

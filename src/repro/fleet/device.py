@@ -144,15 +144,10 @@ class Device:
 
         The scheduler owns the model; the device only surfaces it so the
         fleet loop can name its recorder track and snapshot per-device
-        :class:`repro.memory.MemoryReport` counters.  Routers read
-        :meth:`free_dram_bytes` instead.
+        :class:`repro.memory.MemoryReport` counters.  Routers read the
+        scheduler's ``free_dram_bytes(now)`` instead.
         """
         return getattr(self.scheduler, "memory", None)
-
-    def free_dram_bytes(self, now: float) -> int:
-        """Free KV DRAM on this replica as of ``now``, as the step-by-step
-        loop has booked it (0 without a memory model)."""
-        return self.scheduler.free_dram_bytes(now)
 
     def finalize(self, makespan_s: float) -> None:
         """Book the scheduler's last run and take the closing queue-depth

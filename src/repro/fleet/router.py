@@ -297,13 +297,14 @@ class SLOAwareRouter(Router):
 class MemoryHeadroomRouter(Router):
     """Most free KV DRAM, then fewest outstanding requests.
 
-    Reads each replica's :class:`repro.memory.KVMemoryModel` through
-    ``Device.free_dram_bytes(now)``; replicas without a memory model
+    Reads each replica's :class:`repro.memory.KVMemoryModel` through its
+    scheduler's ``free_dram_bytes(now)``; replicas without a memory model
     score 0 headroom, so a memory-less fleet degrades to exact JSQ
     behaviour (every headroom ties, the queue count decides).  Like
-    every policy, ties break to the smallest device index — lexicographic
-    min over ``(-headroom, outstanding)`` tuples keeps the scan's
-    determinism.
+    every policy, ties break to the smallest device index: one scan keeps
+    the first minimum of ``(-headroom, outstanding)``, down-ranked by
+    ``not up`` under ``exclude_unhealthy``, and builds the scores list
+    only for a recorder.
 
     Residency is read as of ``now``: a coalesced decode run counts the
     steps the step-by-step loop has planned by then, not the whole run,
@@ -315,16 +316,28 @@ class MemoryHeadroomRouter(Router):
     def route(
         self, record: RequestRecord, devices: Sequence[Device], now: float
     ) -> int:
-        scores = [
-            (-device.free_dram_bytes(now), device.outstanding)
-            for device in devices
-        ]
-        if self.exclude_unhealthy:
-            scores = self._guarded(scores, devices)
-        index = self._argmin(scores)
-        if self.recorder is not None:
-            self._record_route(record, now, index, scores)
-        return index
+        guard = self.exclude_unhealthy
+        scores = [] if self.recorder is not None else None
+        best = -1
+        for index, device in enumerate(devices):
+            down = guard and not device.up
+            free = device.scheduler.free_dram_bytes(now)
+            outstanding = device.outstanding
+            if scores is not None:
+                scores.append((-free, outstanding))
+            # (down, -free, outstanding) < the best key so far, spelled
+            # out so the scan builds no tuple.
+            if best < 0 or down < best_down or down == best_down and (
+                free > best_free
+                or free == best_free and outstanding < best_outstanding
+            ):
+                best, best_down = index, down
+                best_free, best_outstanding = free, outstanding
+        if scores is not None:
+            if guard:
+                scores = self._guarded(scores, devices)
+            self._record_route(record, now, best, scores)
+        return best
 
 
 class FailoverRouter(Router):

@@ -501,9 +501,11 @@ class ContinuousBatchScheduler(Scheduler):
         self._payloads: dict = {}
         #: id(payload) -> (payload, ttft) and (id(payload), lanes) ->
         #: (payload, step): one dict hit instead of the cost model's
-        #: lookup chain on the per-admission/per-step hot path.  The
-        #: stored payload reference pins the id (no stale-id reuse) and
-        #: is identity-checked on every hit.
+        #: lookup chain on the per-admission/per-step hot path.  Every
+        #: decode step reads the step memo, once per distinct payload in
+        #: the batch, so the cost model sees each (payload, lanes) pair
+        #: once.  The stored payload reference pins the id (no stale-id
+        #: reuse) and is identity-checked on every hit.
         self._ttft_memo: dict = {}
         self._step_memo: dict = {}
         #: The cost model the memos mirror; a scheduler reused with a
@@ -577,22 +579,19 @@ class ContinuousBatchScheduler(Scheduler):
             if limit is None or remaining < limit:
                 limit = remaining
         payloads = self._payloads
-        if len(payloads) == 1:
-            request = active[0][2]
-            memo = self._step_memo
+        memo = self._step_memo
+        step = None
+        for request, _ in payloads.values():
             hit = memo.get((id(request), lanes))
             if hit is not None and hit[0] is request:
-                step = hit[1]
+                price = hit[1]
             else:
-                step = cost.decode_step(request, batch_size=lanes)
+                price = cost.decode_step(request, batch_size=lanes)
                 if len(memo) >= self.MEMO_SIZE:
                     memo.clear()
-                memo[(id(request), lanes)] = (request, step)
-        else:
-            step = max(
-                cost.decode_step(request, batch_size=lanes)
-                for request, _ in payloads.values()
-            )
+                memo[(id(request), lanes)] = (request, price)
+            if step is None or price > step:
+                step = price
         if gate is not None and gate.slow_factor != 1.0:
             step *= gate.slow_factor
         # Fast-forward: the batch composition is frozen until the next

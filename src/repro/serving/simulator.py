@@ -19,9 +19,14 @@ each distinct request shape once through a memoizing
 :class:`repro.api.runner.ExperimentRunner` and serves every simulated
 occupancy from that cache, so a 10 000-request simulation typically costs
 only a handful of backend evaluations (one per distinct shape x batch
-width).  On top of the profile cache it memoizes every scalar latency by
-value, per (request, batch width, field), so equal payloads share one
-entry however many payload objects a workload builds.
+width), each cheap because the backend itself pays once per context
+(a Cambricon backend prices a model's weights once, and a context's
+report, prefill and energy once, for every width).  On top of the
+profile cache it memoizes every scalar latency by value, per (request,
+batch width, field), so equal payloads share one entry however many
+payload objects a workload builds.  The continuous scheduler reads it
+once per (payload object, batch width), for single and mixed batches
+alike, and serves the rest of a run from its own identity memos.
 
 Fast-forward coalescing (the invariant)
 ---------------------------------------
@@ -38,7 +43,7 @@ step-by-step loop would admit it.  A request routed to another device
 leaves the interval alone.  Under the KV memory model the interval
 books its KV growth only once it is over, and a router reads each
 device's DRAM as of the current instant, as the step-by-step loop has
-booked it (``Device.free_dram_bytes(now)``).  Coalescing
+booked it (``Scheduler.free_dram_bytes(now)``).  Coalescing
 schedulers accumulate the interval's end one step-duration at a time
 (never as one ``k * step`` product), and a cut re-walks it the same way
 from the interval's start, so the clock visits exactly the same floats

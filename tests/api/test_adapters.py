@@ -9,10 +9,14 @@ from repro.api import (
     InferenceRequest,
     MLCLLMBackend,
 )
+from repro.api import adapters
 from repro.baselines import FlexGenDRAM, FlexGenSSD, MLCLLM
 from repro.core import InferenceEngine, cambricon_llm_l, cambricon_llm_s
 from repro.core.metrics import DecodeReport
 from repro.core.tiling import TilingStrategy
+from repro.energy import model as energy_model
+from repro.flash.simulator import ChannelSimulator
+from repro.llm.workload import DecodeWorkload, PrefillWorkload
 from repro.serving import BackendCostModel
 
 
@@ -267,20 +271,67 @@ def test_a_capacity_twin_never_lends_its_reports_to_the_base():
     assert base.run(request).out_of_memory
 
 
+class _Builds:
+    """Counts what pricing builds: tile searches, channel-simulator runs,
+    prefill workloads and the energy hook's decode workloads."""
+
+    def __init__(self, monkeypatch):
+        self.tile_searches = self.simulator_runs = 0
+        self.prefill_workloads = self.energy_workloads = 0
+        search, simulate = TilingStrategy.candidate_tiles, ChannelSimulator.run
+
+        def counted_search(tiling):
+            self.tile_searches += 1
+            return search(tiling)
+
+        def counted_run(simulator, workload):
+            self.simulator_runs += 1
+            return simulate(simulator, workload)
+
+        def counted_prefill(*args, **kwargs):
+            self.prefill_workloads += 1
+            return PrefillWorkload(*args, **kwargs)
+
+        def counted_energy(*args, **kwargs):
+            self.energy_workloads += 1
+            return DecodeWorkload(*args, **kwargs)
+
+        monkeypatch.setattr(TilingStrategy, "candidate_tiles", counted_search)
+        monkeypatch.setattr(ChannelSimulator, "run", counted_run)
+        monkeypatch.setattr(adapters, "PrefillWorkload", counted_prefill)
+        monkeypatch.setattr(energy_model, "DecodeWorkload", counted_energy)
+
+
 def test_pricing_a_shape_at_every_batch_width_builds_its_reports_once(monkeypatch):
-    """Two reports (first and last context) of nine tile searches each,
+    """One tile search per GeMV shape plus the optimal tile (nine on
+    llama2-7b) for both contexts, and one prefill and one energy workload,
     whatever the number of batch widths the scheduler prices."""
-    calls = []
-    search = TilingStrategy.candidate_tiles
-
-    def counted(self):
-        calls.append(self)
-        return search(self)
-
-    monkeypatch.setattr(TilingStrategy, "candidate_tiles", counted)
+    builds = _Builds(monkeypatch)
     cost = BackendCostModel("cambricon")
     request = InferenceRequest(model="llama2-7b", config="S", seq_len=512, gen_tokens=16)
     for batch in range(1, 9):
         cost.ttft(request, batch)
         cost.decode_step(request, batch)
-    assert len(calls) <= 18
+    assert builds.tile_searches == 9
+    assert builds.prefill_workloads == builds.energy_workloads == 1
+
+
+@pytest.mark.parametrize("use_simulator", [False, True])
+def test_pricing_every_prompt_length_pays_once_per_model_and_context(
+    monkeypatch, use_simulator
+):
+    """Five prompt lengths at eight widths: the weight plan (tile searches,
+    rates) is priced once per model, prefill and energy once per prompt."""
+    builds = _Builds(monkeypatch)
+    engine = InferenceEngine(cambricon_llm_s(), use_simulator=use_simulator)
+    cost = BackendCostModel(CambriconBackend(engine=engine))
+    for seq_len in (64, 256, 512, 1024, 2048):
+        request = InferenceRequest(model="llama2-7b", seq_len=seq_len, gen_tokens=16)
+        for batch in range(1, 9):
+            cost.ttft(request, batch)
+            cost.decode_step(request, batch)
+    # The simulated path's layer schedule searches its seven layer shapes
+    # again (once per model).
+    assert builds.tile_searches == (16 if use_simulator else 9)
+    assert builds.simulator_runs == (1 if use_simulator else 0)
+    assert builds.prefill_workloads == builds.energy_workloads == 5

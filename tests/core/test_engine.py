@@ -150,3 +150,39 @@ def test_scalability_channel_count_scales_and_utilisation_drops():
         reports.append(InferenceEngine(config).decode_report("opt-6.7b"))
     assert reports[0].tokens_per_second < reports[1].tokens_per_second < reports[2].tokens_per_second
     assert reports[2].channel_utilization < reports[0].channel_utilization
+
+
+#: The model pins' contexts (1, 1000, 4096 and the backend points' 128 and
+#: 2048) plus one more.
+CONTEXTS = (1, 128, 777, 1000, 2048, 4096)
+
+
+@pytest.mark.parametrize("use_simulator", [False, True])
+def test_a_warm_engine_reports_like_a_cold_one(use_simulator):
+    """The per-model weight plan an engine memoizes holds exactly what a
+    cold engine computes: after other contexts and another model, every
+    report equals a fresh engine's, float for float."""
+    config = cambricon_llm_s()
+    warm = InferenceEngine(config, use_simulator=use_simulator)
+    warm.decode_report("opt-6.7b", seq_len=300)
+    warm.decode_report("llama2-7b", seq_len=300)
+    cold = [
+        InferenceEngine(config, use_simulator=use_simulator).decode_report(
+            "llama2-7b", seq_len=seq_len
+        )
+        for seq_len in CONTEXTS
+    ]
+    assert [warm.decode_report("llama2-7b", seq_len=n) for n in CONTEXTS] == cold
+    # The rates are context-free on both paths, even computed cold.
+    rates = {(r.flash_weight_rate, r.stream_weight_rate, r.alpha) for r in cold}
+    assert len(rates) == 1
+
+
+def test_an_engine_is_frozen():
+    """The weight-plan memo is keyed by model alone, which holds because
+    nothing can change an engine's fields once it is built."""
+    import dataclasses
+
+    engine = InferenceEngine(cambricon_llm_s())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        engine.tile = TileShape(128, 4096)

@@ -55,3 +55,19 @@ def test_disabling_offload_sends_everything_to_flash():
     assert schedule.total_streamed_bytes == 0.0
     assert schedule.total_read_pages == 0
     assert schedule.total_flash_bytes == pytest.approx(schedule.total_weight_bytes)
+
+
+@pytest.mark.parametrize("offload_to_npu", [True, False])
+def test_the_layer_schedule_does_not_depend_on_the_context(offload_to_npu):
+    """The schedule reads only the weight GeMVs, so the simulated rates
+    an engine takes from it are the same at every context."""
+    config = cambricon_llm_s()
+    schedules = [
+        build_layer_schedule(
+            DecodeWorkload("llama2-7b", seq_len=seq_len),
+            config,
+            offload_to_npu=offload_to_npu,
+        )
+        for seq_len in (1, 1000, 4096)
+    ]
+    assert schedules[1] == schedules[0] == schedules[2]

@@ -1,5 +1,8 @@
 """Tests for the routing policies, homogeneous and heterogeneous."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from serving_toys import ToyBackend
@@ -8,6 +11,7 @@ from repro.api import InferenceRequest
 from repro.fleet import (
     JoinShortestQueueRouter,
     LeastWorkRouter,
+    MemoryHeadroomRouter,
     RoundRobinRouter,
     SLOAwareRouter,
     build_fleet,
@@ -152,3 +156,45 @@ def test_routers_cannot_be_reused_across_simulations():
         simulate_fleet(
             _arrivals([0.0, 0.0]), build_fleet([ToyBackend(), ToyBackend()]), router
         )
+
+
+class _RouteLog:
+    def __init__(self):
+        self.routes = []
+
+    def instant(self, track, name, now, args):
+        self.routes.append((args["device"], args["scores"]))
+
+
+@pytest.mark.parametrize("exclude_unhealthy", [False, True])
+def test_headroom_routing_matches_a_reference_scan(exclude_unhealthy):
+    """Random free bytes, queue counts and health, drawn from small sets so
+    that ties are common: the chosen device is the first minimum of the
+    reference scan's scores, and a recorder receives those scores."""
+    rng = random.Random(11)
+    router = MemoryHeadroomRouter(exclude_unhealthy=exclude_unhealthy)
+    log = _RouteLog()
+    for trial in range(400):
+        devices = [
+            SimpleNamespace(
+                scheduler=SimpleNamespace(
+                    free_dram_bytes=lambda now, free=rng.choice((0, 1, 4)) * 4096: free
+                ),
+                outstanding=rng.randint(0, 2),
+                up=rng.random() < 0.6,
+            )
+            for _ in range(rng.randint(1, 6))
+        ]
+        scores = [
+            (-device.scheduler.free_dram_bytes(1.0), device.outstanding)
+            for device in devices
+        ]
+        if exclude_unhealthy:
+            scores = [(not device.up, score) for device, score in zip(devices, scores)]
+        want = min(range(len(devices)), key=scores.__getitem__)
+        record = SimpleNamespace(request_id=trial)
+        router.recorder = None
+        assert router.route(record, devices, 1.0) == want
+        router.recorder = log
+        assert router.route(record, devices, 1.0) == want
+        assert log.routes[-1] == (want, scores)

@@ -291,12 +291,12 @@ def test_free_dram_is_read_as_of_now():
     decode = scheduler.next_occupancy(1.0, device.cost)
     assert decode.steps == PAYLOAD.gen_tokens
     held = spec.dram_bytes - PROMPT_KV
-    assert device.free_dram_bytes(1.0) == held - TOKEN_KV
-    assert device.free_dram_bytes(1.5) == held - 2 * TOKEN_KV
-    assert device.free_dram_bytes(1.6) == held - 3 * TOKEN_KV
+    assert scheduler.free_dram_bytes(1.0) == held - TOKEN_KV
+    assert scheduler.free_dram_bytes(1.5) == held - 2 * TOKEN_KV
+    assert scheduler.free_dram_bytes(1.6) == held - 3 * TOKEN_KV
     last_start = 1.0 + (PAYLOAD.gen_tokens - 1) * 0.25
-    assert device.free_dram_bytes(last_start) == held - 23 * TOKEN_KV
-    assert device.free_dram_bytes(decode.end_s) == spec.dram_bytes
+    assert scheduler.free_dram_bytes(last_start) == held - 23 * TOKEN_KV
+    assert scheduler.free_dram_bytes(decode.end_s) == spec.dram_bytes
     device.finalize(decode.end_s)
     assert scheduler.memory.pool.used_bytes == 0
     assert scheduler.memory.pool.high_water_bytes == PROMPT_KV + 24 * TOKEN_KV

@@ -1,5 +1,7 @@
 """Satellites of the perf PR: cache counters and cheap capacity probes."""
 
+from collections import Counter
+
 from serving_toys import ToyBackend
 
 from repro.api import InferenceRequest
@@ -8,10 +10,12 @@ from repro.serving import (
     ContinuousBatchScheduler,
     FCFSScheduler,
     PoissonWorkload,
+    ServingRequest,
     SLOSpec,
     find_max_qps,
     simulate,
 )
+from repro.serving.request import RequestRecord
 
 PAYLOAD = InferenceRequest(model="opt-6.7b", seq_len=500, gen_tokens=10)
 SLO = SLOSpec(e2e_s=10.0, min_attainment=0.9)
@@ -75,6 +79,64 @@ def test_latency_table_grows_with_shapes_not_with_payload_objects():
     # One ttft and up to eight decode-step widths per shape.
     assert info["latency_size"] == info["latency_misses"] <= len(shapes) * (1 + 8)
     assert info["profile_misses"] == backend.calls
+
+
+class _PayloadPricedCost:
+    """A cost model whose decode step depends on the payload and the batch
+    width, counting the decode-step queries per (payload, width)."""
+
+    def __init__(self):
+        self.queries = Counter()
+
+    @staticmethod
+    def price(request, lanes):
+        return request.seq_len / 1000 + lanes / 100
+
+    def ttft(self, request, batch_size=None):
+        return 0.5
+
+    def decode_step(self, request, batch_size=None):
+        self.queries[(request, batch_size)] += 1
+        return self.price(request, batch_size)
+
+
+def test_a_mixed_batch_steps_at_its_slowest_payload_priced_once_per_width():
+    """Every decode run, with one payload or several, steps at the maximum
+    of its distinct payloads' prices at the batch's lanes, and the cost
+    model is asked for each (payload, lanes) pair once per run."""
+    short = InferenceRequest(model="opt-6.7b", seq_len=100, gen_tokens=3)
+    long = InferenceRequest(model="opt-6.7b", seq_len=900, gen_tokens=7, batch_size=2)
+    records = [
+        RequestRecord(ServingRequest(0.0, index, (short, long, short)[index % 3]))
+        for index in range(24)
+    ]
+    cost = _PayloadPricedCost()
+    scheduler = ContinuousBatchScheduler(max_batch=4)
+    for record in records:
+        scheduler.enqueue(record, 0.0)
+    now, admitted, batch, mixed = 0.0, 0, [], 0
+    while True:
+        lanes = sum(record.request.batch_size for record in batch)
+        payloads = {id(record.request): record.request for record in batch}
+        occupancy = scheduler.next_occupancy(now, cost)
+        if occupancy is None:
+            break
+        if occupancy.kind == "prefill":
+            # Admission is FIFO: the next enqueued record joins the batch.
+            batch.append(records[admitted])
+            admitted += 1
+        else:
+            mixed += len(payloads) > 1
+            step = max(cost.price(request, lanes) for request in payloads.values())
+            end = now + step
+            for _ in range(occupancy.steps - 1):
+                end += step
+            assert occupancy.end_s == end
+            batch = [record for record in batch if record not in occupancy.completed]
+        now = occupancy.end_time(now)
+    assert admitted == len(records) and not batch
+    assert mixed > len(cost.queries)
+    assert set(cost.queries.values()) == {1}
 
 
 def test_simulate_accepts_a_prebuilt_cost_model():
