@@ -32,7 +32,7 @@ def candidate_backends(model: str):
             )
             if not config.flash.can_store(75e9 if "70b" in model else 35e9):
                 continue
-            backends.append(CambriconBackend(config=config, energy=False))
+            backends.append(CambriconBackend(config=config))
     return backends
 
 

@@ -44,8 +44,6 @@ class CambriconBackend:
     engine:
         Pre-built :class:`InferenceEngine` (takes precedence over
         ``config``); used by ablation studies that set engine flags.
-    energy:
-        Whether to fill the :attr:`RunResult.energy_joules_per_token` hook.
 
     An instance keeps one engine per effective config, so the engine's
     per-model weight plan outlives a request.  Beside it, the instance
@@ -59,7 +57,6 @@ class CambriconBackend:
 
     config: Optional[CambriconLLMConfig] = None
     engine: Optional[InferenceEngine] = None
-    energy: bool = True
     name: str = "cambricon"
     #: Flash capacity multiplier: ``n`` means the weights may occupy ``n``
     #: chips' worth of flash.  Set by :meth:`with_capacity_scale` when a
@@ -94,13 +91,10 @@ class CambriconBackend:
             engine = self.engine
             flags = (
                 f"|offload={engine.offload_to_npu}|tile={engine.tile}"
-                f"|sync={engine.sync_stages_per_layer}|sim={engine.use_simulator}"
+                f"|sim={engine.use_simulator}"
             )
         body = "per-request" if config is None else repr(config)
-        return (
-            f"{self.name}[{body}{flags}|energy={self.energy}"
-            f"|cap={self.capacity_scale}]"
-        )
+        return f"{self.name}[{body}{flags}|cap={self.capacity_scale}]"
 
     def normalize_request(self, request: InferenceRequest) -> InferenceRequest:
         """Drop fields this instance ignores so memoization can collapse them."""
@@ -205,18 +199,14 @@ class CambriconBackend:
             + traffic.dram_kv_bytes
             + traffic.dram_activation_bytes
         )
-        energy = None
-        if self.energy:
-            key = (engine.config, request.model, request.seq_len)
-            energy = self._energy.get(key)
-            if energy is None:
-                energy = self._energy[key] = (
-                    CambriconEnergyModel(engine)
-                    .report_for_decode(
-                        first, seq_len=request.seq_len, model=request.model
-                    )
-                    .energy_joules
-                )
+        key = (engine.config, request.model, request.seq_len)
+        energy = self._energy.get(key)
+        if energy is None:
+            energy = self._energy[key] = (
+                CambriconEnergyModel(engine)
+                .report_for_decode(first, seq_len=request.seq_len, model=request.model)
+                .energy_joules
+            )
         return RunResult(
             backend_name=engine.config.name,
             model_name=first.model_name,

@@ -203,7 +203,7 @@ def _sweep_command(args: argparse.Namespace) -> int:
     rows = []
     for chips in args.chips:
         backend = CambriconBackend(
-            config=base.with_flash_scale(chips_per_channel=chips), energy=False
+            config=base.with_flash_scale(chips_per_channel=chips)
         )
         result = backend.run(request)
         rows.append(

@@ -38,6 +38,10 @@ from repro.llm.models import ModelSpec, get_model
 from repro.llm.operators import GeMVOp, Placement
 from repro.llm.workload import DecodeWorkload
 
+#: Dependent GeMV stages per layer whose pipeline fill/drain is charged
+#: serially (Q/K/V, output projection, FFN up, FFN down).
+_SYNC_STAGES_PER_LAYER = 4
+
 
 @dataclass(frozen=True)
 class _WeightPlan:
@@ -79,9 +83,6 @@ class InferenceEngine:
     tile:
         Optional tile-shape override (Fig. 13 ablation); ``None`` selects the
         traffic-optimal tile.
-    sync_stages_per_layer:
-        Number of dependent GeMV stages per layer whose pipeline fill/drain is
-        charged serially (Q/K/V, output projection, FFN up, FFN down).
     use_simulator:
         ``True`` calibrates the weight-delivery rates and channel utilisation
         with the discrete-event channel simulator instead of the closed-form
@@ -97,7 +98,6 @@ class InferenceEngine:
     config: CambriconLLMConfig
     offload_to_npu: bool = True
     tile: Optional[TileShape] = None
-    sync_stages_per_layer: int = 4
     use_simulator: bool = False
     _flash_model: FlashSteadyStateModel = field(init=False, repr=False)
     _tiling: TilingStrategy = field(init=False, repr=False)
@@ -106,8 +106,6 @@ class InferenceEngine:
     )
 
     def __post_init__(self) -> None:
-        if self.sync_stages_per_layer < 0:
-            raise ValueError("sync_stages_per_layer must be non-negative")
         object.__setattr__(
             self,
             "_flash_model",
@@ -263,7 +261,7 @@ class InferenceEngine:
         sfu_elements = sum(getattr(op, "elements", 0) for op in sfu_like)
         t_sfu = self.config.npu.sfu_seconds(sfu_elements, invocations=len(sfu_like))
 
-        t_sync = self.sync_stages_per_layer * (
+        t_sync = _SYNC_STAGES_PER_LAYER * (
             self.config.timing.read_seconds
             + self.config.timing.register_transfer_seconds
         )

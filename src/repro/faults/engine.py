@@ -22,6 +22,10 @@ delivered with the stream's arrivals, a stream arrival first at an
 equal time, and reach a device through the loop's one ``dispatch``, as
 crash re-queues do at the crash instant.
 
+The handler decides and the loop acts: a request leaving a device is
+released by the loop's ``leave``, a served one finished by its
+``finish``, and kept records are filed by the loop at its close.
+
 Determinism under coalescing
 ----------------------------
 
@@ -62,7 +66,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.obs.recorder import record_request_phases
 from repro.serving.metrics import metric_sample
 from repro.serving.request import RequestRecord
 
@@ -140,20 +143,23 @@ class _FaultRun:
     """One fault-aware run's state, and the handlers the event loop calls.
 
     The loop owns the clock, the heap, the arrival source, routing
-    (``dispatch(record, now)``, which every delivery goes through) and
-    planning; this object makes the fault decisions only: the per-device
-    gates and fault cursors, whether a retry or hedge is still due,
-    attempt stamps, hedge pairings, crash eviction, terminal outcomes,
-    and the :class:`FaultReport`.  It pushes retries and hedge timers
-    onto the source (``push(time, action, record)``), shares the loop's
-    ``assignments`` list, ``live`` table (delivered, unresolved
-    primaries with their trace-row positions) and ``touched`` set, and
-    hands every primary that resolves — served, shed, timed out, failed
-    or won by its hedge — to the loop's ``resolve(record, index,
-    sample)`` callback, with its :func:`metric_sample` and the device it
-    resolved on, exactly once.  A crash ends the device's in-flight
-    occupancy through the loop's ``end_occupancy(index, device, end)``,
-    the one point that books an occupancy's busy time and span.
+    (``dispatch(record, now)``, which every delivery goes through),
+    planning and every exit from a device; this object makes the fault
+    decisions only: the per-device gates and fault cursors, whether a
+    retry or hedge is still due, attempt stamps, hedge pairings, crash
+    eviction, terminal outcomes, and the :class:`FaultReport`.  It pushes
+    retries and hedge timers onto the source (``push(time, action,
+    record)``), shares the loop's ``assignments`` list, ``live`` table
+    (delivered, unresolved primaries with their trace-row positions) and
+    ``touched`` set, and hands back a shed, cancelled or evicted request
+    to ``leave(device, record)``, its :meth:`served` verdict on a
+    completed member (True: the loop calls ``finish(record, index,
+    now)``), a primary its hedge won to ``finish``, and a shed or failed
+    primary to ``resolve(record, index, sample)`` with its
+    :func:`metric_sample`: every primary resolves exactly once.  A crash
+    ends the device's in-flight occupancy through the loop's
+    ``end_occupancy(index, device, end)``, the one point that books an
+    occupancy's busy time and span.
     """
 
     def __init__(
@@ -165,11 +171,10 @@ class _FaultRun:
         retry,
         deadline_s: Optional[float],
         slo,
-        keep_records: bool,
         rec,
-        spans,
-        tag_device: bool,
         resolve,
+        leave,
+        finish,
         end_occupancy,
         dispatch,
         push,
@@ -182,21 +187,17 @@ class _FaultRun:
         self.retry = retry
         self.deadline_s = deadline_s
         self.slo = slo
-        self.keep_records = keep_records
-        #: Every observer (fault instants), and the span recorders alone
-        #: (request-phase spans); either may be None.
+        #: Every observer (fault instants), or None.
         self.rec = rec
-        self.spans = spans
-        #: Tag request-phase spans with the device index (fleet reports).
-        self.tag_device = tag_device
         self.resolve = resolve
+        self.leave = leave
+        self.finish = finish
         self.end_occupancy = end_occupancy
         self.dispatch = dispatch
         self.push = push
         self.assignments = assignments
         self.live = live
         self.touched = touched
-        self.track_work = router.needs_work_estimates
         self.injector = (
             FaultInjector(faults, len(devices)) if faults is not None else None
         )
@@ -233,9 +234,7 @@ class _FaultRun:
         device = self.devices[index]
 
         def _forget(record: RequestRecord) -> None:
-            device.outstanding -= 1
-            if self.track_work:
-                device.outstanding_work_s -= device.job_seconds(record)
+            self.leave(device, record)
             self.owner.pop(id(record), None)
             self.gates[index].removed += 1
 
@@ -271,10 +270,6 @@ class _FaultRun:
             del self.hedge_attempt[id(primary)]
 
     # -- terminal resolution --------------------------------------------------
-    def _record_phases(self, record: RequestRecord, index: int) -> None:
-        extra = {"device": index} if self.tag_device else None
-        record_request_phases(self.spans, "requests", record, extra)
-
     def _cancel_sibling_hedge(self, record: RequestRecord) -> None:
         """A primary resolved: cancel its in-flight hedge attempt, if any."""
         sibling = self.hedge_attempt.pop(id(record), None)
@@ -337,34 +332,19 @@ class _FaultRun:
         index = self.owner[id(record)] = self.dispatch(record, now)
         self.assignments[self.live[id(record)][1]] = index
 
-    @staticmethod
-    def _forget_device_record(device, record: RequestRecord) -> None:
-        """Identity-based removal from ``device.records`` (a record that
-        left this device mid-flight belongs to the device that resolves
-        it; dataclass equality would match the wrong twin)."""
-        records = device.records
-        for i in range(len(records) - 1, -1, -1):
-            if records[i] is record:
-                del records[i]
-                break
-
     # -- completion handling --------------------------------------------------
-    def member_done(
-        self, index: int, device, record: RequestRecord, time_s: float
-    ) -> None:
-        """Resolve one batch member of an occupancy that just ended."""
-        device.outstanding -= 1
-        if self.track_work:
-            device.outstanding_work_s -= device.job_seconds(record)
+    def served(self, index: int, record: RequestRecord, time_s: float) -> bool:
+        """Judge a member of an occupancy that just ended on device
+        ``index``: True if the loop is to finish it as served (timed out or
+        not); a flaky, hedge or superseded member is settled here."""
         self.owner.pop(id(record), None)
         if record.cancelled:
-            return  # resolved elsewhere (hedge), run to an ignored end
+            return False  # resolved elsewhere (hedge), run to an ignored end
         if record.hedge:
             self._hedge_done(index, record, time_s)
-            return
+            return False
         if record.finish_s is not None or record.outcome is not None:
-            return  # superseded: finalized by a winning hedge
-        record.finish_s = time_s
+            return False  # superseded: finalized by a winning hedge
         rec = self.rec
         injector = self.injector
         if injector is not None and injector.attempt_fails(
@@ -372,14 +352,12 @@ class _FaultRun:
         ):
             # Flaky failure: the attempt's output is unusable.
             record.first_token_s = None
-            record.finish_s = None
             retry = self.retry
             if retry is not None and record.attempts < retry.max_attempts:
                 record.prefill_start_s = None
                 delay = retry.delay_s(record.attempts, record.request_id)
                 self.push(time_s + delay, _RETRY, record)
-                self._forget_device_record(device, record)
-                return
+                return False
             record.outcome = "failed"
             self.report.failed += 1
             if rec is not None:
@@ -391,7 +369,7 @@ class _FaultRun:
                 )
             self._cancel_sibling_hedge(record)
             self.resolve(record, index, metric_sample(record, self.slo))
-            return
+            return False
         deadline = self.deadline_s
         if deadline is not None and time_s - record.arrival_s > deadline:
             record.outcome = "timed_out"
@@ -403,10 +381,8 @@ class _FaultRun:
                     time_s,
                     {"request_id": record.request_id},
                 )
-        if self.spans is not None:
-            self._record_phases(record, index)
         self._cancel_sibling_hedge(record)
-        self.resolve(record, index, metric_sample(record, self.slo))
+        return True
 
     def _hedge_done(self, index: int, attempt: RequestRecord, time_s: float) -> None:
         """A hedge attempt finished: adopt its stamps if the primary is
@@ -416,7 +392,6 @@ class _FaultRun:
             return
         if self.hedge_attempt.get(id(primary)) is attempt:
             del self.hedge_attempt[id(primary)]
-        attempt.finish_s = time_s
         if primary.finish_s is not None or primary.outcome is not None:
             return
         injector = self.injector
@@ -426,7 +401,8 @@ class _FaultRun:
             return  # the hedge itself flaked; the primary continues alone
         primary.prefill_start_s = attempt.prefill_start_s
         primary.first_token_s = attempt.first_token_s
-        primary.finish_s = time_s
+        # The winner's device owns the record now — also when the
+        # primary was waiting out a retry backoff on no device at all.
         self.assignments[self.live[id(primary)][1]] = index
         prev = self.owner.get(id(primary))
         if prev is not None:
@@ -434,11 +410,6 @@ class _FaultRun:
             primary.cancelled = True
             self.gates[prev].dirty = True
             self.touched.add(prev)
-            self._forget_device_record(self.devices[prev], primary)
-        # The winner's device owns the record now — also when the
-        # primary was waiting out a retry backoff on no device at all.
-        if self.keep_records:
-            self.devices[index].records.append(primary)
         deadline = self.deadline_s
         if deadline is not None and time_s - primary.arrival_s > deadline:
             primary.outcome = "timed_out"
@@ -453,9 +424,7 @@ class _FaultRun:
                 time_s,
                 {"request_id": primary.request_id, "device": index},
             )
-        if self.spans is not None:
-            self._record_phases(primary, index)
-        self.resolve(primary, index, metric_sample(primary, self.slo))
+        self.finish(primary, index, time_s)
 
     # -- fault handling -------------------------------------------------------
     def fault(self, index: int, time_s: float) -> bool:
@@ -527,9 +496,7 @@ class _FaultRun:
         requeue: List[RequestRecord] = []
         rec = self.rec
         for record in evicted:
-            device.outstanding -= 1
-            if self.track_work:
-                device.outstanding_work_s -= device.job_seconds(record)
+            self.leave(device, record)
             self.owner.pop(id(record), None)
             if record.hedge:
                 self._drop_hedge(record)  # the attempt dies with the device
@@ -542,7 +509,6 @@ class _FaultRun:
             record.prefill_start_s = None
             record.first_token_s = None
             self.report.requeued += 1
-            self._forget_device_record(device, record)
             if rec is not None:
                 rec.instant(
                     "faults",

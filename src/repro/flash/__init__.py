@@ -5,7 +5,6 @@ This package models the flash side of Cambricon-LLM:
 * :mod:`repro.flash.geometry` — channel / chip / die / plane / page hierarchy,
 * :mod:`repro.flash.timing` — page read time (tR), channel bandwidth, etc.,
 * :mod:`repro.flash.compute_core` — the per-die Compute Core (PEs + buffers),
-* :mod:`repro.flash.requests` — Read, Read-Compute and sliced-Read requests,
 * :mod:`repro.flash.address` — striping of weight pages across the hierarchy,
 * :mod:`repro.flash.slicing` — the Slice Control policies of Section IV-C,
 * :mod:`repro.flash.analytical` — closed-form steady-state throughput model,
@@ -17,7 +16,6 @@ This package models the flash side of Cambricon-LLM:
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
 from repro.flash.compute_core import ComputeCoreSpec
-from repro.flash.requests import PageReadRequest, ReadComputeTile, SlicedTransfer
 from repro.flash.address import PageAddress, WeightPageMap
 from repro.flash.slicing import SlicePolicy, SliceControl
 from repro.flash.analytical import FlashSteadyStateModel
@@ -27,9 +25,6 @@ __all__ = [
     "FlashGeometry",
     "FlashTiming",
     "ComputeCoreSpec",
-    "PageReadRequest",
-    "ReadComputeTile",
-    "SlicedTransfer",
     "PageAddress",
     "WeightPageMap",
     "SlicePolicy",

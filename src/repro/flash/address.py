@@ -33,10 +33,6 @@ class PageAddress:
     block: int
     page: int
 
-    def die_key(self) -> Tuple[int, int, int]:
-        """Key identifying the die this page lives on."""
-        return (self.channel, self.chip, self.die)
-
 
 @dataclass
 class WeightPageMap:

@@ -62,10 +62,6 @@ class FlashSteadyStateModel:
     activation_bits: int = 8
 
     # -- per-tile quantities -------------------------------------------------
-    def tile_weight_bytes(self) -> float:
-        """Weight bytes covered by one read-compute tile (one page per core)."""
-        return self.geometry.total_compute_cores * self.geometry.page_bytes
-
     def tile_period_seconds(self) -> float:
         """Steady-state period between consecutive read-compute tiles.
 
@@ -184,8 +180,3 @@ class FlashSteadyStateModel:
         return self.tile_period_seconds() + self.timing.page_transfer_seconds(
             self.geometry.page_bytes
         )
-
-    def in_flash_weight_rate_unsliced(self, core_utilization: float = 1.0) -> float:
-        """In-flash consumption rate under the UNSLICED policy."""
-        per_core = self.geometry.page_bytes / self.unsliced_tile_period()
-        return per_core * self.geometry.total_compute_cores * core_utilization

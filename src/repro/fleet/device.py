@@ -6,11 +6,15 @@ the per-device timeline (busy seconds, queue-depth statistics), so the event
 loop in :mod:`repro.fleet.simulator` can interleave many of them on one
 clock.  The loop drives devices directly; :func:`repro.serving.simulate`
 runs it over a single device.
+
+The loop's ``dispatch`` takes a request's hold on a device
+(``outstanding``, ``outstanding_work_s``) and its ``leave`` drops it; a
+device keeps no records, which the loop files at its close.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from repro.api.backend import Backend
 from repro.api.runner import ExperimentRunner
@@ -52,7 +56,6 @@ class Device:
         "scheduler",
         "cost",
         "backend_name",
-        "records",
         "busy_until",
         "busy_s",
         "_occupancy",
@@ -101,7 +104,6 @@ class Device:
         self.backend_name: Optional[str] = None
 
         # -- timeline state ---------------------------------------------------
-        self.records: List[RequestRecord] = []
         self.busy_until: Optional[float] = None
         #: Busy seconds, booked as each occupancy ends (the event loop's
         #: ``end_occupancy``).

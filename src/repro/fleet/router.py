@@ -169,14 +169,12 @@ class RoundRobinRouter(Router):
 class JoinShortestQueueRouter(Router):
     """Fewest outstanding requests (assigned but not finished).
 
-    When the fleet loop attaches it, routing runs off a lazy-invalidation
-    heap of ``(outstanding, index)`` pairs: the loop reports completions
-    via :meth:`on_completed`, stale heap entries (whose count no longer
-    matches the mirror) are discarded as they surface, and the fresh
-    minimum is exactly the scan's answer — same count, same
-    smallest-index tie-break — at O(log devices) per decision.  Direct
-    :meth:`route` calls without an :meth:`attach` (or with a different
-    fleet) fall back to the O(devices) scan.
+    The fleet loop attaches it to the devices it routes over, and routing
+    runs off a lazy-invalidation heap of ``(outstanding, index)`` pairs:
+    the loop reports completions via :meth:`on_completed`, stale heap
+    entries (whose count no longer matches the mirror) are discarded as
+    they surface, and the fresh minimum is exactly a scan's answer — same
+    count, same smallest-index tie-break — at O(log devices) per decision.
     """
 
     name = "jsq"
@@ -193,8 +191,6 @@ class JoinShortestQueueRouter(Router):
 
     def on_completed(self, index: int, device: Device) -> None:
         counts = self._counts
-        if counts is None:
-            return
         counts[index] = device.outstanding
         heap = self._heap
         heapq.heappush(heap, (device.outstanding, index))
@@ -208,14 +204,6 @@ class JoinShortestQueueRouter(Router):
         self, record: RequestRecord, devices: Sequence[Device], now: float
     ) -> int:
         counts = self._counts
-        if counts is None or len(counts) != len(devices):
-            scores = [device.outstanding for device in devices]
-            if self.exclude_unhealthy:
-                scores = self._guarded(scores, devices)
-            index = self._argmin(scores)
-            if self.recorder is not None:
-                self._record_route(record, now, index, scores)
-            return index
         if self.exclude_unhealthy:
             # Health can flip between any two decisions, so the guarded
             # path scans the live mirror instead of trusting the heap —

@@ -91,14 +91,6 @@ class ShardingSpec:
             parts.append(f"pp{self.pipeline_parallel}")
         return "".join(parts)
 
-    def with_degrees(self, tensor_parallel: int, pipeline_parallel: int) -> "ShardingSpec":
-        """The same interconnect constants at different degrees."""
-        return replace(
-            self,
-            tensor_parallel=tensor_parallel,
-            pipeline_parallel=pipeline_parallel,
-        )
-
     # -- the latency transform ----------------------------------------------
     def transform_ttft(self, ttft_s: float) -> float:
         """Prefill latency of the sharded replica."""

@@ -29,21 +29,28 @@ outside the heap: one arrival source
 stream and the re-entries pushed onto it, hands out a stream arrival
 first at an equal time, and its head merges against the heap's.  Every
 delivery — a stream arrival, a client retry, a hedge, or a request a
-crash re-queues — reaches a device through the loop's one ``dispatch``,
-and every run ends by one rule: no delivered request is unresolved and
-the stream is dry.  A device's completion is *live* while its ``seq`` is
-the device's ``live_seq``; a decode run cut short (``Scheduler.cut``) or
-an occupancy a crash aborted leaves a superseded completion behind,
-which is skipped when popped and dropped from the head of the heap
-before the clock advances, so it never costs a loop pass.
+crash re-queues — reaches a device through the loop's one ``dispatch``.
+The way out is one too: a request drops its hold on a device (the
+router's ``outstanding`` signals) only in ``leave`` — at a completion,
+a shed or a cancellation in the queue, or a crash eviction — and a
+served request is stamped, spanned and resolved only in ``finish``.
+Kept records are filed once, at the close, each under the device its
+trace row names.  Every run ends by one rule: no delivered request is
+unresolved and the stream is dry.  A device's completion is *live*
+while its ``seq`` is the device's ``live_seq``; a decode run cut short
+(``Scheduler.cut``) or an occupancy a crash aborted leaves a superseded
+completion behind, which is skipped when popped and dropped from the
+head of the heap before the clock advances, so it never costs a loop
+pass.
 
 Fault injection rides the same loop: ``faults``, ``retry`` or
 ``deadline_s`` arm a :mod:`repro.faults.engine` handler object that
 makes the fault decisions — per-device fault transitions, which it hands
 to the loop's heap through its ``rearm`` list, client retries and hedge
 timers, which it pushes onto the arrival source, crash eviction, hedge
-pairing and outcomes.  Unarmed runs never touch it: the hot path below
-is the plain loop, with one identity check at each hand-off point.
+pairing and outcomes, and its exits go through ``leave`` and
+``finish``.  Unarmed runs never touch it: the hot path below is the
+plain loop, with one identity check at each hand-off point.
 
 All devices may share one :class:`repro.api.runner.ExperimentRunner`:
 a 16-device, 10k-request simulation still costs a handful of backend
@@ -174,7 +181,8 @@ def simulate_fleet(
     per-device aggregates read those alone; ``keep_records`` only decides
     whether the records (and ``to_csv``) survive the run, so with
     ``keep_records=False`` it holds O(in-flight) record state and reports
-    the same aggregates.  Lazy (non-list) streams combined with
+    the same aggregates.  A device report keeps the records its trace
+    rows name, in arrival order.  Lazy (non-list) streams combined with
     ``keep_records=False`` are consumed incrementally and cannot be used
     with ``fail_fast``.
 
@@ -205,8 +213,9 @@ def simulate_fleet(
     devices = list(devices)
     if not devices:
         raise ValueError("cannot simulate an empty fleet")
+    # Every run resolves each device's backend name by its close.
     for device in devices:
-        if device.records or not device.idle:
+        if device.backend_name is not None or not device.idle:
             raise ValueError("devices already carry state; build a fresh fleet")
     source = _ArrivalSource(requests, keep_records, fail_fast)
     return _run(
@@ -218,7 +227,6 @@ def simulate_fleet(
         max_steps=max_steps,
         fail_fast=fail_fast,
         trace_sink=trace_sink,
-        keep_records=keep_records,
         recorder=recorder,
         faults=faults,
         retry=retry,
@@ -251,7 +259,6 @@ def _run(
     max_steps: Optional[int],
     fail_fast: bool,
     trace_sink: Optional[TraceSink],
-    keep_records: bool,
     recorder,
     faults,
     retry,
@@ -401,14 +408,30 @@ def _run(
             device.backend_name = device.cost.profile(
                 record.source.request
             ).backend_name
-        if keep_records and not record.hedge:
-            device.records.append(record)
         device.outstanding += 1
         if track_work:
             device.outstanding_work_s += device.job_seconds(record)
         enqueues[index](record, now)
         touched.add(index)
         return index
+
+    def leave(device: Device, record) -> None:
+        """Drop ``record``'s hold on ``device``: the one way out of a device,
+        for a completion, a shed or cancelled queue member and a crash
+        eviction alike (``dispatch`` is the one way in)."""
+        device.outstanding -= 1
+        if track_work:
+            device.outstanding_work_s -= device.job_seconds(record)
+
+    def finish(record, index: int, now: float) -> None:
+        """Stamp a served request's ``finish_s`` on device ``index``, emit
+        its request-phase spans and resolve it."""
+        record.finish_s = now
+        if spans is not None:
+            record_request_phases(
+                spans, "requests", record, {"device": index} if fleet_shape else None
+            )
+        resolve(record, index, metric_sample(record, slo))
 
     # The event heap (see repro.serving.events) and its debug counters:
     # ``seq`` doubles as the push count.
@@ -425,11 +448,10 @@ def _run(
             retry=retry,
             deadline_s=deadline_s,
             slo=slo,
-            keep_records=keep_records,
             rec=rec,
-            spans=spans,
-            tag_device=fleet_shape,
             resolve=resolve,
+            leave=leave,
+            finish=finish,
             end_occupancy=end_occupancy,
             dispatch=dispatch,
             push=source.push,
@@ -479,28 +501,12 @@ def _run(
                     if event[3] != device.live_seq:
                         continue  # superseded by a cut or a crash abort
                     progressed = True
-                    completed = end_occupancy(index, device, now)
-                    if fault_run is not None:
-                        for record in completed:
-                            fault_run.member_done(index, device, record, now)
-                    elif completed:
-                        # Most completions are prefills with nothing to
-                        # stamp, so the empty-list guard skips the loop.
-                        device.outstanding -= len(completed)
-                        for record in completed:
-                            record.finish_s = now
-                            if spans is not None:
-                                record_request_phases(
-                                    spans,
-                                    "requests",
-                                    record,
-                                    {"device": index} if fleet_shape else None,
-                                )
-                            if track_work:
-                                device.outstanding_work_s -= device.job_seconds(
-                                    record
-                                )
-                            resolve(record, index, metric_sample(record, slo))
+                    # Each member leaves the device; a fault run judges
+                    # whether it was served before the loop finishes it.
+                    for record in end_occupancy(index, device, now):
+                        leave(device, record)
+                        if fault_run is None or fault_run.served(index, record, now):
+                            finish(record, index, now)
                     on_completed(index, device)
                     touched.add(index)
                 if fault_run is not None:
@@ -688,8 +694,13 @@ def _run(
     # trace or the clock.
     alerts = rec.finalize_run(now) if rec is not None else None
 
+    # Kept records are filed once, each under the device its trace row names.
+    records = source.records if source.records is not None else []
+    filed: List[list] = [[] for _ in devices]
+    for record, index in zip(records, assignments):
+        filed[index].append(record)
     device_reports = []
-    for device, streamed in zip(devices, device_metrics):
+    for device, streamed, kept in zip(devices, device_metrics, filed):
         streamed.queue_depth_area = device.queue_stats.area
         streamed.max_queue_depth = device.queue_stats.max_depth
         memory = device.memory
@@ -697,7 +708,7 @@ def _run(
             ServingReport(
                 backend_name=device.backend_name,
                 scheduler_name=device.scheduler.name,
-                records=device.records,
+                records=kept,
                 makespan_s=now,
                 busy_s=device.busy_s,
                 slo=slo,
@@ -708,7 +719,7 @@ def _run(
     return FleetReport(
         router_name=router.name,
         device_reports=device_reports,
-        records=source.records if keep_records else [],
+        records=records,
         assignments=assignments,
         makespan_s=now,
         slo=slo,

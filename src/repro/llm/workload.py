@@ -12,7 +12,7 @@ from typing import Iterator, List, Sequence
 
 from repro.llm.layers import build_decode_layer_ops, build_lm_head_op
 from repro.llm.models import ModelSpec, get_model
-from repro.llm.operators import GeMVOp, Operator, Placement
+from repro.llm.operators import GeMVOp, Operator
 
 
 @dataclass
@@ -42,15 +42,6 @@ class LayerOps:
     @property
     def compute_ops(self) -> float:
         return sum(op.ops for op in self.operators)
-
-    @property
-    def sfu_ops(self) -> float:
-        """Operations executed on the SFU / element-wise units only."""
-        return sum(
-            op.ops
-            for op in self.operators
-            if op.placement is Placement.NPU_ONLY and not isinstance(op, GeMVOp)
-        )
 
 
 @dataclass
@@ -125,15 +116,6 @@ class DecodeWorkload:
         total = sum(layer.weight_bytes for layer in self._layers)
         if self.include_lm_head:
             total += self._lm_head.weight_bytes
-        return total
-
-    @property
-    def gemv_weight_elements(self) -> int:
-        total = sum(
-            op.weight_elements for layer in self._layers for op in layer.gemv_ops
-        )
-        if self.include_lm_head:
-            total += self._lm_head.weight_elements
         return total
 
     @property

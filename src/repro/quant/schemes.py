@@ -37,10 +37,6 @@ class QuantScheme:
     def weight_bytes_per_element(self) -> float:
         return self.weight_bits / 8
 
-    @property
-    def activation_bytes_per_element(self) -> float:
-        return self.activation_bits / 8
-
     def model_bytes(self, parameters: float) -> float:
         """Weight footprint of a model with ``parameters`` weights."""
         if parameters < 0:

@@ -115,11 +115,6 @@ class RequestRecord:
         return self.finish_s - self.arrival_s
 
     @property
-    def output_tokens(self) -> int:
-        """Tokens this request produced (batch lanes x generated tokens)."""
-        return self.request.total_generated_tokens
-
-    @property
     def tpot_s(self) -> float:
         """Time per output token over the decode phase of this request."""
         return (self.finish_s - self.first_token_s) / self.request.gen_tokens

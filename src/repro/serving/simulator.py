@@ -199,9 +199,11 @@ class _ArrivalSource:
     """The one source of a run's deliveries: its request stream, of any
     stream type, plus the re-entries pushed onto it.
 
-    ``keep_records=True`` builds every :class:`RequestRecord` up front
-    (the report returns them); otherwise each record is built on
-    delivery, so dropped records stay transient.  Lists and tuples are
+    Each stream request becomes its :class:`RequestRecord` in one place,
+    :meth:`_record`, when it is delivered (or, after an early exit, when
+    :meth:`tail` hands it out undelivered).  ``keep_records=True`` also
+    keeps every record so built in :attr:`records`, in stream order, for
+    the report; otherwise a record stays transient.  Lists and tuples are
     sorted (or scanned, when already in order) and know their
     :attr:`total`; any other iterable is consumed lazily with a
     one-request lookahead — it must arrive pre-sorted, and its total is
@@ -229,7 +231,6 @@ class _ArrivalSource:
         "stream_time",
         "_items",
         "_head",
-        "_built",
         "_reentries",
         "_pushes",
     )
@@ -237,15 +238,11 @@ class _ArrivalSource:
     def __init__(
         self, requests: Iterable[ServingRequest], keep_records: bool, fail_fast: bool
     ):
-        self.records: Optional[List[RequestRecord]] = None
+        self.records: Optional[List[RequestRecord]] = [] if keep_records else None
         self.total: Optional[int] = None
-        self._built: Optional[Iterator[RequestRecord]] = None
         if keep_records or isinstance(requests, (list, tuple)):
             requests = _ordered_requests(requests)
             self.total = len(requests)
-            if keep_records:
-                self.records = [RequestRecord(request) for request in requests]
-                self._built = iter(self.records)
         self._items: Iterator[ServingRequest] = iter(requests)
         self._head: Optional[ServingRequest] = next(self._items, None)
         if self._head is None:
@@ -261,6 +258,13 @@ class _ArrivalSource:
         #: Re-entries as (time, push count, action, record).
         self._reentries: list = []
         self._pushes = 0
+
+    def _record(self, request: ServingRequest) -> RequestRecord:
+        """Build the record of one stream request, keeping it if asked."""
+        record = RequestRecord(request)
+        if self.records is not None:
+            self.records.append(record)
+        return record
 
     def push(self, time_s: float, action: int, record: RequestRecord) -> None:
         """Queue ``record`` to come back at ``time_s`` with ``action``."""
@@ -299,8 +303,7 @@ class _ArrivalSource:
                         "pass a list to let the simulator sort it"
                     )
             self.stream_time = stream_time
-            built = self._built
-            record = RequestRecord(head) if built is None else next(built)
+            record = self._record(head)
         if reentries and (stream_time is None or reentries[0][0] < stream_time):
             self.head_time = reentries[0][0]
         else:
@@ -309,11 +312,9 @@ class _ArrivalSource:
 
     def tail(self) -> Iterator[RequestRecord]:
         """Stream records never delivered to a device (early exit)."""
-        if self._built is not None:
-            return self._built
         head = self._head
         undelivered = self._items if head is None else chain((head,), self._items)
-        return (RequestRecord(request) for request in undelivered)
+        return map(self._record, undelivered)
 
 
 def simulate(
@@ -424,7 +425,6 @@ def simulate(
         max_steps=max_steps,
         fail_fast=fail_fast,
         trace_sink=trace_sink,
-        keep_records=keep_records,
         recorder=recorder,
         faults=faults,
         retry=retry,

@@ -114,7 +114,7 @@ def test_cambricon_oom_is_a_result_not_an_exception():
 # -- generalized request semantics --------------------------------------------
 
 def test_longer_generation_slows_average_step_via_kv_growth():
-    backend = CambriconBackend(config=cambricon_llm_l(), energy=False)
+    backend = CambriconBackend(config=cambricon_llm_l())
     short = backend.run(InferenceRequest(model="opt-6.7b", seq_len=500))
     long = backend.run(
         InferenceRequest(model="opt-6.7b", seq_len=500, gen_tokens=4000)
@@ -124,7 +124,7 @@ def test_longer_generation_slows_average_step_via_kv_growth():
 
 
 def test_batching_amortizes_weight_streaming():
-    backend = CambriconBackend(config=cambricon_llm_s(), energy=False)
+    backend = CambriconBackend(config=cambricon_llm_s())
     single = backend.run(InferenceRequest(model="opt-6.7b"))
     batched = backend.run(InferenceRequest(model="opt-6.7b", batch_size=8))
     assert batched.tokens_per_second > 2 * single.tokens_per_second
@@ -140,10 +140,8 @@ def test_batching_helps_baselines_too():
 
 
 def test_quantization_override_speeds_up_cambricon():
-    w8 = CambriconBackend(energy=False).run(
-        InferenceRequest(model="opt-6.7b", config="S")
-    )
-    w4 = CambriconBackend(energy=False).run(
+    w8 = CambriconBackend().run(InferenceRequest(model="opt-6.7b", config="S"))
+    w4 = CambriconBackend().run(
         InferenceRequest(model="opt-6.7b", config="S", weight_bits=4, activation_bits=16)
     )
     assert 1.3 < w4.tokens_per_second / w8.tokens_per_second < 2.0
@@ -158,7 +156,7 @@ def test_baselines_honor_seq_len():
 
 
 def test_ttft_scales_with_prompt_length():
-    backend = CambriconBackend(config=cambricon_llm_l(), energy=False)
+    backend = CambriconBackend(config=cambricon_llm_l())
     short = backend.run(InferenceRequest(model="llama2-7b", seq_len=128))
     long = backend.run(InferenceRequest(model="llama2-7b", seq_len=4000))
     assert long.time_to_first_token_s > short.time_to_first_token_s

@@ -178,6 +178,26 @@ def test_fleet_validation_errors():
         simulate_fleet(_arrivals([0.0]), fleet)
 
 
+def test_a_fleet_that_ran_without_records_is_refused_too():
+    """A record-dropping run keeps no records, but every run names each
+    device's backend by its close.  Run again, the fleet would carry its
+    busy seconds over: 39.2 s and 25.2 s over a 30.07 s makespan."""
+    payload = InferenceRequest(model="opt-6.7b", gen_tokens=4)
+    arrivals = PoissonWorkload(2.0, payload, seed=0).generate(50)
+    fleet = build_fleet(
+        [ToyBackend(ttft=0.3, step=0.1)] * 2,
+        scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=2),
+    )
+    first = simulate_fleet(
+        arrivals, fleet, JoinShortestQueueRouter(), keep_records=False
+    )
+    assert [device.busy_s for device in first.device_reports] == pytest.approx(
+        [19.6, 12.6]
+    )
+    with pytest.raises(ValueError, match="fresh fleet"):
+        simulate_fleet(arrivals, fleet, JoinShortestQueueRouter(), keep_records=False)
+
+
 # -- determinism (acceptance) -------------------------------------------------
 
 def test_fleet_trace_csv_is_byte_identical_including_device_assignment():

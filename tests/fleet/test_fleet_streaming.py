@@ -17,6 +17,7 @@ from serving_toys import ToyBackend
 from test_fleet_coalescing import HEDGED, SPARSE_CHAOS, SPARSE_SLO
 
 from repro.api import InferenceRequest
+from repro.faults import FaultSpec, RetryPolicy
 from repro.fleet import ROUTERS, build_fleet, get_router, simulate_fleet
 from repro.memory import MemorySpec
 from repro.serving import (
@@ -152,24 +153,41 @@ def test_streamed_fleet_aggregates_match_the_in_memory_report(router_name):
                 assert _aggregates(dropped) == expected, case
 
 
-def test_a_hedge_win_files_its_primary_under_the_winning_device():
-    """Every kept primary sits in exactly one device's records: the device
-    its trace row names — also when its hedge won while it waited out a
-    retry backoff on no device."""
+#: Flaky attempts retried after a long backoff, and an SLO that a
+#: fail_fast run gives up on while some of them wait to retry.
+PENDING_RETRIES = dict(
+    faults=FaultSpec(flaky_prob=0.3, seed=0),
+    retry=RetryPolicy(max_attempts=3, backoff_s=5.0),
+    slo=SLOSpec(e2e_s=5.0, min_attainment=0.5),
+    fail_fast=True,
+)
+
+
+@pytest.mark.parametrize(
+    "options", [HEDGED, PENDING_RETRIES], ids=["hedged", "early-exit"]
+)
+def test_each_device_files_the_records_its_trace_rows_name_in_arrival_order(options):
+    """Every kept record sits in exactly one device's records, the device
+    its trace row names, in arrival order: also a retried, re-queued or
+    hedge-won primary (a hedge may win while its primary waits out a
+    retry backoff on no device), and a record an early exit caught
+    waiting out a retry backoff."""
     arrivals = PoissonWorkload(3.0, _mixed_payload, seed=2).generate(300)
     fleet = build_fleet(
         [ToyBackend(ttft=0.3, step=0.1)] * 4,
         scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
     )
-    report = simulate_fleet(arrivals, fleet, get_router("failover"), **HEDGED)
-    assert report.faults.hedge_wins > 0 and report.faults.retries > 0
-    owner = {}
+    report = simulate_fleet(arrivals, fleet, get_router("failover"), **options)
+    assert report.faults.retries > 0
+    if options is HEDGED:
+        assert report.faults.hedge_wins > 0
+    assert report.early_exit == options.get("fail_fast", False)
     for index, device in enumerate(report.device_reports):
-        for record in device.records:
-            assert id(record) not in owner
-            owner[id(record)] = index
-    assert len(owner) == len(report.records)
-    assert [owner.get(id(record)) for record in report.records] == report.assignments
+        assert [id(record) for record in device.records] == [
+            id(record)
+            for record, owner in zip(report.records, report.assignments)
+            if owner == index
+        ], index
 
 
 def test_record_dropping_fleet_report_refuses_to_csv():

@@ -36,7 +36,7 @@ def _tiny_flash_backend(blocks_per_plane: int = 16) -> CambriconBackend:
     config = replace(
         config, flash=replace(config.flash, blocks_per_plane=blocks_per_plane)
     )
-    return CambriconBackend(config=config, energy=False)
+    return CambriconBackend(config=config)
 
 
 REQUEST = InferenceRequest(model="llama2-7b", seq_len=64, gen_tokens=2)

@@ -1,6 +1,6 @@
 """Package guards: no module reads the wall clock, starts a thread, or
-keeps a private helper nothing uses, and requests reach a router through
-one arrival path.
+keeps a private helper nothing uses, requests reach a router through one
+arrival path, and leave a device through one exit path.
 
 Everything the model and the simulators report is a function of their
 inputs on the simulated clock.  Wall-clock questions about the simulator
@@ -83,3 +83,47 @@ def test_one_place_reads_a_router_route():
         if isinstance(node, ast.Attribute) and node.attr == "route"
     ]
     assert len(sites) == 1, f"route read at {sites}"
+
+
+def _attribute_names(tree):
+    """Every attribute, name and imported name in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_one_place_releases_a_device():
+    """The event loop's ``leave`` is the one place a request drops its hold
+    on a device, and the loop files kept records and emits request-phase
+    spans: the fault engine only decides, and touches neither a device's
+    hold counters nor anyone's records."""
+    sources = _sources()
+    releases = [
+        f"{path}:{node.lineno}"
+        for path, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.target, ast.Attribute)
+        and node.target.attr == "outstanding"
+    ]
+    assert len(releases) == 1, f"outstanding released at {releases}"
+    forbidden = {
+        "outstanding",
+        "outstanding_work_s",
+        "records",
+        "record_request_phases",
+    }
+    touches = [
+        f"{path}:{line} {name}"
+        for path, source in sources.items()
+        if path.parts[1] == "faults"
+        for name, line in _attribute_names(ast.parse(source))
+        if name in forbidden
+    ]
+    assert not touches, f"the fault engine touches the loop's state at {touches}"
