@@ -198,6 +198,27 @@ def test_a_fleet_that_ran_without_records_is_refused_too():
         simulate_fleet(arrivals, fleet, JoinShortestQueueRouter(), keep_records=False)
 
 
+def test_a_fleet_an_early_exit_stopped_is_refused_at_the_boundary():
+    """An early exit leaves requests inside the devices' schedulers.  Run
+    again without records, the fleet is refused up front rather than
+    failing inside the loop on a request the new run never delivered."""
+    payload = InferenceRequest(model="opt-6.7b", gen_tokens=4)
+    arrivals = PoissonWorkload(8.0, payload, seed=0).generate(200)
+    fleet = build_fleet(
+        [ToyBackend(ttft=0.3, step=0.1)] * 3,
+        scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=2),
+    )
+    options = dict(
+        slo=SLOSpec(e2e_s=2.0, min_attainment=0.9),
+        fail_fast=True,
+        keep_records=False,
+    )
+    first = simulate_fleet(arrivals, fleet, JoinShortestQueueRouter(), **options)
+    assert first.early_exit
+    with pytest.raises(ValueError, match="fresh fleet"):
+        simulate_fleet(arrivals, fleet, JoinShortestQueueRouter(), **options)
+
+
 # -- determinism (acceptance) -------------------------------------------------
 
 def test_fleet_trace_csv_is_byte_identical_including_device_assignment():

@@ -153,6 +153,26 @@ def test_streamed_fleet_aggregates_match_the_in_memory_report(router_name):
                 assert _aggregates(dropped) == expected, case
 
 
+def test_a_hedge_win_files_its_primary_under_the_winning_device():
+    """Every kept primary sits in exactly one device's records: the device
+    its trace row names — also when its hedge won while it waited out a
+    retry backoff on no device."""
+    arrivals = PoissonWorkload(3.0, _mixed_payload, seed=2).generate(300)
+    fleet = build_fleet(
+        [ToyBackend(ttft=0.3, step=0.1)] * 4,
+        scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
+    )
+    report = simulate_fleet(arrivals, fleet, get_router("failover"), **HEDGED)
+    assert report.faults.hedge_wins > 0 and report.faults.retries > 0
+    owner = {}
+    for index, device in enumerate(report.device_reports):
+        for record in device.records:
+            assert id(record) not in owner
+            owner[id(record)] = index
+    assert len(owner) == len(report.records)
+    assert [owner.get(id(record)) for record in report.records] == report.assignments
+
+
 #: Flaky attempts retried after a long backoff, and an SLO that a
 #: fail_fast run gives up on while some of them wait to retry.
 PENDING_RETRIES = dict(
@@ -164,14 +184,16 @@ PENDING_RETRIES = dict(
 
 
 @pytest.mark.parametrize(
-    "options", [HEDGED, PENDING_RETRIES], ids=["hedged", "early-exit"]
+    "options",
+    [HEDGED, SPARSE_CHAOS, PENDING_RETRIES],
+    ids=["hedged", "chaos", "early-exit"],
 )
 def test_each_device_files_the_records_its_trace_rows_name_in_arrival_order(options):
     """Every kept record sits in exactly one device's records, the device
     its trace row names, in arrival order: also a retried, re-queued or
     hedge-won primary (a hedge may win while its primary waits out a
-    retry backoff on no device), and a record an early exit caught
-    waiting out a retry backoff."""
+    retry backoff on no device), a primary a crash evicted or a deadline
+    shed, and a record an early exit caught waiting out a retry backoff."""
     arrivals = PoissonWorkload(3.0, _mixed_payload, seed=2).generate(300)
     fleet = build_fleet(
         [ToyBackend(ttft=0.3, step=0.1)] * 4,
@@ -181,6 +203,8 @@ def test_each_device_files_the_records_its_trace_rows_name_in_arrival_order(opti
     assert report.faults.retries > 0
     if options is HEDGED:
         assert report.faults.hedge_wins > 0
+    if options is SPARSE_CHAOS:
+        assert report.faults.requeued > 0 and report.faults.shed > 0
     assert report.early_exit == options.get("fail_fast", False)
     for index, device in enumerate(report.device_reports):
         assert [id(record) for record in device.records] == [
