@@ -528,9 +528,14 @@ class _FaultRun:
 
     # -- the end of the run ---------------------------------------------------
     def close(self, now: float) -> None:
-        """Stamp the makespan; a crash still open at the end contributes
-        downtime truncated at the makespan, but no recovery sample."""
+        """Stamp the makespan, and detach the gates this run attached, so
+        a drained scheduler serves its next run without them.  A crash
+        still open at the end contributes downtime truncated at the
+        makespan, but no recovery sample."""
         for since in self.down_since:
             if since is not None:
                 self.report.downtime_s += now - since
         self.report.makespan_s = now
+        for device in self.devices:
+            device.gate = None
+            device.scheduler.faults = None

@@ -72,11 +72,11 @@ builds no span and no decision instant.
 
 Scale: the loop re-plans only the devices an event actually touched, a
 decode run is split only by a request routed to its own device, and —
-with ``trace_sink``/``keep_records=False`` — renders each request's
-trace row once, when it resolves, from the sample its fold read (as
-:meth:`FleetReport.to_csv` renders it), writes the rows in batches and
-drops the record, so a million-request, hundred-device day runs in
-seconds holding O(in-flight) record state.
+with ``trace_sink``/``keep_records=False`` — files each request's trace
+row when it resolves, with the sample its fold read, renders and writes
+the rows a batch at a time (as :meth:`FleetReport.to_csv` renders them)
+and drops the record once its batch is written, so a million-request,
+hundred-device day runs in seconds holding O(in-flight) record state.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ def simulate_fleet(
 
     ``trace_sink``/``keep_records`` stream the fleet trace exactly as in
     :func:`repro.serving.simulator.simulate`: rows (including the routed
-    device column) are rendered as each request resolves and written in
-    arrival order, in batches, byte-identical to
+    device column) are filed as each request resolves and rendered and
+    written in arrival order, a batch at a time, byte-identical to
     :meth:`FleetReport.to_csv`.  Every run folds each record into the
     reservoirs of the device it resolves on, and the fleet-wide and
     per-device aggregates read those alone; ``keep_records`` only decides
@@ -357,7 +357,8 @@ def _run(
     # The one table of delivered requests not yet resolved: id(record) ->
     # (record, trace-row position).  The end rule reads it, a retry, a
     # crash re-queue or a hedge win re-points the row's device cell
-    # through it, and an early exit folds what it still holds.
+    # through it, ``resolve`` files the row at its position, and an early
+    # exit folds what it still holds.
     live: dict = {}
     #: Resolved requests that missed the SLO (the ``fail_fast`` tally).
     missed = 0
@@ -365,21 +366,22 @@ def _run(
     def resolve(record, index: int, sample) -> None:
         """Fold a record that just resolved on device ``index`` (``sample``
         is its :func:`metric_sample`) into the device's reservoirs and the
-        timelines, tally a ``fail_fast`` miss, and render its trace row
-        from the same sample.  A record's stamps and its ``assignments``
-        cell are final once it resolves: nothing stamps it again (a losing
-        attempt runs to an ignored end), and a hedge win re-points the
-        cell before it resolves the primary."""
+        timelines, tally a ``fail_fast`` miss, and file its trace row at
+        its ``live`` position with the same sample.  A record's stamps and
+        its ``assignments`` cell are final once it resolves, and its
+        stamps stay final until its row's batch is written: nothing
+        stamps it again (a losing attempt runs to an ignored end), and a
+        hedge win re-points the cell before it resolves the primary."""
         nonlocal missed
         folds[index](sample)
         if fail_fast and not sample[5]:
             missed += 1
+        position = live.pop(id(record))[1]
         if streamer is not None:
-            streamer.finish(record, sample)
+            streamer.finish(record, sample, position)
         if timelines:
             for timeline in timelines:
                 timeline.resolved(record, sample)
-        del live[id(record)]
 
     # Devices whose state changed this event and therefore need a planning
     # attempt; everyone plans at t=0.
@@ -538,7 +540,7 @@ def _run(
                     live[id(record)] = (record, len(assignments))
                     assignments.append(index)
                     if streamer is not None:
-                        streamer.register(record)
+                        streamer.register()
                     if fault_run is not None:
                         fault_run.arrived(record, index, now)
                     progressed = True
@@ -674,7 +676,7 @@ def _run(
             sample = metric_sample(record, slo)
             folds[assignments[position]](sample)
             if streamer is not None:
-                streamer.finish(record, sample)
+                streamer.finish(record, sample, position)
         fleet_metrics = device_metrics[0]
         if fleet_shape:
             fleet_metrics = StreamedMetrics(slo_met=slo_met)

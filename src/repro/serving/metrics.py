@@ -13,9 +13,10 @@ moment it resolves, through :func:`metric_sample` (the one derivation of
 a record's floats, which the trace rows and :meth:`SLOSpec.met_by` read
 too), and a report built from a record list folds that list on
 construction.  :func:`trace_line` renders every trace row, kept or
-streamed.  A report is exactly as deterministic as the simulation that
-produced it: the same seed yields the same reservoirs and a
-byte-identical :meth:`ServingReport.to_csv`.
+streamed, reusing the cell text its trace already rendered
+(:class:`TraceCells`).  A report is exactly as deterministic as the
+simulation that produced it: the same seed yields the same reservoirs
+and a byte-identical :meth:`ServingReport.to_csv`.
 """
 
 from __future__ import annotations
@@ -509,46 +510,113 @@ class ServingReport:
         return trace_csv(self.records, self.slo, None, path)
 
 
-#: The ``model,config`` cells of each ``(model name, config)`` pair seen so
-#: far, as ``csv.writer`` quotes them, keyed by the two strings' values.
-_TEXT_CELLS: Dict[Tuple[str, Optional[str]], str] = {}
+#: Entries a trace's payload and latency text tables hold before they are
+#: reset, as the schedulers' payload memos are when a workload overflows
+#: them.  Kept small: on a run whose latencies are mostly distinct, a
+#: larger table holds more text alive for few more hits.
+TRACE_CELLS = 512
+
 _VERDICT_CELLS = {None: "", True: "True", False: "False"}
 
 
-def trace_line(record: RequestRecord, sample: MetricSample, device: object) -> str:
+class TraceCells:
+    """The cell text one trace renders once and then reuses.
+
+    Each trace owns one (a :class:`~repro.serving.stream.TraceStreamer`,
+    or one :func:`trace_csv` call), so a second trace starts empty.  Every
+    entry is the text ``csv.writer`` writes for its value:
+
+    * ``payloads``: ``id(payload) -> (payload, text)``, a payload's five
+      cells (``model`` to ``batch_size``) once per payload object.  The
+      stored payload pins the id and is identity-checked on every hit,
+      like the scheduler's ``_ttft_memo``.
+    * ``pairs``: ``(model name, config) -> text``, the two cells that can
+      need quoting, through ``csv.writer`` once per distinct pair.
+    * ``latencies``: a latency float -> its ``repr``.  It never holds a
+      zero, because ``0.0 == -0.0`` while their reprs differ, nor
+      anything but a float, because ``2 == 2.0`` while ``repr`` writes
+      ``2`` and ``2.0``.
+
+    ``payloads`` and ``latencies`` are reset when they reach
+    :data:`TRACE_CELLS` entries.
+    """
+
+    __slots__ = ("payloads", "pairs", "latencies")
+
+    def __init__(self) -> None:
+        self.payloads: Dict[int, Tuple[object, str]] = {}
+        self.pairs: Dict[Tuple[str, Optional[str]], str] = {}
+        self.latencies: Dict[float, str] = {}
+
+
+def _latency_text(value: Optional[float], latencies: Dict[float, str]) -> str:
+    """A latency's cell: blank for None, else its ``repr``, read from
+    ``latencies`` (and filed there on a miss) for a non-zero float."""
+    if value.__class__ is not float or not value:
+        return "" if value is None else repr(value)
+    text = latencies.get(value)
+    if text is None:
+        text = repr(value)
+        if len(latencies) >= TRACE_CELLS:
+            latencies.clear()
+        latencies[value] = text
+    return text
+
+
+def trace_line(
+    record: RequestRecord, sample: MetricSample, device: object, cells: TraceCells
+) -> str:
     """One record's trace CSV row, newline included, byte for byte as
     ``csv.writer`` renders it: the one renderer of every trace row.
 
     ``sample`` is the record's :func:`metric_sample` (a streamed row reads
     the one its fold read).  ``device`` None renders a single-device row;
     anything else is the device cell after the request id (a fleet row).
-    Floats render with ``repr``, as ``csv.writer`` does, and unstamped
-    cells are blank.  Only the model name and config can need quoting, so
-    each distinct pair goes through ``csv.writer`` once.
+    Floats render as their ``repr``, as ``csv.writer`` writes them, and
+    unstamped cells are blank.  Text repeats from row to row, so ``cells``
+    (the trace's :class:`TraceCells`) serves the payload cells and the
+    non-zero float latencies, and a prefill start equal to a non-zero
+    arrival of its own type reuses the arrival's text.
     """
     queue_wait, ttft, tpot, e2e, _, met = sample
     source = record.source
     request = source.request
+    payloads = cells.payloads
+    hit = payloads.get(id(request))
+    if hit is not None and hit[0] is request:
+        payload = hit[1]
+    else:
+        pairs = cells.pairs
+        key = (request.model_name, request.config)
+        text = pairs.get(key)
+        if text is None:
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerow([key[0], key[1] or ""])
+            text = pairs[key] = buffer.getvalue()[:-1]
+        payload = f"{text},{request.seq_len},{request.gen_tokens},{request.batch_size}"
+        if len(payloads) >= TRACE_CELLS:
+            payloads.clear()
+        payloads[id(request)] = (request, payload)
+    arrival = source.arrival_s
+    arrived = repr(arrival)
     prefill = record.prefill_start_s
+    if prefill is None:
+        started = ""
+    elif prefill == arrival and prefill and prefill.__class__ is arrival.__class__:
+        started = arrived
+    else:
+        started = repr(prefill)
     first = record.first_token_s
     finish = record.finish_s
-    key = (request.model_name, request.config)
-    text = _TEXT_CELLS.get(key)
-    if text is None:
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow([key[0], key[1] or ""])
-        text = _TEXT_CELLS[key] = buffer.getvalue()[:-1]
+    latencies = cells.latencies
     lead = source.request_id if device is None else f"{source.request_id},{device}"
     return (
-        f"{lead},{source.arrival_s!r},{text},{request.seq_len},"
-        f"{request.gen_tokens},{request.batch_size},"
-        f"{'' if prefill is None else repr(prefill)},"
+        f"{lead},{arrived},{payload},{started},"
         f"{'' if first is None else repr(first)},"
         f"{'' if finish is None else repr(finish)},"
-        f"{'' if queue_wait is None else repr(queue_wait)},"
-        f"{'' if ttft is None else repr(ttft)},"
-        f"{'' if tpot is None else repr(tpot)},"
-        f"{'' if e2e is None else repr(e2e)},{_VERDICT_CELLS[met]}\n"
+        f"{_latency_text(queue_wait, latencies)},{_latency_text(ttft, latencies)},"
+        f"{_latency_text(tpot, latencies)},{_latency_text(e2e, latencies)},"
+        f"{_VERDICT_CELLS[met]}\n"
     )
 
 
@@ -568,8 +636,9 @@ def trace_csv(
     # Written as rendered: the rows' objects are never all alive at once.
     buffer = io.StringIO()
     buffer.write(",".join(header) + "\n")
+    cells = TraceCells()
     for record, device in zip(records, devices):
-        buffer.write(trace_line(record, metric_sample(record, slo), device))
+        buffer.write(trace_line(record, metric_sample(record, slo), device, cells))
     text = buffer.getvalue()
     if path is not None:
         with open(path, "w", newline="") as handle:

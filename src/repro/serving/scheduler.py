@@ -648,8 +648,11 @@ class ContinuousBatchScheduler(Scheduler):
             entry[1] -= steps
             if entry[1] == 0:
                 finished.append(entry)
+        if finished:
+            # One ordered pass keeps the unfinished members in batch order;
+            # no entry is looked up again by value.
+            self._active = [entry for entry in active if entry[1]]
         for entry in finished:
-            active.remove(entry)
             request = entry[2]
             self._lanes -= request.batch_size
             counted = payloads[id(request)]

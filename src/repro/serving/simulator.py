@@ -367,8 +367,9 @@ def simulate(
 
     Streaming output: ``trace_sink`` (a path or a file-like object)
     receives the trace CSV byte-identical to :meth:`ServingReport.to_csv`,
-    rows in arrival order: each row is rendered once, when its request
-    resolves, and written in batches.  Every run folds each record, once, into exact
+    rows in arrival order: each row is filed when its request resolves,
+    and rendered and written a batch at a time.  Every run folds each
+    record, once, into exact
     :class:`repro.serving.metrics.StreamedMetrics` reservoirs when it
     resolves, and every aggregate metric (percentiles, attainment,
     goodput, queue depth) reads them alone.  ``keep_records`` only

@@ -21,7 +21,7 @@ from collections import deque
 
 import pytest
 
-from serving_toys import ToyBackend
+from serving_toys import ToyBackend, assert_same_trace
 
 from repro.api import InferenceRequest
 from repro.faults import FaultSpec, RetryPolicy
@@ -300,6 +300,25 @@ def test_deadline_sheds_queued_work_and_times_out_finished_work():
             # Timed-out requests ran to completion, past their deadline.
             assert record.finish_s is not None
             assert record.finish_s - record.source.arrival_s > 5.0
+
+
+def test_a_drained_scheduler_reruns_plain_after_a_fault_aware_run():
+    """The fault engine detaches the gates it attached when the run ends,
+    so the drained scheduler's plain rerun is a fresh scheduler's run
+    (it used to shed through the old run's callbacks and fail)."""
+    arrivals = PoissonWorkload(3.0, PAYLOAD, seed=1).generate(200)
+    scheduler = ContinuousBatchScheduler(max_batch=2)
+    faulted = simulate(
+        arrivals, ToyBackend(ttft=0.3, step=0.1), scheduler, deadline_s=2.0
+    )
+    assert faulted.faults.shed > 0
+    assert scheduler.pending == 0 and scheduler.faults is None
+    rerun = simulate(arrivals, ToyBackend(ttft=0.3, step=0.1), scheduler)
+    fresh = simulate(
+        arrivals, ToyBackend(ttft=0.3, step=0.1), ContinuousBatchScheduler(max_batch=2)
+    )
+    assert rerun.faults is None
+    assert_same_trace(rerun.to_csv(), fresh.to_csv())
 
 
 class _CountingQueue(deque):
