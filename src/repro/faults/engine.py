@@ -492,7 +492,7 @@ class _FaultRun:
             # The occupancy ends at the crash instant, its tail unexecuted.
             lost = self.end_occupancy(index, device, time_s)
             device.live_seq = None
-        evicted = lost + device.scheduler.evict_all()
+        evicted = lost + device.scheduler.evict_all(time_s)
         requeue: List[RequestRecord] = []
         rec = self.rec
         for record in evicted:
@@ -521,9 +521,6 @@ class _FaultRun:
         for record in requeue:
             # Re-route at the crash instant against live health state.
             self._requeue(record, time_s)
-        # The queue emptied (a router may have sent survivors back):
-        # sample it now, or the pre-crash depth holds through the outage.
-        device.queue_stats.add(time_s, device.scheduler.waiting)
         return bool(requeue)
 
     # -- the end of the run ---------------------------------------------------

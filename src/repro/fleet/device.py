@@ -2,10 +2,10 @@
 
 A :class:`Device` bundles a scheduler, a
 :class:`repro.serving.simulator.BackendCostModel`, the busy/idle state and
-the per-device timeline (busy seconds, queue-depth statistics), so the event
-loop in :mod:`repro.fleet.simulator` can interleave many of them on one
-clock.  The loop drives devices directly; :func:`repro.serving.simulate`
-runs it over a single device.
+the busy seconds, so the event loop in :mod:`repro.fleet.simulator` can
+interleave many of them on one clock.  The loop drives devices directly;
+:func:`repro.serving.simulate` runs it over a single device.  The
+scheduler measures its own waiting queue.
 
 The loop's ``dispatch`` takes a request's hold on a device
 (``outstanding``, ``outstanding_work_s``) and its ``leave`` drops it; a
@@ -24,31 +24,6 @@ from repro.serving.scheduler import FCFSScheduler, Occupancy, Scheduler
 from repro.serving.simulator import BackendCostModel
 
 
-class _QueueDepthStats:
-    """A device's waiting-queue depth, folded as the loop samples it.
-
-    Each ``add(now, depth)`` sample holds until the next one, so the
-    samples describe a step function, zero until the first sample; only
-    its time-weighted area (for the mean) and its maximum are kept.  A
-    repeated or zero-width sample adds no area.
-    """
-
-    __slots__ = ("area", "max_depth", "_last_t", "_last_depth")
-
-    def __init__(self) -> None:
-        self.area = 0.0
-        self.max_depth = 0
-        self._last_t = 0.0
-        self._last_depth = 0
-
-    def add(self, now: float, depth: int) -> None:
-        self.area += self._last_depth * (now - self._last_t)
-        self._last_t = now
-        self._last_depth = depth
-        if depth > self.max_depth:
-            self.max_depth = depth
-
-
 class Device:
     """One replica of the fleet: scheduler + cost model + timeline state."""
 
@@ -62,7 +37,6 @@ class Device:
         "live_seq",
         "outstanding",
         "outstanding_work_s",
-        "queue_stats",
         "up",
         "gate",
     )
@@ -108,9 +82,6 @@ class Device:
         #: Busy seconds, booked as each occupancy ends (the event loop's
         #: ``end_occupancy``).
         self.busy_s = 0.0
-        #: Waiting-queue depth sampled at every planning attempt (and
-        #: once at the end of the run).
-        self.queue_stats = _QueueDepthStats()
         self._occupancy: Optional[Occupancy] = None
         #: The ``seq`` of the latest COMPLETION the loop pushed for this
         #: device (a crash abort clears it): a popped completion with
@@ -150,9 +121,3 @@ class Device:
         scheduler's ``free_dram_bytes(now)`` instead.
         """
         return getattr(self.scheduler, "memory", None)
-
-    def finalize(self, makespan_s: float) -> None:
-        """Book the scheduler's last run and take the closing queue-depth
-        sample."""
-        self.scheduler.finalize()
-        self.queue_stats.add(makespan_s, self.scheduler.waiting)

@@ -8,8 +8,8 @@ the planning opportunities both create:
 
 * completions due at the current time are stamped *before* new arrivals
   are delivered, and arrivals are delivered *before* idle devices plan;
-* a device samples its queue depth at every planning attempt (and once at
-  the end), so a 1-replica fleet reports exactly what ``simulate()``
+* each device's scheduler folds its waiting queue's depth wherever the
+  queue changes, so a 1-replica fleet reports exactly what ``simulate()``
   reports — records, busy seconds and queue-depth statistics;
 * routing happens at arrival time against the live device states, and
   every policy is deterministic, so a fixed workload seed fixes the device
@@ -65,10 +65,11 @@ the end.  Every report reads those reservoirs alone, whatever
 ``keep_records`` and ``trace_sink`` say.  A
 :class:`repro.obs.TimelineCollector` folds at the same two points: the
 record and its sample in ``resolve``, and each occupancy with its DRAM
-level in ``end_occupancy``.  The loop splits ``recorder=`` once
+level in ``end_occupancy``; the schedulers hand it each change of their
+waiting queues.  The loop splits ``recorder=`` once
 (:func:`repro.obs.timeline.split_observers`), so only span recorders
-reach the schedulers and routers, and a run a timeline alone observes
-builds no span and no decision instant.
+reach the schedulers and routers as recorders, and a run a timeline
+alone observes builds no span and no decision instant.
 
 Scale: the loop re-plans only the devices an event actually touched, a
 decode run is split only by a request routed to its own device, and —
@@ -281,10 +282,11 @@ def _run(
     # identity checks.  An enabled one splits into the span recorders
     # (``spans``: every span, and the scheduler, router and loop
     # instants) and the timelines (the folds in ``resolve`` and
-    # ``end_occupancy``); the memory models and the fault engine emit to
-    # the whole of it.  Attached recorders on a fleet get per-replica
-    # track names, so the Perfetto export renders one lane per
-    # device/memory model.
+    # ``end_occupancy``, and the schedulers' queue changes until their
+    # ``finalize``); the memory models and the fault engine emit to the
+    # whole of it.  Attached recorders on a fleet get per-replica track
+    # names, so the Perfetto export renders one lane per device/memory
+    # model.
     rec = recorder if recorder is not None and recorder.enabled else None
     spans, timelines = split_observers(rec)
     device_tracks: List[str] = []
@@ -297,6 +299,7 @@ def _run(
                 scheduler.track = f"device{index}"
             device_tracks.append(scheduler.track)
             scheduler.recorder = spans
+            scheduler.timelines = timelines
             memory_model = device.memory
             if memory_model is not None:
                 memory_model.recorder = rec
@@ -546,19 +549,16 @@ def _run(
                     progressed = True
                 elif fault_run.reenter(action, record, now):
                     progressed = True
-            # 3. Touched idle devices with pending work plan (sampling
-            # their queue depth as they do), in device-index order.  The
-            # devices skipped could only repeat their previous answer:
-            # an untouched scheduler saw no arrival and no completion, and
-            # one with nothing pending is idle with an empty queue, which
-            # its last sample already says (a crash samples the queue it
-            # empties).  Skipping them drops only redundant same-depth
-            # samples, which leaves every derived queue statistic
-            # unchanged.  A touched busy device's queue changed, and its
-            # scheduler may cut the in-flight decode run short to admit a
-            # request (Scheduler.cut): the device is then busy until the
-            # new end, and its completion is pushed afresh, superseding the
-            # old one.  Busy time is booked once an occupancy ends.
+            # 3. Touched idle devices with pending work plan, in
+            # device-index order.  The devices skipped could only repeat
+            # their previous answer: an untouched scheduler saw no arrival
+            # and no completion, and one with nothing pending is idle with
+            # an empty queue.  A touched busy device's queue changed, and
+            # its scheduler may cut the in-flight decode run short to
+            # admit a request (Scheduler.cut): the device is then busy
+            # until the new end, and its completion is pushed afresh,
+            # superseding the old one.  Busy time is booked once an
+            # occupancy ends.
             if touched:
                 # A single touched device (the common case: one arrival or
                 # one completion) needs no sort.
@@ -588,7 +588,6 @@ def _run(
                                 if gate.removed:
                                     gate.removed = 0
                                     on_completed(index, device)
-                            device.queue_stats.add(now, scheduler.waiting)
                             if occupancy is not None:
                                 seconds = occupancy.seconds
                                 if seconds < 0:
@@ -653,7 +652,10 @@ def _run(
             now = next_time
 
         for index, device in enumerate(devices):
-            device.finalize(now)
+            streamed = device_metrics[index]
+            streamed.queue_depth_area, streamed.max_queue_depth = (
+                device.scheduler.finalize(now)
+            )
             if device._occupancy is not None:
                 # Still in flight when the loop stops (an early exit, or a
                 # fault-aware run whose requests all resolved): it ends at
@@ -703,8 +705,6 @@ def _run(
         filed[index].append(record)
     device_reports = []
     for device, streamed, kept in zip(devices, device_metrics, filed):
-        streamed.queue_depth_area = device.queue_stats.area
-        streamed.max_queue_depth = device.queue_stats.max_depth
         memory = device.memory
         device_reports.append(
             ServingReport(

@@ -1,13 +1,14 @@
 """Time-resolved telemetry: the event loop's folds, in fixed windows.
 
 A :class:`TimelineCollector` answers *what was true at time t* instead
-of *what happened over the whole run*.  The event loops feed it at the
-two points where their reports fold: each request as it resolves
-(:meth:`~TimelineCollector.resolved`, with the
-:func:`~repro.serving.metrics.metric_sample` the report's fold read),
-and each device occupancy as it ends (:meth:`~TimelineCollector.span`,
-with the KV DRAM level its scheduler stamped on it).  Only what the
-memory model and the fault engine alone know reaches it as an instant
+of *what happened over the whole run*.  It is fed where the reports
+fold: each request as it resolves (:meth:`~TimelineCollector.resolved`,
+with the :func:`~repro.serving.metrics.metric_sample` the report's fold
+read), each device occupancy as it ends (:meth:`~TimelineCollector.span`,
+with the KV DRAM level its scheduler stamped on it), and each change a
+scheduler makes to its waiting queue (:meth:`~TimelineCollector.queued`,
+as its own depth statistics fold it).  Only what the memory model and
+the fault engine alone know reaches it as an instant
 (:meth:`~TimelineCollector.instant`): spill/refill bytes and fault
 events.  Everything folds into fixed-width windows on the **simulated**
 clock:
@@ -15,8 +16,8 @@ clock:
 * arrival and completion counts (and rates) per window,
 * goodput (SLO-meeting completions per second) when an
   :class:`~repro.serving.metrics.SLOSpec` is attached,
-* time-weighted mean and max queueing depth, from an exact sweep over
-  the served requests' waits from arrival to prefill start,
+* time-weighted mean and max depth of the waiting queues (a shed
+  request's wait counts; a retry's backoff, spent on no device, not),
 * device-busy seconds and utilization (occupancies distributed across
   the windows they overlap),
 * KV spill/refill bytes and the DRAM occupancy peak (each replica's
@@ -104,6 +105,8 @@ class _Window:
         "tpots",
         "e2es",
         "busy_s",
+        "queue_area",
+        "queue_max",
         "spill_bytes",
         "refill_bytes",
         "dram_peak",
@@ -123,6 +126,8 @@ class _Window:
         self.tpots: List[float] = []
         self.e2es: List[float] = []
         self.busy_s = 0.0
+        self.queue_area = 0.0
+        self.queue_max = 0
         self.spill_bytes = 0
         self.refill_bytes = 0
         self.dram_peak: Optional[int] = None
@@ -142,7 +147,8 @@ class TimelineCollector:
     its own, or beside a ``SpanRecorder`` in a
     :class:`~repro.obs.recorder.TeeRecorder` when the raw spans are
     wanted too: the loops split the seam once (:func:`split_observers`)
-    and feed the timeline their folds, never a span.  They call
+    and feed the timeline their folds and the schedulers' queue changes,
+    never a span.  They call
     :meth:`finalize_run` with the makespan once the last event lands;
     after that (or after an explicit :meth:`finalize`) the windows are
     frozen and :meth:`to_rows`, :meth:`to_csv` and :meth:`to_registry`
@@ -179,7 +185,9 @@ class TimelineCollector:
         self.alert_log: Optional[AlertLog] = None
         #: Window index -> its accumulators, made on first touch.
         self._windows: Dict[int, _Window] = defaultdict(_Window)
-        self._queue_events: List[Tuple[float, int]] = []
+        #: The waiting queues' summed depth, and when it last changed.
+        self._queue_depth = 0
+        self._queue_t = 0.0
         self._devices: Dict[object, None] = {}
         self._saw_memory = False
         self._saw_faults = False
@@ -196,9 +204,8 @@ class TimelineCollector:
 
         Every resolved request is an arrival, in the window it arrived
         in.  One with a finish stamp (served, timed out, or won by a
-        hedge) also adds its wait from arrival to prefill start to the
-        queue-depth sweep, and its completion, latencies and SLO verdict
-        to the window it finished in.
+        hedge) also adds its completion, latencies and SLO verdict to the
+        window it finished in.
         """
         if self._rows is not None:
             raise ValueError(_FINALIZED)
@@ -211,9 +218,6 @@ class TimelineCollector:
             return
         if finish > self._t_max:
             self._t_max = finish
-        queue = self._queue_events
-        queue.append((arrival, 1))
-        queue.append((record.prefill_start_s, -1))
         _, ttft, tpot, e2e, _, met = sample
         window = windows[int(finish / width)]
         window.completions += 1
@@ -224,6 +228,31 @@ class TimelineCollector:
             met = self.slo.met_by(record)  # the run itself judged no SLO
         if met:
             window.slo_met += 1
+
+    def queued(self, ts_s: float, change: int) -> None:
+        """Fold a change of ``change`` requests in a scheduler's waiting
+        queue at ``ts_s``, as the scheduler makes it: the summed depth held
+        since the previous change spreads over the windows it overlaps,
+        and counts toward a window's max only where it was held for
+        positive time, so a request leaving a queue at the instant another
+        joins never inflates it."""
+        if self._rows is not None:
+            raise ValueError(_FINALIZED)
+        since = self._queue_t
+        if ts_s > since:
+            depth = self._queue_depth
+            if depth:
+                width = self.window_s
+                for index in range(int(since / width), int(ts_s / width) + 1):
+                    low = index * width
+                    overlap = min(ts_s, low + width) - max(since, low)
+                    if overlap > 0:
+                        window = self._windows[index]
+                        window.queue_area += depth * overlap
+                        if depth > window.queue_max:
+                            window.queue_max = depth
+            self._queue_t = ts_s
+        self._queue_depth += change
 
     def span(
         self,
@@ -325,10 +354,10 @@ class TimelineCollector:
         width = self.window_s
         if makespan_s is None:
             makespan_s = self._t_max
+        self.queued(makespan_s, 0)
         count = max(self._windows, default=0) + 1
         if makespan_s > 0:
             count = max(count, int(makespan_s / width) + 1)
-        areas, maxes = self._sweep_queue_depth(count, makespan_s)
         devices = self.num_devices
         if devices is None:
             devices = len(self._devices) or 1
@@ -343,6 +372,7 @@ class TimelineCollector:
             completions = window.completions if window is not None else 0
             busy = window.busy_s if window is not None else 0.0
             met = window.slo_met if window is not None else 0
+            queue_area = window.queue_area if window is not None else 0.0
             row = {
                 "window": index,
                 "start_s": start,
@@ -353,8 +383,8 @@ class TimelineCollector:
                 "completion_qps": completions / width,
                 "goodput_qps": met / width if slo is not None else None,
                 "slo_met": met if slo is not None else None,
-                "queue_depth_mean": areas[index] / width,
-                "queue_depth_max": maxes[index],
+                "queue_depth_mean": queue_area / width,
+                "queue_depth_max": window.queue_max if window is not None else 0,
                 "busy_s": busy,
                 "utilization": busy / (width * devices),
             }
@@ -408,48 +438,6 @@ class TimelineCollector:
         if self.rules:
             self.alert_log = evaluate_alerts(rows, width, self.rules)
         return rows
-
-    def _sweep_queue_depth(
-        self, count: int, makespan_s: float
-    ) -> Tuple[List[float], List[int]]:
-        """Exact per-window time-weighted area and max of the queue depth.
-
-        One chronological sweep over the served requests' queue
-        intervals (arrival to prefill start); at equal timestamps the
-        ``-1`` deltas sort first, so a request leaving the queue exactly as
-        another joins never inflates the max.
-        """
-        width = self.window_s
-        areas = [0.0] * count
-        maxes = [0] * count
-        last = count - 1
-        depth = 0
-        prev = 0.0
-
-        def spread(until: float) -> None:
-            """Book ``depth`` requests queued over ``[prev, until)``."""
-            for index in range(int(prev / width), min(int(until / width), last) + 1):
-                low = index * width
-                overlap = min(until, low + width) - max(prev, low)
-                if overlap > 0:
-                    areas[index] += depth * overlap
-                    if depth > maxes[index]:
-                        maxes[index] = depth
-
-        for ts, delta in sorted(self._queue_events):
-            if ts > prev:
-                if depth > 0:
-                    spread(ts)
-                prev = ts
-            depth += delta
-            index = int(ts / width)
-            if index > last:
-                index = last
-            if depth > maxes[index]:
-                maxes[index] = depth
-        if makespan_s > prev and depth > 0:
-            spread(makespan_s)
-        return areas, maxes
 
     # -- exports --------------------------------------------------------------
     def to_rows(self) -> List[dict]:
@@ -507,7 +495,8 @@ def split_observers(
     ``spans`` receives every span and every scheduler, router and loop
     instant: the recorder itself, a tee's other children (a tee of them
     when there are several), or None when only timelines observe the run.
-    Each timeline receives the loops' folds.  The whole recorder still
+    Each timeline receives the loops' folds and the schedulers' queue
+    changes.  The whole recorder still
     receives the memory model's and the fault engine's instants, and
     ``finalize_run``.  A disabled recorder (None, a ``NullRecorder``)
     splits into ``(None, ())``.

@@ -121,8 +121,8 @@ class StreamedMetrics:
     e2es: MutableSequence[float] = field(default_factory=lambda: array("d"))
     queue_waits: MutableSequence[float] = field(default_factory=lambda: array("d"))
     #: Time-weighted integral of the device's waiting-queue depth (for
-    #: the mean) and its maximum, copied from the device's
-    #: ``_QueueDepthStats`` when the run ends (zero on a fleet-wide view).
+    #: the mean) and its maximum, as the scheduler's ``finalize`` returns
+    #: them when the run ends (zero on a fleet-wide view).
     queue_depth_area: float = 0.0
     max_queue_depth: int = 0
 
@@ -156,8 +156,8 @@ class StreamedMetrics:
 
         The event loop folds each record once into its device's
         reservoirs and builds the fleet-wide view by merging at the end.
-        Queue-depth aggregates are deliberately not merged: they are
-        per-device quantities (the fleet report never sums them).
+        Queue-depth aggregates are not merged: each is one scheduler's
+        queue, and a timeline holds the fleet-wide depth over time.
         """
         self.num_requests += other.num_requests
         self.num_completed += other.num_completed
@@ -528,8 +528,8 @@ class TraceCells:
 
     * ``payloads``: ``id(payload) -> (payload, text)``, a payload's five
       cells (``model`` to ``batch_size``) once per payload object.  The
-      stored payload pins the id and is identity-checked on every hit,
-      like the scheduler's ``_ttft_memo``.
+      stored payload pins its id, so a hit is always that payload, as in
+      the scheduler's ``_ttft_memo``.
     * ``pairs``: ``(model name, config) -> text``, the two cells that can
       need quoting, through ``csv.writer`` once per distinct pair.
     * ``latencies``: a latency float -> its ``repr``.  It never holds a
@@ -583,7 +583,7 @@ def trace_line(
     request = source.request
     payloads = cells.payloads
     hit = payloads.get(id(request))
-    if hit is not None and hit[0] is request:
+    if hit is not None:
         payload = hit[1]
     else:
         pairs = cells.pairs

@@ -97,11 +97,18 @@ class default, so plain runs pay a single identity check):
   is planned as its own single-step occupancy in coalesced and
   step-by-step runs alike, keeping them byte-identical under faults.
 
-``evict_all`` supports crash aborts: it drains every request the
-scheduler still owes work to (in-flight batch members first, then the
-queue, both in deterministic order), releasing any KV residency the
-memory model holds for them — the re-queued requests pay a fresh
-re-prefill (and re-spill) when they are admitted elsewhere.
+``evict_all(now)`` supports crash aborts: at the crash instant it drains
+every request the scheduler still owes work to (in-flight batch members
+first, then the queue, both in deterministic order), releasing any KV
+residency the memory model holds for them — the re-queued requests pay
+a fresh re-prefill (and re-spill) when they are admitted elsewhere.
+
+The scheduler measures the waiting queue it owns: each change (enqueue,
+admission, shed or cancelled drop, crash eviction) folds the depth held
+since the last one and hands the change to the run's timelines, and
+:meth:`Scheduler.finalize` returns the statistics.  Coalesced and
+step-by-step runs change the queue at the same instants, so they report
+the same statistics.
 """
 
 from __future__ import annotations
@@ -109,7 +116,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from math import inf
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.serving.request import RequestRecord
 
@@ -193,6 +200,9 @@ class Scheduler:
     #: attached by fault-aware runs; None (the class default) keeps
     #: every fault consultation on plain runs a single identity check.
     faults = None
+    #: The :class:`repro.obs.TimelineCollector` objects an observed run
+    #: attaches until :meth:`finalize`; each gets every queue change.
+    timelines = ()
     #: A lower bound on the queued records' ``arrival_s``: lowered by
     #: every enqueue, made exact by every queue walk in
     #: :meth:`_shed_expired` (inf = nothing queued since).
@@ -200,10 +210,31 @@ class Scheduler:
 
     def __init__(self) -> None:
         self._waiting: Deque[RequestRecord] = deque()
+        #: When the queue last changed, and the run's depth area and max.
+        self._queue_t = 0.0
+        self._queue_area = 0.0
+        self._queue_max = 0
+
+    def _queue_change(self, now: float, change: int) -> None:
+        """Called just before the waiting queue changes by ``change`` at
+        ``now``: fold the depth held since the last change (a depth counts
+        toward the max only if held for positive time), and hand the
+        change to the timelines."""
+        held = now - self._queue_t
+        if held > 0:
+            depth = len(self._waiting)
+            if depth:
+                self._queue_area += depth * held
+                if depth > self._queue_max:
+                    self._queue_max = depth
+            self._queue_t = now
+        for timeline in self.timelines:
+            timeline.queued(now, change)
 
     # -- event-loop interface ------------------------------------------------
     def enqueue(self, record: RequestRecord, now: float) -> None:
         """An arrival at simulated time ``now`` joins the waiting queue."""
+        self._queue_change(now, 1)
         self._waiting.append(record)
         arrival = record.source.arrival_s
         if arrival < self._arrival_floor:
@@ -246,8 +277,16 @@ class Scheduler:
         """Free KV DRAM as of ``now`` (0 without a memory model)."""
         return 0
 
-    def finalize(self) -> None:
-        """The run is over: book what the last occupancy still owes."""
+    def finalize(self, now: float) -> Tuple[float, int]:
+        """The run is over at ``now``: book what the last occupancy still
+        owes, detach the timelines, and return the queue's time-weighted
+        depth area and max depth, reset for the scheduler's next run."""
+        self.timelines = ()
+        self._queue_change(now, 0)
+        stats = self._queue_area, self._queue_max
+        self._queue_t = self._queue_area = 0.0
+        self._queue_max = 0
+        return stats
 
     # -- fault support -------------------------------------------------------
     def _shed_expired(self, now: float) -> None:
@@ -283,11 +322,14 @@ class Scheduler:
                 kept.append(record)
                 if arrival < floor:
                     floor = arrival
+        if len(kept) < len(self._waiting):
+            self._queue_change(now, len(kept) - len(self._waiting))
         self._waiting = kept
         self._arrival_floor = floor
 
-    def evict_all(self) -> List[RequestRecord]:
-        """Crash support: drain every request this scheduler owes work to.
+    def evict_all(self, now: float) -> List[RequestRecord]:
+        """Crash support: drain every request this scheduler owes work to
+        at the crash instant ``now``.
 
         Returns in-flight batch members first (in batch order), then the
         waiting queue (in queue order) — a deterministic drain the fault
@@ -295,6 +337,7 @@ class Scheduler:
         state, so only the queue drains here.
         """
         evicted = list(self._waiting)
+        self._queue_change(now, -len(evicted))
         self._waiting.clear()
         return evicted
 
@@ -316,6 +359,7 @@ class FCFSScheduler(Scheduler):
             self._shed_expired(now)
         if not self._waiting:
             return None
+        self._queue_change(now, -1)
         record = self._waiting.popleft()
         ttft = cost.ttft(record.request)
         total = cost.total_seconds(record.request)
@@ -356,6 +400,7 @@ class StaticBatchScheduler(Scheduler):
         if not self._waiting:
             return None
         count = min(self.max_batch, len(self._waiting))
+        self._queue_change(now, -count)
         batch = [self._waiting.popleft() for _ in range(count)]
         lanes = sum(record.request.batch_size for record in batch)
         prefill = max(
@@ -504,8 +549,8 @@ class ContinuousBatchScheduler(Scheduler):
         #: lookup chain on the per-admission/per-step hot path.  Every
         #: decode step reads the step memo, once per distinct payload in
         #: the batch, so the cost model sees each (payload, lanes) pair
-        #: once.  The stored payload reference pins the id (no stale-id
-        #: reuse) and is identity-checked on every hit.
+        #: once.  An entry stores its payload, which pins its id, so a hit
+        #: is always that payload and needs no identity check.
         self._ttft_memo: dict = {}
         self._step_memo: dict = {}
         #: The cost model the memos mirror; a scheduler reused with a
@@ -583,7 +628,7 @@ class ContinuousBatchScheduler(Scheduler):
         step = None
         for request, _ in payloads.values():
             hit = memo.get((id(request), lanes))
-            if hit is not None and hit[0] is request:
+            if hit is not None:
                 price = hit[1]
             else:
                 price = cost.decode_step(request, batch_size=lanes)
@@ -758,11 +803,12 @@ class ContinuousBatchScheduler(Scheduler):
         memory = self.memory
         return 0 if memory is None else memory.pool.free_bytes
 
-    def finalize(self) -> None:
+    def finalize(self, now: float) -> Tuple[float, int]:
         if self._growth is not None:
             self._book()
+        return super().finalize(now)
 
-    def evict_all(self) -> List[RequestRecord]:
+    def evict_all(self, now: float) -> List[RequestRecord]:
         """Crash support: drain the active batch, then the waiting queue.
 
         The latest decode run is booked first, then active members
@@ -782,7 +828,7 @@ class ContinuousBatchScheduler(Scheduler):
         self._lanes = 0
         self._payloads.clear()
         self._open = None
-        return evicted + super().evict_all()
+        return evicted + super().evict_all(now)
 
     def _admit(self, now: float, cost) -> Optional[Occupancy]:
         """Prefill the head-of-line request into a free batch slot.
@@ -829,10 +875,11 @@ class ContinuousBatchScheduler(Scheduler):
                         },
                     )
                 return None
+        self._queue_change(now, -1)
         self._waiting.popleft()
         memo = self._ttft_memo
         hit = memo.get(id(request))
-        if hit is not None and hit[0] is request:
+        if hit is not None:
             ttft = hit[1]
         else:
             ttft = cost.ttft(request)

@@ -49,12 +49,11 @@ schedulers accumulate the interval's end one step-duration at a time
 from the interval's start, so the clock visits exactly the same floats
 as the step-by-step loop and the per-request trace CSV is
 byte-identical between ``max_steps=None`` (coalesced, the default) and
-``max_steps=1`` (uncoalesced) runs.  Queue depth is sampled at planning
-attempts: every per-request stamp (and hence every CSV cell and SLO
-metric) is exact, while the (time, depth) sample stream is simply
-resolved at occupancy granularity — arrivals that queue behind a busy
-device are first sampled when the interval ends, which is also the first
-moment the uncoalesced loop could have *acted* on them.
+``max_steps=1`` (uncoalesced) runs.  The waiting queue changes at the
+same instants in both (a request joins it when it is delivered and
+leaves it when a planning call admits, sheds or drops it, or a crash
+evicts it), and the scheduler folds its depth at each change, so the
+queue-depth statistics match too.
 """
 
 from __future__ import annotations
@@ -343,8 +342,8 @@ def simulate(
       be planned;
     * when the scheduler has nothing to run, the clock jumps straight to
       the next arrival (idle time costs nothing to simulate);
-    * the queue depth is sampled at every planning attempt, giving the
-      exact step function of waiting requests over time.
+    * the scheduler folds its queue depth wherever the queue changes, so
+      its time-weighted area is the requests' summed queue time.
 
     The run is the fleet event loop (:mod:`repro.fleet.simulator`) over
     a single :class:`repro.fleet.device.Device` behind a round-robin

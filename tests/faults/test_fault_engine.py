@@ -319,6 +319,9 @@ def test_a_drained_scheduler_reruns_plain_after_a_fault_aware_run():
     )
     assert rerun.faults is None
     assert_same_trace(rerun.to_csv(), fresh.to_csv())
+    # The queue-depth fold restarts too.
+    assert rerun.mean_queue_depth == fresh.mean_queue_depth
+    assert rerun.max_queue_depth == fresh.max_queue_depth
 
 
 class _CountingQueue(deque):

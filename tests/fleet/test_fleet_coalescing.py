@@ -17,7 +17,13 @@ import random
 
 import pytest
 
-from serving_toys import ToyBackend, assert_same_trace
+from serving_toys import (
+    QueueProbe,
+    ToyBackend,
+    assert_littles_law,
+    assert_same_queue_stats,
+    assert_same_trace,
+)
 
 from repro.api import InferenceRequest
 from repro.faults import FaultSpec, RetryPolicy
@@ -61,13 +67,15 @@ def _run(arrivals, scheduler_factory, router_name, max_steps):
     fleet = build_fleet(
         [ToyBackend(ttft=1.0, step=0.1)] * 4, scheduler_factory=scheduler_factory
     )
-    return simulate_fleet(
+    report = simulate_fleet(
         arrivals,
         fleet,
         get_router(router_name),
         slo=SLOSpec(ttft_s=10.0, e2e_s=60.0),
         max_steps=max_steps,
     )
+    assert_littles_law(report)
+    return report
 
 
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
@@ -84,6 +92,7 @@ def test_coalesced_fleet_is_byte_identical_to_step_by_step(
     assert [r.busy_s for r in coalesced.device_reports] == pytest.approx(
         [r.busy_s for r in reference.device_reports]
     )
+    assert_same_queue_stats(coalesced, reference)
 
 
 @pytest.mark.parametrize("router_name", sorted(ROUTERS))
@@ -93,6 +102,7 @@ def test_every_router_is_byte_identical_under_coalescing(router_name):
     reference = _run(arrivals, factory, router_name, max_steps=1)
     coalesced = _run(arrivals, factory, router_name, max_steps=None)
     assert_same_trace(coalesced.to_csv(), reference.to_csv())
+    assert_same_queue_stats(coalesced, reference)
 
 
 def test_fleet_coalescing_collapses_the_event_count():
@@ -102,6 +112,7 @@ def test_fleet_coalescing_collapses_the_event_count():
     reference = _run(arrivals, factory, "jsq", max_steps=1)
     coalesced = _run(arrivals, factory, "jsq", max_steps=None)
     assert_same_trace(coalesced.to_csv(), reference.to_csv())
+    assert_same_queue_stats(coalesced, reference)
     assert coalesced.num_events * 5 < reference.num_events
 
 
@@ -144,6 +155,7 @@ def _sparse_run(arrivals, router_name, max_steps, keep_records=True, **options):
         [ToyBackend(ttft=0.3, step=0.1)] * 16,
         scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
     )
+    probe = QueueProbe([device.scheduler for device in fleet])
     sink = None if keep_records else DigestSink()
     options.setdefault("slo", SPARSE_SLO)
     report = simulate_fleet(
@@ -155,6 +167,7 @@ def _sparse_run(arrivals, router_name, max_steps, keep_records=True, **options):
         keep_records=keep_records,
         **options,
     )
+    assert_littles_law(report, probe)
     return report, report.to_csv() if keep_records else sink.hexdigest()
 
 
@@ -177,6 +190,7 @@ def test_cut_decode_runs_are_byte_identical_to_step_by_step(
     assert coalesced.percentiles("ttft")["p99"] == reference.percentiles("ttft")["p99"]
     assert coalesced.goodput_rps() == reference.goodput_rps()
     assert coalesced.faults == reference.faults
+    assert_same_queue_stats(coalesced, reference)
     assert coalesced.num_events * 2 < reference.num_events
 
 
@@ -196,9 +210,12 @@ def _memory_run(arrivals, router_name, max_batch, max_steps, **options):
             max_batch=max_batch, memory=MemorySpec(dram_bytes=2**29)
         ),
     )
-    return simulate_fleet(
+    probe = QueueProbe([device.scheduler for device in fleet])
+    report = simulate_fleet(
         arrivals, fleet, get_router(router_name), max_steps=max_steps, **options
     )
+    assert_littles_law(report, probe)
+    return report
 
 
 @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
@@ -220,6 +237,7 @@ def test_memory_model_runs_are_byte_identical_to_step_by_step(
         device.memory for device in reference.device_reports
     ]
     assert coalesced.faults == reference.faults
+    assert_same_queue_stats(coalesced, reference)
 
 
 @pytest.mark.parametrize("fail_fast", [False, True], ids=["whole-run", "early-exit"])

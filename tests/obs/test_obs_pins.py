@@ -23,7 +23,12 @@ import random
 
 import pytest
 
-from serving_toys import ToyBackend
+from serving_toys import (
+    QueueProbe,
+    ToyBackend,
+    assert_littles_law,
+    assert_timeline_queue_area,
+)
 
 from repro.api import InferenceRequest
 from repro.faults import FaultSpec, RetryPolicy
@@ -67,7 +72,8 @@ def _fleet(max_steps, recorder):
         ),
     )
     arrivals = PoissonWorkload(3.0, _mixed_payload, seed=11).generate(200)
-    return simulate_fleet(
+    probe = QueueProbe([device.scheduler for device in fleet])
+    report = simulate_fleet(
         arrivals,
         fleet,
         get_router("headroom"),
@@ -76,11 +82,13 @@ def _fleet(max_steps, recorder):
         recorder=recorder,
         **CHAOS,
     )
+    assert_littles_law(report, probe)
+    return report
 
 
 def _single(max_steps, recorder):
     arrivals = PoissonWorkload(1.0, _mixed_payload, seed=11).generate(150)
-    return simulate(
+    report = simulate(
         arrivals,
         ToyBackend(ttft=0.3, step=0.1),
         ContinuousBatchScheduler(max_batch=4, memory=MemorySpec(dram_bytes=2**30)),
@@ -88,6 +96,8 @@ def _single(max_steps, recorder):
         max_steps=max_steps,
         recorder=recorder,
     )
+    assert_littles_law(report)
+    return report
 
 
 RUNS = {"fleet": _fleet, "single": _single}
@@ -113,6 +123,7 @@ def digests(run: str, max_steps) -> dict:
     report = RUNS[run](max_steps, TeeRecorder(spans, timeline))
     assert timeline.to_csv() == bare.to_csv()
     assert timeline.alert_log == bare.alert_log == report.alerts
+    assert_timeline_queue_area(timeline, report)
     return {
         "timeline": _digest(timeline.to_csv()),
         "alerts": _digest(repr(report.alerts.summary_rows()[1])),
@@ -124,12 +135,12 @@ CASES = [(run, steps) for run in sorted(RUNS) for steps in (None, 1)]
 
 PINS = {
     ("fleet", None): {
-        "timeline": "192aa8eea80a6abfce51b5d0c0ff0beb5e946f37604e551f48dc46cdf999be36",
+        "timeline": "aaa59145fb030ae955ec22574cf8bdeb9bad3be77daf7b1ae9e3f66706ff9687",
         "alerts": "bfaabd8c451f80e4e519d6238fcbf916da1618adfaccecf6bfe827459dd85b13",
         "perfetto": "f577502875be9b6f625aa2ca2ac0b3564b9dbc752157d16f54736c743a916560",
     },
     ("fleet", 1): {
-        "timeline": "a8f9ab853fe44a5126889375328d2ef4bac927a26218fb6900860664d8c2d556",
+        "timeline": "96618711a7405e61d9f4d57decd6c94109df650b09a00b12e7d3b074c33d25de",
         "alerts": "bfaabd8c451f80e4e519d6238fcbf916da1618adfaccecf6bfe827459dd85b13",
         "perfetto": "e2ce46b19bdd15112a2058650fa1cce323b992469ded0cd91ac8ae033609806d",
     },

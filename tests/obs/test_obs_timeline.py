@@ -10,7 +10,7 @@ burn-rate AlertLog on the diurnal fleet run.
 
 import pytest
 
-from serving_toys import ToyBackend
+from serving_toys import ToyBackend, assert_timeline_queue_area
 
 from repro.api import InferenceRequest
 from repro.faults import FaultSpec, RetryPolicy
@@ -109,6 +109,8 @@ def test_finalized_collector_rejects_further_emissions():
         collector.span(0, 0.0, 1.0)
     with pytest.raises(ValueError):
         collector.instant("memory", "spill", 0.0, {"bytes": 1})
+    with pytest.raises(ValueError):
+        collector.queued(1.0, 1)
 
 
 # -- latency reservoirs ------------------------------------------------------
@@ -163,13 +165,19 @@ def test_without_an_slo_the_goodput_columns_stay_blank():
     assert row["slo_met"] is None and row["goodput_qps"] is None
 
 
-# -- queue depth sweep -------------------------------------------------------
+# -- queue depth --------------------------------------------------------------
+
+def _queue(collector, *changes):
+    """Hand the collector ``(time, change)`` queue changes in the order a
+    scheduler makes them."""
+    for ts_s, change in changes:
+        collector.queued(ts_s, change)
+
 
 def test_queue_depth_mean_and_max_are_exact():
     collector = TimelineCollector(window_s=10.0)
     # Two overlapping waits: depth 1 on [0,2), 2 on [2,4), 1 on [4,6).
-    _request(collector, 1, 0.0, 4.0, 4.0)
-    _request(collector, 2, 2.0, 6.0, 6.0)
+    _queue(collector, (0.0, 1), (2.0, 1), (4.0, -1), (6.0, -1))
     row = collector.finalize(makespan_s=10.0)[0]
     assert row["queue_depth_max"] == 2
     assert row["queue_depth_mean"] == pytest.approx(0.8)  # 8 depth-seconds / 10
@@ -177,8 +185,9 @@ def test_queue_depth_mean_and_max_are_exact():
 
 def test_handoff_at_equal_timestamps_never_inflates_the_max():
     collector = TimelineCollector(window_s=10.0)
-    _request(collector, 1, 0.0, 5.0, 5.0)
-    _request(collector, 2, 5.0, 10.0, 10.0)
+    # The loop enqueues an instant's arrival before the device admits the
+    # request ahead of it: depth 2 at t=5 is held for no time.
+    _queue(collector, (0.0, 1), (5.0, 1), (5.0, -1), (10.0, -1))
     row = collector.finalize(makespan_s=10.0)[0]
     assert row["queue_depth_max"] == 1
     assert row["queue_depth_mean"] == pytest.approx(1.0)
@@ -186,12 +195,21 @@ def test_handoff_at_equal_timestamps_never_inflates_the_max():
 
 def test_queue_depth_spreads_across_windows():
     collector = TimelineCollector(window_s=10.0)
-    _request(collector, 1, 5.0, 25.0, 25.0)
+    _queue(collector, (5.0, 1), (25.0, -1))
     rows = collector.finalize(makespan_s=29.0)
     assert [row["queue_depth_mean"] for row in rows] == pytest.approx(
         [0.5, 1.0, 0.5]
     )
     assert [row["queue_depth_max"] for row in rows] == [1, 1, 1]
+
+
+def test_a_request_still_queued_at_the_makespan_counts_until_then():
+    collector = TimelineCollector(window_s=10.0)
+    _queue(collector, (5.0, 1))
+    rows = collector.finalize(makespan_s=29.0)
+    assert [row["queue_depth_mean"] for row in rows] == pytest.approx(
+        [0.5, 1.0, 0.9]
+    )
 
 
 # -- busy time and utilization -----------------------------------------------
@@ -401,6 +419,22 @@ def test_every_timeline_in_a_tee_folds_the_whole_run():
     assert first.to_csv() == second.to_csv() == alone.to_csv()
 
 
+def test_a_reused_scheduler_no_longer_feeds_the_last_run_s_timeline():
+    """A scheduler's ``finalize`` detaches the run's timelines and restarts
+    its queue-depth fold, so a drained scheduler's next run leaves the
+    finalized timeline alone and reports its own statistics."""
+    arrivals = _poisson()
+    scheduler = ContinuousBatchScheduler(max_batch=4)
+    collector = TimelineCollector(window_s=10.0, slo=SLO)
+    observed = simulate(arrivals, ToyBackend(), scheduler, recorder=collector)
+    csv_text = collector.to_csv()
+    assert scheduler.timelines == ()
+    rerun = simulate(arrivals, ToyBackend(), scheduler)
+    assert collector.to_csv() == csv_text
+    assert rerun.mean_queue_depth == observed.mean_queue_depth > 0
+    assert rerun.max_queue_depth == observed.max_queue_depth
+
+
 def test_timeline_totals_equal_the_report_on_a_chaos_fleet():
     """Shed and failed requests are arrivals that never complete, and a
     timed-out request finished but missed its SLO: the windows sum to the
@@ -427,6 +461,7 @@ def test_timeline_totals_equal_the_report_on_a_chaos_fleet():
     assert sum(row["arrivals"] for row in rows) == len(arrivals)
     assert sum(row["completions"] for row in rows) == report.num_completed
     assert sum(row["slo_met"] for row in rows) == report.streamed.slo_met
+    assert_timeline_queue_area(collector, report)
 
 
 def test_a_timeline_judges_its_own_slo_on_a_run_without_one():

@@ -1,5 +1,9 @@
-"""A constant-latency toy backend and a trace comparison shared by the
-serving tests."""
+"""A constant-latency toy backend, a trace comparison and queue-depth
+checks shared by the serving tests."""
+
+import math
+
+import pytest
 
 from repro.api import RunResult
 from repro.api.result import DECODE_PHASE, PREFILL_PHASE
@@ -67,3 +71,99 @@ def assert_same_trace(got: str, want: str) -> None:
         f"first difference at row {row}:\n  got      {shown(got_lines)}\n"
         f"  expected {shown(want_lines)}"
     )
+
+
+class QueueProbe:
+    """Each device's queue residencies, logged outside the code that folds
+    the queue-depth statistics.
+
+    Install it on the schedulers of a run's devices (a fleet's, in device
+    order) before the run.  It wraps the scheduler calls that can change a
+    waiting queue (``enqueue``, ``next_occupancy`` and ``evict_all``):
+    after each call it compares the queue's members with those it saw
+    last, logs each entry and exit at the call's ``now`` (the loop's
+    clock), and adds each exit's time in the queue to the device's sum.
+    Requests still queued when the run calls ``finalize(now)`` leave then.
+    """
+
+    def __init__(self, schedulers) -> None:
+        self.residencies = [0.0] * len(schedulers)
+        for index, scheduler in enumerate(schedulers):
+            self._wrap(index, scheduler)
+
+    def _wrap(self, index: int, scheduler) -> None:
+        #: id(record) -> (record, entry time) of the queued records.
+        entered = {}
+
+        def log(now):
+            queued = {id(record): record for record in scheduler._waiting}
+            for key in [key for key in entered if key not in queued]:
+                self.residencies[index] += now - entered.pop(key)[1]
+            for key, record in queued.items():
+                entered.setdefault(key, (record, now))
+
+        def logged(method, clock):
+            def call(*args, **kwargs):
+                result = method(*args, **kwargs)
+                log(clock(*args))
+                return result
+
+            return call
+
+        scheduler.enqueue = logged(scheduler.enqueue, lambda record, now: now)
+        scheduler.next_occupancy = logged(
+            scheduler.next_occupancy, lambda now, *_: now
+        )
+        scheduler.evict_all = logged(scheduler.evict_all, lambda now: now)
+        finalize = scheduler.finalize
+
+        def close(now):
+            for _, since in entered.values():
+                self.residencies[index] += now - since
+            entered.clear()
+            return finalize(now)
+
+        scheduler.finalize = close
+
+
+def _devices(report):
+    """A fleet report's device reports, or a single-device report."""
+    return getattr(report, "device_reports", [report])
+
+
+def assert_littles_law(report, probe=None) -> None:
+    """Each device's ``queue_depth_area`` equals the sum of its queue
+    residencies (Little's law on one sample path), to 1e-9 relative.
+
+    The residencies are ``probe``'s, or without one each device's summed
+    queue waits, which are its residencies when no fault moved a request
+    and every request was admitted.
+    """
+    devices = _devices(report)
+    if probe is None:
+        residencies = [math.fsum(d.streamed.queue_waits) for d in devices]
+    else:
+        residencies = probe.residencies
+    areas = [device.streamed.queue_depth_area for device in devices]
+    assert areas == pytest.approx(residencies, rel=1e-9)
+
+
+def assert_timeline_queue_area(timeline, report) -> None:
+    """The timeline's windows hold the devices' summed queue-depth area,
+    to 1e-9 relative: both fold the same queue changes."""
+    width = timeline.window_s
+    area = math.fsum(row["queue_depth_mean"] * width for row in timeline.to_rows())
+    areas = [device.streamed.queue_depth_area for device in _devices(report)]
+    assert area == pytest.approx(math.fsum(areas), rel=1e-9)
+
+
+def assert_same_queue_stats(got, want) -> None:
+    """Both runs report every device's queue-depth area and max alike."""
+
+    def stats(report):
+        return [
+            (device.streamed.queue_depth_area, device.streamed.max_queue_depth)
+            for device in _devices(report)
+        ]
+
+    assert stats(got) == stats(want)

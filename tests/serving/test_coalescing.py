@@ -13,9 +13,16 @@ import time
 
 import pytest
 
-from serving_toys import ToyBackend, assert_same_trace
+from serving_toys import (
+    ToyBackend,
+    assert_littles_law,
+    assert_same_queue_stats,
+    assert_same_trace,
+    assert_timeline_queue_area,
+)
 
 from repro.api import InferenceRequest
+from repro.obs import TimelineCollector
 from repro.serving import (
     ContinuousBatchScheduler,
     FCFSScheduler,
@@ -62,12 +69,17 @@ def test_coalesced_run_is_byte_identical_to_step_by_step(
     reference = simulate(
         arrivals, ToyBackend(), SCHEDULERS[scheduler_name](), slo=slo, max_steps=1
     )
+    timeline = TimelineCollector(window_s=10.0)
     coalesced = simulate(
-        arrivals, ToyBackend(), SCHEDULERS[scheduler_name](), slo=slo
+        arrivals, ToyBackend(), SCHEDULERS[scheduler_name](), slo=slo, recorder=timeline
     )
     assert_same_trace(coalesced.to_csv(), reference.to_csv())
     assert coalesced.makespan_s == reference.makespan_s
     assert coalesced.busy_s == pytest.approx(reference.busy_s)
+    assert_littles_law(coalesced)
+    assert_littles_law(reference)
+    assert_same_queue_stats(coalesced, reference)
+    assert_timeline_queue_area(timeline, coalesced)
 
 
 def test_coalescing_collapses_the_continuous_event_count():
@@ -79,6 +91,8 @@ def test_coalescing_collapses_the_continuous_event_count():
     )
     coalesced = simulate(arrivals, ToyBackend(), ContinuousBatchScheduler(max_batch=8))
     assert_same_trace(coalesced.to_csv(), reference.to_csv())
+    assert_littles_law(coalesced)
+    assert_same_queue_stats(coalesced, reference)
     assert coalesced.num_events * 5 < reference.num_events
 
 
@@ -95,6 +109,9 @@ def test_intermediate_max_steps_is_also_equivalent():
     ]
     assert_same_trace(runs[1].to_csv(), runs[0].to_csv())
     assert_same_trace(runs[2].to_csv(), runs[0].to_csv())
+    for run in runs:
+        assert_littles_law(run)
+        assert_same_queue_stats(run, runs[0])
 
 
 def test_a_trace_mismatch_fails_fast_naming_the_first_differing_row():
@@ -297,7 +314,7 @@ def test_free_dram_is_read_as_of_now():
     last_start = 1.0 + (PAYLOAD.gen_tokens - 1) * 0.25
     assert scheduler.free_dram_bytes(last_start) == held - 23 * TOKEN_KV
     assert scheduler.free_dram_bytes(decode.end_s) == spec.dram_bytes
-    device.finalize(decode.end_s)
+    scheduler.finalize(decode.end_s)
     assert scheduler.memory.pool.used_bytes == 0
     assert scheduler.memory.pool.high_water_bytes == PROMPT_KV + 24 * TOKEN_KV
 

@@ -2,9 +2,18 @@
 
 import pytest
 
+from serving_toys import ToyBackend
+
 from repro.api import InferenceRequest
-from repro.fleet.device import _QueueDepthStats
-from repro.serving import RequestRecord, ServingReport, ServingRequest, SLOSpec, percentile
+from repro.serving import (
+    BackendCostModel,
+    RequestRecord,
+    ServingReport,
+    ServingRequest,
+    SLOSpec,
+    StaticBatchScheduler,
+    percentile,
+)
 
 
 def _record(arrival, start, first, finish, request_id=0, gen_tokens=4):
@@ -101,12 +110,20 @@ def test_report_rates_and_utilization():
 
 
 def test_queue_depth_stats_fold_the_step_function():
-    stats = _QueueDepthStats()
-    for now, depth in [(0.0, 0), (2.0, 3), (6.0, 1), (10.0, 0)]:
-        stats.add(now, depth)
-    assert stats.max_depth == 3
+    """The scheduler folds its queue where it changes: three requests join
+    at t=2, a batch of two leaves at t=6 and the last request at t=10."""
+    scheduler = StaticBatchScheduler(max_batch=2)
+    cost = BackendCostModel(ToyBackend())
+    for request_id in range(3):
+        scheduler.enqueue(_record(2.0, None, None, None, request_id), 2.0)
+    scheduler.next_occupancy(6.0, cost)
+    scheduler.next_occupancy(10.0, cost)
+    area, max_depth = scheduler.finalize(10.0)
+    assert max_depth == 3
     # Step function: 0 until t=2, 3 until t=6, 1 until t=10.
-    assert stats.area == pytest.approx(3 * 4 + 1 * 4)
+    assert area == pytest.approx(3 * 4 + 1 * 4)
+    # The fold restarts for the scheduler's next run.
+    assert scheduler.finalize(0.0) == (0.0, 0)
 
 
 def test_report_attainment_goodput_and_verdict():

@@ -5,6 +5,7 @@ import pytest
 from serving_toys import ToyBackend
 
 from repro.api import InferenceRequest, get_backend
+from repro.obs import TimelineCollector
 from repro.serving import (
     BackendCostModel,
     ContinuousBatchScheduler,
@@ -231,6 +232,22 @@ def test_queue_depth_tracks_the_fcfs_backlog():
     # r1 waits exactly while r0 occupies the device: depth 1 for 1.3 of 2.6 s.
     assert report.max_queue_depth == 1
     assert report.mean_queue_depth == pytest.approx(0.5)
+
+
+def test_queue_depth_counts_a_request_queued_behind_a_busy_device():
+    """r1 arrives at 0.5 s while r0 runs [0, 1.3): it waits 0.8 s of the
+    2.6 s makespan at depth 1, in the report and on a timeline alike."""
+    backend = ToyBackend(ttft=1.0, step=0.1)
+    timeline = TimelineCollector(window_s=2.6)
+    report = simulate(
+        _arrivals([0.0, 0.5], PAYLOAD), backend, FCFSScheduler(), recorder=timeline
+    )
+    assert report.makespan_s == pytest.approx(2.6)
+    assert report.max_queue_depth == 1
+    assert report.mean_queue_depth == pytest.approx(0.8 / 2.6)
+    rows = timeline.to_rows()
+    assert max(row["queue_depth_max"] for row in rows) == 1
+    assert rows[0]["queue_depth_mean"] == pytest.approx(0.8 / 2.6)
 
 
 def test_queue_depth_sampling_is_deterministic_across_seeded_runs():
