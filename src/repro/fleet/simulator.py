@@ -18,7 +18,10 @@ the planning opportunities both create:
   folds into the timelines once, when it ends: at its completion, at a
   crash (the crash instant) or at the loop's close (the makespan), so a
   device is never busy past the makespan and its spans add up to its
-  busy time.
+  busy time.  A merged run (a continuous-batching prefill planned with
+  the decode run after it) ends its prefill first, booked, spanned and
+  folded exactly as the prefill occupancy it replaces, then its decode
+  run; the prefill's end costs no loop pass and no planning call.
 
 The loop owns its event heap outright: a plain ``heapq`` list of
 ``(time, kind, index, seq)`` tuples, whose total order
@@ -72,7 +75,9 @@ reach the schedulers and routers as recorders, and a run a timeline
 alone observes builds no span and no decision instant.
 
 Scale: the loop re-plans only the devices an event actually touched, a
-decode run is split only by a request routed to its own device, and —
+decode run is split only by a request routed to its own device, a
+prefill that can only be followed by its decode run is planned with
+it, and —
 with ``trace_sink``/``keep_records=False`` — files each request's trace
 row when it resolves, with the sample its fold read, renders and writes
 the rows a batch at a time (as :meth:`FleetReport.to_csv` renders them)
@@ -98,7 +103,7 @@ from repro.obs.timeline import split_observers
 from repro.serving.events import COMPLETION, FAULT
 from repro.serving.metrics import ServingReport, SLOSpec, StreamedMetrics, metric_sample
 from repro.serving.request import ServingRequest
-from repro.serving.scheduler import FCFSScheduler
+from repro.serving.scheduler import PREFILL, FCFSScheduler, Occupancy
 from repro.serving.simulator import _ArrivalSource
 from repro.serving.stream import TraceSink, TraceStreamer
 
@@ -312,9 +317,34 @@ def _run(
         its busy seconds (the planned ones if it ran to its end), record
         the scheduler's ``coalesce`` and ``dram`` instants and its span,
         fold it into the timelines with its DRAM level, and return the
-        records it completes."""
+        records it completes.  A merged run's prefill ends first, booked,
+        spanned and folded as the prefill occupancy it replaces, then its
+        decode run from the prefill's end.  A close before the decode run
+        began (inside the prefill, or at its end when the loop stopped
+        before planning there) ends the bare prefill."""
         occupancy = device._occupancy
         start = occupancy.start_s
+        prefill = occupancy.prefill_s
+        if prefill is not None:
+            split = start + prefill
+            if end < split or (end == split and stopped_before_planning):
+                # The bare prefill, as planned: it would end at split.
+                occupancy = Occupancy(PREFILL, prefill)
+                device.busy_until = split
+            else:
+                device.busy_s += prefill
+                if spans is not None:
+                    spans.span(
+                        device_tracks[index],
+                        PREFILL,
+                        start,
+                        split,
+                        {"steps": 1, "completed": 0},
+                    )
+                if timelines:
+                    for timeline in timelines:
+                        timeline.span(index, start, split, None)
+                start = split
         if end == device.busy_until:
             device.busy_s += occupancy.seconds
         else:
@@ -390,6 +420,10 @@ def _run(
     # attempt; everyone plans at t=0.
     touched = set(range(len(devices)))
     num_devices = len(devices)
+    if num_devices == 1:
+        # Every delivery reaches the one device: its scheduler may read
+        # when the next one arrives (until its finalize).
+        devices[0].scheduler.arrivals = source
     route = router.route
     #: Whether the router reads per-device work estimates, and the
     #: per-device scheduler enqueue hooks, hoisted for dispatch.
@@ -473,6 +507,9 @@ def _run(
     now = 0.0
     num_events = 0
     early_exit = False
+    #: Whether an early exit came before the idle devices planned at
+    #: ``now`` (read by ``end_occupancy`` at the close).
+    stopped_before_planning = False
     total = source.total
     #: Whether this pass moved a request, and how many passes in a row
     #: moved none (the wedge guard).
@@ -529,7 +566,7 @@ def _run(
                 # decided, stop here.
                 if fail_fast:
                     if missed and (total - missed) / total < slo.min_attainment:
-                        early_exit = True
+                        early_exit = stopped_before_planning = True
                         break
             # 2. Deliver what the source holds due now: stream arrivals
             # first, then retries and hedge timers in push order.

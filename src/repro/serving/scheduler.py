@@ -2,10 +2,11 @@
 
 A scheduler owns the waiting queue and, when the simulator's event loop
 asks, plans the next *occupancy* — one non-preemptive stretch of device
-time (a whole job, a batched job, one prefill, or one decode step).  The
-event loop in :mod:`repro.serving.simulator` advances the clock by the
-occupancy's duration and stamps the finish time on every record the
-occupancy completes.
+time (a whole job, a batched job, one prefill, a run of decode steps, or
+a prefill and the decode run after it).  The event loop in
+:mod:`repro.serving.simulator` advances the clock by the occupancy's
+duration and stamps the finish time on every record the occupancy
+completes.
 
 Three policies are built in:
 
@@ -48,6 +49,23 @@ to that boundary.  A request routed to
 another device never splits the run.  The base scheduler's ``cut`` does
 nothing: FCFS and static batching emit whole-job occupancies, and
 ignore ``max_steps``.
+
+An admission can go one step further.  When it leaves a batch slot free
+and nothing queued, the step-by-step loop's next planning call, at the
+prefill's end ``p = now + ttft``, can only plan the decode run from
+``p``, so the scheduler plans that run in the same call and returns the
+prefill and the run as one *merged run* (:attr:`Occupancy.prefill_s`
+holds the prefill's seconds; the loop books, spans and folds the prefill
+as the occupancy it replaces, and the decode run from ``p``).  It plans
+the prefill alone, as the step-by-step loop does, with ``max_steps=1``
+(the reference stays the literal step-by-step loop), on a memory-model
+run (whose pool decides at ``p``; not merged yet), when the device's
+next fault transition is due by ``p``, and when a delivery is known to
+reach the device by ``p``: on a one-device run every delivery does, and
+the loop attaches its arrival source (:attr:`Scheduler.arrivals`).  A
+merged run stays open: a cut at or before ``p`` turns it back into the
+bare prefill and restores the batch as at ``p``, where the step-by-step
+loop admits the request, and a later cut re-walks the steps from ``p``.
 
 The memory model
 ----------------
@@ -96,6 +114,8 @@ class default, so plain runs pay a single identity check):
   straddling step — the one the crash aborts or the slowdown reprices —
   is planned as its own single-step occupancy in coalesced and
   step-by-step runs alike, keeping them byte-identical under faults.
+  A prefill whose end a fault transition does not precede can merge
+  with its decode run; otherwise it is planned alone.
 
 ``evict_all(now)`` supports crash aborts: at the crash instant it drains
 every request the scheduler still owes work to (in-flight batch members
@@ -148,6 +168,11 @@ class Occupancy:
     #: it plans, and the continuous scheduler stamps an open decode run
     #: (one :meth:`Scheduler.cut` may still shorten) itself.
     start_s: Optional[float] = None
+    #: A *merged run*'s prefill seconds: the continuous scheduler planned
+    #: a prefill and the decode run after it as this one occupancy, whose
+    #: decode run starts at ``start_s + prefill_s`` and takes ``seconds``.
+    #: None for every other occupancy.
+    prefill_s: Optional[float] = None
     #: The scheduler's ``coalesce`` instant for a decode run on a
     #: recorder-attached run, emitted by the loop with the run's span
     #: once the run ends.
@@ -203,6 +228,12 @@ class Scheduler:
     #: The :class:`repro.obs.TimelineCollector` objects an observed run
     #: attaches until :meth:`finalize`; each gets every queue change.
     timelines = ()
+    #: A one-device run's arrival source, attached until :meth:`finalize`:
+    #: every delivery reaches the one device, so its ``head_time`` (None
+    #: once it is dry) is when the next request known to reach this
+    #: scheduler arrives.  None on a fleet, which routes each delivery
+    #: when it happens.
+    arrivals = None
     #: A lower bound on the queued records' ``arrival_s``: lowered by
     #: every enqueue, made exact by every queue walk in
     #: :meth:`_shed_expired` (inf = nothing queued since).
@@ -279,9 +310,13 @@ class Scheduler:
 
     def finalize(self, now: float) -> Tuple[float, int]:
         """The run is over at ``now``: book what the last occupancy still
-        owes, detach the timelines, and return the queue's time-weighted
-        depth area and max depth, reset for the scheduler's next run."""
+        owes, detach what the loop attached (the recorder, the timelines,
+        a fleet's per-replica track name and a one-device run's arrival
+        source), and return the queue's time-weighted depth area and max
+        depth, reset for the scheduler's next run."""
+        self.recorder = self.arrivals = None
         self.timelines = ()
+        self.track = type(self).track
         self._queue_change(now, 0)
         stats = self._queue_area, self._queue_max
         self._queue_t = self._queue_area = 0.0
@@ -593,12 +628,35 @@ class ContinuousBatchScheduler(Scheduler):
             # syncs it once per planning call (observed runs only — the
             # model's ledgers never read it).
             memory.now_s = now
+        # The device's next fault transition, and when the decode run below
+        # starts: now, or at the end of a prefill merged with it.
+        boundary = None if gate is None else gate.boundary_s
+        start = now
+        prefill = None
         # Admission first: fill free batch slots with waiting prefills so
         # new requests reach their first token as early as possible.
         if self._waiting and len(self._active) < self.max_batch:
-            occupancy = self._admit(now, cost)
-            if occupancy is not None:
-                return occupancy
+            seconds = self._admit(now, cost)
+            if seconds is not None:
+                start = now + seconds
+                # Merge with the decode run from the prefill's end unless
+                # the step-by-step loop could plan otherwise there (see
+                # the module docstring).
+                arrivals = self.arrivals
+                head = None if arrivals is None else arrivals.head_time
+                if (
+                    self._waiting
+                    or len(self._active) >= self.max_batch
+                    or max_steps == 1
+                    or memory is not None
+                    or (head is not None and head <= start)
+                    or (boundary is not None and boundary <= start)
+                ):
+                    occupancy = Occupancy(PREFILL, seconds)
+                    if memory is not None:
+                        occupancy.dram = memory.pool.used_bytes
+                    return occupancy
+                prefill = seconds
             # Otherwise the head-of-line request is waiting on DRAM/flash
             # space; fall through so in-flight decodes can free some.
         active = self._active
@@ -661,8 +719,7 @@ class ContinuousBatchScheduler(Scheduler):
                 dram_capped = True
         # Accumulate the boundaries one step at a time: `end` walks the
         # exact float sequence the uncoalesced loop would produce.
-        end = now + step
-        boundary = gate.boundary_s if gate is not None else None
+        end = start + step
         if boundary is None:
             steps = limit
             for _ in range(limit - 1):
@@ -681,13 +738,14 @@ class ContinuousBatchScheduler(Scheduler):
                 steps += 1
                 end = nxt
         # With a free slot, a request queuing mid-run is admissible at the
-        # next step boundary: the run stays open for cut().  A regime-A
-        # run books its growth once it is over, against the batch as
-        # planned.
+        # next step boundary (or at a merged prefill's end): the run stays
+        # open for cut().  A regime-A run books its growth once it is
+        # over, against the batch as planned.  Both keep this list: from
+        # here on the batch is a new list whenever a member leaves it, and
+        # nothing else changes it before the run is over.
         batch = len(active)
-        cuttable = steps > 1 and batch < self.max_batch
+        cuttable = (steps > 1 or prefill is not None) and batch < self.max_batch
         books = memory is not None and not spilling
-        planned = list(active) if cuttable or books else None
         finished = []
         for entry in active:
             entry[1] -= steps
@@ -707,16 +765,17 @@ class ContinuousBatchScheduler(Scheduler):
                 counted[1] -= 1
         occupancy = Occupancy(
             DECODE,
-            step if steps == 1 else end - now,
+            step if steps == 1 else end - start,
             [entry[0] for entry in finished],
             steps=steps,
             end_s=end,
+            prefill_s=prefill,
         )
         if cuttable:
             occupancy.start_s = now
-            self._open = [occupancy, step, planned]
+            self._open = [occupancy, step, active]
         if books:
-            self._growth = _KVGrowth(occupancy, planned, growth, step, now, free)
+            self._growth = _KVGrowth(occupancy, active, growth, step, start, free)
             occupancy.dram = memory.pool.capacity_bytes - self._growth.end_free
         elif spilling:
             for entry in finished:
@@ -743,9 +802,11 @@ class ContinuousBatchScheduler(Scheduler):
         ``now``, where the step-by-step loop would admit a request that
         queued at ``now``.
 
-        The boundary is re-walked from the run's start one step at a time,
-        so it is bit-equal to the step-by-step clock.  The batch goes back
-        to its state at that boundary: every
+        The boundary is re-walked from the decode run's start one step at
+        a time, so it is bit-equal to the step-by-step clock.  A merged
+        run cut at or before its prefill's end goes back to the bare
+        prefill, which the step-by-step loop follows with an admission.
+        The batch goes back to its state at that boundary: every
         member's remaining steps, and the members that were to finish at
         the planned end rejoin in batch order, with their lanes and
         payload counts.  Returns the shortened occupancy, or None when
@@ -758,7 +819,12 @@ class ContinuousBatchScheduler(Scheduler):
         self._open = None
         occupancy, step, planned = run
         start = occupancy.start_s
-        steps, end = 1, start + step
+        prefill = occupancy.prefill_s
+        if prefill is None:
+            steps, end = 1, start + step
+        else:
+            start += prefill
+            steps, end = 0, start
         while end < now:
             steps += 1
             end += step
@@ -778,8 +844,14 @@ class ContinuousBatchScheduler(Scheduler):
             entry[1] += back
         self._active = planned
         occupancy.completed = []
-        occupancy.steps = steps
         occupancy.end_s = end
+        if not steps:
+            occupancy.kind = PREFILL
+            occupancy.seconds = prefill
+            occupancy.steps = 1
+            occupancy.prefill_s = occupancy.note = None
+            return occupancy
+        occupancy.steps = steps
         occupancy.seconds = step if steps == 1 else end - start
         growth = self._growth
         if growth is not None:
@@ -806,6 +878,10 @@ class ContinuousBatchScheduler(Scheduler):
     def finalize(self, now: float) -> Tuple[float, int]:
         if self._growth is not None:
             self._book()
+        memory = self.memory
+        if memory is not None:
+            memory.recorder = None
+            memory.track = type(memory).track
         return super().finalize(now)
 
     def evict_all(self, now: float) -> List[RequestRecord]:
@@ -830,8 +906,9 @@ class ContinuousBatchScheduler(Scheduler):
         self._open = None
         return evicted + super().evict_all(now)
 
-    def _admit(self, now: float, cost) -> Optional[Occupancy]:
-        """Prefill the head-of-line request into a free batch slot.
+    def _admit(self, now: float, cost) -> Optional[float]:
+        """Prefill the head-of-line request into a free batch slot, and
+        return the prefill's seconds.
 
         Under the memory model its prompt's KV bytes must also fit in free
         DRAM, or in DRAM plus free flash (the spill write rides on the
@@ -909,9 +986,6 @@ class ContinuousBatchScheduler(Scheduler):
             payloads[id(request)] = [request, 1]
         else:
             counted[1] += 1
-        occupancy = Occupancy(PREFILL, seconds)
-        if memory is not None:
-            occupancy.dram = memory.pool.used_bytes
         if rec is not None:
             args = {"request_id": record.request_id, "verdict": "slot"}
             if memory is not None:
@@ -922,9 +996,9 @@ class ContinuousBatchScheduler(Scheduler):
             rec.instant(self.track, "admit", now, args)
             if memory is not None:
                 rec.instant(
-                    memory.track, "dram", now, {"used_bytes": occupancy.dram}
+                    memory.track, "dram", now, {"used_bytes": memory.pool.used_bytes}
                 )
-        return occupancy
+        return seconds
 
     # -- the memory-model path ------------------------------------------------
     def _plan_refill(self) -> Optional[Occupancy]:

@@ -40,11 +40,16 @@ in-batch completion, and a request that queues on the device while a
 batch slot is free *cuts* the interval (``Scheduler.cut``) at the first
 step boundary at or after its arrival — the boundary where the
 step-by-step loop would admit it.  A request routed to another device
-leaves the interval alone.  Under the KV memory model the interval
-books its KV growth only once it is over, and a router reads each
-device's DRAM as of the current instant, as the step-by-step loop has
-booked it (``Scheduler.free_dram_bytes(now)``).  Coalescing
-schedulers accumulate the interval's end one step-duration at a time
+leaves the interval alone.  An admission that leaves a slot free and
+nothing queued carries the interval after its prefill (a *merged run*):
+the step-by-step loop plans that same interval at the prefill's end,
+unless a request queues on the device by then, which cuts the merged
+run back to its prefill.  A one-device run knows its next delivery, and
+merges only when none is due by the prefill's end.  Under the KV memory
+model the interval books its KV growth only once it is over, and a
+router reads each device's DRAM as of the current instant, as the
+step-by-step loop has booked it (``Scheduler.free_dram_bytes(now)``).
+Coalescing schedulers accumulate the interval's end one step-duration at a time
 (never as one ``k * step`` product), and a cut re-walks it the same way
 from the interval's start, so the clock visits exactly the same floats
 as the step-by-step loop and the per-request trace CSV is

@@ -27,18 +27,20 @@ from serving_toys import (
 
 from repro.api import InferenceRequest
 from repro.faults import FaultSpec, RetryPolicy
-from repro.fleet import ROUTERS, build_fleet, get_router, simulate_fleet
+from repro.fleet import ROUTERS, Router, build_fleet, get_router, simulate_fleet
 from repro.memory import MemorySpec
-from repro.obs import SpanRecorder
+from repro.obs import SpanRecorder, TeeRecorder, TimelineCollector, critical_path
 from repro.serving import (
     ContinuousBatchScheduler,
     DigestSink,
     FCFSScheduler,
     OnOffWorkload,
     PoissonWorkload,
+    ServingRequest,
     SLOSpec,
     StaticBatchScheduler,
     load_bundled_trace,
+    simulate,
 )
 
 PAYLOAD = InferenceRequest(model="opt-6.7b", seq_len=500, gen_tokens=24)
@@ -305,8 +307,6 @@ def test_an_arrival_routed_elsewhere_does_not_split_a_decode_run():
     """Device 0 decodes 64 tokens while 1-token requests arrive at t=1, 2
     and 3; JSQ sends each of them to the idle device 1, so device 0's
     decode stays one occupancy."""
-    from repro.serving import ServingRequest
-
     arrivals = [ServingRequest(0.0, 0, PAYLOAD.with_overrides(gen_tokens=64))] + [
         ServingRequest(float(t), t, PAYLOAD.with_overrides(gen_tokens=1))
         for t in (1, 2, 3)
@@ -338,15 +338,6 @@ def test_a_superseded_completion_tied_with_a_live_one_is_skipped():
     at the same instant; a request cuts device 1's run at t=1.  When the
     clock reaches that instant, device 0's live completion pops first and
     device 1's superseded one right after it: the loop must skip it."""
-    from repro.fleet import Router
-    from repro.serving import ServingRequest
-
-    class Scripted(Router):
-        name = "scripted"
-
-        def route(self, record, devices, now):
-            return (0, 1, 1)[record.request_id]
-
     long = PAYLOAD.with_overrides(gen_tokens=64)
     arrivals = [
         ServingRequest(0.0, 0, long),
@@ -359,12 +350,264 @@ def test_a_superseded_completion_tied_with_a_live_one_is_skipped():
             [ToyBackend(ttft=0.3, step=0.1)] * 2,
             scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
         )
-        return simulate_fleet(arrivals, fleet, Scripted(), max_steps=max_steps)
+        return simulate_fleet(
+            arrivals, fleet, _Scripted([0, 1, 1]), max_steps=max_steps
+        )
 
     report = run(None)
     reference = run(1)
     assert_same_trace(report.to_csv(), reference.to_csv())
     assert report.event_queue["pushes"] == report.event_queue["pops"]
+
+
+# -- merged runs: a prefill and the decode run after it as one occupancy ------
+
+def _request(arrival_s, request_id, gen_tokens):
+    return ServingRequest(
+        arrival_s, request_id, PAYLOAD.with_overrides(gen_tokens=gen_tokens)
+    )
+
+
+class _Scripted(Router):
+    """Routes each request id to a fixed device, and hedge attempts to
+    device 0."""
+
+    name = "scripted"
+
+    def __init__(self, devices):
+        super().__init__()
+        self.devices = devices
+
+    def route(self, record, devices, now):
+        return 0 if record.hedge else self.devices[record.request_id]
+
+
+def _merge_probe(fleet):
+    """Counts the merged runs the fleet's schedulers plan, and those a cut
+    turns back into their bare prefill."""
+    counts = {"merged": 0, "unmerged": 0}
+    for device in fleet:
+        scheduler = device.scheduler
+        plan, cut = scheduler.next_occupancy, scheduler.cut
+
+        def planned(*args, plan=plan, **kwargs):
+            occupancy = plan(*args, **kwargs)
+            if occupancy is not None and occupancy.prefill_s is not None:
+                counts["merged"] += 1
+            return occupancy
+
+        def shortened(now, cut=cut):
+            occupancy = cut(now)
+            if occupancy is not None and occupancy.kind == "prefill":
+                counts["unmerged"] += 1
+            return occupancy
+
+        scheduler.next_occupancy, scheduler.cut = planned, shortened
+    return counts
+
+
+#: Scripted two-replica runs at the edges of a merged run, on binary-exact
+#: latencies (a 0.5 s prefill, 0.25 s steps): the requests as (arrival,
+#: generated tokens, device), the scheduler's ``max_batch``, the run's
+#: options, and the merged runs planned and turned back into their bare
+#: prefill by the coalesced run.
+MERGE_EDGES = {
+    # Queued at the prefill's end: admitted there, so the cut ends the
+    # merged run at its prefill; so does an arrival during the prefill.
+    "arrival-at-prefill-end": ([(0.0, 8, 0), (0.5, 2, 0)], 4, {}, (2, 1)),
+    "arrival-in-prefill": ([(0.0, 8, 0), (0.25, 2, 0)], 4, {}, (2, 1)),
+    # The admission at the 1.0 step boundary fills the batch: planned alone.
+    "admission-fills-batch": ([(0.0, 8, 0), (1.0, 2, 0)], 2, {}, (1, 0)),
+    # The first admission leaves the second request queued: planned alone.
+    "admission-leaves-queue": ([(0.0, 8, 0), (0.0, 2, 0)], 4, {}, (1, 0)),
+    # A slowdown opening inside the prefill, and a crash at its very end:
+    # each prefill is planned alone.
+    "fault-in-prefill": (
+        [(0.0, 8, 0), (4.0, 2, 0)],
+        4,
+        {"faults": FaultSpec(slow_windows=((0, 0.25, 1.0, 2.0),))},
+        (1, 0),
+    ),
+    "fault-at-prefill-end": (
+        [(0.0, 8, 0), (4.0, 2, 0)],
+        4,
+        {"faults": FaultSpec(crash_windows=((0, 0.5, 1.0),))},
+        (2, 0),
+    ),
+    # A crash inside the first decode step aborts the merged run there.
+    "crash-in-decode": (
+        [(0.0, 8, 0), (4.0, 2, 0)],
+        4,
+        {"faults": FaultSpec(crash_windows=((0, 0.625, 1.0),))},
+        (3, 0),
+    ),
+    # Device 1's request misses the SLO at 2.5, inside device 0's merged
+    # prefill [2.25, 2.75]: the run stops there, mid-prefill.
+    "early-exit-in-prefill": (
+        [(0.0, 8, 1), (2.25, 8, 0), (3.0, 2, 0)],
+        4,
+        {"slo": SLOSpec(e2e_s=1.0), "fail_fast": True},
+        (2, 0),
+    ),
+    # Every attempt fails: request 0's retry at 1.25 reaches device 0
+    # during request 1's merged prefill [1.0, 1.5].
+    "retry-in-prefill": (
+        [(0.0, 1, 0), (1.0, 4, 0)],
+        4,
+        {
+            "faults": FaultSpec(flaky_prob=1.0),
+            "retry": RetryPolicy(max_attempts=2, backoff_s=0.5),
+        },
+        (4, 1),
+    ),
+    # Request 2 queues on device 1 behind a full batch; its hedge at 1.1
+    # reaches device 0 during request 3's merged prefill [0.9, 1.4], and
+    # wins while request 2 decodes.  (A request cancelled while queued
+    # behind a full batch is purged at the next planning call, which a
+    # coalesced run reaches later than the step-by-step one: the known
+    # gap in repro.faults.engine's docstring, not a merge's.)
+    "hedge-in-prefill": (
+        [(0.0, 8, 1), (0.0, 8, 1), (0.1, 8, 1), (0.9, 8, 0)],
+        2,
+        {"retry": RetryPolicy(max_attempts=1, hedge_after_s=1.0)},
+        (2, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(MERGE_EDGES))
+def test_merged_runs_match_step_by_step_at_their_edges(edge):
+    requests, max_batch, options, merges = MERGE_EDGES[edge]
+    arrivals = [
+        _request(arrival_s, request_id, gen_tokens)
+        for request_id, (arrival_s, gen_tokens, _) in enumerate(requests)
+    ]
+    routes = [device for _, _, device in requests]
+
+    def run(max_steps):
+        fleet = build_fleet(
+            [ToyBackend(ttft=0.5, step=0.25)] * 2,
+            scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=max_batch),
+        )
+        counts = _merge_probe(fleet)
+        probe = QueueProbe([device.scheduler for device in fleet])
+        report = simulate_fleet(
+            arrivals, fleet, _Scripted(routes), max_steps=max_steps, **options
+        )
+        assert_littles_law(report, probe)
+        return report, (counts["merged"], counts["unmerged"])
+
+    (coalesced, counts), (reference, _) = run(None), run(1)
+    assert counts == merges
+    assert_same_trace(coalesced.to_csv(), reference.to_csv())
+    assert [device.busy_s for device in coalesced.device_reports] == [
+        device.busy_s for device in reference.device_reports
+    ]
+    assert coalesced.makespan_s == reference.makespan_s
+    assert coalesced.early_exit == reference.early_exit
+    assert coalesced.faults == reference.faults
+    assert_same_queue_stats(coalesced, reference)
+
+
+@pytest.mark.parametrize("prefill_start", [0.375, 0.25], ids=["inside", "at-end"])
+def test_an_early_exit_ends_a_merged_run_s_prefill_as_step_by_step(prefill_start):
+    """Device 1's 1-token request misses the SLO at 0.75, while device 0's
+    merged run prefills from ``prefill_start``: the run stops inside the
+    prefill, or at its very end.  The step-by-step loop stops there
+    before it plans again, so its device 0 holds the bare prefill alone,
+    and so must the merged run's."""
+    arrivals = [_request(0.0, 0, 1), _request(prefill_start, 1, 1), _request(3.0, 2, 1)]
+
+    def run(max_steps):
+        fleet = build_fleet(
+            [ToyBackend(ttft=0.5, step=0.25)] * 2,
+            scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
+        )
+        counts = _merge_probe(fleet)
+        recorder = SpanRecorder()
+        report = simulate_fleet(
+            arrivals,
+            fleet,
+            _Scripted([1, 0, 0]),
+            slo=SLOSpec(e2e_s=0.6),
+            fail_fast=True,
+            max_steps=max_steps,
+            recorder=recorder,
+        )
+        assert report.early_exit and report.makespan_s == 0.75
+        return report, recorder, counts["merged"]
+
+    (coalesced, recorder, merged), (reference, recorder_ref, _) = run(None), run(1)
+    assert merged == 2
+    assert_same_trace(coalesced.to_csv(), reference.to_csv())
+    assert [device.busy_s for device in coalesced.device_reports] == [
+        device.busy_s for device in reference.device_reports
+    ]
+    for track in ("device0", "device1"):
+        assert [span for span in recorder.spans() if span[1] == track] == [
+            span for span in recorder_ref.spans() if span[1] == track
+        ]
+    assert [span[2:5] for span in recorder.spans() if span[1] == "device0"] == [
+        ("prefill", prefill_start, 0.75 - prefill_start)
+    ]
+
+
+@pytest.mark.parametrize("num_devices", [1, 3], ids=["one-device", "fleet"])
+def test_merged_runs_leave_every_observer_output_as_step_by_step(num_devices):
+    """With 1-token generations every decode run is one step, so a
+    coalesced run differs from its ``max_steps=1`` run only by merges:
+    the device tracks hold the same spans in the same order and the
+    critical path is the same.  On one device every span comes in the same
+    order and the timeline is the same; a fleet's timeline folds its
+    windows' busy seconds in another order, so those two columns agree to
+    rounding.  (The ``coalesce`` instants name another reason.)"""
+    payload = PAYLOAD.with_overrides(gen_tokens=1)
+    arrivals = PoissonWorkload(2.5 * num_devices, payload, seed=3).generate(300)
+
+    def run(max_steps):
+        spans, timeline = SpanRecorder(), TimelineCollector(window_s=5.0)
+        options = dict(max_steps=max_steps, recorder=TeeRecorder(spans, timeline))
+        backend = ToyBackend(ttft=0.3, step=0.1)
+        if num_devices == 1:
+            report = simulate(
+                arrivals, backend, ContinuousBatchScheduler(max_batch=4), **options
+            )
+            devices = [report]
+        else:
+            fleet = build_fleet(
+                [backend] * num_devices,
+                scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
+            )
+            report = simulate_fleet(arrivals, fleet, get_router("jsq"), **options)
+            devices = report.device_reports
+        return report, [device.busy_s for device in devices], spans, timeline
+
+    coalesced, busy, spans, timeline = run(None)
+    reference, busy_ref, spans_ref, timeline_ref = run(1)
+    assert coalesced.num_events < reference.num_events
+    assert_same_trace(coalesced.to_csv(), reference.to_csv())
+    assert busy == busy_ref
+    assert_same_queue_stats(coalesced, reference)
+    tracks = ["device"] if num_devices == 1 else [
+        f"device{index}" for index in range(num_devices)
+    ]
+    for track in tracks:
+        assert [span for span in spans.spans() if span[1] == track] == [
+            span for span in spans_ref.spans() if span[1] == track
+        ]
+    report, report_ref = critical_path(spans), critical_path(spans_ref)
+    assert report.attribution_rows() == report_ref.attribution_rows()
+    assert report.chain_rows() == report_ref.chain_rows()
+    if num_devices == 1:
+        assert spans.spans() == spans_ref.spans()
+        assert timeline.to_csv() == timeline_ref.to_csv()
+        return
+    rows, rows_ref = timeline.to_rows(), timeline_ref.to_rows()
+    assert len(rows) == len(rows_ref)
+    for row, row_ref in zip(rows, rows_ref):
+        for name in ("busy_s", "utilization"):
+            assert row.pop(name) == pytest.approx(row_ref.pop(name), rel=1e-12)
+        assert row == row_ref
 
 
 def test_fleet_fail_fast_aborts_with_the_same_verdict():

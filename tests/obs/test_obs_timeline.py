@@ -388,7 +388,9 @@ def test_the_loops_split_a_recorder_into_span_recorders_and_timelines():
 
 def test_a_timeline_alone_is_fed_folds_not_spans_or_decision_instants():
     """Schedulers and routers of a run a timeline alone observes hold no
-    recorder; the memory models still hand it their spill bytes."""
+    recorder; the memory models still hand it their spill bytes.  The
+    hooks are read while the run plans, as the schedulers' ``finalize``
+    detaches them."""
     arrivals = PoissonWorkload(3.0, PAYLOAD, seed=11).generate(60)
     fleet = build_fleet(
         [ToyBackend()] * 2,
@@ -398,10 +400,20 @@ def test_a_timeline_alone_is_fed_folds_not_spans_or_decision_instants():
     )
     router = get_router("headroom")
     collector = TimelineCollector(window_s=10.0, slo=SLO)
+    hooks = set()
+    for device in fleet:
+        scheduler = device.scheduler
+        plan = scheduler.next_occupancy
+
+        def planned(*args, scheduler=scheduler, plan=plan, **kwargs):
+            hooks.add((scheduler.recorder, scheduler.memory.recorder))
+            return plan(*args, **kwargs)
+
+        scheduler.next_occupancy = planned
     simulate_fleet(arrivals, fleet, router, slo=SLO, recorder=collector)
     assert router.recorder is None
-    assert all(device.scheduler.recorder is None for device in fleet)
-    assert all(device.memory.recorder is collector for device in fleet)
+    assert hooks == {(None, collector)}
+    assert all(device.memory.recorder is None for device in fleet)
     assert any(row["kv_spill_bytes"] for row in collector.to_rows())
 
 
@@ -433,6 +445,38 @@ def test_a_reused_scheduler_no_longer_feeds_the_last_run_s_timeline():
     assert collector.to_csv() == csv_text
     assert rerun.mean_queue_depth == observed.mean_queue_depth > 0
     assert rerun.max_queue_depth == observed.max_queue_depth
+
+
+def test_a_reused_scheduler_no_longer_emits_into_the_last_run_s_recorder():
+    """A scheduler's ``finalize`` also detaches the recorder, its memory
+    model's recorder and a fleet's per-replica track names: a plain rerun
+    of a drained scheduler adds nothing to the last run's recorder, and an
+    observed one-device rerun of a fleet's replica emits on the
+    scheduler's own tracks."""
+    arrivals = PoissonWorkload(3.0, PAYLOAD, seed=11).generate(50)
+    scheduler = ContinuousBatchScheduler(max_batch=2)
+    recorder = SpanRecorder()
+    simulate(arrivals, ToyBackend(), scheduler, recorder=recorder)
+    instants = len(recorder.instants())
+    assert instants > 0
+    simulate(arrivals, ToyBackend(), scheduler)
+    assert len(recorder.instants()) == instants
+
+    fleet = build_fleet(
+        [ToyBackend()] * 2,
+        scheduler_factory=lambda: ContinuousBatchScheduler(
+            max_batch=2, memory=TIGHT_SPEC
+        ),
+    )
+    observed = SpanRecorder()
+    simulate_fleet(arrivals, fleet, get_router("jsq"), recorder=observed)
+    assert {"device1", "memory1"} <= set(observed.tracks())
+    events = len(observed)
+    rerun = SpanRecorder()
+    simulate(arrivals, ToyBackend(), fleet[1].scheduler, recorder=rerun)
+    assert len(observed) == events
+    assert {"device", "memory"} <= set(rerun.tracks())
+    assert not {"device1", "memory1"} & set(rerun.tracks())
 
 
 def test_timeline_totals_equal_the_report_on_a_chaos_fleet():

@@ -142,44 +142,53 @@ def test_max_steps_must_be_positive():
 
 
 def test_coalesced_occupancy_reports_its_steps():
-    """A lone long request decodes as one multi-step occupancy."""
-    scheduler = ContinuousBatchScheduler(max_batch=4)
-    backend = ToyBackend(ttft=1.0, step=0.1)
-    from repro.serving import BackendCostModel, ServingRequest
+    """A lone long request prefills and decodes as one merged occupancy:
+    nothing can join its batch by the prefill's end, so the decode run
+    from there is planned in the same call."""
+    from repro.serving import ServingRequest
     from repro.serving.request import RequestRecord
 
-    cost = BackendCostModel(backend)
+    scheduler, cost = _scheduler()
     record = RequestRecord(
         ServingRequest(arrival_s=0.0, request_id=0, request=PAYLOAD)
     )
     scheduler.enqueue(record, 0.0)
-    prefill = scheduler.next_occupancy(0.0, cost)
-    assert prefill.kind == "prefill" and prefill.steps == 1
-    decode = scheduler.next_occupancy(1.0, cost)
-    assert decode.kind == "decode"
+    decode = scheduler.next_occupancy(0.0, cost)
+    assert decode.kind == "decode" and decode.prefill_s == 1.0
     assert decode.steps == PAYLOAD.gen_tokens
     assert decode.completed == [record]
-    # The end is the step clock accumulated one step at a time.
+    # The end is the step clock accumulated one step at a time from the
+    # prefill's end.
     end = 1.0
     for _ in range(PAYLOAD.gen_tokens):
         end += 0.1
     assert decode.end_s == end
-    assert decode.end_time(1.0) == end
+    assert decode.end_time(0.0) == end
+    assert decode.seconds == end - 1.0
+    assert scheduler.next_occupancy(end, cost) is None
 
 
-def _decoding_scheduler(memory=None):
-    """A continuous scheduler whose lone request (PAYLOAD) has prefilled
-    on [0, 1] and is ready to decode at 0.1 s per step."""
-    from repro.serving import BackendCostModel, ServingRequest
-    from repro.serving.request import RequestRecord
+def _scheduler(memory=None):
+    """A continuous scheduler with four slots over a 1 s prefill and
+    0.1 s decode steps, and its cost model."""
+    from repro.serving import BackendCostModel
 
     scheduler = ContinuousBatchScheduler(max_batch=4, memory=memory)
-    cost = BackendCostModel(ToyBackend(ttft=1.0, step=0.1))
+    return scheduler, BackendCostModel(ToyBackend(ttft=1.0, step=0.1))
+
+
+def _decoding_scheduler(memory):
+    """A memory-model continuous scheduler whose lone request (PAYLOAD)
+    has prefilled on [0, 1] and is ready to decode at 0.1 s per step."""
+    from repro.serving import ServingRequest
+    from repro.serving.request import RequestRecord
+
+    scheduler, cost = _scheduler(memory)
     record = RequestRecord(
         ServingRequest(arrival_s=0.0, request_id=0, request=PAYLOAD)
     )
     scheduler.enqueue(record, 0.0)
-    scheduler.next_occupancy(0.0, cost)  # prefill
+    assert scheduler.next_occupancy(0.0, cost).kind == "prefill"
     return scheduler, cost, record
 
 
@@ -191,14 +200,20 @@ def _step_clock(start, steps):
 
 
 def test_a_request_queued_mid_run_cuts_it_at_the_next_boundary():
-    """With a free slot, a decode run is planned to its natural end, and a
-    request that queues mid-run cuts it at its admission boundary (here:
-    arrival at 1.25 -> stop at the 1.3 boundary)."""
+    """With a free slot, a merged run is planned to its natural end, and a
+    request that queues mid-run cuts it at its admission boundary, walked
+    from the prefill's end (here: arrival at 1.25 -> stop at the 1.3
+    boundary)."""
     from repro.serving import ServingRequest
     from repro.serving.request import RequestRecord
 
-    scheduler, cost, record = _decoding_scheduler()
-    decode = scheduler.next_occupancy(1.0, cost)
+    scheduler, cost = _scheduler()
+    record = RequestRecord(
+        ServingRequest(arrival_s=0.0, request_id=0, request=PAYLOAD)
+    )
+    scheduler.enqueue(record, 0.0)
+    decode = scheduler.next_occupancy(0.0, cost)
+    assert decode.prefill_s == 1.0
     assert decode.steps == PAYLOAD.gen_tokens
     assert decode.completed == [record]
     # No request waiting: nothing to cut for.
@@ -213,37 +228,87 @@ def test_a_request_queued_mid_run_cuts_it_at_the_next_boundary():
     assert decode.completed == []
     assert decode.end_s == _step_clock(1.0, 3)
     assert decode.seconds == decode.end_s - 1.0
+    assert decode.prefill_s == 1.0  # still merged: the cut is past 1.0
     # The batch is back at the 1.3 boundary: the arrival is admitted next,
-    # and the first request still owes the remaining steps.
+    # merged with the decode run after it, which ends when the first
+    # request has decoded its remaining steps.
     assert scheduler.cut(1.26) is None  # a run is cut at most once
-    prefill = scheduler.next_occupancy(decode.end_s, cost)
-    assert prefill.kind == "prefill" and scheduler.active == 2
-    rest = scheduler.next_occupancy(prefill.end_time(decode.end_s), cost)
+    rest = scheduler.next_occupancy(decode.end_s, cost)
+    assert rest.prefill_s == 1.0
     assert rest.steps == PAYLOAD.gen_tokens - 3
+    assert rest.completed == [record]
+    assert scheduler.active == 1
 
 
-def test_an_arrival_on_a_step_boundary_cuts_the_run_right_there():
+def test_a_request_queued_by_the_prefill_s_end_cuts_the_merged_run_to_it():
+    """A request that queues during a merged run's prefill, or at its very
+    end, is admitted at the prefill's end: the run goes back to the bare
+    prefill, and the batch to its state there."""
+    from repro.serving import ServingRequest
+    from repro.serving.request import RequestRecord
+
+    for arrival_s in (0.5, 1.0):
+        scheduler, cost = _scheduler()
+        record = RequestRecord(ServingRequest(0.0, 0, PAYLOAD))
+        scheduler.enqueue(record, 0.0)
+        run = scheduler.next_occupancy(0.0, cost)
+        arrival = RequestRecord(ServingRequest(arrival_s, 1, PAYLOAD))
+        scheduler.enqueue(arrival, arrival_s)
+        assert scheduler.cut(arrival_s) is run
+        assert run.kind == "prefill" and run.prefill_s is None
+        assert (run.seconds, run.end_s, run.steps, run.completed) == (1.0, 1.0, 1, [])
+        assert run.note is None
+        # The next planning call admits the second request at 1.0 and
+        # decodes both: the first one's 24 steps are all still owed.
+        rest = scheduler.next_occupancy(1.0, cost)
+        assert rest.prefill_s == 1.0 and rest.steps == PAYLOAD.gen_tokens
+        assert [member.request_id for member in rest.completed] == [0, 1]
+        assert rest.end_s == _step_clock(2.0, PAYLOAD.gen_tokens)
+
+
+@pytest.mark.parametrize(
+    "arrival_s, merged",
+    [(1.0, 1), (0.5, 0), (0.25, 0)],
+    ids=["step-boundary", "prefill-end", "in-prefill"],
+)
+def test_an_arrival_on_a_step_boundary_cuts_the_run_right_there(arrival_s, merged):
     """Binary-exact steps put a step boundary at exactly t=1.0: the
     step-by-step loop finishes that step before the arrival at 1.0 is
-    delivered and admits it at once, so the cut must end the run at 1.0,
-    not at the next boundary."""
+    delivered and admits it at once, so the cut must end the merged run
+    at 1.0, not at the next boundary.  One device knows its next arrival:
+    one due by the first prefill's end (0.5) leaves that prefill alone."""
     from repro.serving import ServingRequest
 
     arrivals = [
         ServingRequest(0.0, 0, PAYLOAD.with_overrides(gen_tokens=8)),
-        ServingRequest(1.0, 1, PAYLOAD.with_overrides(gen_tokens=2)),
+        ServingRequest(arrival_s, 1, PAYLOAD.with_overrides(gen_tokens=2)),
     ]
-    runs = [
-        simulate(
+    plans = []
+
+    def run(max_steps):
+        scheduler = ContinuousBatchScheduler(max_batch=4)
+        plan = scheduler.next_occupancy
+
+        def planned(*args, **kwargs):
+            occupancy = plan(*args, **kwargs)
+            plans.append((max_steps, occupancy))
+            return occupancy
+
+        scheduler.next_occupancy = planned
+        return simulate(
             arrivals,
             ToyBackend(ttft=0.5, step=0.25),
-            ContinuousBatchScheduler(max_batch=4),
+            scheduler,
             max_steps=max_steps,
         )
-        for max_steps in (1, None)
-    ]
-    assert runs[1].records[1].prefill_start_s == 1.0
-    assert_same_trace(runs[1].to_csv(), runs[0].to_csv())
+
+    reference, coalesced = run(1), run(None)
+    first = next(occupancy for max_steps, occupancy in plans if max_steps is None)
+    assert (first.prefill_s is not None) == merged
+    assert coalesced.records[1].prefill_start_s == max(arrival_s, 0.5)
+    assert_same_trace(coalesced.to_csv(), reference.to_csv())
+    assert coalesced.busy_s == reference.busy_s
+    assert_same_queue_stats(coalesced, reference)
 
 
 #: Bytes of KV one opt-6.7b token holds at 16 bits, and a 500-token prompt.

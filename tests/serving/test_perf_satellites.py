@@ -116,19 +116,22 @@ def test_a_mixed_batch_steps_at_its_slowest_payload_priced_once_per_width():
         scheduler.enqueue(record, 0.0)
     now, admitted, batch, mixed = 0.0, 0, [], 0
     while True:
-        lanes = sum(record.request.batch_size for record in batch)
-        payloads = {id(record.request): record.request for record in batch}
         occupancy = scheduler.next_occupancy(now, cost)
         if occupancy is None:
             break
-        if occupancy.kind == "prefill":
+        start = now
+        if occupancy.kind == "prefill" or occupancy.prefill_s is not None:
             # Admission is FIFO: the next enqueued record joins the batch.
             batch.append(records[admitted])
             admitted += 1
-        else:
+        if occupancy.prefill_s is not None:
+            start += occupancy.prefill_s  # a merged run decodes from here
+        if occupancy.kind == "decode":
+            lanes = sum(record.request.batch_size for record in batch)
+            payloads = {id(record.request): record.request for record in batch}
             mixed += len(payloads) > 1
             step = max(cost.price(request, lanes) for request in payloads.values())
-            end = now + step
+            end = start + step
             for _ in range(occupancy.steps - 1):
                 end += step
             assert occupancy.end_s == end
