@@ -20,8 +20,13 @@ the planning opportunities both create:
   device is never busy past the makespan and its spans add up to its
   busy time.  A merged run (a continuous-batching prefill planned with
   the decode run after it) ends its prefill first, booked, spanned and
-  folded exactly as the prefill occupancy it replaces, then its decode
-  run; the prefill's end costs no loop pass and no planning call.
+  folded exactly as the prefill occupancy it replaces (with its DRAM
+  level on a memory-model run), then its decode run; the prefill's end
+  costs no loop pass and no planning call;
+* at the close, each scheduler books the KV growth of the decode steps
+  the step-by-step loop had planned by the makespan: those started
+  before it, and one starting at it unless an early exit stopped the
+  loop there before it planned.
 
 The loop owns its event heap outright: a plain ``heapq`` list of
 ``(time, kind, index, seq)`` tuples, whose total order
@@ -318,10 +323,11 @@ def _run(
         the scheduler's ``coalesce`` and ``dram`` instants and its span,
         fold it into the timelines with its DRAM level, and return the
         records it completes.  A merged run's prefill ends first, booked,
-        spanned and folded as the prefill occupancy it replaces, then its
-        decode run from the prefill's end.  A close before the decode run
-        began (inside the prefill, or at its end when the loop stopped
-        before planning there) ends the bare prefill."""
+        spanned and folded as the prefill occupancy it replaces (with the
+        prefill's DRAM level), then its decode run from the prefill's
+        end.  A close before the decode run began (inside the prefill, or
+        at its end when the loop stopped before planning there) ends the
+        bare prefill."""
         occupancy = device._occupancy
         start = occupancy.start_s
         prefill = occupancy.prefill_s
@@ -329,7 +335,7 @@ def _run(
             split = start + prefill
             if end < split or (end == split and stopped_before_planning):
                 # The bare prefill, as planned: it would end at split.
-                occupancy = Occupancy(PREFILL, prefill)
+                occupancy = Occupancy(PREFILL, prefill, dram=occupancy.prefill_dram)
                 device.busy_until = split
             else:
                 device.busy_s += prefill
@@ -343,7 +349,7 @@ def _run(
                     )
                 if timelines:
                     for timeline in timelines:
-                        timeline.span(index, start, split, None)
+                        timeline.span(index, start, split, occupancy.prefill_dram)
                 start = split
         if end == device.busy_until:
             device.busy_s += occupancy.seconds
@@ -508,7 +514,8 @@ def _run(
     num_events = 0
     early_exit = False
     #: Whether an early exit came before the idle devices planned at
-    #: ``now`` (read by ``end_occupancy`` at the close).
+    #: ``now`` (read at the close by the schedulers' ``finalize`` and by
+    #: ``end_occupancy``).
     stopped_before_planning = False
     total = source.total
     #: Whether this pass moved a request, and how many passes in a row
@@ -691,7 +698,7 @@ def _run(
         for index, device in enumerate(devices):
             streamed = device_metrics[index]
             streamed.queue_depth_area, streamed.max_queue_depth = (
-                device.scheduler.finalize(now)
+                device.scheduler.finalize(now, not stopped_before_planning)
             )
             if device._occupancy is not None:
                 # Still in flight when the loop stops (an early exit, or a

@@ -58,11 +58,13 @@ prefill and the run as one *merged run* (:attr:`Occupancy.prefill_s`
 holds the prefill's seconds; the loop books, spans and folds the prefill
 as the occupancy it replaces, and the decode run from ``p``).  It plans
 the prefill alone, as the step-by-step loop does, with ``max_steps=1``
-(the reference stays the literal step-by-step loop), on a memory-model
-run (whose pool decides at ``p``; not merged yet), when the device's
-next fault transition is due by ``p``, and when a delivery is known to
-reach the device by ``p``: on a one-device run every delivery does, and
-the loop attaches its arrival source (:attr:`Scheduler.arrivals`).  A
+(the reference stays the literal step-by-step loop), when the device's
+next fault transition is due by ``p``, when a delivery is known to
+reach the device by ``p`` (on a one-device run every delivery does, and
+the loop attaches its arrival source, :attr:`Scheduler.arrivals`), and
+on a memory-model run when the pool would plan something else first at
+``p``: a refill or a spilling step while KV is spilled, or a spilling
+step when the batch's next step grows past free DRAM (regime B).  A
 merged run stays open: a cut at or before ``p`` turns it back into the
 bare prefill and restores the batch as at ``p``, where the step-by-step
 loop admits the request, and a later cut re-walks the steps from ``p``.
@@ -82,11 +84,16 @@ interesting boundary: a decode run is additionally capped at the step
 where DRAM would fill (regime A), and a spilling batch plans strictly
 one step per occupancy (regime B), so coalesced and ``max_steps=1``
 runs stay byte-identical with the model enabled too.  Otherwise a
-regime-A run is planned and cut exactly like a slot-count run.  It books
-its KV growth, and releases its finishing members, only once it is
-over: at the scheduler's next planning call, a crash eviction or
-:meth:`Scheduler.finalize`.  Until then :meth:`Scheduler.free_dram_bytes`
-reads DRAM as of an instant, as the step-by-step loop has booked it.
+regime-A run is planned, cut and merged with the prefill before it
+exactly like a slot-count run.  It books its KV growth, and releases its
+finishing members, only once it is over: at the scheduler's next
+planning call, a crash eviction, or :meth:`Scheduler.finalize`, which
+books only the steps the step-by-step loop had planned by the close.
+Until then :meth:`Scheduler.free_dram_bytes` reads DRAM as of an
+instant, as the step-by-step loop has booked it: up to a merged run's
+``p``, the pool after the admission alone.  A merged run carries the
+prefill's DRAM level (:attr:`Occupancy.prefill_dram`) for its prefill
+part, and a cut at or before ``p`` drops the decode run's growth.
 ``memory=None`` (the default) leaves the slot-count path untouched.
 
 Faults
@@ -170,8 +177,9 @@ class Occupancy:
     start_s: Optional[float] = None
     #: A *merged run*'s prefill seconds: the continuous scheduler planned
     #: a prefill and the decode run after it as this one occupancy, whose
-    #: decode run starts at ``start_s + prefill_s`` and takes ``seconds``.
-    #: None for every other occupancy.
+    #: decode run starts at ``start_s + prefill_s`` and takes ``seconds``
+    #: (on a memory-model run too, see ``prefill_dram``).  None for every
+    #: other occupancy.
     prefill_s: Optional[float] = None
     #: The scheduler's ``coalesce`` instant for a decode run on a
     #: recorder-attached run, emitted by the loop with the run's span
@@ -182,8 +190,14 @@ class Occupancy:
     #: for a prefill, as booked (after any cut) for a decode run, after
     #: the refill for a refill.  The loop hands it to a timeline once the
     #: occupancy ends, and emits a decode run's as the memory model's
-    #: ``dram`` instant, between the note and the span.
+    #: ``dram`` instant, between the note and the span.  A merged run's
+    #: is its decode run's.
     dram: Optional[int] = None
+    #: A memory-model merged run's prefill DRAM level (used bytes after
+    #: the admission): the ``dram`` of the prefill occupancy it replaces,
+    #: which the loop folds for its prefill part, and which a cut back to
+    #: the bare prefill, or a close inside it, keeps.
+    prefill_dram: Optional[int] = None
 
     def end_time(self, now: float) -> float:
         """When this occupancy finishes, starting at ``now``."""
@@ -308,12 +322,14 @@ class Scheduler:
         """Free KV DRAM as of ``now`` (0 without a memory model)."""
         return 0
 
-    def finalize(self, now: float) -> Tuple[float, int]:
+    def finalize(self, now: float, planned: bool = True) -> Tuple[float, int]:
         """The run is over at ``now``: book what the last occupancy still
-        owes, detach what the loop attached (the recorder, the timelines,
-        a fleet's per-replica track name and a one-device run's arrival
-        source), and return the queue's time-weighted depth area and max
-        depth, reset for the scheduler's next run."""
+        owes as of ``now`` (``planned`` False when the loop stopped there
+        before its devices planned), detach what the loop attached (the
+        recorder, the timelines, a fleet's per-replica track name and a
+        one-device run's arrival source), and return the queue's
+        time-weighted depth area and max depth, reset for the scheduler's
+        next run."""
         self.recorder = self.arrivals = None
         self.timelines = ()
         self.track = type(self).track
@@ -461,11 +477,15 @@ class _KVGrowth:
     and the finishing members release their residency with the last
     step.  A coalesced run books all of it at once (:meth:`book`); until
     then :meth:`advance` tracks what the step-by-step loop holds at an
-    instant: the first step, plus every later step that started strictly
-    before it (a request arriving on a step boundary is routed before
-    that step is planned), and once the last step has started, the net
-    growth after the finishing members' release.  ``started`` only moves
-    forward, so a read between two step boundaries costs one comparison.
+    instant: every step that started strictly before it (a request
+    arriving on a step boundary is routed before that step is planned),
+    plus the first step of a run planned at its start, and once the last
+    step has started, the net growth after the finishing members'
+    release.  A merged run's decode run starts at its prefill's end
+    ``p``, where the step-by-step loop plans its first step, so up to
+    ``p`` it holds the pool as booked after the admission.  ``started``
+    only moves forward, so a read between two step boundaries costs one
+    comparison.
     """
 
     __slots__ = (
@@ -486,7 +506,7 @@ class _KVGrowth:
         batch: list,
         growth: int,
         step: float,
-        now: float,
+        start: float,
         free: int,
     ) -> None:
         steps = occupancy.steps
@@ -504,12 +524,14 @@ class _KVGrowth:
                 released += entry[3] + steps * entry[5]
         self.end_free = free - steps * growth + released
         #: Free DRAM as of the latest read, the steps started by then, and
-        #: the start of the next step (inf once the last one started).
-        self.started = 1
-        if steps == 1:
-            self.free, self.next_start = self.end_free, inf
+        #: the start of the next step (inf once the last one started).  A
+        #: run planned at its ``start`` has started its first step.
+        if occupancy.prefill_s is not None:
+            self.started, self.free, self.next_start = 0, free, start
+        elif steps == 1:
+            self.started, self.free, self.next_start = 1, self.end_free, inf
         else:
-            self.free, self.next_start = free - growth, now + step
+            self.started, self.free, self.next_start = 1, free - growth, start + step
 
     def advance(self, now: float) -> None:
         """Count the steps that started strictly before ``now``."""
@@ -531,14 +553,25 @@ class _KVGrowth:
         if self.started == steps:
             self.next_start = inf
 
-    def book(self, pool) -> None:
-        """Book the run's growth, then release its finishing members."""
-        steps = self.occupancy.steps
+    def started_by(self, now: float, planned: bool) -> int:
+        """The steps the step-by-step loop has started by a close at
+        ``now``: those that started strictly before it, and the one that
+        starts at ``now`` if the loop planned there."""
+        if now > self.next_start:
+            self.advance(now)
+        if planned and self.next_start == now:
+            return self.started + 1
+        return self.started
+
+    def book(self, pool, steps: int) -> None:
+        """Book the growth of the run's first ``steps`` steps, and if that
+        is the whole run, release its finishing members."""
         if self.growth:
             pool.admit(steps * self.growth)
+        whole = steps == self.occupancy.steps
         for entry in self.batch:
             entry[3] += steps * entry[5]
-            if not entry[1] and entry[3]:
+            if whole and not entry[1] and entry[3]:
                 pool.release(entry[3])
 
 
@@ -634,32 +667,41 @@ class ContinuousBatchScheduler(Scheduler):
         start = now
         prefill = None
         # Admission first: fill free batch slots with waiting prefills so
-        # new requests reach their first token as early as possible.
+        # new requests reach their first token as early as possible.  A
+        # head-of-line request waiting on DRAM/flash space is not admitted;
+        # fall through so in-flight decodes can free some.
         if self._waiting and len(self._active) < self.max_batch:
-            seconds = self._admit(now, cost)
-            if seconds is not None:
-                start = now + seconds
-                # Merge with the decode run from the prefill's end unless
-                # the step-by-step loop could plan otherwise there (see
-                # the module docstring).
-                arrivals = self.arrivals
-                head = None if arrivals is None else arrivals.head_time
-                if (
-                    self._waiting
-                    or len(self._active) >= self.max_batch
-                    or max_steps == 1
-                    or memory is not None
-                    or (head is not None and head <= start)
-                    or (boundary is not None and boundary <= start)
-                ):
-                    occupancy = Occupancy(PREFILL, seconds)
-                    if memory is not None:
-                        occupancy.dram = memory.pool.used_bytes
-                    return occupancy
-                prefill = seconds
-            # Otherwise the head-of-line request is waiting on DRAM/flash
-            # space; fall through so in-flight decodes can free some.
+            prefill = self._admit(now, cost)
+            if prefill is not None:
+                start = now + prefill
         active = self._active
+        spilling = dram_capped = False
+        if memory is not None:
+            # The next step's KV growth, and whether it spills or reads
+            # spilled KV back (regime B, after a refill if DRAM has room).
+            growth = 0
+            for entry in active:
+                growth += entry[5]
+            free = memory.pool.free_bytes
+            spilling = memory.spilled_bytes > 0 or growth > free
+        if prefill is not None:
+            # Merge with the decode run from the prefill's end unless the
+            # step-by-step loop could plan otherwise there (see the module
+            # docstring).
+            arrivals = self.arrivals
+            head = None if arrivals is None else arrivals.head_time
+            if (
+                self._waiting
+                or len(active) >= self.max_batch
+                or max_steps == 1
+                or spilling
+                or (head is not None and head <= start)
+                or (boundary is not None and boundary <= start)
+            ):
+                occupancy = Occupancy(PREFILL, prefill)
+                if memory is not None:
+                    occupancy.dram = memory.pool.used_bytes
+                return occupancy
         if not active:
             return None
         # Freed DRAM pulls spilled KV home before the next decode step:
@@ -701,18 +743,12 @@ class ContinuousBatchScheduler(Scheduler):
         # in-batch completion, so up to `limit` steps are one occupancy.
         if max_steps is not None and max_steps < limit:
             limit = max_steps
-        spilling = dram_capped = False
         if memory is not None:
-            growth = 0
-            for entry in active:
-                growth += entry[5]
-            free = memory.pool.free_bytes
-            if memory.spilled_bytes or growth > free:
+            if spilling:
                 # Regime B: the step spills or reads spilled KV back, so it
                 # is planned alone and pays the flash time on top.
                 step += self._spill_step()
                 limit = 1
-                spilling = True
             elif growth and free // growth < limit:
                 # Regime A: the step where DRAM fills is interesting too.
                 limit = free // growth
@@ -777,6 +813,8 @@ class ContinuousBatchScheduler(Scheduler):
         if books:
             self._growth = _KVGrowth(occupancy, active, growth, step, start, free)
             occupancy.dram = memory.pool.capacity_bytes - self._growth.end_free
+            if prefill is not None:
+                occupancy.prefill_dram = memory.pool.used_bytes
         elif spilling:
             for entry in finished:
                 self._release(entry)
@@ -846,10 +884,13 @@ class ContinuousBatchScheduler(Scheduler):
         occupancy.completed = []
         occupancy.end_s = end
         if not steps:
+            # Nothing of the decode run was booked by its start.
+            self._growth = None
             occupancy.kind = PREFILL
             occupancy.seconds = prefill
             occupancy.steps = 1
-            occupancy.prefill_s = occupancy.note = None
+            occupancy.dram = occupancy.prefill_dram
+            occupancy.prefill_s = occupancy.prefill_dram = occupancy.note = None
             return occupancy
         occupancy.steps = steps
         occupancy.seconds = step if steps == 1 else end - start
@@ -875,9 +916,12 @@ class ContinuousBatchScheduler(Scheduler):
         memory = self.memory
         return 0 if memory is None else memory.pool.free_bytes
 
-    def finalize(self, now: float) -> Tuple[float, int]:
-        if self._growth is not None:
-            self._book()
+    def finalize(self, now: float, planned: bool = True) -> Tuple[float, int]:
+        growth = self._growth
+        if growth is not None:
+            # Book what the step-by-step loop had booked by the close.
+            growth.book(self.memory.pool, growth.started_by(now, planned))
+            self._growth = None
         memory = self.memory
         if memory is not None:
             memory.recorder = None
@@ -1078,5 +1122,6 @@ class ContinuousBatchScheduler(Scheduler):
 
     def _book(self) -> None:
         """Book the latest regime-A run, now that it is over."""
-        self._growth.book(self.memory.pool)
+        growth = self._growth
+        growth.book(self.memory.pool, growth.occupancy.steps)
         self._growth = None

@@ -46,9 +46,13 @@ the step-by-step loop plans that same interval at the prefill's end,
 unless a request queues on the device by then, which cuts the merged
 run back to its prefill.  A one-device run knows its next delivery, and
 merges only when none is due by the prefill's end.  Under the KV memory
-model the interval books its KV growth only once it is over, and a
-router reads each device's DRAM as of the current instant, as the
-step-by-step loop has booked it (``Scheduler.free_dram_bytes(now)``).
+model the interval books its KV growth only once it is over (at the
+close, only the steps the step-by-step loop had planned by then), a
+merged run's interval only when the pool would not spill, refill or
+read spilled KV at the prefill's end, and a router reads each device's
+DRAM as of the current instant, as the step-by-step loop has booked it
+(``Scheduler.free_dram_bytes(now)``; during a merged run's prefill, the
+admission alone).
 Coalescing schedulers accumulate the interval's end one step-duration at a time
 (never as one ``k * step`` product), and a cut re-walks it the same way
 from the interval's start, so the clock visits exactly the same floats

@@ -205,19 +205,21 @@ MEMORY_CHAOS = {
 
 def _memory_run(arrivals, router_name, max_batch, max_steps, **options):
     """4 replicas whose 512 MiB of DRAM holds two 250 MiB prompts: batches
-    fill, spill and cut memory-model decode runs."""
+    fill, spill and cut memory-model decode runs.  Returns the report and
+    the merged runs planned."""
     fleet = build_fleet(
         [ToyBackend(ttft=0.3, step=0.1)] * 4,
         scheduler_factory=lambda: ContinuousBatchScheduler(
             max_batch=max_batch, memory=MemorySpec(dram_bytes=2**29)
         ),
     )
+    counts = _merge_probe([device.scheduler for device in fleet])
     probe = QueueProbe([device.scheduler for device in fleet])
     report = simulate_fleet(
         arrivals, fleet, get_router(router_name), max_steps=max_steps, **options
     )
     assert_littles_law(report, probe)
-    return report
+    return report, counts["merged"]
 
 
 @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
@@ -228,12 +230,15 @@ def test_memory_model_runs_are_byte_identical_to_step_by_step(
 ):
     """Memory-model decode runs are cut like slot-count runs and book their
     KV growth once they are over, so the headroom router, which reads DRAM
-    as of now, routes a coalesced fleet like the step-by-step one."""
+    as of now, routes a coalesced fleet like the step-by-step one.  With
+    two slots, some admissions merge with their decode run; with one, the
+    admission fills the batch and none does."""
     # ~67 s of arrivals: past the crash at 30 s and into the slowdown.
     arrivals = PoissonWorkload(3.0, _mixed_payload, seed=11).generate(200)
     options = MEMORY_CHAOS if chaos else {}
-    reference = _memory_run(arrivals, router_name, max_batch, 1, **options)
-    coalesced = _memory_run(arrivals, router_name, max_batch, None, **options)
+    reference, _ = _memory_run(arrivals, router_name, max_batch, 1, **options)
+    coalesced, merged = _memory_run(arrivals, router_name, max_batch, None, **options)
+    assert (merged > 0) == (max_batch > 1)
     assert_same_trace(coalesced.to_csv(), reference.to_csv())
     assert [device.memory for device in coalesced.device_reports] == [
         device.memory for device in reference.device_reports
@@ -369,25 +374,34 @@ def _request(arrival_s, request_id, gen_tokens):
 
 
 class _Scripted(Router):
-    """Routes each request id to a fixed device, and hedge attempts to
-    device 0."""
+    """Routes each request id to a fixed device, or where its entry is None
+    to the device with the most free KV DRAM (the headroom router), and
+    hedge attempts to device 0.  Logs every device's free DRAM at each
+    route, as the headroom router reads it."""
 
     name = "scripted"
 
     def __init__(self, devices):
         super().__init__()
         self.devices = devices
+        self.headroom = get_router("headroom")
+        self.reads = []
 
     def route(self, record, devices, now):
-        return 0 if record.hedge else self.devices[record.request_id]
+        self.reads.append(
+            (now, [device.scheduler.free_dram_bytes(now) for device in devices])
+        )
+        if record.hedge:
+            return 0
+        index = self.devices[record.request_id]
+        return self.headroom.route(record, devices, now) if index is None else index
 
 
-def _merge_probe(fleet):
-    """Counts the merged runs the fleet's schedulers plan, and those a cut
-    turns back into their bare prefill."""
+def _merge_probe(schedulers):
+    """Counts the merged runs the schedulers plan, and those a cut turns
+    back into their bare prefill."""
     counts = {"merged": 0, "unmerged": 0}
-    for device in fleet:
-        scheduler = device.scheduler
+    for scheduler in schedulers:
         plan, cut = scheduler.next_occupancy, scheduler.cut
 
         def planned(*args, plan=plan, **kwargs):
@@ -406,11 +420,24 @@ def _merge_probe(fleet):
     return counts
 
 
+#: The KV bytes of one decode step's token and of one PAYLOAD prompt
+#: (500 tokens of opt-6.7b at 16 bits).
+TOKEN_KV = 524_288
+PROMPT_KV = 500 * TOKEN_KV
+
+
+def _dram(prompts, tokens=0, **spec):
+    """A KV memory model whose DRAM holds ``prompts`` PAYLOAD prompts and
+    ``tokens`` more tokens."""
+    return MemorySpec(dram_bytes=prompts * PROMPT_KV + tokens * TOKEN_KV, **spec)
+
+
 #: Scripted two-replica runs at the edges of a merged run, on binary-exact
 #: latencies (a 0.5 s prefill, 0.25 s steps): the requests as (arrival,
-#: generated tokens, device), the scheduler's ``max_batch``, the run's
-#: options, and the merged runs planned and turned back into their bare
-#: prefill by the coalesced run.
+#: generated tokens, device; None routes by headroom), the scheduler's
+#: ``max_batch``, the run's options (a ``memory`` entry goes to the
+#: schedulers), and the merged runs planned and turned back into their
+#: bare prefill by the coalesced run.
 MERGE_EDGES = {
     # Queued at the prefill's end: admitted there, so the cut ends the
     # merged run at its prefill; so does an arrival during the prefill.
@@ -472,12 +499,86 @@ MERGE_EDGES = {
         {"retry": RetryPolicy(max_attempts=1, hedge_after_s=1.0)},
         (2, 1),
     ),
+    # -- on KV memory models: request 0's merged run on device 0 is a
+    # prefill on [0, 0.5] and 8 steps of 0.25 s from 0.5.
+    # A headroom route reads device 0's DRAM inside the prefill and at its
+    # end (the admission alone), and inside the first step (that too).
+    "memory-read-in-prefill": (
+        [(0.0, 8, 0), (0.25, 2, None)], 4, {"memory": _dram(4)}, (2, 0)
+    ),
+    "memory-read-at-prefill-end": (
+        [(0.0, 8, 0), (0.5, 2, None)], 4, {"memory": _dram(4)}, (2, 0)
+    ),
+    "memory-read-in-first-step": (
+        [(0.0, 8, 0), (0.625, 2, None)], 4, {"memory": _dram(4)}, (2, 0)
+    ),
+    # Planned alone: a prompt that spills at admission; request 2's
+    # admission once a spilling step has freed DRAM (request 0 leaves) but
+    # left request 1's KV spilled (a refill comes first at the prefill's
+    # end); and a step whose growth exceeds the DRAM the admission leaves
+    # (the step spills), with request 1 arriving during that prefill.
+    "memory-spill-at-admission": ([(0.0, 4, 0)], 4, {"memory": _dram(1, -4)}, (0, 0)),
+    "memory-spilled-at-prefill-end": (
+        [(0.0, 2, 0), (0.0, 8, 0), (1.3, 2, 0)], 4, {"memory": _dram(2, 2)}, (1, 0)
+    ),
+    "memory-growth-over-free": (
+        [(0.0, 4, 0), (0.25, 2, 0)], 4, {"memory": _dram(1)}, (0, 0)
+    ),
+    # DRAM fills after 3 steps: the merged run is capped there.
+    "memory-dram-fill-cap": ([(0.0, 8, 0)], 4, {"memory": _dram(1, 3)}, (1, 0)),
+    # An arrival inside the prefill turns the run back into it: none of the
+    # decode run's growth is booked.
+    "memory-arrival-in-prefill": (
+        [(0.0, 8, 0), (0.25, 2, 0)], 4, {"memory": _dram(4)}, (2, 1)
+    ),
+    "memory-crash-in-decode": (
+        [(0.0, 8, 0), (4.0, 2, 0)],
+        4,
+        {"memory": _dram(4), "faults": FaultSpec(crash_windows=((0, 0.625, 1.0),))},
+        (3, 0),
+    ),
+    # Early exits before the loop plans at the close: inside device 0's
+    # merged prefill [2.25, 2.75] at 2.5, and at 0.75, the start of its
+    # second decode step.  The step-by-step run has booked one step there
+    # (a high-water mark of 262,668,288 bytes); a coalesced close once
+    # booked the whole 64-step run (295,698,432).
+    "memory-early-exit-in-prefill": (
+        [(0.0, 8, 1), (2.25, 8, 0), (3.0, 2, 0)],
+        4,
+        {"memory": _dram(4), "slo": SLOSpec(e2e_s=1.0), "fail_fast": True},
+        (2, 0),
+    ),
+    "memory-early-exit-in-decode": (
+        [(0.0, 64, 0), (0.0, 1, 1), (3.0, 1, 0), (30.0, 1, 1)],
+        4,
+        {
+            "memory": MemorySpec(dram_bytes=2**29),
+            "slo": SLOSpec(e2e_s=0.6, min_attainment=0.9),
+            "fail_fast": True,
+        },
+        (2, 0),
+    ),
+    # Request 1 waits on DRAM (no spill space) until request 0 leaves at
+    # 1.5; its hedge on device 0 wins at 3.5, and the run closes with the
+    # losing attempt's merged run in flight.  The loop planned at 3.5, so
+    # the step that starts there is booked, as the step-by-step run books it.
+    "memory-close-at-a-step-start": (
+        [(0.0, 4, 1), (0.0, 8, 1)],
+        2,
+        {
+            "memory": _dram(1, 8, spill_capacity_bytes=0),
+            "retry": RetryPolicy(max_attempts=1, hedge_after_s=1.0),
+        },
+        (2, 0),
+    ),
 }
 
 
 @pytest.mark.parametrize("edge", sorted(MERGE_EDGES))
 def test_merged_runs_match_step_by_step_at_their_edges(edge):
     requests, max_batch, options, merges = MERGE_EDGES[edge]
+    options = dict(options)
+    memory = options.pop("memory", None)
     arrivals = [
         _request(arrival_s, request_id, gen_tokens)
         for request_id, (arrival_s, gen_tokens, _) in enumerate(requests)
@@ -487,21 +588,28 @@ def test_merged_runs_match_step_by_step_at_their_edges(edge):
     def run(max_steps):
         fleet = build_fleet(
             [ToyBackend(ttft=0.5, step=0.25)] * 2,
-            scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=max_batch),
+            scheduler_factory=lambda: ContinuousBatchScheduler(
+                max_batch=max_batch, memory=memory
+            ),
         )
-        counts = _merge_probe(fleet)
+        counts = _merge_probe([device.scheduler for device in fleet])
         probe = QueueProbe([device.scheduler for device in fleet])
+        router = _Scripted(routes)
         report = simulate_fleet(
-            arrivals, fleet, _Scripted(routes), max_steps=max_steps, **options
+            arrivals, fleet, router, max_steps=max_steps, **options
         )
         assert_littles_law(report, probe)
-        return report, (counts["merged"], counts["unmerged"])
+        return report, (counts["merged"], counts["unmerged"]), router.reads
 
-    (coalesced, counts), (reference, _) = run(None), run(1)
+    (coalesced, counts, reads), (reference, _, reads_ref) = run(None), run(1)
     assert counts == merges
     assert_same_trace(coalesced.to_csv(), reference.to_csv())
+    assert reads == reads_ref
     assert [device.busy_s for device in coalesced.device_reports] == [
         device.busy_s for device in reference.device_reports
+    ]
+    assert [device.memory for device in coalesced.device_reports] == [
+        device.memory for device in reference.device_reports
     ]
     assert coalesced.makespan_s == reference.makespan_s
     assert coalesced.early_exit == reference.early_exit
@@ -523,7 +631,7 @@ def test_an_early_exit_ends_a_merged_run_s_prefill_as_step_by_step(prefill_start
             [ToyBackend(ttft=0.5, step=0.25)] * 2,
             scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
         )
-        counts = _merge_probe(fleet)
+        counts = _merge_probe([device.scheduler for device in fleet])
         recorder = SpanRecorder()
         report = simulate_fleet(
             arrivals,
@@ -552,15 +660,28 @@ def test_an_early_exit_ends_a_merged_run_s_prefill_as_step_by_step(prefill_start
     ]
 
 
+def _perfetto(recorder):
+    """The recorder's Perfetto JSON without the ``coalesce`` instants'
+    reasons (a ``max_steps=1`` run names its cap there)."""
+    for event in recorder.instants("coalesce"):
+        del event[5]["reason"]
+    return recorder.to_perfetto()
+
+
+@pytest.mark.parametrize("memory", [None, _dram(4)], ids=["slots", "memory"])
 @pytest.mark.parametrize("num_devices", [1, 3], ids=["one-device", "fleet"])
-def test_merged_runs_leave_every_observer_output_as_step_by_step(num_devices):
+def test_merged_runs_leave_every_observer_output_as_step_by_step(
+    num_devices, memory
+):
     """With 1-token generations every decode run is one step, so a
     coalesced run differs from its ``max_steps=1`` run only by merges:
-    the device tracks hold the same spans in the same order and the
-    critical path is the same.  On one device every span comes in the same
-    order and the timeline is the same; a fleet's timeline folds its
-    windows' busy seconds in another order, so those two columns agree to
-    rounding.  (The ``coalesce`` instants name another reason.)"""
+    the device tracks hold the same spans in the same order, the memory
+    tracks the same instants (on KV memory models whose DRAM fills and
+    spills), and the critical path is the same.  On one device the whole
+    Perfetto JSON (but for the ``coalesce`` instants' reasons) and the
+    timeline are the same; a fleet's timeline folds its windows' busy
+    seconds in another order, so those two columns agree to rounding,
+    and every other column, the DRAM ones included, is the same."""
     payload = PAYLOAD.with_overrides(gen_tokens=1)
     arrivals = PoissonWorkload(2.5 * num_devices, payload, seed=3).generate(300)
 
@@ -569,37 +690,49 @@ def test_merged_runs_leave_every_observer_output_as_step_by_step(num_devices):
         options = dict(max_steps=max_steps, recorder=TeeRecorder(spans, timeline))
         backend = ToyBackend(ttft=0.3, step=0.1)
         if num_devices == 1:
-            report = simulate(
-                arrivals, backend, ContinuousBatchScheduler(max_batch=4), **options
-            )
+            scheduler = ContinuousBatchScheduler(max_batch=4, memory=memory)
+            counts = _merge_probe([scheduler])
+            report = simulate(arrivals, backend, scheduler, **options)
             devices = [report]
         else:
             fleet = build_fleet(
                 [backend] * num_devices,
-                scheduler_factory=lambda: ContinuousBatchScheduler(max_batch=4),
+                scheduler_factory=lambda: ContinuousBatchScheduler(
+                    max_batch=4, memory=memory
+                ),
             )
+            counts = _merge_probe([device.scheduler for device in fleet])
             report = simulate_fleet(arrivals, fleet, get_router("jsq"), **options)
             devices = report.device_reports
-        return report, [device.busy_s for device in devices], spans, timeline
+        busy = [device.busy_s for device in devices]
+        memories = [device.memory for device in devices]
+        return report, busy, memories, spans, timeline, counts["merged"]
 
-    coalesced, busy, spans, timeline = run(None)
-    reference, busy_ref, spans_ref, timeline_ref = run(1)
+    coalesced, busy, memories, spans, timeline, merged = run(None)
+    reference, busy_ref, memories_ref, spans_ref, timeline_ref, _ = run(1)
+    assert merged > 0
     assert coalesced.num_events < reference.num_events
     assert_same_trace(coalesced.to_csv(), reference.to_csv())
     assert busy == busy_ref
+    assert memories == memories_ref
     assert_same_queue_stats(coalesced, reference)
-    tracks = ["device"] if num_devices == 1 else [
-        f"device{index}" for index in range(num_devices)
-    ]
-    for track in tracks:
+    suffixes = [""] if num_devices == 1 else map(str, range(num_devices))
+    for suffix in suffixes:
+        track = "device" + suffix
         assert [span for span in spans.spans() if span[1] == track] == [
             span for span in spans_ref.spans() if span[1] == track
         ]
+        track = "memory" + suffix
+        assert [event for event in spans.events if event[1] == track] == [
+            event for event in spans_ref.events if event[1] == track
+        ]
+    if memory is not None:
+        assert any(event[1].startswith("memory") for event in spans.instants("spill"))
     report, report_ref = critical_path(spans), critical_path(spans_ref)
     assert report.attribution_rows() == report_ref.attribution_rows()
     assert report.chain_rows() == report_ref.chain_rows()
     if num_devices == 1:
-        assert spans.spans() == spans_ref.spans()
+        assert _perfetto(spans) == _perfetto(spans_ref)
         assert timeline.to_csv() == timeline_ref.to_csv()
         return
     rows, rows_ref = timeline.to_rows(), timeline_ref.to_rows()

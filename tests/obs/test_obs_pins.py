@@ -137,7 +137,7 @@ PINS = {
     ("fleet", None): {
         "timeline": "aaa59145fb030ae955ec22574cf8bdeb9bad3be77daf7b1ae9e3f66706ff9687",
         "alerts": "bfaabd8c451f80e4e519d6238fcbf916da1618adfaccecf6bfe827459dd85b13",
-        "perfetto": "f577502875be9b6f625aa2ca2ac0b3564b9dbc752157d16f54736c743a916560",
+        "perfetto": "7025808a5c07aa25dc9f9aa954b027266fa18eb4ab34325e51a83045357f7c34",
     },
     ("fleet", 1): {
         "timeline": "96618711a7405e61d9f4d57decd6c94109df650b09a00b12e7d3b074c33d25de",

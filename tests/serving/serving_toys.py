@@ -83,7 +83,7 @@ class QueueProbe:
     after each call it compares the queue's members with those it saw
     last, logs each entry and exit at the call's ``now`` (the loop's
     clock), and adds each exit's time in the queue to the device's sum.
-    Requests still queued when the run calls ``finalize(now)`` leave then.
+    Requests still queued when the run calls ``finalize`` leave then.
     """
 
     def __init__(self, schedulers) -> None:
@@ -117,11 +117,11 @@ class QueueProbe:
         scheduler.evict_all = logged(scheduler.evict_all, lambda now: now)
         finalize = scheduler.finalize
 
-        def close(now):
+        def close(now, *args):
             for _, since in entered.values():
                 self.residencies[index] += now - since
             entered.clear()
-            return finalize(now)
+            return finalize(now, *args)
 
         scheduler.finalize = close
 

@@ -179,7 +179,8 @@ def _scheduler(memory=None):
 
 def _decoding_scheduler(memory):
     """A memory-model continuous scheduler whose lone request (PAYLOAD)
-    has prefilled on [0, 1] and is ready to decode at 0.1 s per step."""
+    has prefilled on [0, 1] and is ready to decode at 0.1 s per step (the
+    prefill is planned alone, as the step-by-step loop plans it)."""
     from repro.serving import ServingRequest
     from repro.serving.request import RequestRecord
 
@@ -188,7 +189,7 @@ def _decoding_scheduler(memory):
         ServingRequest(arrival_s=0.0, request_id=0, request=PAYLOAD)
     )
     scheduler.enqueue(record, 0.0)
-    assert scheduler.next_occupancy(0.0, cost).kind == "prefill"
+    assert scheduler.next_occupancy(0.0, cost, max_steps=1).kind == "prefill"
     return scheduler, cost, record
 
 
@@ -341,7 +342,7 @@ def test_memory_decode_runs_are_cut_like_slot_count_runs():
     assert scheduler.free_dram_bytes(decode.end_s) == (
         spec.dram_bytes - PROMPT_KV - 3 * TOKEN_KV
     )
-    prefill = scheduler.next_occupancy(decode.end_s, cost)
+    prefill = scheduler.next_occupancy(decode.end_s, cost, max_steps=1)
     assert prefill.kind == "prefill" and scheduler.active == 2
     assert scheduler.memory.pool.high_water_bytes == (
         PROMPT_KV + 3 * TOKEN_KV + 10 * TOKEN_KV
